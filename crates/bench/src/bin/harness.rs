@@ -28,7 +28,8 @@
 //! --baseline <f>   diff every cell of this run against a previously
 //!                  saved harness JSON (e.g. BENCH_harness.json) and
 //!                  exit nonzero when any ev/s cell lost more than 20 %
-//!                  — the CI perf-ratchet (pairs with `perf`)
+//!                  or a cell exists on only one side — the CI
+//!                  perf-ratchet (pairs with `perf`)
 //! --serial         run every sweep on one thread (also: DELIBA_JOBS=n)
 //! --trace-depth    recorder depth for `trace` (default: full; also the
 //!                  DELIBA_TRACE env var — the flag wins)
@@ -88,13 +89,14 @@ const KNOWN: &[&str] = &[
 
 /// The `--baseline` comparison: diff this run's cells against a
 /// previously saved harness JSON (the committed `BENCH_harness.json`),
-/// print per-cell deltas, and report whether any events-per-second cell
-/// regressed by more than 20 % — the tolerance wide enough for a shared
-/// CI box, tight enough to catch a real structural slowdown.
+/// print per-cell deltas, and report failure when any events-per-second
+/// cell regressed by more than 20 % — the tolerance wide enough for a
+/// shared CI box, tight enough to catch a real structural slowdown.
 ///
-/// Cells are matched on `(experiment id, config, workload)`; baseline
-/// cells with no counterpart in this run are ignored (a renamed or
-/// retired cell is not a regression), and new cells print as such.
+/// Cells are matched on `(experiment id, config, workload)`.  A cell on
+/// only one side also fails the comparison: a baseline cell the run no
+/// longer produces, or a run cell the baseline never recorded, means the
+/// ratchet no longer covers it — regenerate the baseline instead.
 /// Deltas go to stderr so `--json` stdout stays machine-parseable.
 fn compare_baseline(path: &str, results: &[Experiment]) -> bool {
     let body = match std::fs::read_to_string(path) {
@@ -149,12 +151,20 @@ fn compare_baseline(path: &str, results: &[Experiment]) -> bool {
     }
     const TOLERANCE: f64 = 0.20;
     let mut regressed = false;
+    let mut unmatched = false;
     eprintln!("== baseline comparison vs {path}");
     for exp in results {
         for c in &exp.cells {
             let key = (exp.id.clone(), c.config.clone(), c.workload.clone());
-            match old.get(&key) {
-                Some(&was) if was != 0.0 => {
+            match old.remove(&key) {
+                None => {
+                    unmatched = true;
+                    eprintln!(
+                        "  {:28} {:38} (no baseline cell: {:.3} {})  UNMATCHED",
+                        c.config, c.workload, c.measured, c.unit
+                    );
+                }
+                Some(was) if was != 0.0 => {
                     let delta = (c.measured - was) / was;
                     // Only throughput cells gate: wall-clock and ratio
                     // cells have their own dedicated CI assertions.
@@ -171,19 +181,30 @@ fn compare_baseline(path: &str, results: &[Experiment]) -> bool {
                         if bad { "  REGRESSION" } else { "" }
                     );
                 }
-                _ => eprintln!(
-                    "  {:28} {:38} (new cell: {:.3} {})",
+                Some(_) => eprintln!(
+                    "  {:28} {:38} (zero baseline: {:.3} {})",
                     c.config, c.workload, c.measured, c.unit
                 ),
             }
         }
     }
+    for (_, config, workload) in old.keys() {
+        unmatched = true;
+        eprintln!("  {config:28} {workload:38} (missing from this run)  UNMATCHED");
+    }
     if regressed {
         eprintln!("baseline comparison FAILED: an ev/s cell regressed more than 20%");
-    } else {
+    }
+    if unmatched {
+        eprintln!(
+            "baseline comparison FAILED: cells present on only one side \
+             (regenerate the baseline)"
+        );
+    }
+    if !regressed && !unmatched {
         eprintln!("baseline comparison passed (ev/s tolerance 20%)");
     }
-    regressed
+    regressed || unmatched
 }
 
 fn usage() -> ! {

@@ -1109,67 +1109,6 @@ pub fn perf() -> Experiment {
     }
     let prepare_speedup = ec_serial_wall / ec_pool_wall.max(1e-9);
 
-    // Intra-run parallelism, fleet shape: a 32-lane big-cluster gauge
-    // driven through the sim-level window executor, with synthetic
-    // lane-local work standing in for per-OSD compute.  Every thread
-    // count merges to identical state (pinned by the sim differential
-    // tests); the cells expose the event rate and its scaling.
-    const GAUGE_LANES: usize = 32;
-    const GAUGE_HOPS: u64 = 256;
-    struct GaugeLane {
-        acc: u64,
-    }
-    impl deliba_sim::LaneState for GaugeLane {}
-    struct GaugeModel {
-        step: SimDuration,
-    }
-    impl deliba_sim::SharedState for GaugeModel {}
-    let gauge_evps = |threads: usize| -> f64 {
-        let model = GaugeModel { step: SimDuration::from_nanos(1_000) };
-        let mut q: ShardedEventQueue<u64> = ShardedEventQueue::new(GAUGE_LANES);
-        q.set_lookahead(SimDuration::from_nanos(1_000));
-        for lane in 0..GAUGE_LANES {
-            q.schedule_at(lane, SimTime::from_nanos(lane as u64), 0u64);
-        }
-        let mut lanes: Vec<GaugeLane> =
-            (0..GAUGE_LANES).map(|l| GaugeLane { acc: l as u64 }).collect();
-        let handler = |m: &GaugeModel,
-                       shard: usize,
-                       lane: &mut GaugeLane,
-                       at: SimTime,
-                       hop: u64,
-                       fx: &mut deliba_sim::Effects<u64, ()>| {
-            // A few µs of lane-local arithmetic per event — the scale
-            // of one op's payload + checksum work.
-            let mut x = lane.acc ^ hop;
-            for _ in 0..4096 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            }
-            lane.acc = x;
-            if hop + 1 < GAUGE_HOPS {
-                fx.schedule(shard, at + m.step, hop + 1);
-            }
-        };
-        let mut ex = deliba_sim::WindowExecutor::new(threads);
-        let mut done = 0usize;
-        let t0 = Instant::now();
-        loop {
-            match ex.run_window(&mut q, &mut lanes, &model, &handler, &mut |_, _: ()| {}, None) {
-                deliba_sim::WindowOutcome::Empty => break,
-                deliba_sim::WindowOutcome::Clipped(_) => unreachable!("no clip configured"),
-                deliba_sim::WindowOutcome::Executed(n) => done += n,
-            }
-        }
-        done as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let mut gauge_serial_evps = 0.0f64;
-    let mut gauge_pool_evps = 0.0f64;
-    for _ in 0..3 {
-        gauge_serial_evps = gauge_serial_evps.max(gauge_evps(1));
-        gauge_pool_evps = gauge_pool_evps.max(gauge_evps(pool_threads));
-    }
-    let gauge_speedup = gauge_pool_evps / gauge_serial_evps.max(1e-9);
-
     Experiment {
         id: "perf".into(),
         caption: "harness perf gate: wall-clock + events/sec on the reference workload".into(),
@@ -1365,27 +1304,6 @@ pub fn perf() -> Experiment {
                 workload: "prepare speedup".into(),
                 unit: "x",
                 measured: prepare_speedup,
-                paper: None,
-            },
-            Cell {
-                config: "window executor (32 lanes, 1 thread)".into(),
-                workload: "events per second".into(),
-                unit: "ev/s",
-                measured: gauge_serial_evps,
-                paper: None,
-            },
-            Cell {
-                config: "window executor (32 lanes, pool)".into(),
-                workload: "events per second".into(),
-                unit: "ev/s",
-                measured: gauge_pool_evps,
-                paper: None,
-            },
-            Cell {
-                config: "window executor (32 lanes, pool)".into(),
-                workload: "parallel speedup".into(),
-                unit: "x",
-                measured: gauge_speedup,
                 paper: None,
             },
         ],

@@ -73,14 +73,6 @@ impl OsdProfile {
         }
         SimDuration::from_nanos(deliba_sim::round_nonneg(ns as f64 * (1.0 + jitter)))
     }
-
-    /// Lower bound on any service time this profile can produce: the
-    /// fixed software overhead plus the cheaper media latency (jitter is
-    /// nonnegative and every other term only adds).  The cluster's
-    /// contribution to the conservative event-queue lookahead.
-    pub fn service_floor(&self) -> SimDuration {
-        SimDuration::from_nanos(self.op_overhead_ns + self.read_media_ns.min(self.write_media_ns))
-    }
 }
 
 /// One OSD.
@@ -96,13 +88,6 @@ pub struct Osd {
     rng: Xoshiro256,
     up: bool,
 }
-
-// Window-executor state partition: each OSD (its object store, service
-// threads and RNG stream) is mutable state owned by one lane, while the
-// service profile is immutable cluster-wide configuration workers may
-// share read-only.
-impl deliba_sim::LaneState for Osd {}
-impl deliba_sim::SharedState for OsdProfile {}
 
 impl Osd {
     /// A fresh OSD.

@@ -1,11 +1,15 @@
 //! Recovery, backfill, and scrub as *costed* background traffic.
 //!
-//! The legacy [`Cluster::recover`](crate::Cluster::recover) and
-//! [`Cluster::scrub`](crate::Cluster::scrub) passes are synchronous and
-//! free: they move bytes without occupying an OSD service queue or a
-//! link for a single nanosecond.  Real Ceph recovery competes with
-//! foreground I/O — that competition (recovery storms, scrub overhead,
-//! degraded-mode latency) is exactly what this module makes measurable.
+//! Real Ceph recovery competes with foreground I/O: every backfill copy
+//! and every scrub read occupies the same OSD service queues and links
+//! as client traffic.  That competition (recovery storms, scrub
+//! overhead, degraded-mode latency) is exactly what this module makes
+//! measurable.
+//!
+//! Used standalone (outside the engine), recovery means a
+//! [`Cluster::recovery_scan`] followed by [`Cluster::backfill_wave`]s
+//! until a rescan finds nothing left to do, and a deep-scrub pass means
+//! [`Cluster::scrub_tick`] until the tick reports `wrapped`.
 //!
 //! * [`RecoveryPolicy`] — the scheduler knobs (Ceph's
 //!   `osd_max_backfills` / `osd_recovery_max_active` analogues plus the

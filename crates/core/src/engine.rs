@@ -29,7 +29,7 @@ use deliba_qdma::PciePipes;
 use deliba_sim::{
     Counter, GaugeSnapshot, Histogram, InstantKind, LaneQueue, Server, SimDuration, SimRng,
     SimTime, Stage, StageTracer, TelemetryConfig, TelemetryHandle, TraceDepth, TraceHandle,
-    TraceLayer, WindowStats, Xoshiro256,
+    TraceLayer, Xoshiro256,
 };
 use std::collections::BTreeMap;
 
@@ -420,9 +420,6 @@ pub struct Engine {
     faults: Option<FaultPlane>,
     /// Engine-side resilience counters (retries, timeouts, failovers…).
     res: ResilienceCounters,
-    /// Conservative time-window accounting from the most recent run
-    /// (zeros when the sharded queue is disabled).
-    windows: WindowStats,
     /// Prepared data for the op the commit loop is about to execute
     /// (parallel runs only; serial runs never set it).  Consumed by the
     /// next write attempt; retries fall back to the inline path.
@@ -521,7 +518,6 @@ impl Engine {
             fused: 0,
             faults: None,
             res: ResilienceCounters::default(),
-            windows: WindowStats::default(),
             prepared_next: None,
             fpga_down: false,
             card_fault_at: None,
@@ -682,33 +678,6 @@ impl Engine {
         self.fused
     }
 
-    /// Conservative time-window accounting of the most recent run:
-    /// windows opened and events drained below an already-committed
-    /// horizon.  Zeros when the sharded queue is disabled
-    /// (`DELIBA_NO_SHARDED_QUEUE`).  Not part of any `RunReport` —
-    /// ordering never depends on the windows, so the stats are a
-    /// diagnostic, not an output.
-    pub fn window_stats(&self) -> WindowStats {
-        self.windows
-    }
-
-    /// The conservative event-queue lookahead in force at `at`: the
-    /// minimum link propagation plus the cluster's service-time floor —
-    /// no event can schedule a successor closer than that — shrunk to
-    /// propagation-only while a fault-plane degrade window is active
-    /// (a dropped frame's deadline detection skips the service path).
-    /// Re-derived at run start and after every fault-plane mutation;
-    /// the lookahead gates only window statistics, never pop order.
-    fn derive_lookahead(&self, at: SimTime) -> SimDuration {
-        let prop = self.cluster.topology().min_propagation();
-        let degraded = self.faults.as_ref().is_some_and(|p| p.degrades_timing_at(at));
-        if degraded {
-            prop
-        } else {
-            prop + self.cluster.min_service_floor()
-        }
-    }
-
     /// Placement-cache counters of the engine's cluster map.
     pub fn placement_cache_stats(&self) -> deliba_crush::CacheStats {
         self.cluster.map().placement_cache_stats()
@@ -770,8 +739,8 @@ impl Engine {
     /// path only fires when strictly earlier than the heap head), so
     /// sweeping "due at ≤ now" at each op fires every fault exactly once,
     /// in order, at the first op that reaches its instant.  Returns
-    /// whether anything fired, so callers re-derive the event-queue
-    /// lookahead exactly when a mutation could have changed it.
+    /// whether anything fired, so callers kick recovery exactly when a
+    /// mutation could have left work behind.
     fn apply_due_faults(&mut self, now: SimTime) -> bool {
         let mut fired = false;
         loop {
@@ -1452,7 +1421,7 @@ impl Engine {
     fn sim_threads(&self) -> usize {
         self.cfg
             .sim_threads
-            .unwrap_or_else(deliba_sim::parexec::threads_from_env)
+            .unwrap_or_else(crate::prepare::threads_from_env)
             .max(1)
     }
 
@@ -1517,7 +1486,6 @@ impl Engine {
         let bg_shard = lanes;
         let shards = lanes + self.recovery.is_some() as usize;
         let mut queue: LaneQueue<Token> = LaneQueue::new(shards, shards);
-        queue.set_lookahead(self.derive_lookahead(SimTime::ZERO));
         // Foreground queue-depth slots still alive: when the last one
         // dies on an exhausted cursor, scrub enters its drain passes.
         let mut live_slots = 0usize;
@@ -1558,7 +1526,6 @@ impl Engine {
                 self.tele.sample(ready, snap);
             }
             if self.faults.is_some() && self.apply_due_faults(ready) {
-                queue.set_lookahead(self.derive_lookahead(ready));
                 if let Some(at) = self.recovery_kick(ready) {
                     queue.schedule_at(bg_shard, at, Token::Recovery);
                 }
@@ -1661,7 +1628,6 @@ impl Engine {
                 }
             }
         }
-        self.windows = queue.window_stats();
         let window = last_complete.saturating_since(SimTime::ZERO);
         let mut report = RunReport::new(
             self.cfg.label(),
@@ -1682,9 +1648,6 @@ impl Engine {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_invalidations: cache.invalidations,
-            windows: self.windows.windows,
-            window_events: self.windows.drained,
-            window_width_ns: self.windows.width_ns,
         });
         // The resilience block appears only when the fault plane or the
         // policy is active, so baseline reports stay byte-identical.
@@ -1752,7 +1715,6 @@ impl Engine {
         let shards = arrive_shard + 1 + self.recovery.is_some() as usize;
         let mut queue: LaneQueue<OpenToken> =
             LaneQueue::new(shards, admission_cap as usize + 8);
-        queue.set_lookahead(self.derive_lookahead(SimTime::ZERO));
         let mut cursor = 0usize;
         let mut inflight: u32 = 0;
         let mut admitted: u64 = 0;
@@ -1782,7 +1744,6 @@ impl Engine {
                 self.tele.sample(now, snap);
             }
             if self.faults.is_some() && self.apply_due_faults(now) {
-                queue.set_lookahead(self.derive_lookahead(now));
                 if let Some(at) = self.recovery_kick(now) {
                     queue.schedule_at(bg_shard, at, OpenToken::Recovery);
                 }
@@ -1880,7 +1841,6 @@ impl Engine {
                 }
             }
         }
-        self.windows = queue.window_stats();
         // Offered load is empirical — intended arrivals over the span of
         // the stream — so replayed traces report their true rate without
         // needing a configured one.
@@ -1923,9 +1883,6 @@ impl Engine {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_invalidations: cache.invalidations,
-            windows: self.windows.windows,
-            window_events: self.windows.drained,
-            window_width_ns: self.windows.width_ns,
         });
         if self.faults.is_some() || self.cfg.resilience.is_some() {
             report.resilience = Some(self.resilience_counters());

@@ -87,10 +87,6 @@ pub fn prometheus_dump(report: &RunReport, trace: Option<&TraceStats>) -> String
         counter(&mut out, "deliba_engine_cache_hits_total", "Placement-cache hits.", c.cache_hits);
         counter(&mut out, "deliba_engine_cache_misses_total", "Placement-cache misses.", c.cache_misses);
         counter(&mut out, "deliba_engine_cache_invalidations_total", "Placement-cache epoch invalidations.", c.cache_invalidations);
-        counter(&mut out, "deliba_engine_windows_total", "Conservative time-windows the sharded event queue opened.", c.windows);
-        counter(&mut out, "deliba_engine_window_events_total", "Events drained below an open window's horizon.", c.window_events);
-        gauge(&mut out, "deliba_engine_window_mean_width_ns", "Mean conservative-window width in nanoseconds.", c.window_mean_width_ns());
-        gauge(&mut out, "deliba_engine_window_mean_events", "Mean events committed per conservative window.", c.window_mean_events());
     }
 
     if let Some(r) = &report.resilience {
@@ -274,8 +270,6 @@ mod tests {
         assert!(type_pos < sample_pos);
         assert!(dump.contains("deliba_resilience_retries_total"));
         assert!(dump.contains("deliba_engine_events_total"));
-        assert!(dump.contains("deliba_engine_windows_total"));
-        assert!(dump.contains("deliba_engine_window_mean_width_ns"));
         assert!(dump.contains("deliba_recovery_objects_recovered_total"));
         assert!(dump.contains("deliba_recovery_time_to_clean_us"));
         assert!(dump.contains("deliba_slo_attainment"));

@@ -99,7 +99,7 @@ impl StageBreakdown {
 /// diagnostics about how the simulator executed (cache effectiveness,
 /// fused-event share), never inputs to any figure — the modeled timing
 /// is identical whether or not the fast paths fire.
-#[derive(Debug, Clone, Copy, Default, Serialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
 pub struct PerfCounters {
     /// Closed-loop events executed (completion tokens consumed).
     pub events: u64,
@@ -112,42 +112,6 @@ pub struct PerfCounters {
     pub cache_misses: u64,
     /// Misses caused by a map-epoch bump over a live entry.
     pub cache_invalidations: u64,
-    /// Conservative time-windows the sharded event queue opened.
-    /// Raw totals (not means) so the counters stay exactly summable
-    /// and `Eq`; the means are the accessor methods below and the
-    /// Prometheus gauges.
-    pub windows: u64,
-    /// Events drained strictly below an already-open window's horizon
-    /// (the window-opening pop itself counts under `windows`).
-    pub window_events: u64,
-    /// Summed window widths (the lookahead in force at each opening),
-    /// in nanoseconds.
-    pub window_width_ns: u64,
-}
-
-// Hand-written so the window fields default to zero when absent:
-// baseline JSON written before those counters existed must keep
-// loading (the perf ratchet feeds old reports back through here).
-impl Deserialize for PerfCounters {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        let field = |key: &str| -> Result<u64, Error> {
-            match value.get(key) {
-                None => Ok(0),
-                Some(v) => Deserialize::deserialize_value(v)
-                    .map_err(|e| Error::new(format!("field {key}: {}", e.0))),
-            }
-        };
-        Ok(PerfCounters {
-            events: field("events")?,
-            fused_events: field("fused_events")?,
-            cache_hits: field("cache_hits")?,
-            cache_misses: field("cache_misses")?,
-            cache_invalidations: field("cache_invalidations")?,
-            windows: field("windows")?,
-            window_events: field("window_events")?,
-            window_width_ns: field("window_width_ns")?,
-        })
-    }
 }
 
 impl PerfCounters {
@@ -158,26 +122,6 @@ impl PerfCounters {
             0.0
         } else {
             self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Mean conservative-window width in nanoseconds (0 when the run
-    /// never opened a window — single-heap mode or an empty schedule).
-    pub fn window_mean_width_ns(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.window_width_ns as f64 / self.windows as f64
-        }
-    }
-
-    /// Mean events committed per conservative window: the opening pop
-    /// plus everything drained under its horizon.
-    pub fn window_mean_events(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            (self.windows + self.window_events) as f64 / self.windows as f64
         }
     }
 }
@@ -767,24 +711,33 @@ mod tests {
             cache_hits: 95,
             cache_misses: 5,
             cache_invalidations: 2,
-            windows: 10,
-            window_events: 30,
-            window_width_ns: 25_000,
         };
         assert!((c.cache_hit_rate() - 0.95).abs() < 1e-12);
         assert_eq!(PerfCounters::default().cache_hit_rate(), 0.0);
-        assert!((c.window_mean_width_ns() - 2_500.0).abs() < 1e-12);
-        assert!((c.window_mean_events() - 4.0).abs() < 1e-12);
-        assert_eq!(PerfCounters::default().window_mean_events(), 0.0);
         let json = serde_json::to_string(&c).unwrap();
         let back: PerfCounters = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
-        // Window fields default, so pre-existing counters JSON (older
-        // baselines) still deserializes.
+    }
+
+    #[test]
+    fn counters_json_with_retired_window_keys_still_loads() {
+        // Reports written before the conservative-window counters were
+        // removed carry three extra keys; the derive ignores them.
         let old: PerfCounters = serde_json::from_str(
-            r#"{"events":1,"fused_events":1,"cache_hits":0,"cache_misses":0,"cache_invalidations":0}"#,
+            r#"{"events":7,"fused_events":3,"cache_hits":5,"cache_misses":1,
+                "cache_invalidations":0,"windows":4,"window_events":9,
+                "window_width_ns":12000}"#,
         )
         .unwrap();
-        assert_eq!(old.windows, 0);
+        assert_eq!(
+            old,
+            PerfCounters {
+                events: 7,
+                fused_events: 3,
+                cache_hits: 5,
+                cache_misses: 1,
+                cache_invalidations: 0,
+            }
+        );
     }
 }

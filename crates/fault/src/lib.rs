@@ -298,16 +298,6 @@ impl FaultPlane {
         !p.is_healthy()
     }
 
-    /// Does any degrade window cover `at`?  While an unhealthy link or
-    /// DMA profile is in force, an event's successors can arrive on a
-    /// retry/backoff path whose timing floor is only the propagation
-    /// delay (the service floor no longer lower-bounds a dropped
-    /// frame's detection), so the engine shrinks its conservative
-    /// event-queue lookahead to propagation-only for the duration.
-    pub fn degrades_timing_at(&self, at: SimTime) -> bool {
-        !self.link_profile_at(at).is_healthy() || !self.dma_profile_at(at).is_healthy()
-    }
-
     /// Pop the next scheduled fault due at or before `now`, advancing
     /// the cursor.  Call in a loop to drain all due events.
     pub fn due(&mut self, now: SimTime) -> Option<FaultKind> {
@@ -323,15 +313,6 @@ impl FaultPlane {
     /// Scheduled events not yet fired.
     pub fn pending(&self) -> usize {
         self.timeline.len() - self.next
-    }
-
-    /// The instant of the next scheduled fault, if any remain.  Window
-    /// executors clip their conservative horizon here: a batch whose
-    /// events all commit strictly before the next state mutation cannot
-    /// observe it, so parallel execution stays exact across fault
-    /// boundaries without replaying or locking the plane.
-    pub fn next_due_at(&self) -> Option<SimTime> {
-        self.timeline.get(self.next).map(|f| f.at)
     }
 
     /// Uniform draw in `[0, 1)` from the plane's own stream — the

@@ -35,12 +35,6 @@ impl EthLink {
         self.frames
     }
 
-    /// Propagation delay of this link — the minimum latency any frame
-    /// pays, used to derive the conservative event-queue lookahead.
-    pub fn propagation(&self) -> SimDuration {
-        self.bw.propagation()
-    }
-
     /// Send `payload` application bytes starting no earlier than `now`;
     /// returns when the last bit arrives.  Wire overhead (headers, IFG,
     /// runt padding) is charged on top of the payload.

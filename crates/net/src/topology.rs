@@ -102,23 +102,6 @@ impl Topology {
         self.client_tx.frames()
     }
 
-    /// Minimum propagation delay over every port in the topology — the
-    /// network's contribution to the conservative event-queue lookahead
-    /// (no network event can spawn a successor sooner than this).
-    pub fn min_propagation(&self) -> SimDuration {
-        let mut min = self.client_tx.propagation().min(self.client_rx.propagation());
-        for l in self
-            .server_tx
-            .iter()
-            .chain(&self.server_rx)
-            .chain(&self.cluster_tx)
-            .chain(&self.cluster_rx)
-        {
-            min = min.min(l.propagation());
-        }
-        min
-    }
-
     /// Client TX utilization over `[0, horizon]` — the figure-6 bottleneck
     /// indicator.
     pub fn client_tx_utilization(&self, horizon: SimTime) -> f64 {

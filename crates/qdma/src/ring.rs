@@ -20,10 +20,6 @@ pub struct DescriptorRing {
     fetched: u64,
 }
 
-// A descriptor ring is driven by exactly one queue set, which in turn
-// belongs to one lane of the window executor's state partition.
-impl deliba_sim::LaneState for DescriptorRing {}
-
 impl DescriptorRing {
     /// Ring with `size` slots (power of two, ≥ 2).
     pub fn new(size: u16) -> Self {

@@ -221,13 +221,6 @@ impl Bandwidth {
     pub fn rate(&self) -> f64 {
         self.bytes_per_sec
     }
-
-    /// Configured propagation delay — the floor every transfer pays
-    /// after serialization, and hence a safe lookahead contribution for
-    /// conservative time-windowing.
-    pub fn propagation(&self) -> SimDuration {
-        self.propagation
-    }
 }
 
 /// Token bucket — used for rate-limited admission (e.g. QDMA descriptor

@@ -1,4 +1,4 @@
-//! Sharded event queue with conservative time-windows.
+//! Sharded event queue.
 //!
 //! [`ShardedEventQueue`] splits the pending-event set into per-lane (or
 //! per-OSD) **shards** and merges their frontiers through a small 4-ary
@@ -23,23 +23,6 @@
 //! [`LaneQueue`] facade's kill switch ([`DISABLE_ENV`]) swaps the
 //! single heap back in at construction time to prove it.
 //!
-//! # Conservative time-windows
-//!
-//! The queue carries a **lookahead** `L` — in the engine, the minimum
-//! link propagation plus the service-time floor, re-derived whenever a
-//! fault plane or OsdMap mutation can change either.  The conservative
-//! PDES rule: an event executing at `t ∈ [m, m + L)` (where `m` is the
-//! frontier minimum) can only schedule successors at `t' ≥ t + L ≥
-//! m + L`, so every event strictly below the **horizon** `m + L` is
-//! committed — no in-flight event can preempt it.
-//! [`ShardedEventQueue::drain_window_into`] drains one such window in
-//! global order; the per-pop path keeps the same accounting cheaply
-//! ([`WindowStats`]: windows opened, events drained below the cached
-//! horizon) so the engine can report how much commit-ahead the model's
-//! timing floors buy without ever *acting* on the horizon — ordering
-//! never depends on `L`, so a stale or conservative lookahead can cost
-//! statistics fidelity but never correctness.
-//!
 //! # Shard layout
 //!
 //! Each shard keeps its earliest event inline in `head` (no pointer
@@ -51,7 +34,7 @@
 //! scan before the key-decrease.
 
 use crate::event::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::collections::VecDeque;
 
 /// Environment variable that disables sharding.  When set (to any
@@ -59,41 +42,6 @@ use std::collections::VecDeque;
 /// [`EventQueue`] instead — the determinism suite uses it to prove the
 /// sharded and single-heap runs are byte-identical.
 pub const DISABLE_ENV: &str = "DELIBA_NO_SHARDED_QUEUE";
-
-/// Conservative time-window accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Windows opened: pops at or above the cached horizon, each of
-    /// which re-anchors the horizon at `at + lookahead`.
-    pub windows: u64,
-    /// Events drained strictly below an already-open window's horizon —
-    /// pops the conservative rule had pre-committed.
-    pub drained: u64,
-    /// Sum of window widths in nanoseconds (the lookahead in force when
-    /// each window opened) — `width_ns / windows` is the mean width.
-    pub width_ns: u64,
-}
-
-impl WindowStats {
-    /// Mean window width in nanoseconds (0.0 before the first window).
-    pub fn mean_width_ns(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.width_ns as f64 / self.windows as f64
-        }
-    }
-
-    /// Mean events per window — the window-open pop plus everything
-    /// drained under its horizon (0.0 before the first window).
-    pub fn events_per_window(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            (self.windows + self.drained) as f64 / self.windows as f64
-        }
-    }
-}
 
 /// One frontier-heap record: the shard's earliest key plus the shard id.
 #[derive(Clone, Copy)]
@@ -152,15 +100,10 @@ pub struct ShardedEventQueue<E> {
     next_seq: u64,
     now: SimTime,
     len: usize,
-    lookahead: SimDuration,
-    /// Cached horizon of the currently open window (stats only).
-    horizon: SimTime,
-    stats: WindowStats,
 }
 
 impl<E> ShardedEventQueue<E> {
-    /// Empty queue with `shards` shards at t = 0 and zero lookahead
-    /// (every pop opens its own window until a lookahead is set).
+    /// Empty queue with `shards` shards at t = 0.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "at least one shard");
         ShardedEventQueue {
@@ -169,9 +112,6 @@ impl<E> ShardedEventQueue<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             len: 0,
-            lookahead: SimDuration::ZERO,
-            horizon: SimTime::ZERO,
-            stats: WindowStats::default(),
         }
     }
 
@@ -203,27 +143,6 @@ impl<E> ShardedEventQueue<E> {
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.frontier.first().map(|f| f.at)
-    }
-
-    /// The configured lookahead.
-    #[inline]
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// Set the conservative lookahead and close the open window (the
-    /// next pop re-anchors the horizon under the new bound).  Called
-    /// whenever a fault-plane or map mutation changes the minimum
-    /// propagation + service floor the lookahead was derived from.
-    pub fn set_lookahead(&mut self, lookahead: SimDuration) {
-        self.lookahead = lookahead;
-        self.horizon = self.now;
-    }
-
-    /// Window accounting so far.
-    #[inline]
-    pub fn window_stats(&self) -> WindowStats {
-        self.stats
     }
 
     /// Schedule `payload` on `shard` at absolute time `at`.
@@ -273,7 +192,6 @@ impl<E> ShardedEventQueue<E> {
         let Some(root) = root else {
             self.next_seq += 1;
             self.now = at;
-            self.note_pop(at);
             return (at, payload);
         };
         let seq = self.next_seq;
@@ -285,7 +203,6 @@ impl<E> ShardedEventQueue<E> {
             .expect("frontier entry points at a live shard head");
         debug_assert!(rat >= self.now, "clock went backwards");
         self.now = rat;
-        self.note_pop(rat);
         if s == shard {
             let sh = &mut self.shards[s];
             match sh.overflow.front() {
@@ -309,83 +226,6 @@ impl<E> ShardedEventQueue<E> {
             self.push_entry(shard, at, seq, payload);
         }
         (rat, out)
-    }
-
-    /// Open one conservative time-window and drain it: pop the frontier
-    /// event, then every further event strictly below `horizon =
-    /// frontier_min + lookahead`, appending all of them to `out` in
-    /// global `(at, seq)` order.  Returns the number drained (0 only
-    /// when the queue is empty).
-    ///
-    /// Safety of the window: an event at `t < horizon` executes only
-    /// after every event that could schedule work below `horizon` has
-    /// already popped, *provided* the model's minimum event-to-successor
-    /// delay is at least the configured lookahead — the conservative
-    /// PDES contract the engine's lookahead derivation maintains.
-    pub fn drain_window_into(&mut self, out: &mut Vec<(SimTime, E)>) -> usize {
-        let Some(min) = self.peek_time() else {
-            return 0;
-        };
-        let horizon = min + self.lookahead;
-        let n0 = out.len();
-        // The frontier event itself is always safe (nothing pending is
-        // earlier), so a zero lookahead still drains one event.
-        out.push(self.pop_root());
-        while let Some(f) = self.frontier.first() {
-            if f.at >= horizon {
-                break;
-            }
-            out.push(self.pop_root());
-        }
-        out.len() - n0
-    }
-
-    /// [`drain_window_into`](Self::drain_window_into) with each event
-    /// tagged by its `(seq, shard)`, for callers that partition the
-    /// window by lane (the parallel window executor): entries stay in
-    /// global `(at, seq)` order, and a stable partition by `shard`
-    /// preserves each lane's internal order.  An optional `clip` bounds
-    /// the horizon (exclusive) so a window never spans an instant at
-    /// which shared state is known to mutate (a scheduled fault): events
-    /// at or past `clip` stay queued for the next window.
-    pub fn drain_window_tagged_into(
-        &mut self,
-        clip: Option<SimTime>,
-        out: &mut Vec<(SimTime, u64, u32, E)>,
-    ) -> usize {
-        let Some(min) = self.peek_time() else {
-            return 0;
-        };
-        if clip.is_some_and(|c| min >= c) {
-            // The frontier itself is at or past the clip: the caller
-            // must process it outside a parallel window (serially).
-            return 0;
-        }
-        let mut horizon = min + self.lookahead;
-        if let Some(c) = clip {
-            horizon = horizon.min(c);
-        }
-        let n0 = out.len();
-        out.push(self.pop_root_tagged());
-        while let Some(f) = self.frontier.first() {
-            if f.at >= horizon {
-                break;
-            }
-            out.push(self.pop_root_tagged());
-        }
-        out.len() - n0
-    }
-
-    /// Window accounting for one pop at `at`.
-    #[inline]
-    fn note_pop(&mut self, at: SimTime) {
-        if at < self.horizon {
-            self.stats.drained += 1;
-        } else {
-            self.stats.windows += 1;
-            self.stats.width_ns += self.lookahead.as_nanos();
-            self.horizon = at + self.lookahead;
-        }
     }
 
     /// Insert an already-sequenced event into its shard, maintaining
@@ -429,24 +269,7 @@ impl<E> ShardedEventQueue<E> {
         self.now = at;
         self.len -= 1;
         self.remove_root(root);
-        self.note_pop(at);
         (at, payload)
-    }
-
-    /// [`pop_root`](Self::pop_root), keeping the `(seq, shard)` tag.
-    fn pop_root_tagged(&mut self) -> (SimTime, u64, u32, E) {
-        let root = self.frontier[0];
-        let s = root.shard as usize;
-        let (at, seq, payload) = self.shards[s]
-            .head
-            .take()
-            .expect("frontier entry points at a live shard head");
-        debug_assert!(at >= self.now, "clock went backwards");
-        self.now = at;
-        self.len -= 1;
-        self.remove_root(root);
-        self.note_pop(at);
-        (at, seq, root.shard, payload)
     }
 
     /// Replace the frontier root after its shard's head was consumed:
@@ -612,28 +435,13 @@ impl<E> LaneQueue<E> {
             LaneQueue::Sharded(q) => q.schedule_at_then_pop(shard, at, payload),
         }
     }
-
-    /// Set the conservative lookahead (no-op for the single heap, which
-    /// keeps no window accounting).
-    pub fn set_lookahead(&mut self, lookahead: SimDuration) {
-        if let LaneQueue::Sharded(q) = self {
-            q.set_lookahead(lookahead);
-        }
-    }
-
-    /// Window accounting (zeros for the single heap).
-    pub fn window_stats(&self) -> WindowStats {
-        match self {
-            LaneQueue::Single(_) => WindowStats::default(),
-            LaneQueue::Sharded(q) => q.window_stats(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::{SimRng, Xoshiro256};
+    use crate::time::SimDuration;
 
     #[test]
     fn events_pop_in_time_order_across_shards() {
@@ -740,83 +548,6 @@ mod tests {
             let _ = lane;
             assert_eq!(q.len(), 3);
         }
-    }
-
-    #[test]
-    fn drain_window_respects_horizon() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(2);
-        q.set_lookahead(SimDuration(10));
-        q.schedule_at(0, SimTime(100), 1);
-        q.schedule_at(1, SimTime(105), 2);
-        q.schedule_at(0, SimTime(109), 3);
-        q.schedule_at(1, SimTime(110), 4); // exactly at horizon: excluded
-        q.schedule_at(0, SimTime(200), 5);
-        let mut out = Vec::new();
-        assert_eq!(q.drain_window_into(&mut out), 3);
-        assert_eq!(out, vec![(SimTime(100), 1), (SimTime(105), 2), (SimTime(109), 3)]);
-        // Next window anchors at 110.
-        assert_eq!(q.drain_window_into(&mut out), 1);
-        assert_eq!(out.last(), Some(&(SimTime(110), 4)));
-        // Zero lookahead still drains the frontier event.
-        q.set_lookahead(SimDuration::ZERO);
-        assert_eq!(q.drain_window_into(&mut out), 1);
-        assert_eq!(out.last(), Some(&(SimTime(200), 5)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn window_stats_count_drained_pops() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(2);
-        q.set_lookahead(SimDuration(10));
-        for (i, t) in [100u64, 104, 108, 200, 205].into_iter().enumerate() {
-            q.schedule_at(i % 2, SimTime(t), i as u32);
-        }
-        while q.pop().is_some() {}
-        // 100 opens (horizon 110), 104 + 108 drain, 200 opens
-        // (horizon 210), 205 drains.
-        let s = q.window_stats();
-        assert_eq!(s, WindowStats { windows: 2, drained: 3, width_ns: 20 });
-        assert_eq!(s.mean_width_ns(), 10.0);
-        assert_eq!(s.events_per_window(), 2.5);
-        // Shrinking the lookahead closes the open window.
-        q.set_lookahead(SimDuration(2));
-        q.schedule_at(0, SimTime(206), 9);
-        q.pop();
-        assert_eq!(q.window_stats(), WindowStats { windows: 3, drained: 3, width_ns: 22 });
-    }
-
-    #[test]
-    fn tagged_drain_matches_untagged_and_respects_clip() {
-        let build = || {
-            let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(3);
-            q.set_lookahead(SimDuration(10));
-            for (i, t) in [100u64, 103, 105, 109, 120].into_iter().enumerate() {
-                q.schedule_at(i % 3, SimTime(t), i as u32);
-            }
-            q
-        };
-        // Untagged and tagged drains agree on (at, payload).
-        let (mut a, mut b) = (build(), build());
-        let mut plain = Vec::new();
-        let mut tagged = Vec::new();
-        assert_eq!(a.drain_window_into(&mut plain), 4);
-        assert_eq!(b.drain_window_tagged_into(None, &mut tagged), 4);
-        let untag: Vec<_> = tagged.iter().map(|&(at, _, _, v)| (at, v)).collect();
-        assert_eq!(plain, untag);
-        // Seqs are strictly increasing (global order) and shards match
-        // the schedule's `i % 3` assignment.
-        for w in tagged.windows(2) {
-            assert!(w[0].1 < w[1].1);
-        }
-        assert_eq!(tagged.iter().map(|t| t.2).collect::<Vec<_>>(), vec![0, 1, 2, 0]);
-        // A clip below the natural horizon shortens the window…
-        let mut c = build();
-        let mut out = Vec::new();
-        assert_eq!(c.drain_window_tagged_into(Some(SimTime(105)), &mut out), 2);
-        assert_eq!(out.last().map(|t| t.0), Some(SimTime(103)));
-        // …and a clip at or before the frontier drains nothing.
-        assert_eq!(c.drain_window_tagged_into(Some(SimTime(105)), &mut out), 0);
-        assert_eq!(c.len(), 3);
     }
 
     #[test]

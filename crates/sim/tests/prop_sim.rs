@@ -1,6 +1,6 @@
 //! Property tests for the simulation substrate: clock monotonicity,
 //! queueing-resource conservation, histogram accuracy bounds, and the
-//! sharded queue's horizon-safety contract.
+//! sharded queue's pop-order equivalence with the single heap.
 
 use deliba_sim::{
     Bandwidth, EventQueue, Histogram, Server, ShardedEventQueue, SimDuration, SimTime,
@@ -19,10 +19,6 @@ enum QOp {
     Pop,
     /// Fused schedule + pop (the closed loop's hot call).
     Fused { shard: usize, delta: u64 },
-    /// Change the sharded queue's lookahead mid-run — including
-    /// shrinking it to zero.  The single heap has no lookahead at all,
-    /// so agreement after this step proves ordering never depends on it.
-    SetLookahead { l: u64 },
 }
 
 fn qop() -> impl Strategy<Value = QOp> {
@@ -30,7 +26,6 @@ fn qop() -> impl Strategy<Value = QOp> {
         (0..SHARDS, 0u64..50).prop_map(|(shard, delta)| QOp::Schedule { shard, delta }),
         Just(QOp::Pop),
         (0..SHARDS, 0u64..50).prop_map(|(shard, delta)| QOp::Fused { shard, delta }),
-        (0u64..200).prop_map(|l| QOp::SetLookahead { l }),
     ]
 }
 
@@ -166,12 +161,8 @@ proptest! {
         }
     }
 
-    /// Horizon safety, half one: for any mixed history — schedules,
-    /// pops, fused calls, and mid-run lookahead changes (growth and
-    /// shrinkage alike) — the sharded queue pops exactly the single
-    /// heap's `(at, seq)` order.  The lookahead feeds only the window
-    /// statistics, never the ordering, so a stale or wrong lookahead
-    /// can cost stats fidelity but not a single reordered event.
+    /// For any mixed history — schedules, pops and fused calls — the
+    /// sharded queue pops exactly the single heap's `(at, seq)` order.
     #[test]
     fn sharded_pop_order_matches_single_heap(
         ops in proptest::collection::vec(qop(), 1..120),
@@ -196,7 +187,6 @@ proptest! {
                     );
                     id += 1;
                 }
-                QOp::SetLookahead { l } => sharded.set_lookahead(SimDuration::from_nanos(l)),
             }
             prop_assert_eq!(sharded.len(), single.len());
             prop_assert_eq!(sharded.peek_time(), single.peek_time());
@@ -206,48 +196,5 @@ proptest! {
             prop_assert_eq!(sharded.pop(), Some(e));
         }
         prop_assert!(sharded.is_empty());
-    }
-
-    /// Horizon safety, half two: every `drain_window_into` batch is
-    /// anchored at the frontier minimum and bounded by `min + lookahead`
-    /// — nothing at or past the horizon leaks into the window, nothing
-    /// below it is left behind — and the concatenation of all batches,
-    /// across mid-run lookahead changes (including shrinking to zero),
-    /// is exactly the global `(at, seq)` order.
-    #[test]
-    fn drain_window_batches_bounded_by_horizon(
-        events in proptest::collection::vec((0u64..10_000, 0..SHARDS), 1..150),
-        lookaheads in proptest::collection::vec(0u64..500, 1..6),
-    ) {
-        let mut q: ShardedEventQueue<usize> = ShardedEventQueue::new(SHARDS);
-        for (i, &(t, s)) in events.iter().enumerate() {
-            q.schedule_at(s, SimTime::from_nanos(t), i);
-        }
-        // Reference order: (time, insertion seq), lexicographic.
-        let mut reference: Vec<(u64, usize)> =
-            events.iter().enumerate().map(|(i, &(t, _))| (t, i)).collect();
-        reference.sort_unstable();
-
-        let mut la = lookaheads.iter().cycle();
-        let mut popped: Vec<(SimTime, usize)> = Vec::new();
-        while !q.is_empty() {
-            let l = SimDuration::from_nanos(*la.next().expect("cycle never ends"));
-            q.set_lookahead(l);
-            let min = q.peek_time().expect("non-empty");
-            let horizon = min + l;
-            let n0 = popped.len();
-            let n = q.drain_window_into(&mut popped);
-            prop_assert!(n >= 1, "a window always drains its anchor");
-            prop_assert_eq!(popped[n0].0, min, "window anchored at the frontier minimum");
-            for &(t, _) in &popped[n0..] {
-                prop_assert!(t == min || t < horizon, "{t} escapes window [{min}, {horizon})");
-            }
-            if let Some(next) = q.peek_time() {
-                prop_assert!(next >= horizon, "window left {next} below horizon {horizon}");
-            }
-        }
-        let got: Vec<(u64, usize)> =
-            popped.iter().map(|&(t, v)| (t.as_nanos(), v)).collect();
-        prop_assert_eq!(got, reference);
     }
 }

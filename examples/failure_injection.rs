@@ -6,11 +6,12 @@
 //!
 //! Demonstrates that the cluster substrate stores *real* data: replicas
 //! survive a primary failure, erasure-coded objects reconstruct from any
-//! k of k+m shards, and a deep scrub pinpoints injected corruption.
+//! k of k+m shards, and a costed deep scrub finds and repairs injected
+//! corruption.
 
-use deliba_k::cluster::{Cluster, ObjectId};
+use deliba_k::cluster::{Cluster, ObjectId, RecoveryPolicy, RecoveryScheduler};
 use deliba_k::ec::ReedSolomon;
-use deliba_k::sim::SimTime;
+use deliba_k::sim::{SimDuration, SimTime};
 use bytes::Bytes;
 
 fn main() {
@@ -65,32 +66,46 @@ fn main() {
     cluster.revive_osd(acting[0]);
     cluster.revive_osd(acting[1]);
 
-    // --- Scrub: find injected corruption --------------------------------
+    // --- Scrub: find and repair injected corruption ---------------------
+    let mut t = SimTime::ZERO;
     for i in 0..20u64 {
-        cluster
-            .write_replicated(
-                SimTime::ZERO,
-                ObjectId::new(1, 1000 + i),
-                Bytes::from(vec![i as u8; 2048]),
-                true,
-            )
-            .unwrap();
+        t = t.max(
+            cluster
+                .write_replicated(
+                    SimTime::ZERO,
+                    ObjectId::new(1, 1000 + i),
+                    Bytes::from(vec![i as u8; 2048]),
+                    true,
+                )
+                .unwrap()
+                .complete,
+        );
     }
-    let clean = cluster.scrub(1);
+    // One costed deep-scrub pass: every copy is read and compared on the
+    // OSD timelines, and mismatches are rewritten from the majority.  A
+    // chunk this large covers every object in a single tick.
+    let policy = RecoveryPolicy::default().with_scrub(SimDuration::from_micros(100), 64);
+    let mut sched = RecoveryScheduler::new(policy);
+    let clean = cluster.scrub_tick(&mut sched, t);
+    assert!(clean.wrapped, "one tick is a full pass");
     println!(
-        "scrub before corruption: {} objects, {} copies, {} inconsistencies",
-        clean.objects, clean.copies, clean.inconsistencies
+        "scrub before corruption: {} objects, {} corrupt copies",
+        clean.objects, clean.detected
     );
 
     // Flip a bit in one replica of one object.
     let victim = ObjectId::new(1, 1007);
     let holders = cluster.map().acting_set(cluster.map().pool(1).unwrap().pg_of(victim));
     cluster.corrupt_object(holders[2], victim);
-    let dirty = cluster.scrub(1);
+    let dirty = cluster.scrub_tick(&mut sched, clean.finish);
     println!(
-        "scrub after corrupting osd.{}: {} inconsistencies detected",
-        holders[2], dirty.inconsistencies
+        "scrub after corrupting osd.{}: {} detected, {} repaired by {}",
+        holders[2], dirty.detected, dirty.repaired, dirty.finish
     );
-    assert_eq!(dirty.inconsistencies, 1);
+    assert_eq!((dirty.detected, dirty.repaired), (1, 1));
+    let (data, _) = cluster
+        .read_replicated(dirty.finish, victim, 0, 2048, true)
+        .expect("repaired object reads");
+    assert_eq!(data, Bytes::from(vec![7u8; 2048]), "repair restored the bytes");
     println!("\nAll failure-injection checks passed.");
 }

@@ -2,11 +2,11 @@
 //! must degrade gracefully, never corrupt, and EC must tolerate exactly
 //! `m` failures.
 
-use deliba_k::cluster::{Cluster, ObjectId};
+use deliba_k::cluster::{Cluster, ObjectId, RecoveryPolicy, RecoveryScheduler};
 use deliba_k::core::engine::TraceOp;
 use deliba_k::core::{Engine, EngineConfig, Generation, Mode};
 use deliba_k::ec::ReedSolomon;
-use deliba_k::sim::SimTime;
+use deliba_k::sim::{SimDuration, SimTime};
 use bytes::Bytes;
 
 #[test]
@@ -98,6 +98,12 @@ fn remap_after_failure_is_bounded_and_correct() {
     }
 }
 
+/// A scheduler whose scrub chunk covers every object these tests write,
+/// so each `scrub_tick` is one full costed deep-scrub pass.
+fn full_pass_scrubber() -> RecoveryScheduler {
+    RecoveryScheduler::new(RecoveryPolicy::default().with_scrub(SimDuration::from_micros(100), 64))
+}
+
 #[test]
 fn scrub_finds_every_injected_corruption() {
     let mut cluster = Cluster::paper_testbed(7);
@@ -111,7 +117,10 @@ fn scrub_finds_every_injected_corruption() {
             )
             .unwrap();
     }
-    assert_eq!(cluster.scrub(1).inconsistencies, 0);
+    let mut scrubber = full_pass_scrubber();
+    let clean = cluster.scrub_tick(&mut scrubber, SimTime::ZERO);
+    assert!(clean.wrapped);
+    assert_eq!(clean.detected, 0);
     // Corrupt 4 distinct replicas.
     let mut expected = 0;
     for i in [2u64, 9, 15, 28] {
@@ -123,7 +132,8 @@ fn scrub_finds_every_injected_corruption() {
             expected += 1;
         }
     }
-    assert_eq!(cluster.scrub(1).inconsistencies, expected);
+    let dirty = cluster.scrub_tick(&mut scrubber, clean.finish);
+    assert_eq!(dirty.detected, expected);
     assert_eq!(expected, 4);
 }
 
@@ -148,13 +158,17 @@ fn repair_heals_scrub_inconsistencies() {
             .acting_set(cluster.map().pool(1).unwrap().pg_of(oid));
         cluster.corrupt_object(holders[1], oid);
     }
-    assert_eq!(cluster.scrub(1).inconsistencies, 2);
-    assert_eq!(cluster.repair(1), 2, "both copies rewritten");
-    assert_eq!(cluster.scrub(1).inconsistencies, 0, "clean after repair");
+    // Deep scrub detects and repairs in the same pass.
+    let mut scrubber = full_pass_scrubber();
+    let pass = cluster.scrub_tick(&mut scrubber, SimTime::ZERO);
+    assert_eq!(pass.detected, 2);
+    assert_eq!(pass.repaired, 2, "both copies rewritten");
+    let again = cluster.scrub_tick(&mut scrubber, pass.finish);
+    assert_eq!(again.detected, 0, "clean after repair");
     // Data still correct (the corrupted copies were minorities).
     for i in [4u64, 13] {
         let (data, _) = cluster
-            .read_replicated(SimTime::from_nanos(1), ObjectId::new(1, i), 0, 2048, true)
+            .read_replicated(again.finish, ObjectId::new(1, i), 0, 2048, true)
             .unwrap();
         assert_eq!(&data[..], &vec![(i % 201) as u8; 2048][..]);
     }
@@ -174,9 +188,15 @@ fn repair_heals_ec_parity() {
         .map()
         .acting_set(cluster.map().pool(2).unwrap().pg_of(oid));
     cluster.corrupt_object(acting[5], oid);
-    assert_eq!(cluster.scrub(2).inconsistencies, 1);
-    assert_eq!(cluster.repair(2), 1);
-    assert_eq!(cluster.scrub(2).inconsistencies, 0);
+    let mut scrubber = full_pass_scrubber();
+    let pass = cluster.scrub_tick(&mut scrubber, SimTime::ZERO);
+    assert_eq!(pass.detected, 1);
+    assert_eq!(pass.repaired, 1);
+    let again = cluster.scrub_tick(&mut scrubber, pass.finish);
+    assert_eq!(again.detected, 0);
+    let (read, out) = cluster.read_ec(again.finish, oid, true).unwrap();
+    assert_eq!(read, data);
+    assert!(!out.degraded);
 }
 
 #[test]
