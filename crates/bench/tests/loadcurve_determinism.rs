@@ -77,3 +77,36 @@ fn curves_have_sections_points_and_a_knee() {
         );
     }
 }
+
+/// The latency-under-load invariants on CI's sweep (`--rate
+/// 2,8,32,128 --admission-cap 64`, 2000 ops per point), all measured
+/// from intended arrival so coordinated omission cannot hide a stall:
+/// p99 near-monotone in offered load (10 % slack absorbs
+/// sub-saturation quantile noise), a saturation knee, drops only past
+/// saturation, and every arrival either admitted or dropped.
+#[test]
+fn ci_sweep_holds_latency_under_load_invariants() {
+    const OPS: u64 = 2000;
+    let opts = LoadCurveOpts {
+        rates_kiops: vec![2.0, 8.0, 32.0, 128.0],
+        admission_cap: 64,
+        ops_per_point: OPS,
+        ..Default::default()
+    };
+    let (_, reports) = loadcurve_with(&opts);
+    assert_eq!(reports.len(), 3, "one report per generation");
+    for r in &reports {
+        let pts = &r.load_curve.as_ref().expect("load_curve section").points;
+        assert_eq!(pts.len(), 4, "{}: one point per rate", r.config);
+        let p99s: Vec<f64> = pts.iter().map(|p| p.p99_us).collect();
+        for w in p99s.windows(2) {
+            assert!(w[1] >= 0.9 * w[0], "{}: p99 fell under load: {p99s:?}", r.config);
+        }
+        assert!(p99s[3] >= 5.0 * p99s[0], "{}: no saturation knee: {p99s:?}", r.config);
+        assert_eq!(pts[0].dropped, 0, "{}: drops below the knee", r.config);
+        assert!(pts[3].dropped > 0, "{}: top of sweep never overflowed the cap", r.config);
+        for p in pts {
+            assert_eq!(p.admitted + p.dropped, OPS, "{}: admission accounting leak", r.config);
+        }
+    }
+}

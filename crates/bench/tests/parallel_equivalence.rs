@@ -6,9 +6,10 @@
 //! event queue.  These tests pin that property in-process over the
 //! paths where the prepare pipeline actually engages: closed-loop
 //! write traces in both pool modes, chaos runs with mid-trace retries,
-//! and open-loop runs with admission drops (which exercise pipeline
-//! cancellation).
+//! open-loop runs with admission drops (which exercise pipeline
+//! cancellation), and recovery-armed open-loop runs (background shard).
 
+use deliba_cluster::RecoveryPolicy;
 use deliba_core::{ArrivalOp, Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RwMode, TraceOp};
 use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_net::LinkFaultProfile;
@@ -118,9 +119,39 @@ fn chaos_reports_are_thread_invariant() {
     }
 }
 
-/// Open-loop runs with a tight admission cap — dropped arrivals make
-/// the pipeline skip slots via `advance` — are thread-invariant, drop
-/// accounting included.
+/// Recovery-armed open-loop run: a mid-run OSD crash, a bit-rot burst
+/// and periodic scrub keep backfill, scrub and the end-of-run scrub
+/// drain busy on the background shard.  Returns the whole run as text.
+fn recovery_open_loop(threads: usize) -> String {
+    let ms = |n: u64| SimTime::from_nanos(n * 1_000_000);
+    let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
+        .with_resilience(ResiliencePolicy::default())
+        .with_recovery(RecoveryPolicy::default().with_scrub(SimDuration::from_micros(200), 8))
+        .with_sim_threads(threads);
+    let mut e = Engine::new(cfg);
+    e.set_fault_schedule(FaultSchedule::new().osd_crash(ms(2), 9).bit_rot(ms(4), 6));
+    let stream: Vec<ArrivalOp> = (0..300u64)
+        .map(|i| {
+            let off = (i % 64) * (4 << 20);
+            let op = if i < 150 {
+                TraceOp::write(off, 4096, true)
+            } else {
+                TraceOp::read(off, 4096, true)
+            };
+            ArrivalOp { at: SimTime::from_nanos(i * 20_000), op }
+        })
+        .collect();
+    let out = e.run_open_loop(&stream, 128);
+    assert_eq!(out.report.verify_failures, 0, "corruption under recovery");
+    let rec = out.report.recovery.expect("armed runs report recovery");
+    assert!(rec.objects_recovered > 0, "the crash must leave backfill work: {rec:?}");
+    assert!(rec.bitrot_injected > 0 && rec.bitrot_repaired > 0, "scrub must repair: {rec:?}");
+    format!("{out:?}")
+}
+
+/// Open-loop runs are thread-invariant: with a tight admission cap —
+/// dropped arrivals make the pipeline skip slots via `advance` — drop
+/// accounting included, and with recovery armed.
 #[test]
 fn open_loop_reports_are_thread_invariant() {
     let stream: Vec<ArrivalOp> = (0..1_200u64)
@@ -141,25 +172,29 @@ fn open_loop_reports_are_thread_invariant() {
     };
     let (reference, dropped) = run(1);
     assert!(dropped > 0, "cap of 8 must actually drop arrivals");
+    let recovery = recovery_open_loop(1);
     for threads in THREAD_MATRIX {
         assert_eq!(run(threads).0, reference, "{threads} threads diverged from serial");
+        assert_eq!(recovery_open_loop(threads), recovery, "recovery: {threads} threads diverged");
     }
 }
 
 /// The single-heap fallback (`DELIBA_NO_SHARDED_QUEUE=1`) composes
 /// with the thread matrix: all four corners — {sharded, single-heap} ×
-/// {serial, pooled} — produce byte-identical whole reports.  Env
+/// {serial, pooled} — produce byte-identical whole reports, for a
+/// closed-loop EC trace and a recovery-armed open-loop stream.  Env
 /// manipulation stays inside this one test; the other tests in this
 /// binary are immune to a leaked flag anyway, because sharded on/off
 /// is result-invariant.
 #[test]
 fn sharded_queue_toggle_composes_with_thread_matrix() {
-    let run = |threads| {
+    let closed = |threads| {
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding)
             .with_sim_threads(threads);
         let r = Engine::new(cfg).run_trace(vec![mixed_trace()], 8);
         serde_json::to_string(&r).expect("serializable")
     };
+    let run = |threads| (closed(threads), recovery_open_loop(threads));
     let reference = run(1);
     std::env::set_var("DELIBA_NO_SHARDED_QUEUE", "1");
     let single_serial = run(1);

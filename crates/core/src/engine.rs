@@ -1,4 +1,4 @@
-//! The closed-loop end-to-end engine.
+//! The end-to-end engine.
 //!
 //! An [`Engine`] couples a framework generation (host path) to the
 //! simulated testbed (FPGA card, PCIe, 10 GbE, the 32-OSD cluster) and
@@ -6,13 +6,15 @@
 //! time, producing the latency / throughput / IOPS numbers of the
 //! paper's figures.
 //!
-//! Closed-loop semantics match fio: each of `numjobs` jobs keeps
-//! `iodepth` I/Os outstanding; a completion immediately issues the next
-//! I/O.  DeLiBA-1/-2 have an additional architectural serialization
-//! point — the synchronous NBD daemon holds each request for its full
-//! round trip (§III: the user-space library structure that io_uring
-//! removes); DeLiBA-K's three pinned io_uring instances pipeline
-//! independently.
+//! Closed- and open-loop runs share one event loop and differ only in
+//! how ops are admitted.  Closed-loop semantics match fio: each of
+//! `numjobs` jobs keeps `iodepth` I/Os outstanding; a completion
+//! immediately issues the next I/O.  Open-loop runs admit each op at its
+//! intended arrival instant, whatever the completions.  DeLiBA-1/-2
+//! have an additional architectural serialization point — the
+//! synchronous NBD daemon holds each request for its full round trip
+//! (§III: the user-space library structure that io_uring removes);
+//! DeLiBA-K's three pinned io_uring instances pipeline independently.
 
 use crate::calib;
 use crate::generation::PathFeatures;
@@ -326,22 +328,19 @@ enum IoDisposition {
     Retry { at: SimTime, attempt: u32, first_start: SimTime },
 }
 
-/// Event-queue token: a free queue-depth slot pulling the next trace op,
-/// or a backed-off attempt returning for its retry.  `lane` is the
-/// global queue-depth slot index (`job * iodepth + k`) — the flight
-/// recorder's tid — and `io` the recorder's I/O id; both ride the token
-/// so a retry resumes the identity it was issued under.
+/// Event-queue token.  `lane` is the shard an op's tokens live on and
+/// the flight recorder's tid, `io` the recorder's I/O id; both ride a
+/// retry so it resumes the identity it was issued under.
 #[derive(Clone, Copy)]
 enum Token {
-    Slot { job: u32, lane: u32 },
-    Retry {
-        job: u32,
-        lane: u32,
-        io: u64,
-        op: TraceOp,
-        attempt: u32,
-        first_start: SimTime,
-    },
+    /// A free closed-loop slot pulling its job's next op, or the
+    /// open-loop arrival cursor.
+    Admit { lane: u32 },
+    /// A backed-off attempt returning; `intended` is the op's arrival.
+    Retry { lane: u32, io: u64, op: TraceOp, attempt: u32, first_start: SimTime, intended: SimTime },
+    /// An open-loop completion settling: frees its admission slot and
+    /// records latency from intended arrival.
+    Settle { intended: SimTime, len: u32 },
     /// Dispatch one backfill wave (or rescan when the queue drained).
     /// Lives on the dedicated background shard; present only when a
     /// recovery policy is armed.
@@ -351,25 +350,220 @@ enum Token {
     Scrub,
 }
 
-/// Open-loop event token: the next intended arrival from the stream
-/// cursor, a completion settling (freeing its admission-queue slot and
-/// recording latency from intended arrival), or a backed-off retry.
-#[derive(Clone, Copy)]
-enum OpenToken {
-    Arrive,
-    Settle { intended: SimTime, len: u32 },
-    Retry {
-        lane: u32,
-        io: u64,
-        op: TraceOp,
-        attempt: u32,
-        first_start: SimTime,
-        intended: SimTime,
-    },
-    /// Backfill wave dispatch (background shard; armed runs only).
-    Recovery,
-    /// Deep-scrub tick (background shard; armed runs only).
-    Scrub,
+/// What an admission source did with an `Admit` token; `key` is the
+/// op's `(job, index)` in the prepare pipeline.
+enum Admitted {
+    Issue { ready: SimTime, lane: u32, io: u64, op: TraceOp, key: (usize, usize) },
+    /// Refused at the admission cap (open loop).
+    Dropped { key: (usize, usize) },
+    /// The slot's job ran out of ops (closed loop); `drained` when it
+    /// was the last live slot.
+    Retired { drained: bool },
+}
+
+/// How foreground ops enter the event loop — the one difference between
+/// closed- and open-loop runs.  [`Engine::event_loop`] shares the rest.
+trait Admission {
+    /// The ops the prepare pool may run ahead on.
+    type Ops: crate::prepare::OpSource;
+    /// The report's workload label.
+    const WORKLOAD: &'static str;
+    /// Completions settle in place and re-arm their slot (closed loop)
+    /// instead of through a `Settle` token (open loop).
+    const REARM: bool;
+    /// The ops to prepare off-thread; `None` when nothing writes.
+    fn prepare_source(&self) -> Option<Self::Ops>;
+    /// Build and seed the queue, appending a background shard when
+    /// `background`; returns the queue, that shard, and the foreground
+    /// start (`None` when there is nothing to run).
+    fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>);
+    /// Handle an `Admit` token popped at `now` on `lane`.
+    fn admit(&mut self, now: SimTime, lane: u32, queue: &mut LaneQueue<Token>) -> Admitted;
+    /// Submission context of the ops on `lane`.
+    fn context(&self, lane: u32) -> u32 {
+        lane
+    }
+    /// A `Settle` token freed its slot; returns whether the foreground
+    /// drained (nothing in flight, nothing left to admit).  Only sources
+    /// that do not `REARM` see `Settle` tokens.
+    fn settle(&mut self) -> bool {
+        unreachable!("re-armed completions settle in place")
+    }
+    /// Ops in flight, given `queued` pending tokens.
+    fn inflight(&self, queued: usize) -> u32;
+    /// Sample the flight recorder's counter tracks at a completion.
+    fn sample_counters(&self, trace: &TraceHandle, at: SimTime, queued: usize);
+}
+
+/// Closed-loop admission (fio semantics): each job keeps `iodepth`
+/// slots; a slot pulls its job's next op when it frees and re-arms on
+/// completion.  Lane `job * iodepth + k` is slot `k` of `job`, one
+/// shard each, seeded 100 ns apart.
+#[derive(Default)]
+struct ClosedLoop<'a> {
+    jobs: &'a [Vec<TraceOp>],
+    iodepth: u32,
+    cursors: Vec<usize>,
+    live_slots: usize,
+    /// Flight-recorder I/O ids, issued in dispatch order.
+    io_seq: u64,
+}
+
+impl<'a> Admission for ClosedLoop<'a> {
+    type Ops = crate::prepare::TraceSource<'a>;
+    const WORKLOAD: &'static str = "trace";
+    const REARM: bool = true;
+
+    fn prepare_source(&self) -> Option<Self::Ops> {
+        let jobs = self.jobs;
+        jobs.iter().flatten().any(|op| op.write).then_some(crate::prepare::TraceSource(jobs))
+    }
+
+    fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>) {
+        let lanes = (self.jobs.len() * self.iodepth as usize).max(1);
+        let shards = lanes + background as usize;
+        let mut queue = LaneQueue::new(shards, shards);
+        for (j, ops) in self.jobs.iter().enumerate() {
+            let slots = (self.iodepth as usize).min(ops.len());
+            self.live_slots += slots;
+            for k in 0..slots {
+                let lane = (j * self.iodepth as usize + k) as u32;
+                let at = SimTime::from_nanos(100 * lane as u64);
+                queue.schedule_at(lane as usize, at, Token::Admit { lane });
+            }
+        }
+        (queue, lanes, (self.live_slots > 0).then_some(SimTime::ZERO))
+    }
+
+    fn admit(&mut self, now: SimTime, lane: u32, _: &mut LaneQueue<Token>) -> Admitted {
+        let job = self.context(lane) as usize;
+        let idx = self.cursors[job];
+        let Some(&op) = self.jobs[job].get(idx) else {
+            self.live_slots -= 1;
+            return Admitted::Retired { drained: self.live_slots == 0 };
+        };
+        self.cursors[job] += 1;
+        let io = self.io_seq;
+        self.io_seq += 1;
+        // Application compute between ops runs on the app's own core,
+        // off every modeled resource.
+        let ready = now + SimDuration::from_nanos(op.think_ns);
+        Admitted::Issue { ready, lane, io, op, key: (job, idx) }
+    }
+
+    fn context(&self, lane: u32) -> u32 {
+        lane / self.iodepth
+    }
+
+    fn inflight(&self, queued: usize) -> u32 {
+        // Pending tokens plus the slot in hand.
+        queued as u32 + 1
+    }
+
+    fn sample_counters(&self, trace: &TraceHandle, at: SimTime, queued: usize) {
+        trace.counter(at, "inflight_ops", self.inflight(queued) as u64);
+        trace.counter(at, "queue_depth", queued as u64);
+    }
+}
+
+/// Open-loop admission: ops arrive at their intended instants from a
+/// stream cursor whatever the completions, bounded by an admission cap
+/// (arrivals past it are dropped and counted).  Admitted ops
+/// round-robin across one lane per submission context; the arrival
+/// chain has its own shard after them.
+#[derive(Default)]
+struct OpenLoop<'a> {
+    stream: &'a [ArrivalOp],
+    cap: u32,
+    contexts: u32,
+    cursor: usize,
+    inflight: u32,
+    admitted: u64,
+    dropped: u64,
+}
+
+impl OpenLoop<'_> {
+    /// The sweep point: offered load is empirical — intended arrivals
+    /// over the span of the stream — so replayed traces report their
+    /// true rate without needing a configured one.
+    fn point(&self, report: &RunReport, hist: &Histogram) -> crate::report::LoadPoint {
+        let stream = self.stream;
+        let span = stream.last().map_or(SimDuration::ZERO, |l| l.at.saturating_since(stream[0].at));
+        let offered_kiops = match span.as_secs_f64() {
+            secs if secs > 0.0 => (stream.len() as f64 - 1.0) / secs / 1_000.0,
+            _ => 0.0,
+        };
+        crate::report::LoadPoint {
+            offered_kiops,
+            achieved_kiops: report.kiops,
+            mean_us: hist.mean_us(),
+            p50_us: hist.quantile(0.5) / 1_000.0,
+            p99_us: hist.quantile(0.99) / 1_000.0,
+            p999_us: hist.quantile(0.999) / 1_000.0,
+            admitted: self.admitted,
+            dropped: self.dropped,
+        }
+    }
+}
+
+impl Admission for OpenLoop<'_> {
+    type Ops = crate::prepare::StreamSource;
+    const WORKLOAD: &'static str = "open-loop";
+    const REARM: bool = false;
+
+    fn prepare_source(&self) -> Option<Self::Ops> {
+        let ops = || self.stream.iter().map(|a| (a.op.len, a.op.write));
+        ops().any(|(_, write)| write).then(|| crate::prepare::StreamSource(ops().collect()))
+    }
+
+    fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>) {
+        let lane = self.contexts;
+        let shards = lane as usize + 1 + background as usize;
+        // The queue never holds more than the in-flight completions, the
+        // retries riding out their backoff, and the one next arrival.
+        let mut queue = LaneQueue::new(shards, self.cap as usize + 8);
+        let start = self.stream.first().map(|a| a.at);
+        if let Some(at) = start {
+            queue.schedule_at(lane as usize, at, Token::Admit { lane });
+        }
+        (queue, lane as usize + 1, start)
+    }
+
+    fn admit(&mut self, now: SimTime, lane: u32, queue: &mut LaneQueue<Token>) -> Admitted {
+        let idx = self.cursor;
+        let op = self.stream[idx].op;
+        self.cursor += 1;
+        if let Some(next) = self.stream.get(self.cursor) {
+            queue.schedule_at(lane as usize, next.at.max(now), Token::Admit { lane });
+        }
+        if self.inflight >= self.cap {
+            // Admission queue full: the op is refused at its arrival
+            // instant — a load shed, not a deferral.
+            self.dropped += 1;
+            return Admitted::Dropped { key: (0, idx) };
+        }
+        self.inflight += 1;
+        let io = self.admitted;
+        self.admitted += 1;
+        // Round-robin across submission contexts (DeLiBA-K's three
+        // io_uring instances; one NBD daemon for D1/D2).
+        let lane = (io % self.contexts as u64) as u32;
+        Admitted::Issue { ready: now, lane, io, op, key: (0, idx) }
+    }
+
+    fn settle(&mut self) -> bool {
+        self.inflight -= 1;
+        self.inflight == 0 && self.cursor >= self.stream.len()
+    }
+
+    fn inflight(&self, _: usize) -> u32 {
+        self.inflight
+    }
+
+    fn sample_counters(&self, trace: &TraceHandle, at: SimTime, _: usize) {
+        trace.counter(at, "inflight_ops", self.inflight as u64);
+        trace.counter(at, "admission_drops", self.dropped);
+    }
 }
 
 /// Result of an open-loop run: the full report (latency columns measured
@@ -410,7 +604,8 @@ pub struct Engine {
     read_buf: Vec<u8>,
     /// Recycled device buffer for the card-side placement lookup.
     place_buf: Vec<i32>,
-    /// Events executed by the closed-loop queue (perf accounting).
+    /// Events popped by the shared event loop, both admission modes
+    /// (perf accounting).
     events: u64,
     /// Completions consumed by the fused submit→dispatch→post fast path
     /// (no event-queue round trip; perf accounting only).
@@ -576,27 +771,6 @@ impl Engine {
         }
     }
 
-    /// Close out the telemetry plane at end-of-run: capture the final
-    /// gauge sample, keep the run histogram for the telescoping checks,
-    /// and attach the SLO section to the report.  A no-op when the plane
-    /// is off, so baseline reports stay byte-identical.
-    fn finish_telemetry(
-        &mut self,
-        last_complete: SimTime,
-        hist: &Histogram,
-        report: &mut RunReport,
-    ) {
-        if !self.tele.is_on() {
-            return;
-        }
-        self.last_hist = Some(hist.clone());
-        let snap = self.gauge_snapshot(last_complete, 0, 0);
-        if let Some(summary) = self.tele.finish(last_complete, snap) {
-            let cfg = self.tele.with(|r| r.config()).expect("handle is on");
-            report.slo = Some(crate::report::SloReport::from_summary(&summary, &cfg));
-        }
-    }
-
     /// Arm the fault plane with a timed schedule.  Injector streams are
     /// derived from the engine seed, independent of the workload RNG,
     /// so the same seed + schedule replay bit-identically.
@@ -638,11 +812,6 @@ impl Engine {
         })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// Direct cluster access (failure injection in experiments).
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
@@ -654,54 +823,23 @@ impl Engine {
         self.card.as_mut()
     }
 
-    /// Re-point placement at a different reconfigurable module (after a
-    /// DFX swap completes).
-    pub fn set_preferred_rm(&mut self, rm: Option<RmId>) {
-        self.cfg.preferred_rm = rm;
-    }
-
     /// Data-integrity check failures observed (must stay 0).
     pub fn verify_failures(&self) -> u64 {
         self.verify_failures
     }
 
-    /// Events executed by the closed-loop scheduler so far (one per
-    /// issued I/O token) — the denominator of the `harness perf`
-    /// events-per-second gauge.  Not part of any `RunReport`.
+    /// Events the shared event loop has popped so far, over every run
+    /// and both admission modes — closed-loop slots, open-loop arrivals
+    /// and settles, retries, background ticks — the denominator of the
+    /// `harness perf` events-per-second gauge.  Each report carries the
+    /// running total as `counters.events`.
     pub fn events_executed(&self) -> u64 {
         self.events
-    }
-
-    /// Completion tokens consumed by the fused fast path instead of an
-    /// event-queue schedule/pop round trip.
-    pub fn fused_events(&self) -> u64 {
-        self.fused
     }
 
     /// Placement-cache counters of the engine's cluster map.
     pub fn placement_cache_stats(&self) -> deliba_crush::CacheStats {
         self.cluster.map().placement_cache_stats()
-    }
-
-    /// The stage tracer (`None` unless the config enabled tracing).
-    pub fn tracer(&self) -> Option<&StageTracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Resource utilization snapshot over `[0, horizon]` — identifies the
-    /// bottleneck of a run (submission contexts, PCIe, client port).
-    pub fn utilization(&self, horizon: SimTime) -> String {
-        let ctx: Vec<String> = self
-            .contexts
-            .iter()
-            .map(|c| format!("{:.2}", c.utilization(horizon)))
-            .collect();
-        format!(
-            "ctx [{}] pcie {:.2} client_tx {:.2}",
-            ctx.join(" "),
-            self.pcie.utilization(horizon),
-            self.cluster.topology().client_tx_utilization(horizon),
-        )
     }
 
     fn checksum(data: &[u8]) -> u64 {
@@ -749,40 +887,20 @@ impl Engine {
             };
             fired = true;
             match kind {
-                FaultKind::OsdCrash { osd } => {
-                    // mark_osd_down bumps the map epoch: the placement
-                    // cache invalidates and retries re-place through the
-                    // post-failure CRUSH walk.
-                    self.cluster.fail_osd(osd);
+                FaultKind::OsdCrash { osd } | FaultKind::OsdRevive { osd } => {
+                    // Either way the map epoch bumps: the placement cache
+                    // invalidates and retries re-place through the new
+                    // CRUSH walk.
+                    let ik = if let FaultKind::OsdCrash { .. } = kind {
+                        self.cluster.fail_osd(osd);
+                        self.res.osd_crashes += 1;
+                        InstantKind::OsdCrash
+                    } else {
+                        self.cluster.revive_osd(osd);
+                        InstantKind::OsdRevive
+                    };
                     self.recovery_dirty = true;
-                    self.res.osd_crashes += 1;
-                    self.tele.annotate(now, InstantKind::OsdCrash, osd as u64);
-                    self.trace.instant_lane(
-                        now,
-                        TraceLayer::Fault,
-                        osd as u32,
-                        InstantKind::OsdCrash,
-                        osd as u64,
-                    );
-                    self.trace.instant_lane(
-                        now,
-                        TraceLayer::Fault,
-                        osd as u32,
-                        InstantKind::CacheInvalidation,
-                        self.cluster.map().epoch,
-                    );
-                }
-                FaultKind::OsdRevive { osd } => {
-                    self.cluster.revive_osd(osd);
-                    self.recovery_dirty = true;
-                    self.tele.annotate(now, InstantKind::OsdRevive, osd as u64);
-                    self.trace.instant_lane(
-                        now,
-                        TraceLayer::Fault,
-                        osd as u32,
-                        InstantKind::OsdRevive,
-                        osd as u64,
-                    );
+                    self.mark_fault(now, osd as u32, ik, osd as u64);
                     self.trace.instant_lane(
                         now,
                         TraceLayer::Fault,
@@ -803,8 +921,7 @@ impl Engine {
                     } else {
                         InstantKind::LinkDegrade
                     };
-                    self.tele.annotate(now, ik, 0);
-                    self.trace.instant_lane(now, TraceLayer::Fault, 0, ik, 0);
+                    self.mark_fault(now, 0, ik, 0);
                 }
                 FaultKind::DmaDegrade(p) => {
                     let ik = if p.is_healthy() {
@@ -812,8 +929,7 @@ impl Engine {
                     } else {
                         InstantKind::DmaDegrade
                     };
-                    self.tele.annotate(now, ik, 0);
-                    self.trace.instant_lane(now, TraceLayer::Fault, 0, ik, 0);
+                    self.mark_fault(now, 0, ik, 0);
                 }
                 FaultKind::CardFault => {
                     if let Some(card) = self.card.as_mut() {
@@ -824,9 +940,7 @@ impl Engine {
                         self.card_fault_at = Some(now);
                         self.res.fpga_failovers += 1;
                     }
-                    self.tele.annotate(now, InstantKind::CardFault, 0);
-                    self.trace
-                        .instant_lane(now, TraceLayer::Fault, 0, InstantKind::CardFault, 0);
+                    self.mark_fault(now, 0, InstantKind::CardFault, 0);
                 }
                 FaultKind::CardRecover => {
                     if let Some(card) = self.card.as_mut() {
@@ -837,9 +951,7 @@ impl Engine {
                         self.res.recovery_time_us +=
                             now.saturating_since(t0).as_nanos() as f64 / 1_000.0;
                     }
-                    self.tele.annotate(now, InstantKind::CardRecover, 0);
-                    self.trace
-                        .instant_lane(now, TraceLayer::Fault, 0, InstantKind::CardRecover, 0);
+                    self.mark_fault(now, 0, InstantKind::CardRecover, 0);
                 }
                 FaultKind::DfxSwap { target } => {
                     if let Some(card) = self.card.as_mut() {
@@ -858,12 +970,17 @@ impl Engine {
                     let plane = self.faults.as_mut().expect("a due fault implies a plane");
                     let rotten = self.cluster.inject_bitrot(copies, plane.bitrot_rng());
                     self.bitrot_injected += rotten;
-                    self.tele.annotate(now, InstantKind::BitRot, rotten);
-                    self.trace
-                        .instant_lane(now, TraceLayer::Fault, 0, InstantKind::BitRot, rotten);
+                    self.mark_fault(now, 0, InstantKind::BitRot, rotten);
                 }
             }
         }
+    }
+
+    /// Mark a fired fault on both observation planes: a telemetry
+    /// annotation and a flight-recorder instant on `lane`.
+    fn mark_fault(&self, now: SimTime, lane: u32, kind: InstantKind, detail: u64) {
+        self.tele.annotate(now, kind, detail);
+        self.trace.instant_lane(now, TraceLayer::Fault, lane, kind, detail);
     }
 
     /// After a fault-plane mutation: rescan for recovery work and, when
@@ -1416,29 +1533,6 @@ impl Engine {
         AttemptResult::Done { start, complete }
     }
 
-    /// Effective intra-run thread count: the config override when set,
-    /// else `DELIBA_SIM_THREADS`, else 1 (serial).
-    fn sim_threads(&self) -> usize {
-        self.cfg
-            .sim_threads
-            .unwrap_or_else(crate::prepare::threads_from_env)
-            .max(1)
-    }
-
-    /// Shared context for the prepare pipeline: a payload stream seed
-    /// from the engine RNG's jump stream (so parallel runs never touch
-    /// the serial payload stream) plus the run's EC profile.
-    fn prepare_ctx(&mut self) -> crate::prepare::SharedCtx {
-        let seed = self.rng.jump().next_u64();
-        let ec_km = (self.cfg.mode == Mode::ErasureCoding).then(|| {
-            self.card
-                .as_ref()
-                .map(|c| (c.rs_codec().k(), c.rs_codec().m()))
-                .unwrap_or((4, 2))
-        });
-        crate::prepare::SharedCtx::new(seed, ec_km)
-    }
-
     /// Run per-job traces closed-loop with the given queue depth.
     ///
     /// With an effective thread count above one (config override or
@@ -1447,191 +1541,196 @@ impl Engine {
     /// the report stays byte-identical to the single-threaded run (see
     /// the `prepare` module).
     pub fn run_trace(&mut self, jobs: Vec<Vec<TraceOp>>, iodepth: u32) -> RunReport {
-        let threads = self.sim_threads();
-        if threads <= 1 || !jobs.iter().flatten().any(|op| op.write) {
-            return self.run_trace_inner(&jobs, iodepth, None);
-        }
-        let pipe =
-            crate::prepare::Pipeline::new(crate::prepare::TraceSource(&jobs), self.prepare_ctx());
+        let cursors = vec![0; jobs.len()];
+        self.run(&mut ClosedLoop { jobs: &jobs, iodepth, cursors, ..Default::default() }).0
+    }
+
+    /// Run an open-loop stream: ops are admitted at their intended
+    /// arrival times *regardless of completions*, bounded only by
+    /// `admission_cap` in-flight ops (arrivals past the cap are dropped
+    /// and counted, never silently deferred).  Latency is measured from
+    /// intended arrival — an op that waits behind a saturated submission
+    /// context or a stalled link is charged every nanosecond of that
+    /// wait, which is exactly what the closed-loop clock hides.
+    ///
+    /// The stream must be sorted by `at` (generators and the timed-trace
+    /// loader both guarantee it).
+    pub fn run_open_loop(&mut self, stream: &[ArrivalOp], admission_cap: u32) -> OpenLoopRun {
+        assert!(admission_cap > 0, "admission cap must be positive");
+        debug_assert!(
+            stream.windows(2).all(|w| w[0].at <= w[1].at),
+            "open-loop stream must be time-sorted"
+        );
+        let contexts = self.contexts.len() as u32;
+        let mut src = OpenLoop { stream, cap: admission_cap, contexts, ..Default::default() };
+        let (report, hist) = self.run(&mut src);
+        let point = src.point(&report, &hist);
+        OpenLoopRun { report, point }
+    }
+
+    /// Run `src` through the event loop.  With an effective thread count
+    /// above one (config override, else `DELIBA_SIM_THREADS`) and writes
+    /// to prepare, a worker pool races ahead of the serial loop.
+    fn run<S: Admission>(&mut self, src: &mut S) -> (RunReport, Histogram) {
+        let threads = self.cfg.sim_threads.unwrap_or_else(crate::prepare::threads_from_env);
+        let Some(ops) = (threads > 1).then(|| src.prepare_source()).flatten() else {
+            return self.event_loop(src, None);
+        };
+        // The payload stream seeds from the engine RNG's jump stream, so
+        // parallel runs never touch the serial payload stream.
+        let seed = self.rng.jump().next_u64();
+        let ec_km = (self.cfg.mode == Mode::ErasureCoding).then(|| {
+            self.card.as_ref().map_or((4, 2), |c| (c.rs_codec().k(), c.rs_codec().m()))
+        });
+        let pipe = crate::prepare::Pipeline::new(ops, crate::prepare::SharedCtx::new(seed, ec_km));
         crossbeam::thread::scope(|s| {
             for _ in 0..threads - 1 {
                 s.spawn(|_| pipe.worker());
             }
-            let report = self.run_trace_inner(&jobs, iodepth, Some(&pipe));
+            let out = self.event_loop(src, Some(&pipe));
             pipe.shutdown();
-            report
+            out
         })
         .expect("prepare workers do not panic")
     }
 
-    fn run_trace_inner(
+    /// The event loop both run modes share; `src` decides how foreground
+    /// ops are admitted.  Returns the report and its latency histogram.
+    fn event_loop<S: Admission>(
         &mut self,
-        jobs: &[Vec<TraceOp>],
-        iodepth: u32,
-        prep: Option<&crate::prepare::Pipeline<crate::prepare::TraceSource<'_>>>,
-    ) -> RunReport {
+        src: &mut S,
+        prep: Option<&crate::prepare::Pipeline<S::Ops>>,
+    ) -> (RunReport, Histogram) {
         let mut hist = Histogram::new();
         let mut counter = Counter::new();
-        let mut cursors: Vec<usize> = vec![0; jobs.len()];
-        // Completion tokens: one event per outstanding I/O, FIFO at equal
-        // timestamps (the queue's internal sequence number is the
-        // tiebreak, exactly as the explicit counter used to be).  Sharded
-        // one shard per lane — a lane's completion reschedules its own
-        // shard, so the common schedule/pop pair is a root rewrite plus
-        // one sift over the lane frontier.
-        let lanes = (jobs.len() * iodepth as usize).max(1);
-        // One extra shard hosts the background recovery/scrub tokens —
-        // appended only when a scheduler is armed, so unarmed runs keep
-        // their exact shard count (and byte-identical reports).
-        let bg_shard = lanes;
-        let shards = lanes + self.recovery.is_some() as usize;
-        let mut queue: LaneQueue<Token> = LaneQueue::new(shards, shards);
-        // Foreground queue-depth slots still alive: when the last one
-        // dies on an exhausted cursor, scrub enters its drain passes.
-        let mut live_slots = 0usize;
-        for (j, ops) in jobs.iter().enumerate() {
-            let tokens = (iodepth as usize).min(ops.len());
-            live_slots += tokens;
-            for k in 0..tokens {
-                let lane = (j * iodepth as usize + k) as u32;
-                queue.schedule_at(
-                    lane as usize,
-                    SimTime::from_nanos(100 * lane as u64),
-                    Token::Slot { job: j as u32, lane },
-                );
+        let mut last_complete = SimTime::ZERO;
+        // The background recovery/scrub tokens get a shard of their own
+        // only when a scheduler is armed, so unarmed runs keep their
+        // exact shard count (and byte-identical reports).
+        let (mut queue, bg_shard, start) = src.seed(self.recovery.is_some());
+        if let (Some(start), Some(sched)) = (start, &self.recovery) {
+            let interval = sched.policy().scrub_interval;
+            if interval > SimDuration::ZERO {
+                queue.schedule_at(bg_shard, start + interval, Token::Scrub);
             }
         }
-        if let Some(sched) = &self.recovery {
-            let p = sched.policy();
-            if p.scrub_interval > SimDuration::ZERO && live_slots > 0 {
-                queue.schedule_at(bg_shard, SimTime::ZERO + p.scrub_interval, Token::Scrub);
-            }
-        }
-        // Flight-recorder identities: lanes are the global queue-depth
-        // slots seeded above; I/O ids are issued in dispatch order.
         let recording = self.trace.is_on();
         let sample_counters = self.trace.full();
-        let mut io_seq: u64 = 0;
-        let mut last_complete = SimTime::ZERO;
-        let mut next = queue.pop();
-        while let Some((ready, token)) = next {
+        // An event already known without a pop (the closed loop's fused
+        // completion path).
+        let mut fused = None;
+        while let Some((now, token)) = fused.take().or_else(|| queue.pop()) {
             self.events += 1;
             // Telemetry gauge sampling keys off pop times, which the
             // queue guarantees are monotone nondecreasing — windows
             // strictly before the current one close here, so the series
             // is invariant under the thread/shard matrix.
-            if self.tele.needs_sample(ready) {
-                let snap =
-                    self.gauge_snapshot(ready, queue.len() as u32 + 1, queue.len() as u32);
-                self.tele.sample(ready, snap);
+            if self.tele.needs_sample(now) {
+                let queued = queue.len();
+                let snap = self.gauge_snapshot(now, src.inflight(queued), queued as u32);
+                self.tele.sample(now, snap);
             }
-            if self.faults.is_some() && self.apply_due_faults(ready) {
-                if let Some(at) = self.recovery_kick(ready) {
+            if self.faults.is_some() && self.apply_due_faults(now) {
+                if let Some(at) = self.recovery_kick(now) {
                     queue.schedule_at(bg_shard, at, Token::Recovery);
                 }
             }
-            let (ready, job, lane, io, op, attempt, first_start) = match token {
-                Token::Recovery => {
-                    if let Some(at) = self.recovery_step(ready) {
-                        queue.schedule_at(bg_shard, at, Token::Recovery);
+            let (ready, lane, io, op, attempt, first_start, intended) = match token {
+                // A background token re-arms itself until its chain ends.
+                Token::Recovery | Token::Scrub => {
+                    let next = match token {
+                        Token::Scrub => self.scrub_step(now),
+                        _ => self.recovery_step(now),
+                    };
+                    if let Some(at) = next {
+                        queue.schedule_at(bg_shard, at, token);
                     }
-                    next = queue.pop();
                     continue;
                 }
-                Token::Scrub => {
-                    if let Some(at) = self.scrub_step(ready) {
-                        queue.schedule_at(bg_shard, at, Token::Scrub);
-                    }
-                    next = queue.pop();
-                    continue;
-                }
-                Token::Slot { job, lane } => {
-                    let idx = cursors[job as usize];
-                    if idx >= jobs[job as usize].len() {
-                        live_slots -= 1;
-                        if live_slots == 0 {
-                            if let Some(s) = self.recovery.as_mut() {
-                                if s.policy().scrub_interval > SimDuration::ZERO
-                                    && !s.scrub_draining()
-                                {
-                                    s.start_scrub_drain();
-                                }
-                            }
+                Token::Admit { lane } => match src.admit(now, lane, &mut queue) {
+                    Admitted::Issue { ready, lane, io, op, key: (job, idx) } => {
+                        if let Some(p) = prep {
+                            self.prepared_next = p.fetch(job, idx, op.len as usize, op.write);
                         }
-                        next = queue.pop();
+                        (ready, lane, io, op, 0, None, now)
+                    }
+                    Admitted::Dropped { key: (job, idx) } => {
+                        self.tele.drop_op(now);
+                        if let Some(p) = prep {
+                            p.advance(job, idx);
+                        }
                         continue;
                     }
-                    cursors[job as usize] += 1;
-                    let op = jobs[job as usize][idx];
-                    if let Some(p) = prep {
-                        self.prepared_next = p.fetch(job as usize, idx, op.len as usize, op.write);
+                    Admitted::Retired { drained } => {
+                        self.start_scrub_drain(drained);
+                        continue;
                     }
-                    let io = io_seq;
-                    io_seq += 1;
-                    // Application compute between ops runs on the app's
-                    // own core, off every modeled resource.
-                    (ready + SimDuration::from_nanos(op.think_ns), job, lane, io, op, 0, None)
+                },
+                Token::Retry { lane, io, op, attempt, first_start, intended } => {
+                    (now, lane, io, op, attempt, Some(first_start), intended)
                 }
-                Token::Retry { job, lane, io, op, attempt, first_start } => {
-                    (ready, job, lane, io, op, attempt, Some(first_start))
+                Token::Settle { intended, len } => {
+                    let drained = src.settle();
+                    self.start_scrub_drain(drained);
+                    hist.record(now.saturating_since(intended));
+                    counter.record(len as u64);
+                    self.tele.op(now, now.saturating_since(intended), len as u64);
+                    last_complete = last_complete.max(now);
+                    if sample_counters {
+                        src.sample_counters(&self.trace, now, queue.len());
+                    }
+                    continue;
                 }
             };
             if recording {
                 self.trace.set_ctx(io, lane);
             }
-            let (start, complete) = match self.do_io(ready, job, op, attempt, first_start) {
+            let ctx = src.context(lane);
+            let (start, complete) = match self.do_io(ready, ctx, op, attempt, first_start) {
                 IoDisposition::Done { start, complete } => (start, complete),
                 IoDisposition::Retry { at, attempt, first_start } => {
                     // The op waits out its backoff on the event queue —
-                    // its queue-depth slot stays held, but no shared
-                    // resource timeline advances on its behalf.
-                    queue.schedule_at(
-                        lane as usize,
-                        at,
-                        Token::Retry { job, lane, io, op, attempt, first_start },
-                    );
-                    next = queue.pop();
+                    // its slot stays held, but no shared resource
+                    // timeline advances on its behalf.
+                    let retry = Token::Retry { lane, io, op, attempt, first_start, intended };
+                    queue.schedule_at(lane as usize, at, retry);
                     continue;
                 }
             };
+            if !S::REARM {
+                queue.schedule_at(lane as usize, complete, Token::Settle { intended, len: op.len });
+                continue;
+            }
             hist.record(complete.saturating_since(start));
             counter.record(op.len as u64);
             self.tele.op(complete, complete.saturating_since(start), op.len as u64);
             last_complete = last_complete.max(complete);
             if sample_counters {
-                // Pending tokens plus the slot in hand = ops in flight;
-                // sampled at each completion so the counter track shows
-                // the closed loop draining at the end of the run.
-                self.trace
-                    .counter(complete, "inflight_ops", queue.len() as u64 + 1);
-                self.trace.counter(complete, "queue_depth", queue.len() as u64);
+                src.sample_counters(&self.trace, complete, queue.len());
             }
-            // Fused fast path: when the completion would be the very next
-            // event popped anyway — strictly earlier than everything
+            // Fused fast path: when the re-armed slot would be the very
+            // next event popped anyway — strictly earlier than everything
             // pending (ties must round-trip through the heap so the
-            // sequence-number FIFO tiebreak is preserved) — consume it
-            // in place and skip the schedule/pop.
-            match queue.peek_time() {
+            // sequence-number FIFO tiebreak is preserved) — consume it in
+            // place and skip the schedule/pop.
+            let rearm = Token::Admit { lane };
+            fused = Some(match queue.peek_time() {
+                // Push-pop fused: the queue rewrites its root in place
+                // (the head pops first — its seq is smaller), identical
+                // in pop order to schedule_at + pop.
                 Some(head) if head <= complete => {
-                    // Push-pop fused: the queue rewrites its root in
-                    // place (the head pops first — its seq is smaller),
-                    // identical in pop order to schedule_at + pop.
-                    next = Some(queue.schedule_at_then_pop(
-                        lane as usize,
-                        complete,
-                        Token::Slot { job, lane },
-                    ));
+                    queue.schedule_at_then_pop(lane as usize, complete, rearm)
                 }
                 _ => {
                     self.fused += 1;
-                    next = Some((complete, Token::Slot { job, lane }));
+                    (complete, rearm)
                 }
-            }
+            });
         }
         let window = last_complete.saturating_since(SimTime::ZERO);
         let mut report = RunReport::new(
             self.cfg.label(),
-            "trace".to_string(),
+            S::WORKLOAD.to_string(),
             &hist,
             &counter,
             window,
@@ -1655,241 +1754,28 @@ impl Engine {
             report.resilience = Some(self.resilience_counters());
         }
         report.recovery = self.recovery_counters();
-        self.finish_telemetry(last_complete, &hist, &mut report);
-        report
+        // Close out the telemetry plane: the final gauge sample, the run
+        // histogram for the telescoping checks, and the SLO section.  A
+        // no-op when the plane is off, so baseline reports stay
+        // byte-identical.
+        if self.tele.is_on() {
+            self.last_hist = Some(hist.clone());
+            let snap = self.gauge_snapshot(last_complete, 0, 0);
+            if let Some(summary) = self.tele.finish(last_complete, snap) {
+                let cfg = self.tele.with(|r| r.config()).expect("handle is on");
+                report.slo = Some(crate::report::SloReport::from_summary(&summary, &cfg));
+            }
+        }
+        (report, hist)
     }
 
-    /// Run an open-loop stream: ops are admitted at their intended
-    /// arrival times *regardless of completions*, bounded only by
-    /// `admission_cap` in-flight ops (arrivals past the cap are dropped
-    /// and counted, never silently deferred).  Latency is measured from
-    /// intended arrival — an op that waits behind a saturated submission
-    /// context or a stalled link is charged every nanosecond of that
-    /// wait, which is exactly what the closed-loop clock hides.
-    ///
-    /// The stream must be sorted by `at` (generators and the timed-trace
-    /// loader both guarantee it).
-    pub fn run_open_loop(&mut self, stream: &[ArrivalOp], admission_cap: u32) -> OpenLoopRun {
-        assert!(admission_cap > 0, "admission cap must be positive");
-        debug_assert!(
-            stream.windows(2).all(|w| w[0].at <= w[1].at),
-            "open-loop stream must be time-sorted"
-        );
-        let threads = self.sim_threads();
-        if threads <= 1 || !stream.iter().any(|a| a.op.write) {
-            return self.run_open_loop_inner(stream, admission_cap, None);
+    /// Once the foreground has `drained`, scrub switches to its
+    /// end-of-run drain passes.
+    fn start_scrub_drain(&mut self, drained: bool) {
+        let Some(s) = self.recovery.as_mut().filter(|_| drained) else { return };
+        if s.policy().scrub_interval > SimDuration::ZERO && !s.scrub_draining() {
+            s.start_scrub_drain();
         }
-        let pipe = crate::prepare::Pipeline::new(
-            crate::prepare::StreamSource(stream.iter().map(|a| (a.op.len, a.op.write)).collect()),
-            self.prepare_ctx(),
-        );
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads - 1 {
-                s.spawn(|_| pipe.worker());
-            }
-            let run = self.run_open_loop_inner(stream, admission_cap, Some(&pipe));
-            pipe.shutdown();
-            run
-        })
-        .expect("prepare workers do not panic")
-    }
-
-    fn run_open_loop_inner(
-        &mut self,
-        stream: &[ArrivalOp],
-        admission_cap: u32,
-        prep: Option<&crate::prepare::Pipeline<crate::prepare::StreamSource>>,
-    ) -> OpenLoopRun {
-        let mut hist = Histogram::new();
-        let mut counter = Counter::new();
-        // The queue never holds more than the in-flight completions, the
-        // retries riding out their backoff, and the one next arrival.
-        // Shards: one per submission context (settles and retries land
-        // on their op's lane) plus a dedicated shard for the arrival
-        // cursor's self-rescheduling chain.
-        let arrive_shard = self.contexts.len();
-        // The background shard follows the arrival shard — appended only
-        // when a recovery scheduler is armed (unarmed shard counts are
-        // untouched).
-        let bg_shard = arrive_shard + 1;
-        let shards = arrive_shard + 1 + self.recovery.is_some() as usize;
-        let mut queue: LaneQueue<OpenToken> =
-            LaneQueue::new(shards, admission_cap as usize + 8);
-        let mut cursor = 0usize;
-        let mut inflight: u32 = 0;
-        let mut admitted: u64 = 0;
-        let mut dropped: u64 = 0;
-        let recording = self.trace.is_on();
-        let sample_counters = self.trace.full();
-        let mut last_complete = SimTime::ZERO;
-        if !stream.is_empty() {
-            queue.schedule_at(arrive_shard, stream[0].at, OpenToken::Arrive);
-            if let Some(sched) = &self.recovery {
-                let p = sched.policy();
-                if p.scrub_interval > SimDuration::ZERO {
-                    queue.schedule_at(
-                        bg_shard,
-                        stream[0].at + p.scrub_interval,
-                        OpenToken::Scrub,
-                    );
-                }
-            }
-        }
-        while let Some((now, token)) = queue.pop() {
-            self.events += 1;
-            // Same monotone-pop-time sampling contract as the closed
-            // loop; `inflight` here counts admitted-but-unsettled ops.
-            if self.tele.needs_sample(now) {
-                let snap = self.gauge_snapshot(now, inflight, queue.len() as u32);
-                self.tele.sample(now, snap);
-            }
-            if self.faults.is_some() && self.apply_due_faults(now) {
-                if let Some(at) = self.recovery_kick(now) {
-                    queue.schedule_at(bg_shard, at, OpenToken::Recovery);
-                }
-            }
-            let (lane, io, op, attempt, first_start, intended) = match token {
-                OpenToken::Recovery => {
-                    if let Some(at) = self.recovery_step(now) {
-                        queue.schedule_at(bg_shard, at, OpenToken::Recovery);
-                    }
-                    continue;
-                }
-                OpenToken::Scrub => {
-                    if let Some(at) = self.scrub_step(now) {
-                        queue.schedule_at(bg_shard, at, OpenToken::Scrub);
-                    }
-                    continue;
-                }
-                OpenToken::Arrive => {
-                    let idx = cursor;
-                    let op = stream[cursor].op;
-                    cursor += 1;
-                    if cursor < stream.len() {
-                        queue.schedule_at(
-                            arrive_shard,
-                            stream[cursor].at.max(now),
-                            OpenToken::Arrive,
-                        );
-                    }
-                    if inflight >= admission_cap {
-                        // Admission queue full: the op is refused at its
-                        // arrival instant — a load shed, not a deferral.
-                        dropped += 1;
-                        self.tele.drop_op(now);
-                        if let Some(p) = prep {
-                            p.advance(0, idx);
-                        }
-                        continue;
-                    }
-                    if let Some(p) = prep {
-                        self.prepared_next = p.fetch(0, idx, op.len as usize, op.write);
-                    }
-                    inflight += 1;
-                    let io = admitted;
-                    // Round-robin admitted ops across submission contexts
-                    // (DeLiBA-K's three io_uring instances; one NBD
-                    // daemon for D1/D2).
-                    let lane = (admitted % self.contexts.len() as u64) as u32;
-                    admitted += 1;
-                    (lane, io, op, 0, None, now)
-                }
-                OpenToken::Retry { lane, io, op, attempt, first_start, intended } => {
-                    (lane, io, op, attempt, Some(first_start), intended)
-                }
-                OpenToken::Settle { intended, len } => {
-                    inflight -= 1;
-                    if inflight == 0 && cursor >= stream.len() {
-                        // Foreground drained: scrub switches to its
-                        // end-of-run drain passes.
-                        if let Some(s) = self.recovery.as_mut() {
-                            if s.policy().scrub_interval > SimDuration::ZERO
-                                && !s.scrub_draining()
-                            {
-                                s.start_scrub_drain();
-                            }
-                        }
-                    }
-                    hist.record(now.saturating_since(intended));
-                    counter.record(len as u64);
-                    self.tele.op(now, now.saturating_since(intended), len as u64);
-                    last_complete = last_complete.max(now);
-                    if sample_counters {
-                        self.trace.counter(now, "inflight_ops", inflight as u64);
-                        self.trace.counter(now, "admission_drops", dropped);
-                    }
-                    continue;
-                }
-            };
-            if recording {
-                self.trace.set_ctx(io, lane);
-            }
-            match self.do_io(now, lane, op, attempt, first_start) {
-                IoDisposition::Done { complete, .. } => {
-                    queue.schedule_at(
-                        lane as usize,
-                        complete,
-                        OpenToken::Settle { intended, len: op.len },
-                    );
-                }
-                IoDisposition::Retry { at, attempt, first_start } => {
-                    queue.schedule_at(
-                        lane as usize,
-                        at,
-                        OpenToken::Retry { lane, io, op, attempt, first_start, intended },
-                    );
-                }
-            }
-        }
-        // Offered load is empirical — intended arrivals over the span of
-        // the stream — so replayed traces report their true rate without
-        // needing a configured one.
-        let span = stream
-            .last()
-            .map(|l| l.at.saturating_since(stream[0].at))
-            .unwrap_or(SimDuration::ZERO);
-        let offered_kiops = if span > SimDuration::ZERO {
-            (stream.len() as f64 - 1.0) / span.as_secs_f64() / 1_000.0
-        } else {
-            0.0
-        };
-        let window = last_complete.saturating_since(SimTime::ZERO);
-        let point = crate::report::LoadPoint {
-            offered_kiops,
-            achieved_kiops: counter.iops(window) / 1_000.0,
-            mean_us: hist.mean_us(),
-            p50_us: hist.quantile(0.5) / 1_000.0,
-            p99_us: hist.quantile(0.99) / 1_000.0,
-            p999_us: hist.quantile(0.999) / 1_000.0,
-            admitted,
-            dropped,
-        };
-        let mut report = RunReport::new(
-            self.cfg.label(),
-            "open-loop".to_string(),
-            &hist,
-            &counter,
-            window,
-            self.degraded_ops,
-            self.verify_failures,
-        );
-        if let Some(tracer) = &self.tracer {
-            report.breakdown = Some(crate::report::StageBreakdown::from_tracer(tracer));
-        }
-        let cache = self.cluster.map().placement_cache_stats();
-        report.counters = Some(crate::report::PerfCounters {
-            events: self.events,
-            fused_events: self.fused,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_invalidations: cache.invalidations,
-        });
-        if self.faults.is_some() || self.cfg.resilience.is_some() {
-            report.resilience = Some(self.resilience_counters());
-        }
-        report.recovery = self.recovery_counters();
-        self.finish_telemetry(last_complete, &hist, &mut report);
-        OpenLoopRun { report, point }
     }
 
     /// Generate and run a fio-style workload.
