@@ -858,7 +858,7 @@ pub fn breakdown() -> Experiment {
 /// wall-clock is nondeterministic it is deliberately *excluded* from
 /// `harness all`, whose output must stay bit-reproducible.
 pub fn perf() -> Experiment {
-    use deliba_sim::{EventQueue, ShardedEventQueue, SimDuration, SimTime};
+    use deliba_sim::{EventQueue, LaneQueue, SimDuration, SimTime};
     use std::time::Instant;
 
     // Reference workload: the Fig. 7 headline cell (DeLiBA-K hardware
@@ -1062,7 +1062,7 @@ pub fn perf() -> Experiment {
         CHURN as f64 / t0.elapsed().as_secs_f64().max(1e-9)
     };
     let lane_churn_sharded = || -> f64 {
-        let mut q: ShardedEventQueue<u64> = ShardedEventQueue::new(LANES);
+        let mut q: LaneQueue<u64> = LaneQueue::new(LANES, 0);
         for i in 0..LANES as u64 * LANE_DEPTH {
             q.schedule_at(i as usize % LANES, SimTime::from_nanos(i), i);
         }

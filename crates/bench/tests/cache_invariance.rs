@@ -1,49 +1,61 @@
-//! Determinism gate for the placement cache: forcing the cache off via
-//! `DELIBA_NO_PLACEMENT_CACHE` must not change a single byte of
-//! experiment output.  The cache memoizes a pure function keyed by the
-//! map epoch, so it can only change wall-clock time, never results.
-//!
-//! This lives in its own test binary (= its own process) because the
-//! environment variable is process-global: flipping it mid-run would
-//! race the other determinism tests, which serialize `RunReport`s whose
-//! diagnostic counters legitimately differ with the cache off.
+//! Determinism gate for the placement cache: running with the cache
+//! off must not change a single modeled result.  The cache memoizes a
+//! pure function keyed by the map epoch, so it can only change
+//! wall-clock time, never results.  Each pair of runs differs only in
+//! `OsdMap::set_placement_cache_enabled(false)` on the second engine;
+//! the diagnostic counters (which legitimately differ) are stripped
+//! before comparing, and they prove which mode ran.
 
-use deliba_core::{Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RwMode};
+use deliba_bench::PROBE_OPS;
+use deliba_core::{Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RunReport, RwMode};
+
+/// Run `spec` on a fresh engine, with the placement cache on or off.
+fn run(cfg: EngineConfig, spec: &FioSpec, cache: bool) -> RunReport {
+    let mut e = Engine::new(cfg);
+    if !cache {
+        e.cluster_mut().map().set_placement_cache_enabled(false);
+    }
+    e.run_fio(spec)
+}
+
+/// Assert the cached and uncached reports agree everywhere but the
+/// counters, and that the uncached run served no hits; returns the
+/// cached run's hit count.
+fn assert_cache_invariant(cfg: EngineConfig, spec: &FioSpec) -> u64 {
+    let mut on = run(cfg, spec, true);
+    let mut off = run(cfg, spec, false);
+    let on_counters = on.counters.take().expect("engine reports carry counters");
+    let off_counters = off.counters.take().expect("engine reports carry counters");
+    assert_eq!(off_counters.cache_hits, 0, "cache was off: {off_counters:?}");
+    assert_eq!(on, off, "modeled results must not depend on the cache ({})", spec.label());
+    on_counters.cache_hits
+}
 
 #[test]
 fn experiment_json_is_identical_with_cache_disabled() {
-    let sweep = || serde_json::to_string_pretty(&deliba_bench::table2()).expect("serializable");
-    let enabled = sweep();
-    std::env::set_var("DELIBA_NO_PLACEMENT_CACHE", "1");
-    let disabled = sweep();
-    std::env::remove_var("DELIBA_NO_PLACEMENT_CACHE");
-    assert_eq!(
-        enabled, disabled,
-        "placement cache must be output-invariant (experiment JSON)"
-    );
+    // Every Table II cell: generation × mode × (rw, pattern).
+    let rows = [
+        (Generation::DeLiBA1, Mode::Replication),
+        (Generation::DeLiBA2, Mode::Replication),
+        (Generation::DeLiBAK, Mode::Replication),
+        (Generation::DeLiBA2, Mode::ErasureCoding),
+        (Generation::DeLiBAK, Mode::ErasureCoding),
+    ];
+    for (g, mode) in rows {
+        for rw in [RwMode::Read, RwMode::Write] {
+            for pat in [Pattern::Seq, Pattern::Rand] {
+                let spec = FioSpec::latency_probe(rw, pat, 4096, PROBE_OPS);
+                assert_cache_invariant(EngineConfig::new(g, true, mode), &spec);
+            }
+        }
+    }
 }
 
 #[test]
 fn modeled_timing_is_identical_with_cache_disabled() {
-    // Stronger per-run check: everything except the diagnostic counters
-    // matches field-for-field, and the counters prove which mode ran.
-    let run = || {
-        let mut e = Engine::new(EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication));
-        e.run_fio(&FioSpec::paper(RwMode::Read, Pattern::Rand, 4096, 2_000))
-    };
-    let on = run();
-    std::env::set_var("DELIBA_NO_PLACEMENT_CACHE", "1");
-    let off = run();
-    std::env::remove_var("DELIBA_NO_PLACEMENT_CACHE");
-
-    let on_counters = on.counters.expect("engine reports carry counters");
-    let off_counters = off.counters.expect("engine reports carry counters");
-    assert!(on_counters.cache_hits > 0, "cache was live: {on_counters:?}");
-    assert_eq!(off_counters.cache_hits, 0, "cache was off: {off_counters:?}");
-
-    let mut on_stripped = on.clone();
-    let mut off_stripped = off.clone();
-    on_stripped.counters = None;
-    off_stripped.counters = None;
-    assert_eq!(on_stripped, off_stripped, "modeled results must not depend on the cache");
+    // The Fig. 7 peak cell at queue depth: the cache must have been live.
+    let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
+    let spec = FioSpec::paper(RwMode::Read, Pattern::Rand, 4096, 2_000);
+    let hits = assert_cache_invariant(cfg, &spec);
+    assert!(hits > 0, "cache was live");
 }

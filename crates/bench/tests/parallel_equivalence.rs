@@ -2,12 +2,12 @@
 //!
 //! The contract: `DELIBA_SIM_THREADS` (or `with_sim_threads`) changes
 //! wall-clock only — every `RunReport` the engine produces is
-//! byte-identical at any worker count, with or without the sharded
-//! event queue.  These tests pin that property in-process over the
-//! paths where the prepare pipeline actually engages: closed-loop
-//! write traces in both pool modes, chaos runs with mid-trace retries,
-//! open-loop runs with admission drops (which exercise pipeline
-//! cancellation), and recovery-armed open-loop runs (background shard).
+//! byte-identical at any worker count.  These tests pin that property
+//! in-process over the paths where the prepare pipeline actually
+//! engages: closed-loop write traces in both pool modes, chaos runs
+//! with mid-trace retries, open-loop runs with admission drops (which
+//! exercise pipeline cancellation), and recovery-armed open-loop runs
+//! (background shard).
 
 use deliba_cluster::RecoveryPolicy;
 use deliba_core::{ArrivalOp, Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RwMode, TraceOp};
@@ -177,31 +177,4 @@ fn open_loop_reports_are_thread_invariant() {
         assert_eq!(run(threads).0, reference, "{threads} threads diverged from serial");
         assert_eq!(recovery_open_loop(threads), recovery, "recovery: {threads} threads diverged");
     }
-}
-
-/// The single-heap fallback (`DELIBA_NO_SHARDED_QUEUE=1`) composes
-/// with the thread matrix: all four corners — {sharded, single-heap} ×
-/// {serial, pooled} — produce byte-identical whole reports, for a
-/// closed-loop EC trace and a recovery-armed open-loop stream.  Env
-/// manipulation stays inside this one test; the other tests in this
-/// binary are immune to a leaked flag anyway, because sharded on/off
-/// is result-invariant.
-#[test]
-fn sharded_queue_toggle_composes_with_thread_matrix() {
-    let closed = |threads| {
-        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding)
-            .with_sim_threads(threads);
-        let r = Engine::new(cfg).run_trace(vec![mixed_trace()], 8);
-        serde_json::to_string(&r).expect("serializable")
-    };
-    let run = |threads| (closed(threads), recovery_open_loop(threads));
-    let reference = run(1);
-    std::env::set_var("DELIBA_NO_SHARDED_QUEUE", "1");
-    let single_serial = run(1);
-    let single_pool = run(8);
-    std::env::remove_var("DELIBA_NO_SHARDED_QUEUE");
-    let sharded_pool = run(8);
-    assert_eq!(single_serial, reference, "single-heap serial diverged");
-    assert_eq!(single_pool, reference, "single-heap pooled diverged");
-    assert_eq!(sharded_pool, reference, "sharded pooled diverged");
 }

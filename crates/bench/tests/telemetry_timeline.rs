@@ -6,9 +6,9 @@
 //! mirror the fault plane's firings; (2) recording telemetry never
 //! perturbs the simulation — a telemetry-on report minus its SLO
 //! section is byte-identical to the telemetry-off report; (3) the
-//! exported series is byte-identical across the thread matrix and the
-//! sharded-queue toggle, because windows key off completion instants
-//! and gauges sample at monotone pop times.
+//! exported series is byte-identical across the thread matrix, because
+//! windows key off completion instants and gauges sample at monotone
+//! pop times.
 
 use deliba_core::{ArrivalOp, Engine, EngineConfig, Generation, Mode, TraceOp};
 use deliba_fault::{FaultSchedule, ResiliencePolicy};
@@ -113,8 +113,8 @@ fn telemetry_never_perturbs_the_run() {
 }
 
 /// The exported series — timeline JSON, CSV, Prometheus, and the SLO
-/// section — is byte-identical across {1, 2, 8} worker threads with
-/// the sharded queue on and off, for both run loops.
+/// section — is byte-identical across {1, 2, 8} worker threads, for
+/// both run loops.
 #[test]
 fn series_is_invariant_under_the_thread_matrix() {
     let stream: Vec<ArrivalOp> = (0..1_500u64)
@@ -155,8 +155,4 @@ fn series_is_invariant_under_the_thread_matrix() {
     for threads in THREAD_MATRIX {
         assert_eq!(run(threads), reference, "{threads} threads diverged from serial");
     }
-    std::env::set_var("DELIBA_NO_SHARDED_QUEUE", "1");
-    let single = run(8);
-    std::env::remove_var("DELIBA_NO_SHARDED_QUEUE");
-    assert_eq!(single, reference, "single-heap pooled series diverged");
 }

@@ -158,8 +158,9 @@ impl OsdMap {
         self.cache.borrow().stats()
     }
 
-    /// Force the placement cache on or off (tests / determinism probes;
-    /// normally governed by `DELIBA_NO_PLACEMENT_CACHE`).
+    /// Force the placement cache on or off.  Off is the uncached
+    /// reference the determinism tests compare against; the cache is on
+    /// by default.
     pub fn set_placement_cache_enabled(&self, enabled: bool) {
         self.cache.borrow_mut().set_enabled(enabled);
     }
@@ -283,7 +284,6 @@ mod tests {
     #[test]
     fn cached_acting_set_matches_uncached_through_churn() {
         let mut m = map();
-        m.set_placement_cache_enabled(true);
         let check = |m: &OsdMap| {
             for pool in [1u32, 2] {
                 for seq in 0..128 {
@@ -306,7 +306,6 @@ mod tests {
     #[test]
     fn cache_counters_report_hits() {
         let m = map();
-        m.set_placement_cache_enabled(true);
         let pg = PgId { pool: 1, seq: 3 };
         let a = m.acting_set(pg);
         let b = m.acting_set(pg);

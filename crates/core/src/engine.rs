@@ -422,7 +422,7 @@ impl<'a> Admission for ClosedLoop<'a> {
     fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>) {
         let lanes = (self.jobs.len() * self.iodepth as usize).max(1);
         let shards = lanes + background as usize;
-        let mut queue = LaneQueue::new(shards, shards);
+        let mut queue = LaneQueue::new(shards, 0);
         for (j, ops) in self.jobs.iter().enumerate() {
             let slots = (self.iodepth as usize).min(ops.len());
             self.live_slots += slots;
@@ -519,9 +519,7 @@ impl Admission for OpenLoop<'_> {
     fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>) {
         let lane = self.contexts;
         let shards = lane as usize + 1 + background as usize;
-        // The queue never holds more than the in-flight completions, the
-        // retries riding out their backoff, and the one next arrival.
-        let mut queue = LaneQueue::new(shards, self.cap as usize + 8);
+        let mut queue = LaneQueue::new(shards, 0);
         let start = self.stream.first().map(|a| a.at);
         if let Some(at) = start {
             queue.schedule_at(lane as usize, at, Token::Admit { lane });

@@ -22,12 +22,6 @@
 
 use crate::map::DeviceId;
 
-/// Force-disable switch: when this environment variable is set (any
-/// value), every cache constructed by [`PlacementCache::new`] starts
-/// disabled and all lookups miss.  The determinism suite uses it to
-/// prove cached and uncached runs are byte-identical.
-pub const DISABLE_ENV: &str = "DELIBA_NO_PLACEMENT_CACHE";
-
 /// Counters exported to `RunReport` / `harness perf`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -76,15 +70,15 @@ pub struct PlacementCache {
 
 impl PlacementCache {
     /// A cache with `capacity` slots (rounded up to a power of two,
-    /// minimum 16), organized as `capacity / 2` two-way sets.  Honors
-    /// [`DISABLE_ENV`].
+    /// minimum 16), organized as `capacity / 2` two-way sets.  Starts
+    /// enabled.
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.max(16).next_power_of_two();
         PlacementCache {
             slots: vec![None; cap],
             lru: vec![0; cap / 2],
             mask: cap / 2 - 1,
-            enabled: std::env::var_os(DISABLE_ENV).is_none(),
+            enabled: true,
             stats: CacheStats::default(),
         }
     }

@@ -11,24 +11,23 @@
 //! The crate provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time;
-//! * [`EventQueue`] and [`Simulator`] — a deterministic event loop with
+//! * [`LaneQueue`] — the engine's per-lane sharded event queue, with
 //!   stable FIFO ordering for simultaneous events;
-//! * [`sharded`] — the per-lane sharded queue ([`ShardedEventQueue`])
-//!   and the [`LaneQueue`] facade whose kill switch swaps the single
-//!   heap back in; pop order is byte-identical either way;
+//! * [`EventQueue`] — the single-heap reference queue that [`LaneQueue`]
+//!   pops identically to;
 //! * [`rng`] — small, fast, seedable PRNGs (`SplitMix64`, `Xoshiro256`)
 //!   used wherever the simulation needs randomness that must not depend on
 //!   platform or `std` hash ordering;
-//! * [`metrics`] — latency histograms, counters and summary statistics used
-//!   by the benchmark harness to print the paper's tables and figures;
+//! * [`metrics`] — latency histograms and counters used by the benchmark
+//!   harness to print the paper's tables and figures;
 //! * [`stage`] — per-I/O stage-span tracing ([`Stage`] taxonomy +
 //!   [`StageTracer`]) behind the engine's latency-breakdown reports;
 //! * [`trace`] — the opt-in per-I/O flight recorder ([`TraceHandle`] /
 //!   [`trace::TraceSink`]): a bounded ring of typed events with
 //!   Chrome-trace export and worst-K span-chain reconstruction;
 //! * [`resource`] — queueing-theory building blocks (single/multi servers,
-//!   bandwidth pipes, token buckets) shared by the network, OSD, PCIe and
-//!   host-CPU models;
+//!   bandwidth pipes) shared by the network, OSD, PCIe and host-CPU
+//!   models;
 //! * [`timeseries`] — the opt-in time-resolved telemetry plane
 //!   ([`TelemetryHandle`] / [`timeseries::MetricsRecorder`]):
 //!   fixed-width virtual-time windows of ops/latency/gauge series with
@@ -44,12 +43,12 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use event::{EventQueue, Simulator};
-pub use sharded::{LaneQueue, ShardedEventQueue};
-pub use metrics::{Counter, Histogram, Summary};
+pub use event::EventQueue;
+pub use sharded::LaneQueue;
+pub use metrics::{Counter, Histogram};
 pub use stage::{Stage, StageTracer};
 pub use timeseries::{GaugeSnapshot, SloAlert, SloSummary, TelemetryConfig, TelemetryHandle};
 pub use trace::{InstantKind, TraceDepth, TraceHandle, TraceLayer};
-pub use resource::{Bandwidth, MultiServer, Server, TokenBucket};
+pub use resource::{Bandwidth, MultiServer, Server};
 pub use rng::{SimRng, SplitMix64, Xoshiro256};
 pub use time::{round_nonneg, SimDuration, SimTime};

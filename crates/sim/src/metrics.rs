@@ -1,11 +1,11 @@
-//! Measurement plumbing: histograms, counters and run summaries.
+//! Measurement plumbing: histograms and counters.
 //!
 //! The paper reports mean latency (Table II, Figs. 3a/4a), throughput in
 //! MB/s (Figs. 3b/4b/6/8) and KIOPS (Figs. 7/9).  [`Histogram`] is an
 //! HDR-style log-linear histogram good to ~1 % relative error across
 //! nanoseconds-to-minutes, cheap enough to record every simulated I/O.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Log-linear latency histogram (HDR-histogram layout: buckets double in
 /// width, each with `SUB_BUCKETS` linear sub-buckets).
@@ -244,62 +244,6 @@ impl Counter {
     }
 }
 
-/// Summary of one experiment cell (one bar of one figure).
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// Label, e.g. `"rand-write 4k"`.
-    pub label: String,
-    /// Mean latency, µs.
-    pub mean_latency_us: f64,
-    /// 99th percentile latency, µs.
-    pub p99_latency_us: f64,
-    /// Throughput, MB/s.
-    pub throughput_mbps: f64,
-    /// Thousands of I/O operations per second.
-    pub kiops: f64,
-    /// Operations completed.
-    pub ops: u64,
-}
-
-impl Summary {
-    /// Build a summary from a histogram + counter over a measurement
-    /// window.
-    pub fn from_parts(
-        label: impl Into<String>,
-        hist: &Histogram,
-        counter: &Counter,
-        window: SimDuration,
-    ) -> Self {
-        Summary {
-            label: label.into(),
-            mean_latency_us: hist.mean_us(),
-            p99_latency_us: hist.p99_us(),
-            throughput_mbps: counter.mbps(window),
-            kiops: counter.iops(window) / 1_000.0,
-            ops: counter.ops(),
-        }
-    }
-}
-
-/// Elapsed-window helper: remembers a start instant and produces the
-/// window length.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: SimTime,
-}
-
-impl Stopwatch {
-    /// Start at `now`.
-    pub fn start_at(now: SimTime) -> Self {
-        Stopwatch { start: now }
-    }
-
-    /// Window from start to `now`.
-    pub fn elapsed(&self, now: SimTime) -> SimDuration {
-        now.saturating_since(self.start)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,30 +317,6 @@ mod tests {
         let c = Counter::new();
         assert_eq!(c.iops(SimDuration::ZERO), 0.0);
         assert_eq!(c.mbps(SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn summary_assembly() {
-        let mut h = Histogram::new();
-        let mut c = Counter::new();
-        for _ in 0..100 {
-            h.record(SimDuration::from_micros(64));
-            c.record(4096);
-        }
-        let s = Summary::from_parts("rand-read 4k", &h, &c, SimDuration::from_secs(1));
-        assert_eq!(s.label, "rand-read 4k");
-        assert!((s.mean_latency_us - 64.0).abs() < 1.0);
-        assert!((s.kiops - 0.1).abs() < 1e-9);
-        assert_eq!(s.ops, 100);
-    }
-
-    #[test]
-    fn stopwatch() {
-        let sw = Stopwatch::start_at(SimTime::from_nanos(1_000));
-        assert_eq!(
-            sw.elapsed(SimTime::from_nanos(5_000)),
-            SimDuration::from_nanos(4_000)
-        );
     }
 
     #[test]

@@ -223,60 +223,6 @@ impl Bandwidth {
     }
 }
 
-/// Token bucket — used for rate-limited admission (e.g. QDMA descriptor
-/// fetch credits, CMAC pause behaviour).
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    capacity: f64,
-    tokens: f64,
-    fill_per_ns: f64,
-    last: SimTime,
-}
-
-impl TokenBucket {
-    /// Bucket holding at most `capacity` tokens, refilled at `rate_per_sec`.
-    /// Starts full.
-    pub fn new(capacity: f64, rate_per_sec: f64) -> Self {
-        assert!(capacity > 0.0 && rate_per_sec > 0.0);
-        TokenBucket {
-            capacity,
-            tokens: capacity,
-            fill_per_ns: rate_per_sec / 1e9,
-            last: SimTime::ZERO,
-        }
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last).as_nanos() as f64;
-        self.tokens = (self.tokens + dt * self.fill_per_ns).min(self.capacity);
-        self.last = now;
-    }
-
-    /// Earliest time at which `amount` tokens can be taken, given the
-    /// bucket state at `now`.  Taking the tokens is performed immediately.
-    pub fn take(&mut self, now: SimTime, amount: f64) -> SimTime {
-        assert!(amount <= self.capacity, "request exceeds bucket capacity");
-        self.refill(now);
-        if self.tokens >= amount {
-            self.tokens -= amount;
-            now
-        } else {
-            let deficit = amount - self.tokens;
-            let wait_ns = (deficit / self.fill_per_ns).ceil() as u64;
-            let ready = now + SimDuration::from_nanos(wait_ns);
-            self.tokens = 0.0;
-            self.last = ready;
-            ready
-        }
-    }
-
-    /// Tokens currently available (after refill to `now`).
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,23 +287,6 @@ mod tests {
         let fin2 = bw.transfer(SimTime(0), 1_000_000);
         assert_eq!(fin2, SimTime(2_000_000 + 500), "second transfer queues");
         assert_eq!(bw.bytes_moved(), 2_000_000);
-    }
-
-    #[test]
-    fn token_bucket_immediate_then_throttled() {
-        let mut tb = TokenBucket::new(10.0, 1e9); // 1 token/ns
-        assert_eq!(tb.take(SimTime(0), 10.0), SimTime(0));
-        // Bucket now empty; 5 tokens need 5 ns.
-        let ready = tb.take(SimTime(0), 5.0);
-        assert_eq!(ready, SimTime(5));
-    }
-
-    #[test]
-    fn token_bucket_refills_to_capacity_only() {
-        let mut tb = TokenBucket::new(4.0, 1e9);
-        tb.take(SimTime(0), 4.0);
-        // After a long wait, bucket holds only `capacity` tokens.
-        assert!((tb.available(SimTime(1_000_000)) - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Sharded event queue.
+//! The engine's event queue.
 //!
-//! [`ShardedEventQueue`] splits the pending-event set into per-lane (or
+//! [`LaneQueue`] splits the pending-event set into per-lane (or
 //! per-OSD) **shards** and merges their frontiers through a small 4-ary
 //! min-heap.  The motivating observation is the closed-loop engine's
 //! schedule profile: every lane keeps at most a handful of outstanding
@@ -18,10 +18,9 @@
 //! Pop order is a pure function of the global `(SimTime, seq)` key —
 //! a single monotonically increasing sequence number spans all shards,
 //! so simultaneous events fire in exactly the FIFO scheduling order the
-//! single-heap [`EventQueue`] produces.  Every figure of the paper
-//! regenerates **byte-identically** whichever queue runs, and the
-//! [`LaneQueue`] facade's kill switch ([`DISABLE_ENV`]) swaps the
-//! single heap back in at construction time to prove it.
+//! single-heap reference [`crate::EventQueue`] produces.  The
+//! `sharded_pop_order_matches_single_heap` property test holds the two
+//! to the same pop order on random histories.
 //!
 //! # Shard layout
 //!
@@ -33,15 +32,8 @@
 //! index; the rare earlier-than-head push finds its entry with a linear
 //! scan before the key-decrease.
 
-use crate::event::EventQueue;
 use crate::time::SimTime;
 use std::collections::VecDeque;
-
-/// Environment variable that disables sharding.  When set (to any
-/// value), [`LaneQueue::new`] constructs the single-heap
-/// [`EventQueue`] instead — the determinism suite uses it to prove the
-/// sharded and single-heap runs are byte-identical.
-pub const DISABLE_ENV: &str = "DELIBA_NO_SHARDED_QUEUE";
 
 /// One frontier-heap record: the shard's earliest key plus the shard id.
 #[derive(Clone, Copy)]
@@ -59,7 +51,7 @@ impl Frontier {
 }
 
 /// Frontier-heap arity — same shape (and same rationale) as the
-/// single-heap [`EventQueue`].
+/// single-heap [`crate::EventQueue`].
 const ARITY: usize = 4;
 
 /// One shard: earliest event inline, the rest sorted in `overflow`.
@@ -92,8 +84,8 @@ impl<E> Shard<E> {
 
 /// A min-ordered queue of timestamped events, sharded by lane, with
 /// deterministic global FIFO tie-breaking — pop-order-identical to
-/// [`EventQueue`] for every schedule history.
-pub struct ShardedEventQueue<E> {
+/// [`crate::EventQueue`] for every schedule history.
+pub struct LaneQueue<E> {
     shards: Vec<Shard<E>>,
     /// 4-ary min-heap over the non-empty shards' head keys.
     frontier: Vec<Frontier>,
@@ -102,23 +94,18 @@ pub struct ShardedEventQueue<E> {
     len: usize,
 }
 
-impl<E> ShardedEventQueue<E> {
-    /// Empty queue with `shards` shards at t = 0.
-    pub fn new(shards: usize) -> Self {
+impl<E> LaneQueue<E> {
+    /// Empty queue with `shards` shards at t = 0.  `_capacity` is not
+    /// read: shards grow on demand, so callers may pass 0.
+    pub fn new(shards: usize, _capacity: usize) -> Self {
         assert!(shards > 0, "at least one shard");
-        ShardedEventQueue {
+        LaneQueue {
             shards: (0..shards).map(|_| Shard::new()).collect(),
             frontier: Vec::with_capacity(shards),
             next_seq: 0,
             now: SimTime::ZERO,
             len: 0,
         }
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Current virtual time (the timestamp of the last popped event).
@@ -163,14 +150,6 @@ impl<E> ShardedEventQueue<E> {
             return None;
         }
         Some(self.pop_root())
-    }
-
-    /// Pop the next event only if it is due at or before `deadline`.
-    pub fn pop_if_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.frontier.first() {
-            Some(f) if f.at <= deadline => Some(self.pop_root()),
-            _ => None,
-        }
     }
 
     /// Semantically `schedule_at(shard, at, payload)` followed by
@@ -338,114 +317,16 @@ impl<E> ShardedEventQueue<E> {
     }
 }
 
-/// The engine-facing queue: the sharded queue by default, the single
-/// heap when [`DISABLE_ENV`] is set.  Both variants expose the same
-/// shard-addressed API (the single heap ignores the shard index) and
-/// pop in the same global `(at, seq)` order, so the engine's event loop
-/// is byte-identical either way.
-pub enum LaneQueue<E> {
-    /// Kill-switch fallback: the single 4-ary arena heap.
-    Single(EventQueue<E>),
-    /// The sharded queue.
-    Sharded(ShardedEventQueue<E>),
-}
-
-impl<E> LaneQueue<E> {
-    /// A queue with `shards` shards (capacity hint `capacity` for the
-    /// single-heap fallback), honoring [`DISABLE_ENV`].
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        if std::env::var_os(DISABLE_ENV).is_some() {
-            LaneQueue::Single(EventQueue::with_capacity(capacity))
-        } else {
-            LaneQueue::Sharded(ShardedEventQueue::new(shards))
-        }
-    }
-
-    /// Is the sharded variant active?
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, LaneQueue::Sharded(_))
-    }
-
-    /// Current virtual time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        match self {
-            LaneQueue::Single(q) => q.now(),
-            LaneQueue::Sharded(q) => q.now(),
-        }
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            LaneQueue::Single(q) => q.len(),
-            LaneQueue::Sharded(q) => q.len(),
-        }
-    }
-
-    /// True when no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Timestamp of the next pending event.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            LaneQueue::Single(q) => q.peek_time(),
-            LaneQueue::Sharded(q) => q.peek_time(),
-        }
-    }
-
-    /// Schedule on `shard` (ignored by the single-heap variant).
-    #[inline]
-    pub fn schedule_at(&mut self, shard: usize, at: SimTime, payload: E) {
-        match self {
-            LaneQueue::Single(q) => q.schedule_at(at, payload),
-            LaneQueue::Sharded(q) => q.schedule_at(shard, at, payload),
-        }
-    }
-
-    /// Pop the globally next event.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            LaneQueue::Single(q) => q.pop(),
-            LaneQueue::Sharded(q) => q.pop(),
-        }
-    }
-
-    /// Pop the next event only if due at or before `deadline`.
-    #[inline]
-    pub fn pop_if_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self {
-            LaneQueue::Single(q) => q.pop_if_at_most(deadline),
-            LaneQueue::Sharded(q) => q.pop_if_at_most(deadline),
-        }
-    }
-
-    /// Fused schedule + pop (see
-    /// [`ShardedEventQueue::schedule_at_then_pop`]).
-    #[inline]
-    pub fn schedule_at_then_pop(&mut self, shard: usize, at: SimTime, payload: E) -> (SimTime, E) {
-        match self {
-            LaneQueue::Single(q) => q.schedule_at_then_pop(at, payload),
-            LaneQueue::Sharded(q) => q.schedule_at_then_pop(shard, at, payload),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventQueue;
     use crate::rng::{SimRng, Xoshiro256};
     use crate::time::SimDuration;
 
     #[test]
     fn events_pop_in_time_order_across_shards() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(4);
+        let mut q: LaneQueue<u32> = LaneQueue::new(4, 0);
         q.schedule_at(0, SimTime(30), 3);
         q.schedule_at(1, SimTime(10), 1);
         q.schedule_at(2, SimTime(20), 2);
@@ -460,7 +341,7 @@ mod tests {
     fn simultaneous_events_fifo_across_shards() {
         // The global seq spans shards, so same-instant events fire in
         // scheduling order no matter which shard holds them.
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(7);
+        let mut q: LaneQueue<u32> = LaneQueue::new(7, 0);
         for i in 0..100 {
             q.schedule_at((i as usize * 3) % 7, SimTime(5), i);
         }
@@ -471,7 +352,7 @@ mod tests {
 
     #[test]
     fn earlier_than_head_push_displaces_head() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(2);
+        let mut q: LaneQueue<u32> = LaneQueue::new(2, 0);
         q.schedule_at(0, SimTime(50), 1);
         q.schedule_at(0, SimTime(40), 2); // decreases shard 0's frontier key
         q.schedule_at(1, SimTime(45), 3);
@@ -483,7 +364,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_the_past_panics() {
-        let mut q: ShardedEventQueue<()> = ShardedEventQueue::new(2);
+        let mut q: LaneQueue<()> = LaneQueue::new(2, 0);
         q.schedule_at(0, SimTime(10), ());
         q.pop();
         q.schedule_at(1, SimTime(5), ());
@@ -496,7 +377,7 @@ mod tests {
         // in exactly the single heap's order — including heavy FIFO
         // collisions and interleaved fused schedule+pop calls.
         let mut rng = Xoshiro256::seed_from_u64(0x5A4D);
-        let mut sharded: ShardedEventQueue<u64> = ShardedEventQueue::new(5);
+        let mut sharded: LaneQueue<u64> = LaneQueue::new(5, 0);
         let mut single: EventQueue<u64> = EventQueue::new();
         let mut id = 0u64;
         for _round in 0..300 {
@@ -536,7 +417,7 @@ mod tests {
     fn fused_same_shard_round_trips() {
         // The closed-loop shape: one event per shard, each pop
         // reschedules its own shard strictly later.
-        let mut q: ShardedEventQueue<usize> = ShardedEventQueue::new(3);
+        let mut q: LaneQueue<usize> = LaneQueue::new(3, 0);
         for s in 0..3 {
             q.schedule_at(s, SimTime(10 + s as u64), s);
         }
@@ -551,28 +432,8 @@ mod tests {
     }
 
     #[test]
-    fn lane_queue_kill_switch() {
-        // Env-dependent construction is covered by the harness
-        // determinism suite; here, prove both variants agree through
-        // the facade on a mixed history.
-        let mut a: LaneQueue<u32> = LaneQueue::Single(EventQueue::new());
-        let mut b: LaneQueue<u32> = LaneQueue::Sharded(ShardedEventQueue::new(3));
-        assert!(!a.is_sharded());
-        assert!(b.is_sharded());
-        for i in 0..50u32 {
-            let at = SimTime(100 + (i as u64 * 7) % 13);
-            a.schedule_at(i as usize % 3, at, i);
-            b.schedule_at(i as usize % 3, at, i);
-        }
-        for _ in 0..50 {
-            assert_eq!(a.pop(), b.pop());
-        }
-        assert!(a.is_empty() && b.is_empty());
-    }
-
-    #[test]
     fn len_tracks_through_fused_calls() {
-        let mut q: ShardedEventQueue<u32> = ShardedEventQueue::new(2);
+        let mut q: LaneQueue<u32> = LaneQueue::new(2, 0);
         q.schedule_at(0, SimTime(10), 0);
         q.schedule_at(1, SimTime(20), 1);
         assert_eq!(q.len(), 2);

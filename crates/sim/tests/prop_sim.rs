@@ -2,30 +2,43 @@
 //! queueing-resource conservation, histogram accuracy bounds, and the
 //! sharded queue's pop-order equivalence with the single heap.
 
-use deliba_sim::{
-    Bandwidth, EventQueue, Histogram, Server, ShardedEventQueue, SimDuration, SimTime,
-};
+use deliba_sim::{Bandwidth, EventQueue, Histogram, LaneQueue, Server, SimDuration, SimTime};
 use proptest::prelude::*;
 
-const SHARDS: usize = 4;
+/// Largest shard count drawn: the engine runs one shard per lane plus
+/// one background shard.
+const MAX_SHARDS: usize = 128;
+/// Largest scheduling delta, ns.
+const MAX_DELTA: u64 = 5_000;
 
 /// One step of a mixed queue history thrown at both the sharded queue
 /// and the single-heap reference.
 #[derive(Debug, Clone)]
 enum QOp {
-    /// Schedule `now + delta` on `shard % SHARDS`.
-    Schedule { shard: usize, delta: u64 },
+    /// Schedule `now + delta` on shard `lane % shards`.
+    Schedule { lane: usize, delta: u64 },
+    /// Schedule `now + delta` on the last shard — the engine's deep
+    /// background (recovery/scrub) shard.
+    Background { delta: u64 },
     /// Pop the global minimum from both queues.
     Pop,
     /// Fused schedule + pop (the closed loop's hot call).
-    Fused { shard: usize, delta: u64 },
+    Fused { lane: usize, delta: u64 },
+}
+
+/// Half the draws land on a few instants (FIFO ties); the rest spread
+/// up to [`MAX_DELTA`], so later schedules often land before a shard's
+/// current head.
+fn delta() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..4, 0u64..=MAX_DELTA]
 }
 
 fn qop() -> impl Strategy<Value = QOp> {
     prop_oneof![
-        (0..SHARDS, 0u64..50).prop_map(|(shard, delta)| QOp::Schedule { shard, delta }),
+        (0..MAX_SHARDS, delta()).prop_map(|(lane, delta)| QOp::Schedule { lane, delta }),
+        delta().prop_map(|delta| QOp::Background { delta }),
         Just(QOp::Pop),
-        (0..SHARDS, 0u64..50).prop_map(|(shard, delta)| QOp::Fused { shard, delta }),
+        (0..MAX_SHARDS, delta()).prop_map(|(lane, delta)| QOp::Fused { lane, delta }),
     ]
 }
 
@@ -161,28 +174,36 @@ proptest! {
         }
     }
 
-    /// For any mixed history — schedules, pops and fused calls — the
-    /// sharded queue pops exactly the single heap's `(at, seq)` order.
+    /// For any mixed history — schedules, pops and fused calls over 1 to
+    /// 128 shards — the sharded queue pops exactly the single heap's
+    /// `(at, seq)` order.
     #[test]
     fn sharded_pop_order_matches_single_heap(
-        ops in proptest::collection::vec(qop(), 1..120),
+        shards in 1usize..=MAX_SHARDS,
+        ops in proptest::collection::vec(qop(), 1..1_001),
     ) {
-        let mut sharded: ShardedEventQueue<u64> = ShardedEventQueue::new(SHARDS);
+        let mut sharded: LaneQueue<u64> = LaneQueue::new(shards, 0);
         let mut single: EventQueue<u64> = EventQueue::new();
         let mut id = 0u64;
         for op in ops {
             match op {
-                QOp::Schedule { shard, delta } => {
+                QOp::Schedule { lane, delta } => {
                     let at = sharded.now() + SimDuration::from_nanos(delta);
-                    sharded.schedule_at(shard, at, id);
+                    sharded.schedule_at(lane % shards, at, id);
+                    single.schedule_at(at, id);
+                    id += 1;
+                }
+                QOp::Background { delta } => {
+                    let at = sharded.now() + SimDuration::from_nanos(delta);
+                    sharded.schedule_at(shards - 1, at, id);
                     single.schedule_at(at, id);
                     id += 1;
                 }
                 QOp::Pop => prop_assert_eq!(sharded.pop(), single.pop()),
-                QOp::Fused { shard, delta } => {
+                QOp::Fused { lane, delta } => {
                     let at = sharded.now() + SimDuration::from_nanos(delta);
                     prop_assert_eq!(
-                        sharded.schedule_at_then_pop(shard, at, id),
+                        sharded.schedule_at_then_pop(lane % shards, at, id),
                         single.schedule_at_then_pop(at, id)
                     );
                     id += 1;
