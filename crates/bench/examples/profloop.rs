@@ -14,7 +14,7 @@ fn main() {
         let mut e = Engine::new(cfg);
         let r = e.run_fio(&spec);
         assert_eq!(r.verify_failures, 0);
-        events += e.events_executed();
+        events += r.counters.expect("engine reports carry counters").events;
     }
     let wall = t0.elapsed().as_secs_f64();
     println!("{} events in {:.3} s = {:.0} ev/s", events, wall, events as f64 / wall);

@@ -4,7 +4,7 @@
 //! ```text
 //! harness [experiment ...] [--json] [--out <path>] [--serial]
 //!         [--baseline <file>]
-//! harness trace [--trace-depth <off|spans|full>] [--out <dir>]
+//! harness trace [--trace-depth <off|stages|spans|full>] [--out <dir>]
 //! harness loadcurve [--rate <kiops,...>] [--arrival <poisson|bursty|diurnal>]
 //!                   [--zipf-s <s>] [--admission-cap <n>] [--json] [--out <path>]
 //! harness timeline [--window-us <n>] [--slo-p99-us <n>] [--out <dir>]
@@ -31,8 +31,7 @@
 //!                  or a cell exists on only one side — the CI
 //!                  perf-ratchet (pairs with `perf`)
 //! --serial         run every sweep on one thread (also: DELIBA_JOBS=n)
-//! --trace-depth    recorder depth for `trace` (default: full; also the
-//!                  DELIBA_TRACE env var — the flag wins)
+//! --trace-depth    recorder depth for `trace` (default: full)
 //! --rate           loadcurve offered rates, comma-separated KIOPS
 //!                  (default: 2,4,8,16,32,64,96,128)
 //! --arrival        loadcurve arrival process (default: poisson)
@@ -63,8 +62,7 @@
 //! timeline document), `timeline.csv`, `timeline.prom` (timestamped
 //! series), `timeline.trace.json` (Chrome counter tracks) and
 //! `timeline.report.json` (the carrier `RunReport` with its `slo`
-//! section) into the directory.  Telemetry can also be armed on any
-//! run via the `DELIBA_TELEMETRY` env var (default config).
+//! section) into the directory.
 //!
 //! Sweeps run cells on `DELIBA_JOBS` worker threads (default: all
 //! cores); output is byte-identical to a serial run either way.
@@ -211,7 +209,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: harness [experiment ...] [--json] [--out <path>] [--serial] [--baseline <file>]"
     );
-    eprintln!("       harness trace [--trace-depth <off|spans|full>] [--out <dir>]");
+    eprintln!("       harness trace [--trace-depth <off|stages|spans|full>] [--out <dir>]");
     eprintln!(
         "       harness loadcurve [--rate <kiops,...>] [--arrival <kind>] \
          [--zipf-s <s>] [--admission-cap <n>]"
@@ -224,15 +222,16 @@ fn usage() -> ! {
 /// The `trace` subcommand: run the flight-recorder cells and write each
 /// one's Chrome trace + Prometheus dump into `out_dir`.
 fn run_trace(depth_flag: Option<String>, out_dir: Option<String>) {
-    let depth_str = depth_flag
-        .or_else(|| std::env::var("DELIBA_TRACE").ok())
-        .unwrap_or_else(|| "full".into());
+    let depth_str = depth_flag.unwrap_or_else(|| "full".into());
     let Some(depth) = deliba_sim::TraceDepth::parse(&depth_str) else {
-        eprintln!("bad trace depth: {depth_str} (use off, spans or full)");
+        eprintln!("bad trace depth: {depth_str} (use off, stages, spans or full)");
         std::process::exit(2);
     };
-    if !depth.is_on() {
-        eprintln!("trace depth is off — nothing to record (use --trace-depth spans|full)");
+    if !depth.has_ring() {
+        eprintln!(
+            "trace depth is {} — nothing to record (use --trace-depth spans|full)",
+            depth.label()
+        );
         std::process::exit(2);
     }
     let dir = std::path::PathBuf::from(out_dir.unwrap_or_else(|| ".".into()));
@@ -348,7 +347,7 @@ fn main() {
             "--trace-depth" => match it.next() {
                 Some(d) => trace_depth = Some(d),
                 None => {
-                    eprintln!("--trace-depth requires off, spans or full");
+                    eprintln!("--trace-depth requires off, stages, spans or full");
                     usage();
                 }
             },

@@ -768,7 +768,8 @@ pub fn mtu() -> Experiment {
 /// Run a qd-1 latency probe with stage tracing and return the traced
 /// report (breakdown attached).
 pub fn traced_probe(g: Generation, rw: RwMode, pat: Pattern, bs: u32) -> RunReport {
-    let cfg = EngineConfig::new(g, true, Mode::Replication).with_tracing();
+    let cfg = EngineConfig::new(g, true, Mode::Replication)
+        .with_trace_depth(deliba_sim::TraceDepth::Stages);
     let mut e = Engine::new(cfg);
     let spec = FioSpec::latency_probe(rw, pat, bs, PROBE_OPS);
     let r = e.run_fio(&spec);
@@ -880,7 +881,7 @@ pub fn perf() -> Experiment {
         assert_eq!(e.verify_failures(), 0);
         if wall < engine_wall {
             engine_wall = wall;
-            engine_events = e.events_executed();
+            engine_events = r.counters.expect("engine reports carry counters").events;
         }
         reference = Some(r);
     }
@@ -943,81 +944,57 @@ pub fn perf() -> Experiment {
             assert_eq!(r.verify_failures, 0);
             let rec = r.recovery.expect("armed");
             assert!(rec.objects_recovered > 0, "the crash must cost something");
-            best = best.max(e.events_executed() as f64 / wall.max(1e-9));
+            let events = r.counters.expect("engine reports carry counters").events;
+            best = best.max(events as f64 / wall.max(1e-9));
         }
         best
     };
 
-    // Flight-recorder cost.  The disabled path (`TraceDepth::Off`, the
-    // default — every emit is one branch on a `None`) runs the *same*
-    // configuration as the engine reference cell, so its overhead must
-    // be measured as interleaved pairs — reference run, then
-    // disabled-path run, back to back — taking the minimum pairwise
-    // slowdown.  The previous shape compared two independent best-of-3
-    // batches: cross-batch drift (allocator state, frequency scaling, a
-    // scheduler hiccup in either batch) read as a fake 3–4 % "overhead"
-    // on a code path that is one never-taken branch.  Pairing puts both
-    // legs under the same drift and the min cancels what remains; CI
-    // holds the result under 1 %.  Recording overhead pairs full-depth
-    // against the disabled leg the same way.
-    use deliba_sim::TraceDepth;
-    let run_evps = |depth: TraceDepth| -> f64 {
-        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
+    // Observation cost.  The disabled path (`TraceDepth::Off` and no
+    // telemetry, the default — every emit is one branch on a `None`
+    // observer) runs the *same* configuration as the engine reference
+    // cell, so its overhead must be measured as interleaved runs —
+    // reference, disabled leg, then each recording leg, back to back —
+    // taking the minimum pairwise slowdown.  Comparing independent
+    // best-of-3 batches instead reads cross-batch drift (allocator
+    // state, frequency scaling, a scheduler hiccup in either batch) as
+    // a fake 3–4 % "overhead" on a never-taken branch; pairing puts
+    // every leg under the same drift and the min cancels what remains.
+    // CI holds the disabled overhead under 1 %.  The flight recorder
+    // (full depth) and the telemetry plane each price their recording
+    // cost against the one disabled leg.
+    use deliba_sim::{TelemetryConfig, TraceDepth};
+    let run_evps = |depth: TraceDepth, telemetry: Option<TelemetryConfig>| -> f64 {
+        let mut cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
             .with_trace_depth(depth);
+        cfg.telemetry = telemetry;
         let mut e = Engine::new(cfg);
         let t0 = Instant::now();
         let r = e.run_fio(&spec);
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(r.verify_failures, 0);
-        e.events_executed() as f64 / wall.max(1e-9)
+        r.counters.expect("engine reports carry counters").events as f64 / wall.max(1e-9)
     };
     let mut untraced_evps = 0.0f64;
     let mut traced_evps = 0.0f64;
+    let mut tele_on_evps = 0.0f64;
     let mut disabled_overhead = f64::INFINITY;
     let mut recording_overhead = f64::INFINITY;
+    let mut tele_recording_overhead = f64::INFINITY;
     for _ in 0..3 {
-        let reference = run_evps(TraceDepth::Off);
-        let off = run_evps(TraceDepth::Off);
-        let full = run_evps(TraceDepth::Full);
+        let reference = run_evps(TraceDepth::Off, None);
+        let off = run_evps(TraceDepth::Off, None);
+        let full = run_evps(TraceDepth::Full, None);
+        let tele = run_evps(TraceDepth::Off, Some(TelemetryConfig::default()));
         untraced_evps = untraced_evps.max(off);
         traced_evps = traced_evps.max(full);
+        tele_on_evps = tele_on_evps.max(tele);
         disabled_overhead = disabled_overhead.min(1.0 - off / reference.max(1e-9));
         recording_overhead = recording_overhead.min(1.0 - full / off.max(1e-9));
+        tele_recording_overhead = tele_recording_overhead.min(1.0 - tele / off.max(1e-9));
     }
     let disabled_overhead = disabled_overhead.max(0.0);
     let recording_overhead = recording_overhead.max(0.0);
-
-    // Telemetry-plane cost, measured exactly like the flight recorder:
-    // interleaved pairs — reference, disabled leg, recording leg — with
-    // the minimum pairwise slowdown, so cross-batch drift cancels.  The
-    // disabled path is one branch per emit site (a `None` check on the
-    // handle); CI holds it under 1 %.
-    let run_tele_evps = |on: bool| -> f64 {
-        let mut cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
-        if on {
-            cfg = cfg.with_telemetry(deliba_sim::TelemetryConfig::default());
-        }
-        let mut e = Engine::new(cfg);
-        let t0 = Instant::now();
-        let r = e.run_fio(&spec);
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(r.verify_failures, 0);
-        e.events_executed() as f64 / wall.max(1e-9)
-    };
-    let mut tele_off_evps = 0.0f64;
-    let mut tele_on_evps = 0.0f64;
-    let mut tele_disabled_overhead = f64::INFINITY;
-    let mut tele_recording_overhead = f64::INFINITY;
-    for _ in 0..3 {
-        let reference = run_tele_evps(false);
-        let off = run_tele_evps(false);
-        let on = run_tele_evps(true);
-        tele_off_evps = tele_off_evps.max(off);
-        tele_on_evps = tele_on_evps.max(on);
-        tele_disabled_overhead = tele_disabled_overhead.min(1.0 - off / reference.max(1e-9));
-        tele_recording_overhead = tele_recording_overhead.min(1.0 - on / off.max(1e-9));
-    }
-    let tele_disabled_overhead = tele_disabled_overhead.max(0.0);
     let tele_recording_overhead = tele_recording_overhead.max(0.0);
 
     // Pure queue churn: steady-state schedule/pop with pseudo-random
@@ -1248,23 +1225,9 @@ pub fn perf() -> Experiment {
             },
             Cell {
                 config: "telemetry plane".into(),
-                workload: "disabled events per second".into(),
-                unit: "ev/s",
-                measured: tele_off_evps,
-                paper: None,
-            },
-            Cell {
-                config: "telemetry plane".into(),
                 workload: "recording events per second".into(),
                 unit: "ev/s",
                 measured: tele_on_evps,
-                paper: None,
-            },
-            Cell {
-                config: "telemetry plane".into(),
-                workload: "disabled-path overhead".into(),
-                unit: "frac",
-                measured: tele_disabled_overhead,
                 paper: None,
             },
             Cell {
@@ -1776,8 +1739,8 @@ pub fn timeline_with(opts: &TimelineOpts) -> (Experiment, TimelineArtifacts) {
 
     // The in-run invariants CI re-derives from the exported JSON.
     let slo = run.report.slo.clone().expect("telemetry was armed");
-    let width_ns = e.telemetry().with(|r| r.width_ns()).expect("recording");
-    let anns = e.telemetry().with(|r| r.annotations()).expect("recording");
+    let width_ns = e.observer().telemetry(|r| r.width_ns()).expect("recording");
+    let anns = e.observer().telemetry(|r| r.annotations()).expect("recording");
     let crash = anns
         .iter()
         .find(|a| a.kind == InstantKind::OsdCrash)
@@ -1848,8 +1811,8 @@ pub fn timeline_with(opts: &TimelineOpts) -> (Experiment, TimelineArtifacts) {
     }
 
     let artifacts = e
-        .telemetry()
-        .with(|r| TimelineArtifacts {
+        .observer()
+        .telemetry(|r| TimelineArtifacts {
             report: run.report.clone(),
             timeline_json: r.timeline_json(),
             csv: r.csv(),

@@ -12,8 +12,7 @@
 //!   the `fault` track as instant events.
 //!
 //! Everything here is deterministic at a fixed depth: two same-seed
-//! invocations emit byte-identical `.trace.json` and `.prom` files
-//! (the CI trace-smoke job `cmp`s them).
+//! invocations emit byte-identical `.trace.json` and `.prom` files.
 
 use crate::experiments::PROBE_OPS;
 use deliba_core::{
@@ -24,7 +23,7 @@ use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_fpga::RmId;
 use deliba_net::LinkFaultProfile;
 use deliba_qdma::DmaFaultProfile;
-use deliba_sim::trace::{IoChain, TraceStats};
+use deliba_sim::trace::{IoChain, TraceSink, TraceStats};
 use deliba_sim::{SimDuration, SimTime, Stage, TraceDepth};
 
 /// How many outlier I/Os the attribution table ranks.
@@ -38,7 +37,8 @@ const CHAOS_OPS_PER_JOB: u64 = 600;
 pub struct TraceCell {
     /// File-stem name, e.g. `"dk-rand-read-4k"`.
     pub name: &'static str,
-    /// The run's report (breakdown attached — tracing implies stages).
+    /// The run's report (breakdown attached — every ring depth keeps
+    /// the stage histograms too).
     pub report: RunReport,
     /// Chrome trace-event JSON (Perfetto-loadable).
     pub chrome: String,
@@ -51,15 +51,15 @@ pub struct TraceCell {
 }
 
 fn snapshot(name: &'static str, report: RunReport, engine: &Engine) -> TraceCell {
-    let trace = engine.trace();
-    TraceCell {
+    let cell = move |ring: &TraceSink| TraceCell {
         name,
-        chrome: trace.chrome_json().expect("trace cells run with the recorder on"),
-        prom: prometheus_dump(&report, trace.stats().as_ref()),
-        worst: trace.worst_k(WORST_K),
-        stats: trace.stats().expect("recorder on"),
+        chrome: ring.chrome_json(),
+        prom: prometheus_dump(&report, Some(&ring.stats())),
+        worst: ring.worst_k(WORST_K),
+        stats: ring.stats(),
         report,
-    }
+    };
+    engine.observer().ring(cell).expect("trace cells run with the ring on")
 }
 
 /// The chaos cell's pinned fault schedule: one instance of every fault
@@ -94,18 +94,16 @@ fn chaos_jobs() -> Vec<Vec<TraceOp>> {
     (0..JOBS).map(trace).collect()
 }
 
-/// Run every trace cell at `depth` (which must be on).
+/// Run every trace cell at `depth` (which must keep the ring).
 pub fn run_trace_cells(depth: TraceDepth) -> Vec<TraceCell> {
-    assert!(depth.is_on(), "trace cells need a recording depth");
+    assert!(depth.has_ring(), "trace cells need a ring depth");
     let mut cells = Vec::new();
     for (name, g) in [
         ("d1-rand-read-4k", Generation::DeLiBA1),
         ("d2-rand-read-4k", Generation::DeLiBA2),
         ("dk-rand-read-4k", Generation::DeLiBAK),
     ] {
-        let cfg = EngineConfig::new(g, true, Mode::Replication)
-            .with_tracing()
-            .with_trace_depth(depth);
+        let cfg = EngineConfig::new(g, true, Mode::Replication).with_trace_depth(depth);
         let mut e = Engine::new(cfg);
         let report = e.run_fio(&FioSpec::latency_probe(RwMode::Read, Pattern::Rand, 4096, PROBE_OPS));
         assert_eq!(e.verify_failures(), 0);
@@ -114,7 +112,6 @@ pub fn run_trace_cells(depth: TraceDepth) -> Vec<TraceCell> {
 
     let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
         .with_resilience(ResiliencePolicy::default())
-        .with_tracing()
         .with_trace_depth(depth);
     let mut e = Engine::new(cfg);
     e.set_fault_schedule(chaos_schedule());
@@ -163,27 +160,6 @@ pub fn worst_k_table(cell: &TraceCell) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trace_cells_export_all_forms() {
-        let cells = run_trace_cells(TraceDepth::Full);
-        assert_eq!(cells.len(), 4);
-        for cell in &cells {
-            assert!(cell.chrome.starts_with("{\"displayTimeUnit\""), "{}", cell.name);
-            assert!(cell.chrome.ends_with("]}\n"), "{}", cell.name);
-            assert!(cell.prom.contains("deliba_run_mean_latency_us"), "{}", cell.name);
-            assert!(cell.prom.contains("deliba_stage_latency_us"), "{}", cell.name);
-            assert!(cell.prom.contains("deliba_trace_events_held"), "{}", cell.name);
-            assert!(!cell.worst.is_empty() && cell.worst.len() <= WORST_K, "{}", cell.name);
-            // Worst-K is ranked by total span, descending.
-            for w in cell.worst.windows(2) {
-                assert!(w[0].total_ns() >= w[1].total_ns(), "{}", cell.name);
-            }
-            assert!(cell.stats.held > 0, "{}", cell.name);
-            let table = worst_k_table(cell);
-            assert!(table.contains("slowest:"), "{table}");
-        }
-    }
 
     #[test]
     fn chaos_cell_carries_fault_instants() {

@@ -25,7 +25,7 @@ use deliba_crush::rule::Rule;
 use deliba_crush::{MapBuilder, RuleStep};
 use deliba_ec::ReedSolomon;
 use deliba_net::{FrameConfig, Topology};
-use deliba_sim::{InstantKind, SimDuration, SimTime, TraceHandle, TraceLayer, Xoshiro256};
+use deliba_sim::{InstantKind, Observer, SimDuration, SimTime, TraceLayer, Xoshiro256};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Cross-server commit-ack latency (tiny message, switch + stack).
@@ -108,7 +108,7 @@ pub struct Cluster {
     /// [`OsdMap::acting_set_into`] instead of allocating per I/O.
     acting_scratch: Vec<i32>,
     /// Flight recorder (full-depth recording marks each OSD service).
-    pub(crate) trace: TraceHandle,
+    pub(crate) trace: Observer,
 }
 
 impl Cluster {
@@ -169,14 +169,14 @@ impl Cluster {
             bad_copy_skips: 0,
             dynamics: false,
             acting_scratch: Vec::new(),
-            trace: TraceHandle::off(),
+            trace: Observer::off(),
         }
     }
 
-    /// Attach a flight-recorder handle, shared with the topology below
+    /// Attach the run's observer, shared with the topology below
     /// (full-depth recording marks each OSD service and link departure;
     /// the lane is the OSD / destination-port id).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
+    pub fn set_trace(&mut self, trace: Observer) {
         self.topology.set_trace(trace.clone());
         self.trace = trace;
     }

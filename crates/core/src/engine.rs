@@ -29,9 +29,8 @@ use deliba_fpga::{AlveoU280, RmId};
 use deliba_net::{LinkVerdict, TcpStack};
 use deliba_qdma::PciePipes;
 use deliba_sim::{
-    Counter, GaugeSnapshot, Histogram, InstantKind, LaneQueue, Server, SimDuration, SimRng,
-    SimTime, Stage, StageTracer, TelemetryConfig, TelemetryHandle, TraceDepth, TraceHandle,
-    TraceLayer, Xoshiro256,
+    Counter, GaugeSnapshot, Histogram, InstantKind, LaneQueue, Observer, Server, SimDuration,
+    SimRng, SimTime, Stage, TelemetryConfig, TraceDepth, TraceLayer, Xoshiro256,
 };
 use std::collections::BTreeMap;
 
@@ -200,21 +199,17 @@ pub struct EngineConfig {
     /// Jumbo (9000 B MTU) Ethernet framing instead of standard 1500 B
     /// (§IV-B supports both).
     pub jumbo_frames: bool,
-    /// Per-I/O stage-span tracing (latency breakdown).  Off by default:
-    /// the tracer is only allocated — and per-stage histograms only
-    /// touched — when this is set, so plain runs pay nothing.
-    pub trace_stages: bool,
     /// Resilience policy: per-I/O deadline, bounded retry with
     /// exponential backoff + deterministic jitter.  `None` (the
     /// default) fails fast exactly as before — no retries, no deadline
     /// accounting, and `RunReport` carries no resilience block.
     pub resilience: Option<ResiliencePolicy>,
-    /// Flight-recorder depth (`Off` by default).  When on, a bounded
-    /// `TraceSink` ring records per-I/O span chains and fault/retry
-    /// instants (and, at `Full`, per-layer events and counter samples)
-    /// — and the stage tracer is allocated too, since the span walk
-    /// shares its decomposition.  Recording draws no randomness and
-    /// advances no timeline, so it never perturbs results.
+    /// Observation depth (`Off` by default).  `Stages` keeps per-stage
+    /// latency histograms (the report's breakdown section); `Spans`
+    /// adds a bounded ring of per-I/O span chains and fault/retry
+    /// instants, and `Full` per-layer events and counter samples.
+    /// Recording draws no randomness and advances no timeline, so it
+    /// never perturbs results.
     pub trace_depth: TraceDepth,
     /// Intra-run worker threads (`None` = read `DELIBA_SIM_THREADS`,
     /// default 1).  Above 1, a prepare pipeline generates write
@@ -229,9 +224,8 @@ pub struct EngineConfig {
     pub recovery: Option<RecoveryPolicy>,
     /// Time-resolved telemetry plane (windowed metric series + SLO
     /// burn-rate alerts).  `None` (the default) allocates nothing and
-    /// leaves every emit site a single branch; `Engine::new` falls back
-    /// to the `DELIBA_TELEMETRY` env var when unset.  Recording draws
-    /// no randomness and advances no timeline, so it never perturbs
+    /// leaves every emit site a single branch.  Recording draws no
+    /// randomness and advances no timeline, so it never perturbs
     /// results.
     pub telemetry: Option<TelemetryConfig>,
     /// Simulation seed.
@@ -248,7 +242,6 @@ impl EngineConfig {
             preferred_rm: None,
             features: generation.features(),
             jumbo_frames: false,
-            trace_stages: false,
             resilience: None,
             trace_depth: TraceDepth::Off,
             sim_threads: None,
@@ -258,13 +251,7 @@ impl EngineConfig {
         }
     }
 
-    /// Enable per-I/O stage tracing.
-    pub fn with_tracing(mut self) -> Self {
-        self.trace_stages = true;
-        self
-    }
-
-    /// Enable the flight recorder at `depth`.
+    /// Observe runs at `depth`.
     pub fn with_trace_depth(mut self, depth: TraceDepth) -> Self {
         self.trace_depth = depth;
         self
@@ -309,7 +296,7 @@ impl EngineConfig {
 pub const IMAGE_BYTES: u64 = 1 << 30;
 
 /// Outcome of a single I/O attempt (the retry loop's unit of work).
-/// Failed attempts never touch the latency histogram, the tracer, or
+/// Failed attempts never touch the latency histogram, the observer, or
 /// context occupancy — only the final disposition of the op does.
 enum AttemptResult {
     /// The attempt completed; `start` is when the submission context
@@ -392,7 +379,7 @@ trait Admission {
     /// Ops in flight, given `queued` pending tokens.
     fn inflight(&self, queued: usize) -> u32;
     /// Sample the flight recorder's counter tracks at a completion.
-    fn sample_counters(&self, trace: &TraceHandle, at: SimTime, queued: usize);
+    fn sample_counters(&self, obs: &Observer, at: SimTime, queued: usize);
 }
 
 /// Closed-loop admission (fio semantics): each job keeps `iodepth`
@@ -460,9 +447,9 @@ impl<'a> Admission for ClosedLoop<'a> {
         queued as u32 + 1
     }
 
-    fn sample_counters(&self, trace: &TraceHandle, at: SimTime, queued: usize) {
-        trace.counter(at, "inflight_ops", self.inflight(queued) as u64);
-        trace.counter(at, "queue_depth", queued as u64);
+    fn sample_counters(&self, obs: &Observer, at: SimTime, queued: usize) {
+        obs.counter(at, "inflight_ops", self.inflight(queued) as u64);
+        obs.counter(at, "queue_depth", queued as u64);
     }
 }
 
@@ -558,9 +545,9 @@ impl Admission for OpenLoop<'_> {
         self.inflight
     }
 
-    fn sample_counters(&self, trace: &TraceHandle, at: SimTime, _: usize) {
-        trace.counter(at, "inflight_ops", self.inflight as u64);
-        trace.counter(at, "admission_drops", self.dropped);
+    fn sample_counters(&self, obs: &Observer, at: SimTime, _: usize) {
+        obs.counter(at, "inflight_ops", self.inflight as u64);
+        obs.counter(at, "admission_drops", self.dropped);
     }
 }
 
@@ -592,8 +579,6 @@ pub struct Engine {
     written: BTreeMap<(u64, u32), u64>,
     verify_failures: u64,
     degraded_ops: u64,
-    /// Stage-span tracer (present iff `cfg.trace_stages`).
-    tracer: Option<StageTracer>,
     /// Recycled payload buffer: write payloads are generated into this
     /// scratch space instead of a fresh allocation per op.
     scratch: Vec<u8>,
@@ -621,14 +606,12 @@ pub struct Engine {
     fpga_down: bool,
     /// When the outstanding card fault began (time-to-recover basis).
     card_fault_at: Option<SimTime>,
-    /// The flight recorder (disabled handle unless `cfg.trace_depth` is
-    /// on; every layer below holds a clone of the same sink).
-    trace: TraceHandle,
-    /// The time-resolved telemetry plane (disabled handle unless the
-    /// config or `DELIBA_TELEMETRY` armed it).  All recording happens
-    /// in the serial commit loop, keyed by virtual completion/pop
-    /// instants, so series stay thread-count invariant.
-    tele: TelemetryHandle,
+    /// Stage histograms, flight recorder and telemetry plane (disabled
+    /// unless `cfg.trace_depth` or `cfg.telemetry` armed them; every
+    /// layer below holds a clone).  All recording happens in the serial
+    /// commit loop, keyed by virtual completion/pop instants, so the
+    /// exports stay thread-count invariant.
+    obs: Observer,
     /// Clone of the most recent run's latency histogram, kept only when
     /// the telemetry plane is on (the telescoping tests compare merged
     /// window histograms against it).
@@ -657,18 +640,9 @@ impl Engine {
         } else {
             deliba_net::FrameConfig::standard()
         };
-        let trace = TraceHandle::recording(cfg.trace_depth, deliba_sim::trace::RING_CAPACITY);
-        let telemetry = cfg.telemetry.or_else(|| {
-            std::env::var("DELIBA_TELEMETRY")
-                .ok()
-                .and_then(|v| TelemetryConfig::from_env_value(&v))
-        });
-        let tele = match telemetry {
-            Some(t) => TelemetryHandle::recording(t),
-            None => TelemetryHandle::off(),
-        };
+        let obs = Observer::new(cfg.trace_depth, cfg.telemetry);
         let mut cluster = Cluster::paper_testbed_with_frames(cfg.seed, frames);
-        cluster.set_trace(trace.clone());
+        cluster.set_trace(obs.clone());
         let recovery = cfg.recovery.map(RecoveryScheduler::new);
         if recovery.is_some() {
             // Dynamics on: partial-write fan-out starts honoring the
@@ -678,14 +652,14 @@ impl Engine {
         }
         let card = cfg.fpga.then(|| {
             let mut card = AlveoU280::deliba_k_default();
-            card.set_trace(trace.clone());
+            card.set_trace(obs.clone());
             card
         });
         let contexts = (0..cfg.features.contexts.max(1))
             .map(|_| Server::new())
             .collect();
         let mut pcie = PciePipes::new(calib::PCIE_GBYTES_PER_SEC);
-        pcie.set_trace(trace.clone());
+        pcie.set_trace(obs.clone());
         let pool = match cfg.mode {
             Mode::Replication => 1,
             Mode::ErasureCoding => 2,
@@ -701,9 +675,6 @@ impl Engine {
             written: BTreeMap::new(),
             verify_failures: 0,
             degraded_ops: 0,
-            // The recorder's span walk reuses the stage decomposition,
-            // so enabling it allocates the tracer too.
-            tracer: (cfg.trace_stages || cfg.trace_depth.is_on()).then(StageTracer::new),
             scratch: Vec::new(),
             read_buf: Vec::new(),
             place_buf: Vec::new(),
@@ -714,8 +685,7 @@ impl Engine {
             prepared_next: None,
             fpga_down: false,
             card_fault_at: None,
-            trace,
-            tele,
+            obs,
             last_hist: None,
             recovery,
             bitrot_injected: 0,
@@ -725,16 +695,10 @@ impl Engine {
         }
     }
 
-    /// The flight recorder handle (disabled unless the config asked for
-    /// a trace depth) — the exporters hang off this.
-    pub fn trace(&self) -> &TraceHandle {
-        &self.trace
-    }
-
-    /// The telemetry-plane handle (disabled unless armed via the config
-    /// or `DELIBA_TELEMETRY`) — the series exporters hang off this.
-    pub fn telemetry(&self) -> &TelemetryHandle {
-        &self.tele
+    /// The observer (disabled unless the config set a trace depth or a
+    /// telemetry config) — the trace and series exporters hang off it.
+    pub fn observer(&self) -> &Observer {
+        &self.obs
     }
 
     /// The most recent run's latency histogram; `Some` only when the
@@ -826,15 +790,6 @@ impl Engine {
         self.verify_failures
     }
 
-    /// Events the shared event loop has popped so far, over every run
-    /// and both admission modes — closed-loop slots, open-loop arrivals
-    /// and settles, retries, background ticks — the denominator of the
-    /// `harness perf` events-per-second gauge.  Each report carries the
-    /// running total as `counters.events`.
-    pub fn events_executed(&self) -> u64 {
-        self.events
-    }
-
     /// Placement-cache counters of the engine's cluster map.
     pub fn placement_cache_stats(&self) -> deliba_crush::CacheStats {
         self.cluster.map().placement_cache_stats()
@@ -898,8 +853,8 @@ impl Engine {
                         InstantKind::OsdRevive
                     };
                     self.recovery_dirty = true;
-                    self.mark_fault(now, osd as u32, ik, osd as u64);
-                    self.trace.instant_lane(
+                    self.obs.fault(now, osd as u32, ik, osd as u64);
+                    self.obs.instant_lane(
                         now,
                         TraceLayer::Fault,
                         osd as u32,
@@ -919,7 +874,7 @@ impl Engine {
                     } else {
                         InstantKind::LinkDegrade
                     };
-                    self.mark_fault(now, 0, ik, 0);
+                    self.obs.fault(now, 0, ik, 0);
                 }
                 FaultKind::DmaDegrade(p) => {
                     let ik = if p.is_healthy() {
@@ -927,7 +882,7 @@ impl Engine {
                     } else {
                         InstantKind::DmaDegrade
                     };
-                    self.mark_fault(now, 0, ik, 0);
+                    self.obs.fault(now, 0, ik, 0);
                 }
                 FaultKind::CardFault => {
                     if let Some(card) = self.card.as_mut() {
@@ -938,7 +893,7 @@ impl Engine {
                         self.card_fault_at = Some(now);
                         self.res.fpga_failovers += 1;
                     }
-                    self.mark_fault(now, 0, InstantKind::CardFault, 0);
+                    self.obs.fault(now, 0, InstantKind::CardFault, 0);
                 }
                 FaultKind::CardRecover => {
                     if let Some(card) = self.card.as_mut() {
@@ -949,7 +904,7 @@ impl Engine {
                         self.res.recovery_time_us +=
                             now.saturating_since(t0).as_nanos() as f64 / 1_000.0;
                     }
-                    self.mark_fault(now, 0, InstantKind::CardRecover, 0);
+                    self.obs.fault(now, 0, InstantKind::CardRecover, 0);
                 }
                 FaultKind::DfxSwap { target } => {
                     if let Some(card) = self.card.as_mut() {
@@ -968,17 +923,10 @@ impl Engine {
                     let plane = self.faults.as_mut().expect("a due fault implies a plane");
                     let rotten = self.cluster.inject_bitrot(copies, plane.bitrot_rng());
                     self.bitrot_injected += rotten;
-                    self.mark_fault(now, 0, InstantKind::BitRot, rotten);
+                    self.obs.fault(now, 0, InstantKind::BitRot, rotten);
                 }
             }
         }
-    }
-
-    /// Mark a fired fault on both observation planes: a telemetry
-    /// annotation and a flight-recorder instant on `lane`.
-    fn mark_fault(&self, now: SimTime, lane: u32, kind: InstantKind, detail: u64) {
-        self.tele.annotate(now, kind, detail);
-        self.trace.instant_lane(now, TraceLayer::Fault, lane, kind, detail);
     }
 
     /// After a fault-plane mutation: rescan for recovery work and, when
@@ -1009,7 +957,7 @@ impl Engine {
         let before = sched.stats.recovery_ops;
         if let Some(fin) = self.cluster.backfill_wave(sched, now) {
             let dispatched = sched.stats.recovery_ops - before;
-            self.trace
+            self.obs
                 .instant(now, TraceLayer::Cluster, InstantKind::Backfill, dispatched);
             self.recovery_live = true;
             return Some(fin);
@@ -1040,7 +988,7 @@ impl Engine {
         let interval = sched.policy().scrub_interval;
         let tick = self.cluster.scrub_tick(sched, now);
         if tick.repaired > 0 {
-            self.trace.instant(
+            self.obs.instant(
                 tick.finish,
                 TraceLayer::Cluster,
                 InstantKind::ScrubRepair,
@@ -1084,7 +1032,7 @@ impl Engine {
                         // The op made it, but past its deadline — the
                         // requester above us already gave up on it.
                         self.res.timeouts += 1;
-                        self.trace.instant(
+                        self.obs.instant(
                             complete,
                             TraceLayer::Engine,
                             InstantKind::Timeout,
@@ -1093,7 +1041,7 @@ impl Engine {
                     }
                     if attempt > 0 {
                         self.res.failovers += 1;
-                        self.trace.instant(
+                        self.obs.instant(
                             complete,
                             TraceLayer::Engine,
                             InstantKind::Failover,
@@ -1120,7 +1068,7 @@ impl Engine {
                 // arrive with the failure itself.
                 let detected = if cause.is_silent() {
                     self.res.timeouts += 1;
-                    self.trace
+                    self.obs
                         .instant(ready + p.deadline, TraceLayer::Engine, InstantKind::Timeout, 0);
                     ready + p.deadline
                 } else {
@@ -1129,7 +1077,7 @@ impl Engine {
                 if attempt >= p.max_retries {
                     self.res.exhausted += 1;
                     self.degraded_ops += 1;
-                    self.trace.instant(
+                    self.obs.instant(
                         detected,
                         TraceLayer::Engine,
                         InstantKind::RetryExhausted,
@@ -1139,7 +1087,7 @@ impl Engine {
                 }
                 let unit = self.faults.as_mut().map_or(0.0, |pl| pl.jitter_unit());
                 self.res.retries += 1;
-                self.trace.instant(
+                self.obs.instant(
                     detected,
                     TraceLayer::Engine,
                     InstantKind::Retry,
@@ -1217,7 +1165,7 @@ impl Engine {
                 .as_mut()
                 .and_then(|p| if p.sync_dma(t) { p.dma.assess_fetch() } else { None })
             {
-                self.trace
+                self.obs
                     .instant(t, TraceLayer::Qdma, InstantKind::DmaStall, stall.as_nanos());
                 t += stall;
             }
@@ -1230,7 +1178,7 @@ impl Engine {
                 if let Some(buf) = payload {
                     self.scratch = buf;
                 }
-                self.trace.instant(t, TraceLayer::Qdma, InstantKind::DmaError, 0);
+                self.obs.instant(t, TraceLayer::Qdma, InstantKind::DmaError, 0);
                 return AttemptResult::Fail { start, at: t, cause: FailCause::DmaH2c };
             }
             // Placement kernel runs as data streams through the card:
@@ -1316,7 +1264,7 @@ impl Engine {
             if let Some(buf) = payload {
                 self.scratch = buf;
             }
-            self.trace
+            self.obs
                 .instant(t, TraceLayer::Net, InstantKind::FrameDrop, bytes);
             return AttemptResult::Fail { start, at: t, cause: FailCause::LinkDrop };
         }
@@ -1408,7 +1356,7 @@ impl Engine {
             // many replicas/shards unavailable).  The retry path
             // re-places through the epoch-bumped CRUSH walk; without a
             // policy the caller charges the legacy timeout penalty.
-            self.trace
+            self.obs
                 .instant(t, TraceLayer::Cluster, InstantKind::ClusterUnavailable, 0);
             return AttemptResult::Fail {
                 start,
@@ -1437,7 +1385,7 @@ impl Engine {
             .as_mut()
             .is_some_and(|p| p.sync_link(complete) && p.link.assess_response() == LinkVerdict::Corrupt)
         {
-            self.trace
+            self.obs
                 .instant(complete, TraceLayer::Net, InstantKind::FrameCorrupt, bytes);
             return AttemptResult::Fail {
                 start,
@@ -1458,7 +1406,7 @@ impl Engine {
                 .as_mut()
                 .is_some_and(|p| p.sync_dma(complete) && p.dma.assess_c2h())
             {
-                self.trace
+                self.obs
                     .instant(complete, TraceLayer::Qdma, InstantKind::DmaError, 1);
                 return AttemptResult::Fail {
                     start,
@@ -1471,48 +1419,26 @@ impl Engine {
 
         // --- Stage spans ------------------------------------------------
         // Every span above telescopes `start → complete`, so recording
-        // all eleven (zeros included) keeps Σ stage means == e2e mean.
-        // Failed ops (the `None` outcome above) are charged a timeout,
-        // not a decomposition, and stay out of the tracer.
-        if let Some(tracer) = self.tracer.as_mut() {
-            let p = &costs.parts;
-            tracer.record(Stage::Submit, p.submit);
-            tracer.record(Stage::RingEnter, p.ring_enter);
-            tracer.record(Stage::BlkMq, p.blk_mq);
-            tracer.record(Stage::Uifd, p.uifd);
-            tracer.record(Stage::QdmaH2C, span_h2c);
-            tracer.record(Stage::Accel, p.accel + span_accel_card);
-            tracer.record(Stage::NetTx, p.net_tx + span_net_fpga + outcome.net_tx);
-            tracer.record(Stage::OsdService, outcome.osd_service);
-            tracer.record(Stage::NetRx, outcome.net_rx);
-            tracer.record(Stage::QdmaC2H, span_c2h);
-            tracer.record(Stage::Complete, costs.complete_latency);
-            tracer.record_op();
-        }
-        // The flight recorder gets the same decomposition as a span
-        // chain: eleven begin/end pairs telescoping `start → complete`
-        // on this I/O's lane (zero-width spans included, so every chain
-        // has a uniform shape).  Retried ops emit only their final,
-        // successful attempt — failed attempts return above.
-        if self.trace.is_on() {
-            let p = &costs.parts;
-            self.trace.op_spans(
-                start,
-                &[
-                    (Stage::Submit, p.submit),
-                    (Stage::RingEnter, p.ring_enter),
-                    (Stage::BlkMq, p.blk_mq),
-                    (Stage::Uifd, p.uifd),
-                    (Stage::QdmaH2C, span_h2c),
-                    (Stage::Accel, p.accel + span_accel_card),
-                    (Stage::NetTx, p.net_tx + span_net_fpga + outcome.net_tx),
-                    (Stage::OsdService, outcome.osd_service),
-                    (Stage::NetRx, outcome.net_rx),
-                    (Stage::QdmaC2H, span_c2h),
-                    (Stage::Complete, costs.complete_latency),
-                ],
-            );
-        }
+        // all eleven (zeros included) keeps Σ stage means == e2e mean,
+        // and every ring chain has a uniform shape.  Failed attempts
+        // return above: they are charged a timeout, not a decomposition.
+        let p = &costs.parts;
+        self.obs.op_spans(
+            start,
+            &[
+                (Stage::Submit, p.submit),
+                (Stage::RingEnter, p.ring_enter),
+                (Stage::BlkMq, p.blk_mq),
+                (Stage::Uifd, p.uifd),
+                (Stage::QdmaH2C, span_h2c),
+                (Stage::Accel, p.accel + span_accel_card),
+                (Stage::NetTx, p.net_tx + span_net_fpga + outcome.net_tx),
+                (Stage::OsdService, outcome.osd_service),
+                (Stage::NetRx, outcome.net_rx),
+                (Stage::QdmaC2H, span_c2h),
+                (Stage::Complete, costs.complete_latency),
+            ],
+        );
 
         // --- Context occupancy -------------------------------------------
         if self.cfg.features.sync_daemon {
@@ -1599,6 +1525,10 @@ impl Engine {
         src: &mut S,
         prep: Option<&crate::prepare::Pipeline<S::Ops>>,
     ) -> (RunReport, Histogram) {
+        // Reports describe this run alone, even on a reused engine.
+        let (events0, fused0) = (self.events, self.fused);
+        let cache0 = self.placement_cache_stats();
+        self.obs.begin_run();
         let mut hist = Histogram::new();
         let mut counter = Counter::new();
         let mut last_complete = SimTime::ZERO;
@@ -1612,8 +1542,19 @@ impl Engine {
                 queue.schedule_at(bg_shard, start + interval, Token::Scrub);
             }
         }
-        let recording = self.trace.is_on();
-        let sample_counters = self.trace.full();
+        // Both completion sites — an open-loop `Settle` and a closed-loop
+        // re-arm — account a finished op here.
+        let obs = self.obs.clone();
+        let sample_counters = obs.full();
+        let mut complete_op = |src: &S, at: SimTime, latency: SimDuration, len: u32, queued| {
+            hist.record(latency);
+            counter.record(len as u64);
+            obs.op(at, latency, len as u64);
+            last_complete = last_complete.max(at);
+            if sample_counters {
+                src.sample_counters(&obs, at, queued);
+            }
+        };
         // An event already known without a pop (the closed loop's fused
         // completion path).
         let mut fused = None;
@@ -1623,10 +1564,10 @@ impl Engine {
             // queue guarantees are monotone nondecreasing — windows
             // strictly before the current one close here, so the series
             // is invariant under the thread/shard matrix.
-            if self.tele.needs_sample(now) {
+            if self.obs.needs_sample(now) {
                 let queued = queue.len();
                 let snap = self.gauge_snapshot(now, src.inflight(queued), queued as u32);
-                self.tele.sample(now, snap);
+                self.obs.sample(now, snap);
             }
             if self.faults.is_some() && self.apply_due_faults(now) {
                 if let Some(at) = self.recovery_kick(now) {
@@ -1653,7 +1594,7 @@ impl Engine {
                         (ready, lane, io, op, 0, None, now)
                     }
                     Admitted::Dropped { key: (job, idx) } => {
-                        self.tele.drop_op(now);
+                        self.obs.drop_op(now);
                         if let Some(p) = prep {
                             p.advance(job, idx);
                         }
@@ -1670,19 +1611,11 @@ impl Engine {
                 Token::Settle { intended, len } => {
                     let drained = src.settle();
                     self.start_scrub_drain(drained);
-                    hist.record(now.saturating_since(intended));
-                    counter.record(len as u64);
-                    self.tele.op(now, now.saturating_since(intended), len as u64);
-                    last_complete = last_complete.max(now);
-                    if sample_counters {
-                        src.sample_counters(&self.trace, now, queue.len());
-                    }
+                    complete_op(src, now, now.saturating_since(intended), len, queue.len());
                     continue;
                 }
             };
-            if recording {
-                self.trace.set_ctx(io, lane);
-            }
+            self.obs.set_ctx(io, lane);
             let ctx = src.context(lane);
             let (start, complete) = match self.do_io(ready, ctx, op, attempt, first_start) {
                 IoDisposition::Done { start, complete } => (start, complete),
@@ -1699,13 +1632,7 @@ impl Engine {
                 queue.schedule_at(lane as usize, complete, Token::Settle { intended, len: op.len });
                 continue;
             }
-            hist.record(complete.saturating_since(start));
-            counter.record(op.len as u64);
-            self.tele.op(complete, complete.saturating_since(start), op.len as u64);
-            last_complete = last_complete.max(complete);
-            if sample_counters {
-                src.sample_counters(&self.trace, complete, queue.len());
-            }
+            complete_op(src, complete, complete.saturating_since(start), op.len, queue.len());
             // Fused fast path: when the re-armed slot would be the very
             // next event popped anyway — strictly earlier than everything
             // pending (ties must round-trip through the heap so the
@@ -1735,16 +1662,14 @@ impl Engine {
             self.degraded_ops,
             self.verify_failures,
         );
-        if let Some(tracer) = &self.tracer {
-            report.breakdown = Some(crate::report::StageBreakdown::from_tracer(tracer));
-        }
-        let cache = self.cluster.map().placement_cache_stats();
+        report.breakdown = self.obs.stages(crate::report::StageBreakdown::from_tracer);
+        let cache = self.placement_cache_stats();
         report.counters = Some(crate::report::PerfCounters {
-            events: self.events,
-            fused_events: self.fused,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_invalidations: cache.invalidations,
+            events: self.events - events0,
+            fused_events: self.fused - fused0,
+            cache_hits: cache.hits - cache0.hits,
+            cache_misses: cache.misses - cache0.misses,
+            cache_invalidations: cache.invalidations - cache0.invalidations,
         });
         // The resilience block appears only when the fault plane or the
         // policy is active, so baseline reports stay byte-identical.
@@ -1756,13 +1681,11 @@ impl Engine {
         // histogram for the telescoping checks, and the SLO section.  A
         // no-op when the plane is off, so baseline reports stay
         // byte-identical.
-        if self.tele.is_on() {
+        if let Some(tcfg) = self.obs.telemetry(|r| r.config()) {
             self.last_hist = Some(hist.clone());
             let snap = self.gauge_snapshot(last_complete, 0, 0);
-            if let Some(summary) = self.tele.finish(last_complete, snap) {
-                let cfg = self.tele.with(|r| r.config()).expect("handle is on");
-                report.slo = Some(crate::report::SloReport::from_summary(&summary, &cfg));
-            }
+            let summary = self.obs.finish(last_complete, snap).expect("telemetry is on");
+            report.slo = Some(crate::report::SloReport::from_summary(&summary, &tcfg));
         }
         (report, hist)
     }

@@ -95,13 +95,15 @@ impl StageBreakdown {
     }
 }
 
-/// Engine-internal hot-path counters attached to every run.  These are
+/// Engine-internal hot-path counters of one run.  These are
 /// diagnostics about how the simulator executed (cache effectiveness,
 /// fused-event share), never inputs to any figure — the modeled timing
 /// is identical whether or not the fast paths fire.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
 pub struct PerfCounters {
-    /// Closed-loop events executed (completion tokens consumed).
+    /// Events the event loop executed in this run: admissions, retries,
+    /// open-loop settles and background ticks (the denominator of the
+    /// `harness perf` events-per-second cells).
     pub events: u64,
     /// Events consumed by the fused submit→dispatch→post fast path
     /// instead of an event-queue schedule/pop round trip.
@@ -353,8 +355,8 @@ pub struct RunReport {
     pub verify_failures: u64,
     /// Measurement window, seconds of virtual time.
     pub window_s: f64,
-    /// Per-stage latency decomposition (present when the engine ran
-    /// with `trace_stages`).
+    /// Per-stage latency decomposition (present when the engine ran at
+    /// trace depth `Stages` or deeper).
     pub breakdown: Option<StageBreakdown>,
     /// Engine hot-path counters (present on engine-produced reports).
     pub counters: Option<PerfCounters>,

@@ -19,7 +19,7 @@ use deliba_blkmq::{BlockRequest, MultiQueue, ReqOp, SchedPolicy};
 use deliba_qdma::{
     DescriptorEngine, EngineConfig as QdmaConfig, Descriptor, IfType, QueueSet, SparseMemory,
 };
-use deliba_sim::{InstantKind, SimTime, TraceHandle, TraceLayer};
+use deliba_sim::{InstantKind, Observer, SimTime, TraceLayer};
 
 /// Base host address where per-tag DMA buffers live.
 const BUF_BASE: u64 = 0x1000_0000;
@@ -35,7 +35,7 @@ pub struct Uifd {
     /// Host DMA-able memory.
     pub host_mem: SparseMemory,
     nr_queues: usize,
-    trace: TraceHandle,
+    trace: Observer,
 }
 
 impl Uifd {
@@ -52,14 +52,14 @@ impl Uifd {
             qdma,
             host_mem: SparseMemory::new(),
             nr_queues,
-            trace: TraceHandle::off(),
+            trace: Observer::off(),
         }
     }
 
-    /// Attach a flight-recorder handle (full-depth recording marks each
+    /// Attach the run's observer (full-depth recording marks each
     /// DMQ dispatch and QDMA descriptor post; the lane is the hardware
     /// context / queue id).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
+    pub fn set_trace(&mut self, trace: Observer) {
         self.trace = trace;
     }
 

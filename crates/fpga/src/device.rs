@@ -13,7 +13,7 @@ use crate::dfx::{configuration_analysis, DfxController, DfxError, RmId};
 use crate::power::PowerModel;
 use crate::resources::{ResourceVec, RS_ENCODER_STATIC, STRAW2_STATIC, STRAW_STATIC, U280_TOTAL};
 use deliba_crush::{CrushMap, DeviceId};
-use deliba_sim::{InstantKind, SimDuration, SimTime, TraceHandle, TraceLayer};
+use deliba_sim::{InstantKind, Observer, SimDuration, SimTime, TraceLayer};
 
 /// The modeled U280 card.
 pub struct AlveoU280 {
@@ -35,7 +35,7 @@ pub struct AlveoU280 {
     faults_injected: u64,
     /// Flight recorder (full-depth recording marks placements; DFX
     /// swaps are marked at any depth — they are fault-class events).
-    trace: TraceHandle,
+    trace: Observer,
 }
 
 impl AlveoU280 {
@@ -64,12 +64,12 @@ impl AlveoU280 {
             accel_busy: SimDuration::ZERO,
             healthy: true,
             faults_injected: 0,
-            trace: TraceHandle::off(),
+            trace: Observer::off(),
         }
     }
 
-    /// Attach a flight-recorder handle.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
+    /// Attach the run's observer.
+    pub fn set_trace(&mut self, trace: Observer) {
         self.trace = trace;
     }
 

@@ -7,7 +7,7 @@
 
 use crate::frame::FrameConfig;
 use crate::link::EthLink;
-use deliba_sim::{InstantKind, SimDuration, SimTime, TraceHandle, TraceLayer};
+use deliba_sim::{InstantKind, Observer, SimDuration, SimTime, TraceLayer};
 
 /// Node identifier within the topology (0 = client, 1.. = servers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,7 +27,7 @@ pub struct Topology {
     server_rx: Vec<EthLink>,
     cluster_tx: Vec<EthLink>,
     cluster_rx: Vec<EthLink>,
-    trace: TraceHandle,
+    trace: Observer,
 }
 
 impl Topology {
@@ -43,13 +43,13 @@ impl Topology {
             server_rx: (0..servers).map(|_| mk()).collect(),
             cluster_tx: (0..servers).map(|_| mk()).collect(),
             cluster_rx: (0..servers).map(|_| mk()).collect(),
-            trace: TraceHandle::off(),
+            trace: Observer::off(),
         }
     }
 
-    /// Attach a flight-recorder handle (full-depth recording marks each
+    /// Attach the run's observer (full-depth recording marks each
     /// link departure; the lane is the destination port).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
+    pub fn set_trace(&mut self, trace: Observer) {
         self.trace = trace;
     }
 

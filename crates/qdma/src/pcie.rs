@@ -8,14 +8,14 @@
 //! and read link utilization through one QDMA-owned type instead of
 //! carrying loose pipes around.
 
-use deliba_sim::{Bandwidth, InstantKind, SimDuration, SimTime, TraceHandle, TraceLayer};
+use deliba_sim::{Bandwidth, InstantKind, Observer, SimDuration, SimTime, TraceLayer};
 
 /// Paired host→card / card→host PCIe pipes.
 #[derive(Debug, Clone)]
 pub struct PciePipes {
     h2c: Bandwidth,
     c2h: Bandwidth,
-    trace: TraceHandle,
+    trace: Observer,
 }
 
 impl PciePipes {
@@ -26,13 +26,13 @@ impl PciePipes {
         PciePipes {
             h2c: Bandwidth::new(gbytes_per_sec * 1e9, SimDuration::ZERO),
             c2h: Bandwidth::new(gbytes_per_sec * 1e9, SimDuration::ZERO),
-            trace: TraceHandle::off(),
+            trace: Observer::off(),
         }
     }
 
-    /// Attach a flight-recorder handle (full-depth recording marks each
+    /// Attach the run's observer (full-depth recording marks each
     /// DMA transfer on the timeline; lane 0 = H2C, lane 1 = C2H).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
+    pub fn set_trace(&mut self, trace: Observer) {
         self.trace = trace;
     }
 

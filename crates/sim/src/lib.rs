@@ -20,21 +20,25 @@
 //!   platform or `std` hash ordering;
 //! * [`metrics`] — latency histograms and counters used by the benchmark
 //!   harness to print the paper's tables and figures;
+//! * [`observe`] — the one [`Observer`] handle every layer emits
+//!   through: `None` when nothing is observed, otherwise the stage
+//!   histograms, the event ring and the telemetry recorder below;
 //! * [`stage`] — per-I/O stage-span tracing ([`Stage`] taxonomy +
 //!   [`StageTracer`]) behind the engine's latency-breakdown reports;
-//! * [`trace`] — the opt-in per-I/O flight recorder ([`TraceHandle`] /
-//!   [`trace::TraceSink`]): a bounded ring of typed events with
-//!   Chrome-trace export and worst-K span-chain reconstruction;
+//! * [`trace`] — the per-I/O flight recorder ([`trace::TraceSink`]): a
+//!   bounded ring of typed events with Chrome-trace export and worst-K
+//!   span-chain reconstruction;
 //! * [`resource`] — queueing-theory building blocks (single/multi servers,
 //!   bandwidth pipes) shared by the network, OSD, PCIe and host-CPU
 //!   models;
-//! * [`timeseries`] — the opt-in time-resolved telemetry plane
-//!   ([`TelemetryHandle`] / [`timeseries::MetricsRecorder`]):
+//! * [`timeseries`] — the time-resolved telemetry plane
+//!   ([`timeseries::MetricsRecorder`]):
 //!   fixed-width virtual-time windows of ops/latency/gauge series with
 //!   SLO burn-rate alerts and CSV/JSON/Prometheus/Chrome exporters.
 
 pub mod event;
 pub mod metrics;
+pub mod observe;
 pub mod resource;
 pub mod rng;
 pub mod sharded;
@@ -46,9 +50,10 @@ pub mod trace;
 pub use event::EventQueue;
 pub use sharded::LaneQueue;
 pub use metrics::{Counter, Histogram};
+pub use observe::Observer;
 pub use stage::{Stage, StageTracer};
-pub use timeseries::{GaugeSnapshot, SloAlert, SloSummary, TelemetryConfig, TelemetryHandle};
-pub use trace::{InstantKind, TraceDepth, TraceHandle, TraceLayer};
+pub use timeseries::{GaugeSnapshot, SloAlert, SloSummary, TelemetryConfig};
+pub use trace::{InstantKind, TraceDepth, TraceLayer};
 pub use resource::{Bandwidth, MultiServer, Server};
 pub use rng::{SimRng, SplitMix64, Xoshiro256};
 pub use time::{round_nonneg, SimDuration, SimTime};

@@ -5,7 +5,8 @@
 //! [`StageTracer`] holds one latency [`Histogram`] per [`Stage`] so an
 //! engine can decompose every simulated I/O's critical path — API
 //! crossings, MQ scheduling, DMA, accelerator, network, OSD service —
-//! and a harness can print a Table-II-style breakdown.
+//! and a harness can print a Table-II-style breakdown.  It is the
+//! stage plane of the [`Observer`](crate::Observer).
 //!
 //! Convention: the tracer records **all** stages for every traced I/O,
 //! zeros included (a read records a zero `Accel` encode span, DeLiBA-K
@@ -150,14 +151,6 @@ impl StageTracer {
     pub fn stage_sum_us(&self) -> f64 {
         Stage::ALL.iter().map(|&s| self.mean_us(s)).sum()
     }
-
-    /// Merge another tracer (e.g. per-thread tracers) into this one.
-    pub fn merge(&mut self, other: &StageTracer) {
-        for (a, b) in self.spans.iter_mut().zip(other.spans.iter()) {
-            a.merge(b);
-        }
-        self.ops += other.ops;
-    }
 }
 
 #[cfg(test)]
@@ -209,18 +202,5 @@ mod tests {
         assert!((tracer.stage_sum_us() - 60.0).abs() < 1e-9);
         assert!((tracer.mean_us(Stage::Submit) - 15.0).abs() < 1e-9);
         assert_eq!(tracer.mean_us(Stage::BlkMq), 0.0);
-    }
-
-    #[test]
-    fn merge_combines_ops_and_spans() {
-        let mut a = StageTracer::new();
-        let mut b = StageTracer::new();
-        a.record(Stage::NetTx, SimDuration::from_micros(10));
-        a.record_op();
-        b.record(Stage::NetTx, SimDuration::from_micros(30));
-        b.record_op();
-        a.merge(&b);
-        assert_eq!(a.ops(), 2);
-        assert!((a.mean_us(Stage::NetTx) - 20.0).abs() < 1e-9);
     }
 }

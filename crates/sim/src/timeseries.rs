@@ -11,10 +11,9 @@
 //!
 //! Design constraints mirror the flight recorder's:
 //!
-//! 1. **Zero cost when disabled.**  Every emit goes through a
-//!    [`TelemetryHandle`] — a newtype over
-//!    `Option<Rc<RefCell<MetricsRecorder>>>` — so a disabled plane is
-//!    one branch per site, no allocation, no arithmetic.
+//! 1. **Zero cost when disabled.**  Every emit goes through the
+//!    [`Observer`](crate::Observer), so a disabled plane is one branch
+//!    per site, no allocation, no arithmetic.
 //! 2. **Zero-alloc hot path when enabled.**  [`MetricsRecorder::op`]
 //!    indexes a window by `completion_ns / width_ns` and bumps counters
 //!    and histogram buckets in place; allocation happens only when a
@@ -37,16 +36,13 @@
 //! state: [`MetricsRecorder::csv`] (one row per window),
 //! [`MetricsRecorder::timeline_json`] (the machine-checked timeline
 //! document), [`MetricsRecorder::prom_series`] (timestamped Prometheus
-//! samples), and [`MetricsRecorder::chrome_counters`] /
-//! [`MetricsRecorder::merge_into_chrome`] (Chrome counter tracks that
-//! splice into the flight recorder's trace JSON).
+//! samples), and [`MetricsRecorder::chrome_json`] (Chrome counter
+//! tracks on the flight recorder's engine pid and timebase).
 
 use crate::metrics::Histogram;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::InstantKind;
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// Link classes the per-window utilization gauge aggregates over (the
 /// topology's pipes grouped by role).
@@ -100,15 +96,6 @@ impl TelemetryConfig {
     pub fn with_slo_p99(mut self, target: SimDuration) -> Self {
         self.slo_p99 = target;
         self
-    }
-
-    /// Parse a `DELIBA_TELEMETRY` value: `""`/`"0"`/`"off"` disable,
-    /// anything truthy enables the defaults.
-    pub fn from_env_value(s: &str) -> Option<TelemetryConfig> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "0" | "off" | "none" => None,
-            _ => Some(TelemetryConfig::default()),
-        }
     }
 }
 
@@ -252,7 +239,7 @@ pub struct SloSummary {
     pub alerts: Vec<SloAlert>,
 }
 
-/// The windowed aggregator behind [`TelemetryHandle`].
+/// The windowed aggregator (the telemetry plane of the [`Observer`](crate::Observer)).
 #[derive(Debug)]
 pub struct MetricsRecorder {
     cfg: TelemetryConfig,
@@ -754,12 +741,11 @@ impl MetricsRecorder {
         out
     }
 
-    /// Chrome counter events (one fragment per window per track),
-    /// comma-joined, suitable for [`MetricsRecorder::merge_into_chrome`]
-    /// or [`MetricsRecorder::chrome_json`].  Tracks land on pid 1 (the
-    /// engine process) like the flight recorder's counter samples.
-    pub fn chrome_counters(&self) -> String {
-        let mut out = String::new();
+    /// A Chrome trace document of counter tracks, one event per window
+    /// per track.  Tracks land on pid 1 (the engine process) like the
+    /// flight recorder's counter samples.
+    pub fn chrome_json(&self) -> String {
+        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
         let mut first = true;
         let slo = self.slo();
         for (i, w) in self.windows.iter().enumerate() {
@@ -785,102 +771,8 @@ impl MetricsRecorder {
                 );
             }
         }
+        out.push_str("\n]}\n");
         out
-    }
-
-    /// A standalone Chrome trace document holding only the counter
-    /// tracks (for runs where the flight recorder was off).
-    pub fn chrome_json(&self) -> String {
-        let counters = self.chrome_counters();
-        format!("{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n{counters}\n]}}\n")
-    }
-
-    /// Splice the counter tracks into an existing flight-recorder
-    /// Chrome trace (both stay loadable in Perfetto; the counters show
-    /// as tracks on the engine process).
-    pub fn merge_into_chrome(&self, chrome: &str) -> String {
-        let counters = self.chrome_counters();
-        if counters.is_empty() {
-            return chrome.to_string();
-        }
-        match chrome.rfind("\n]}") {
-            Some(pos) => {
-                let mut out = String::with_capacity(chrome.len() + counters.len() + 8);
-                out.push_str(&chrome[..pos]);
-                out.push_str(",\n");
-                out.push_str(&counters);
-                out.push_str(&chrome[pos..]);
-                out
-            }
-            None => chrome.to_string(),
-        }
-    }
-}
-
-/// The shared, cloneable handle the engine records through.  `None`
-/// when the plane is off: every emit is then a single branch with
-/// nothing behind it.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryHandle(Option<Rc<RefCell<MetricsRecorder>>>);
-
-impl TelemetryHandle {
-    /// A disabled handle (the default everywhere).
-    pub fn off() -> Self {
-        TelemetryHandle(None)
-    }
-
-    /// A recording handle at `cfg`.
-    pub fn recording(cfg: TelemetryConfig) -> Self {
-        TelemetryHandle(Some(Rc::new(RefCell::new(MetricsRecorder::new(cfg)))))
-    }
-
-    /// Is the plane recording?
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Record one completed op (see [`MetricsRecorder::op`]).
-    pub fn op(&self, complete: SimTime, latency: SimDuration, bytes: u64) {
-        let Some(rec) = &self.0 else { return };
-        rec.borrow_mut().op(complete, latency, bytes);
-    }
-
-    /// Record one admission drop.
-    pub fn drop_op(&self, at: SimTime) {
-        let Some(rec) = &self.0 else { return };
-        rec.borrow_mut().drop_op(at);
-    }
-
-    /// Pin a fault firing to the timeline.
-    pub fn annotate(&self, at: SimTime, kind: InstantKind, detail: u64) {
-        let Some(rec) = &self.0 else { return };
-        rec.borrow_mut().annotate(at, kind, detail);
-    }
-
-    /// Should the engine build a gauge snapshot at `now`?
-    pub fn needs_sample(&self, now: SimTime) -> bool {
-        let Some(rec) = &self.0 else { return false };
-        rec.borrow().needs_sample(now)
-    }
-
-    /// Close windows up to `now`'s with `snap`'s gauges.
-    pub fn sample(&self, now: SimTime, snap: GaugeSnapshot) {
-        let Some(rec) = &self.0 else { return };
-        rec.borrow_mut().sample(now, snap);
-    }
-
-    /// Close every remaining window at run end; `None` when off,
-    /// otherwise the SLO verdict.
-    pub fn finish(&self, end: SimTime, snap: GaugeSnapshot) -> Option<SloSummary> {
-        let rec = self.0.as_ref()?;
-        let mut r = rec.borrow_mut();
-        r.finish(end, snap);
-        Some(r.slo())
-    }
-
-    /// Run `f` against the recorder; `None` when off.
-    pub fn with<R>(&self, f: impl FnOnce(&MetricsRecorder) -> R) -> Option<R> {
-        self.0.as_ref().map(|r| f(&r.borrow()))
     }
 }
 
@@ -1092,39 +984,10 @@ mod tests {
         }
         assert!(prom.contains("deliba_ts_osd_busy_fraction"));
         assert!(prom.contains("link=\"client_tx\""));
-        // Chrome counters splice into a flight-recorder document.
-        let standalone = r.chrome_json();
-        assert!(standalone.starts_with("{\"displayTimeUnit\""));
-        assert!(standalone.ends_with("]}\n"));
-        let host = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n{\"name\":\"x\",\
-                    \"ph\":\"i\",\"ts\":1.000,\"pid\":1,\"tid\":0}\n]}\n";
-        let merged = r.merge_into_chrome(host);
-        assert!(merged.contains("\"name\":\"x\""));
-        assert!(merged.contains("\"name\":\"ts_iops\""));
-        assert!(merged.ends_with("]}\n"));
-    }
-
-    #[test]
-    fn env_value_parsing_and_handle_branches() {
-        assert_eq!(TelemetryConfig::from_env_value("off"), None);
-        assert_eq!(TelemetryConfig::from_env_value("0"), None);
-        assert_eq!(TelemetryConfig::from_env_value(""), None);
-        assert_eq!(
-            TelemetryConfig::from_env_value("1"),
-            Some(TelemetryConfig::default())
-        );
-        let off = TelemetryHandle::off();
-        assert!(!off.is_on());
-        off.op(us(1), SimDuration::from_micros(1), 1);
-        off.drop_op(us(1));
-        off.annotate(us(1), InstantKind::OsdCrash, 0);
-        assert!(!off.needs_sample(us(1_000_000)));
-        assert!(off.finish(us(1), GaugeSnapshot::default()).is_none());
-        let on = TelemetryHandle::recording(TelemetryConfig::default());
-        assert!(on.is_on());
-        on.op(us(1), SimDuration::from_micros(1), 1);
-        let slo = on.finish(us(1), GaugeSnapshot::default()).unwrap();
-        assert_eq!(slo.total_ops, 1);
-        assert_eq!(on.with(|r| r.total_ops()), Some(1));
+        // Chrome counters form a loadable trace document.
+        let chrome = r.chrome_json();
+        assert!(chrome.starts_with("{\"displayTimeUnit\""));
+        assert!(chrome.contains("\"name\":\"ts_iops\""));
+        assert!(chrome.ends_with("]}\n"));
     }
 }

@@ -1,20 +1,19 @@
 //! Per-I/O flight recorder.
 //!
-//! Aggregate telemetry (`StageTracer` histograms, perf counters) says
-//! *what* a run did; it cannot say what one I/O, one queue slot, or one
-//! fault window did.  The flight recorder fills that gap: an opt-in,
-//! bounded ring buffer of typed [`TraceEvent`]s — span begin/end per
-//! [`Stage`] keyed by I/O id and queue-slot lane, instant events for
+//! Aggregate telemetry (stage histograms, perf counters) says *what* a
+//! run did; it cannot say what one I/O, one queue slot, or one fault
+//! window did.  The flight recorder fills that gap: an opt-in, bounded
+//! ring buffer of typed [`TraceEvent`]s — span begin/end per [`Stage`]
+//! keyed by I/O id and queue-slot lane, instant events for
 //! faults/retries/failovers/DFX swaps/cache invalidations, and counter
 //! samples for queue depth and in-flight ops — recorded on virtual
 //! time, so the same seed replays a byte-identical trace.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when disabled.**  Every layer holds a [`TraceHandle`]
-//!    — a newtype over `Option<Rc<RefCell<TraceSink>>>` — and every
-//!    emit method is a single branch on `None` with no allocation, no
-//!    formatting, and no time arithmetic behind it.
+//! 1. **Zero cost when disabled.**  Layers emit through the
+//!    [`Observer`](crate::Observer), which is `None` when nothing is
+//!    observed: one branch per emit site.
 //! 2. **Bounded.**  The sink is a drop-oldest ring of at most
 //!    [`RING_CAPACITY`] events; a `dropped` counter keeps the loss
 //!    visible instead of silent.
@@ -27,23 +26,25 @@
 //! per-I/O span chains for worst-K tail attribution.
 
 use crate::stage::Stage;
-use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
+use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 /// Default ring bound: events beyond this drop the oldest entry.
 /// (~48 B/event, so a full ring is ~50 MB — only ever allocated when
 /// recording is on.)
 pub const RING_CAPACITY: usize = 1 << 20;
 
-/// How much the recorder captures.
+/// How much a run observes, in increasing order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceDepth {
-    /// Recorder off: no sink is allocated, emits cost one branch.
+    /// Nothing: no plane is allocated, emits cost one branch.
     #[default]
     Off,
-    /// Per-I/O stage spans plus fault/retry instants.
+    /// Per-stage latency histograms only (the report's breakdown), no
+    /// event ring.
+    Stages,
+    /// Stage histograms plus the ring: per-I/O stage spans and
+    /// fault/retry instants.
     Spans,
     /// Everything: spans, instants, per-layer events (link sends, DMA
     /// transfers, OSD service, descriptor posts) and counter samples.
@@ -51,15 +52,21 @@ pub enum TraceDepth {
 }
 
 impl TraceDepth {
-    /// Is any recording enabled?
+    /// Is anything observed?
     pub fn is_on(self) -> bool {
         self != TraceDepth::Off
     }
 
-    /// Parse a `DELIBA_TRACE` / `--trace-depth` value.
+    /// Does this depth keep the event ring?
+    pub fn has_ring(self) -> bool {
+        self >= TraceDepth::Spans
+    }
+
+    /// Parse a `--trace-depth` value.
     pub fn parse(s: &str) -> Option<TraceDepth> {
         match s.trim().to_ascii_lowercase().as_str() {
             "" | "0" | "off" | "none" => Some(TraceDepth::Off),
+            "stages" => Some(TraceDepth::Stages),
             "1" | "spans" => Some(TraceDepth::Spans),
             "2" | "full" | "on" => Some(TraceDepth::Full),
             _ => None,
@@ -70,6 +77,7 @@ impl TraceDepth {
     pub fn label(self) -> &'static str {
         match self {
             TraceDepth::Off => "off",
+            TraceDepth::Stages => "stages",
             TraceDepth::Spans => "spans",
             TraceDepth::Full => "full",
         }
@@ -362,8 +370,6 @@ pub struct TraceSink {
     cap: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    cur_io: u64,
-    cur_lane: u32,
 }
 
 impl TraceSink {
@@ -375,14 +381,7 @@ impl TraceSink {
             cap,
             events: VecDeque::with_capacity(cap.min(RING_CAPACITY)),
             dropped: 0,
-            cur_io: 0,
-            cur_lane: 0,
         }
-    }
-
-    /// Recording depth.
-    pub fn depth(&self) -> TraceDepth {
-        self.depth
     }
 
     /// Append one event, evicting the oldest when the ring is full.
@@ -397,11 +396,6 @@ impl TraceSink {
     /// The recorded events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
-    }
-
-    /// Events evicted by the ring bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Snapshot of the recorder stats.
@@ -523,154 +517,12 @@ impl TraceSink {
     }
 }
 
-/// The shared, cloneable handle every layer records through.  `None`
-/// when the recorder is off: each emit method is then a single branch,
-/// with no allocation or arithmetic behind it.
-#[derive(Debug, Clone, Default)]
-pub struct TraceHandle(Option<Rc<RefCell<TraceSink>>>);
-
-impl TraceHandle {
-    /// A disabled handle (the default everywhere).
-    pub fn off() -> Self {
-        TraceHandle(None)
-    }
-
-    /// A recording handle, or a disabled one when `depth` is `Off`.
-    pub fn recording(depth: TraceDepth, cap: usize) -> Self {
-        if depth.is_on() {
-            TraceHandle(Some(Rc::new(RefCell::new(TraceSink::new(depth, cap)))))
-        } else {
-            TraceHandle(None)
-        }
-    }
-
-    /// Is any recording enabled?
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Is the recorder capturing per-layer events and counters?
-    pub fn full(&self) -> bool {
-        self.0
-            .as_ref()
-            .is_some_and(|s| s.borrow().depth == TraceDepth::Full)
-    }
-
-    /// Tag subsequent events with the I/O id and queue-slot lane the
-    /// engine is currently executing (layers below the engine do not
-    /// know either).
-    pub fn set_ctx(&self, io: u64, lane: u32) {
-        if let Some(sink) = &self.0 {
-            let mut s = sink.borrow_mut();
-            s.cur_io = io;
-            s.cur_lane = lane;
-        }
-    }
-
-    /// Emit one I/O's full stage walk: `spans` telescope from `start`,
-    /// in order, each producing a begin/end pair on the current lane.
-    pub fn op_spans(&self, start: SimTime, spans: &[(Stage, SimDuration)]) {
-        let Some(sink) = &self.0 else { return };
-        let mut s = sink.borrow_mut();
-        let (io, lane) = (s.cur_io, s.cur_lane);
-        let mut at = start;
-        for &(stage, d) in spans {
-            s.push(TraceEvent {
-                at,
-                io,
-                layer: TraceLayer::Engine,
-                lane,
-                kind: TraceEventKind::SpanBegin(stage),
-            });
-            at += d;
-            s.push(TraceEvent {
-                at,
-                io,
-                layer: TraceLayer::Engine,
-                lane,
-                kind: TraceEventKind::SpanEnd(stage),
-            });
-        }
-    }
-
-    /// Emit an instant on the current I/O's lane.
-    pub fn instant(&self, at: SimTime, layer: TraceLayer, kind: InstantKind, detail: u64) {
-        let Some(sink) = &self.0 else { return };
-        let mut s = sink.borrow_mut();
-        let (io, lane) = (s.cur_io, s.cur_lane);
-        s.push(TraceEvent {
-            at,
-            io,
-            layer,
-            lane,
-            kind: TraceEventKind::Instant { kind, detail },
-        });
-    }
-
-    /// Emit an instant on an explicit lane (OSD id, queue id, ring id).
-    pub fn instant_lane(
-        &self,
-        at: SimTime,
-        layer: TraceLayer,
-        lane: u32,
-        kind: InstantKind,
-        detail: u64,
-    ) {
-        let Some(sink) = &self.0 else { return };
-        let mut s = sink.borrow_mut();
-        let io = s.cur_io;
-        s.push(TraceEvent {
-            at,
-            io,
-            layer,
-            lane,
-            kind: TraceEventKind::Instant { kind, detail },
-        });
-    }
-
-    /// Emit a counter sample (Chrome counter track on the engine pid).
-    pub fn counter(&self, at: SimTime, name: &'static str, value: u64) {
-        let Some(sink) = &self.0 else { return };
-        let mut s = sink.borrow_mut();
-        let io = s.cur_io;
-        s.push(TraceEvent {
-            at,
-            io,
-            layer: TraceLayer::Engine,
-            lane: 0,
-            kind: TraceEventKind::Counter { name, value },
-        });
-    }
-
-    /// Run `f` against the sink; `None` when the recorder is off.
-    pub fn with<R>(&self, f: impl FnOnce(&TraceSink) -> R) -> Option<R> {
-        self.0.as_ref().map(|s| f(&s.borrow()))
-    }
-
-    /// Chrome trace-event JSON of the ring; `None` when off.
-    pub fn chrome_json(&self) -> Option<String> {
-        self.with(|s| s.chrome_json())
-    }
-
-    /// Reconstructed per-I/O span chains (empty when off).
-    pub fn span_chains(&self) -> Vec<IoChain> {
-        self.with(|s| s.span_chains()).unwrap_or_default()
-    }
-
-    /// The `k` slowest I/Os (empty when off).
-    pub fn worst_k(&self, k: usize) -> Vec<IoChain> {
-        self.with(|s| s.worst_k(k)).unwrap_or_default()
-    }
-
-    /// Recorder stats; `None` when off.
-    pub fn stats(&self) -> Option<TraceStats> {
-        self.with(|s| s.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeseries::GaugeSnapshot;
+    use crate::time::SimDuration;
+    use crate::Observer;
 
     fn span_pair(sink: &mut TraceSink, io: u64, lane: u32, stage: Stage, b: u64, e: u64) {
         sink.push(TraceEvent {
@@ -692,11 +544,14 @@ mod tests {
     #[test]
     fn depth_parse_and_labels() {
         assert_eq!(TraceDepth::parse("off"), Some(TraceDepth::Off));
+        assert_eq!(TraceDepth::parse("stages"), Some(TraceDepth::Stages));
         assert_eq!(TraceDepth::parse("SPANS"), Some(TraceDepth::Spans));
         assert_eq!(TraceDepth::parse("full"), Some(TraceDepth::Full));
         assert_eq!(TraceDepth::parse("2"), Some(TraceDepth::Full));
         assert_eq!(TraceDepth::parse("bogus"), None);
-        assert!(!TraceDepth::Off.is_on() && TraceDepth::Spans.is_on());
+        assert!(!TraceDepth::Off.is_on() && TraceDepth::Stages.is_on());
+        assert!(!TraceDepth::Stages.has_ring() && TraceDepth::Spans.has_ring());
+        assert_eq!(TraceDepth::Stages.label(), "stages");
         assert_eq!(TraceDepth::Full.label(), "full");
     }
 
@@ -710,16 +565,20 @@ mod tests {
 
     #[test]
     fn off_handle_is_inert() {
-        let h = TraceHandle::off();
-        assert!(!h.is_on() && !h.full());
-        h.set_ctx(1, 2);
-        h.op_spans(SimTime::ZERO, &[(Stage::Submit, SimDuration::from_nanos(5))]);
-        h.instant(SimTime::ZERO, TraceLayer::Fault, InstantKind::OsdCrash, 3);
-        h.counter(SimTime::ZERO, "inflight_ops", 4);
-        assert_eq!(h.chrome_json(), None);
-        assert!(h.span_chains().is_empty());
-        assert!(h.stats().is_none());
-        assert!(!TraceHandle::recording(TraceDepth::Off, 16).is_on());
+        let o = Observer::new(TraceDepth::Off, None);
+        assert!(!o.is_on() && !o.full());
+        o.begin_run();
+        o.set_ctx(1, 2);
+        o.op_spans(SimTime::ZERO, &[(Stage::Submit, SimDuration::from_nanos(5))]);
+        o.instant(SimTime::ZERO, TraceLayer::Fault, InstantKind::OsdCrash, 3);
+        o.counter(SimTime::ZERO, "inflight_ops", 4);
+        o.fault(SimTime::from_nanos(1_000), 0, InstantKind::OsdCrash, 0);
+        o.op(SimTime::from_nanos(1_000), SimDuration::from_micros(1), 1);
+        o.drop_op(SimTime::from_nanos(1_000));
+        assert!(!o.needs_sample(SimTime::from_nanos(1_000_000_000)));
+        assert!(o.finish(SimTime::from_nanos(1_000), GaugeSnapshot::default()).is_none());
+        assert!(o.stages(|_| ()).is_none() && o.ring(|_| ()).is_none());
+        assert!(o.telemetry(|_| ()).is_none());
     }
 
     #[test]
@@ -734,7 +593,6 @@ mod tests {
                 kind: TraceEventKind::Instant { kind: InstantKind::Retry, detail: 0 },
             });
         }
-        assert_eq!(sink.dropped(), 2);
         let held: Vec<u64> = sink.events().map(|e| e.io).collect();
         assert_eq!(held, [2, 3, 4, 5]);
         let stats = sink.stats();
@@ -763,40 +621,39 @@ mod tests {
 
     #[test]
     fn handle_op_spans_telescope() {
-        let h = TraceHandle::recording(TraceDepth::Spans, 1024);
-        h.set_ctx(7, 2);
-        h.op_spans(
-            SimTime::from_nanos(1_000),
-            &[
-                (Stage::Submit, SimDuration::from_nanos(100)),
-                (Stage::BlkMq, SimDuration::ZERO),
-                (Stage::OsdService, SimDuration::from_nanos(400)),
-            ],
-        );
-        let chains = h.span_chains();
-        assert_eq!(chains.len(), 1);
+        let o = Observer::new(TraceDepth::Spans, None);
+        o.set_ctx(7, 2);
+        let ns = SimDuration::from_nanos;
+        let spans = [(Stage::Submit, ns(100)), (Stage::BlkMq, ns(0)), (Stage::OsdService, ns(400))];
+        o.op_spans(SimTime::from_nanos(1_000), &spans);
+        let chains = o.ring(|r| r.span_chains()).expect("ring on");
         let c = &chains[0];
-        assert_eq!((c.io, c.lane), (7, 2));
-        assert_eq!(c.begin_ns(), 1_000);
-        assert_eq!(c.end_ns(), 1_500);
-        assert_eq!(c.span_ns(Stage::BlkMq), 0);
+        assert_eq!((chains.len(), c.io, c.lane, c.begin_ns(), c.end_ns()), (1, 7, 2, 1_000, 1_500));
         // Spans are contiguous: the per-io sum equals end - begin.
         let sum: u64 = c.spans.iter().map(|s| s.end_ns - s.begin_ns).sum();
-        assert_eq!(sum, c.total_ns());
+        assert_eq!((sum, c.span_ns(Stage::BlkMq)), (c.total_ns(), 0));
+        assert_eq!(o.stages(|s| s.ops()), Some(1));
+        assert!((o.stages(|s| s.stage_sum_us()).unwrap() - 0.5).abs() < 1e-9);
+        // A new run starts fresh histograms; the ring keeps its events.
+        o.begin_run();
+        assert_eq!(o.stages(|s| s.ops()), Some(0));
+        assert_eq!(o.ring(|r| r.span_chains().len()), Some(1));
     }
 
     #[test]
     fn chrome_json_shape_and_determinism() {
         let build = || {
-            let h = TraceHandle::recording(TraceDepth::Full, 1024);
-            h.set_ctx(0, 1);
-            h.op_spans(
-                SimTime::from_nanos(1_234),
-                &[(Stage::Submit, SimDuration::from_nanos(4_321))],
-            );
-            h.instant(SimTime::from_nanos(2_000), TraceLayer::Fault, InstantKind::OsdCrash, 5);
-            h.counter(SimTime::from_nanos(3_000), "inflight_ops", 32);
-            h.chrome_json().expect("recording")
+            let mut sink = TraceSink::new(TraceDepth::Full, 1024);
+            span_pair(&mut sink, 0, 1, Stage::Submit, 1_234, 5_555);
+            let instant = TraceEventKind::Instant { kind: InstantKind::OsdCrash, detail: 5 };
+            let counter = TraceEventKind::Counter { name: "inflight_ops", value: 32 };
+            for (ns, layer, kind) in
+                [(2_000, TraceLayer::Fault, instant), (3_000, TraceLayer::Engine, counter)]
+            {
+                let at = SimTime::from_nanos(ns);
+                sink.push(TraceEvent { at, io: 0, layer, lane: 0, kind });
+            }
+            sink.chrome_json()
         };
         let json = build();
         assert_eq!(json, build(), "export must be deterministic");

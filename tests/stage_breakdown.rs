@@ -9,13 +9,16 @@
 //! small.
 
 use deliba_core::{Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RunReport, RwMode};
-use deliba_sim::Stage;
+use deliba_sim::{Stage, TraceDepth};
 
 const PROBE_OPS: u64 = 300;
 
+fn traced_engine(g: Generation) -> Engine {
+    Engine::new(EngineConfig::new(g, true, Mode::Replication).with_trace_depth(TraceDepth::Stages))
+}
+
 fn traced_probe(g: Generation, rw: RwMode) -> RunReport {
-    let cfg = EngineConfig::new(g, true, Mode::Replication).with_tracing();
-    let mut e = Engine::new(cfg);
+    let mut e = traced_engine(g);
     let r = e.run_fio(&FioSpec::latency_probe(rw, Pattern::Rand, 4096, PROBE_OPS));
     assert_eq!(e.verify_failures(), 0);
     r
@@ -54,6 +57,30 @@ fn stage_means_sum_to_end_to_end_mean() {
     }
 }
 
+/// A reused engine reports each run on its own: the breakdown of a
+/// read probe that follows a write probe still adds up to the read's
+/// mean, and its hot-path counters match a fresh engine's read.
+#[test]
+fn reused_engine_reports_each_run_alone() {
+    let probe = |rw| FioSpec::latency_probe(rw, Pattern::Rand, 4096, PROBE_OPS);
+    let mut reused = traced_engine(Generation::DeLiBAK);
+    reused.run_fio(&probe(RwMode::Write));
+    let second = reused.run_fio(&probe(RwMode::Read));
+    let fresh = traced_probe(Generation::DeLiBAK, RwMode::Read);
+
+    let b = second.breakdown.as_ref().expect("traced");
+    assert_eq!(b.ops, second.ops, "the breakdown covers this run's ops only");
+    assert!(
+        (b.stage_sum_us - second.mean_latency_us).abs() < 1.0,
+        "stage sum {:.2} µs vs e2e mean {:.2} µs",
+        b.stage_sum_us,
+        second.mean_latency_us
+    );
+    let (c, f) = (second.counters.unwrap(), fresh.counters.unwrap());
+    assert_eq!(c.events, f.events, "events count this run only");
+    assert_eq!(c.cache_hits + c.cache_misses, f.cache_hits + f.cache_misses);
+}
+
 #[test]
 fn host_path_stages_shrink_across_generations() {
     for rw in [RwMode::Read, RwMode::Write] {
@@ -88,10 +115,7 @@ fn tracing_does_not_perturb_results() {
     let spec = FioSpec::latency_probe(RwMode::Read, Pattern::Rand, 4096, PROBE_OPS);
     let plain = Engine::new(EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication))
         .run_fio(&spec);
-    let traced = Engine::new(
-        EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication).with_tracing(),
-    )
-    .run_fio(&spec);
+    let traced = traced_engine(Generation::DeLiBAK).run_fio(&spec);
     assert!(plain.breakdown.is_none());
     assert!(traced.breakdown.is_some());
     assert_eq!(plain.mean_latency_us, traced.mean_latency_us);
