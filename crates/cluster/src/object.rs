@@ -106,14 +106,32 @@ impl StoredObject {
             filled += n;
         }
     }
+
+    /// Byte equality over `[0, len)` without copying: absent (sparse)
+    /// pages read as zeros, and bytes of the last page past `len` are
+    /// ignored.
+    fn same_content(&self, other: &StoredObject) -> bool {
+        let len = self.len;
+        if len != other.len {
+            return false;
+        }
+        (0..len.div_ceil(PAGE)).all(|p| {
+            let n = PAGE.min(len - p * PAGE);
+            let a = self.pages.get(&(p as u32)).map(|pg| &pg[..n]);
+            let b = other.pages.get(&(p as u32)).map(|pg| &pg[..n]);
+            match (a, b) {
+                (Some(a), Some(b)) => a == b,
+                (Some(z), None) | (None, Some(z)) => z.iter().all(|&b| b == 0),
+                (None, None) => true,
+            }
+        })
+    }
 }
 
 /// One OSD's (or one shard's) object store.
 #[derive(Debug, Default, Clone)]
 pub struct ObjectStore {
     objects: BTreeMap<ObjectId, StoredObject>,
-    bytes_written: u64,
-    bytes_read: u64,
 }
 
 impl ObjectStore {
@@ -127,7 +145,6 @@ impl ObjectStore {
     /// and reallocated — full-object overwrites (EC shards, replication
     /// full writes) are the store's hottest path.
     pub fn write(&mut self, id: ObjectId, data: Bytes) -> u64 {
-        self.bytes_written += data.len() as u64;
         let obj = self.objects.entry(id).or_default();
         obj.replace(&data);
         obj.version
@@ -136,22 +153,20 @@ impl ObjectStore {
     /// Partial overwrite at `offset`, extending the object if needed;
     /// returns the new version.
     pub fn write_at(&mut self, id: ObjectId, offset: usize, data: &[u8]) -> u64 {
-        self.bytes_written += data.len() as u64;
         let obj = self.objects.entry(id).or_default();
         obj.write_at(offset, data);
         obj.version
     }
 
     /// Read the whole object.
-    pub fn read(&mut self, id: ObjectId) -> Option<Bytes> {
+    pub fn read(&self, id: ObjectId) -> Option<Bytes> {
         let obj = self.objects.get(&id)?;
-        self.bytes_read += obj.len as u64;
         Some(Bytes::from(obj.read_at(0, obj.len)))
     }
 
     /// Read `len` bytes at `offset` (zero-filled past the end, like a
     /// sparse RBD object).
-    pub fn read_at(&mut self, id: ObjectId, offset: usize, len: usize) -> Bytes {
+    pub fn read_at(&self, id: ObjectId, offset: usize, len: usize) -> Bytes {
         let mut out = Vec::new();
         self.read_at_into(id, offset, len, &mut out);
         Bytes::from(out)
@@ -160,8 +175,7 @@ impl ObjectStore {
     /// [`ObjectStore::read_at`] into a caller-supplied buffer — the
     /// allocation-free form the engine's closed loop uses (`out` is
     /// resized to `len` and fully overwritten).
-    pub fn read_at_into(&mut self, id: ObjectId, offset: usize, len: usize, out: &mut Vec<u8>) {
-        self.bytes_read += len as u64;
+    pub fn read_at_into(&self, id: ObjectId, offset: usize, len: usize, out: &mut Vec<u8>) {
         out.clear();
         out.resize(len, 0);
         if let Some(obj) = self.objects.get(&id) {
@@ -174,8 +188,7 @@ impl ObjectStore {
         self.objects.get(&id).map(|o| o.version)
     }
 
-    /// Stored length of an object without counting a read (None if
-    /// absent).
+    /// Stored length of an object (None if absent).
     pub fn peek_len(&self, id: ObjectId) -> Option<usize> {
         self.objects.get(&id).map(|o| o.len)
     }
@@ -195,9 +208,15 @@ impl ObjectStore {
         self.objects.is_empty()
     }
 
-    /// (bytes_written, bytes_read) lifetime counters.
-    pub fn io_counters(&self) -> (u64, u64) {
-        (self.bytes_written, self.bytes_read)
+    /// Do object `id` here and object `other_id` in `other` hold the
+    /// same bytes?  Compares the stored pages in place (deep scrub's
+    /// copy-free check); false when the lengths differ or either
+    /// object is absent.
+    pub fn same_content(&self, id: ObjectId, other: &ObjectStore, other_id: ObjectId) -> bool {
+        match (self.objects.get(&id), other.objects.get(&other_id)) {
+            (Some(a), Some(b)) => a.same_content(b),
+            _ => false,
+        }
     }
 
     /// Iterate object ids (scrub support).
@@ -293,7 +312,57 @@ mod tests {
         s.write(id, Bytes::from(vec![0u8; 100]));
         s.read(id);
         s.read_at(id, 0, 50);
-        assert_eq!(s.io_counters(), (100, 150));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn same_content_treats_holes_as_zero_pages() {
+        let (a, b) = (ObjectId::new(0, 1), ObjectId::new(0, 2));
+        let mut s = ObjectStore::new();
+        // `a` has a hole at page 0; `b` stores that page explicitly.
+        s.write_at(a, PAGE, &[5u8; 100]);
+        s.write_at(b, 0, &[0u8; PAGE]);
+        s.write_at(b, PAGE, &[5u8; 100]);
+        assert!(s.same_content(a, &s, b));
+        assert!(s.same_content(b, &s, a));
+        // A non-zero byte in the explicit page breaks the equality.
+        s.write_at(b, 17, &[1]);
+        assert!(!s.same_content(a, &s, b));
+        assert!(!s.same_content(b, &s, a));
+    }
+
+    #[test]
+    fn same_content_compares_lengths_and_the_partial_last_page() {
+        let id = ObjectId::new(0, 1);
+        let data: Vec<u8> = (0..PAGE + 10).map(|i| (i % 251) as u8).collect();
+        let (mut x, mut y) = (ObjectStore::new(), ObjectStore::new());
+        x.write(id, Bytes::from(data.clone()));
+        y.write(id, Bytes::from(data.clone()));
+        assert!(x.same_content(id, &y, id));
+        // A flip inside the 10-byte tail of the last page is seen.
+        let mut flipped = data.clone();
+        flipped[PAGE + 9] ^= 0x80;
+        y.write(id, Bytes::from(flipped));
+        assert!(!x.same_content(id, &y, id));
+        // Equal bytes but one byte longer (a trailing zero): unequal.
+        let mut longer = data.clone();
+        longer.push(0);
+        y.write(id, Bytes::from(longer));
+        assert!(!x.same_content(id, &y, id));
+        assert!(!y.same_content(id, &x, id));
+        // Shrinking back to the same bytes restores equality.
+        y.write(id, Bytes::from(data));
+        assert!(x.same_content(id, &y, id));
+    }
+
+    #[test]
+    fn same_content_is_false_for_an_absent_object() {
+        let (id, missing) = (ObjectId::new(0, 1), ObjectId::new(0, 9));
+        let mut s = ObjectStore::new();
+        s.write(id, Bytes::new());
+        assert!(s.same_content(id, &s, id));
+        assert!(!s.same_content(id, &s, missing));
+        assert!(!s.same_content(missing, &s, id));
+        assert!(!s.same_content(missing, &s, missing));
     }
 }

@@ -200,12 +200,22 @@ impl Osd {
         random: bool,
         out: &mut Vec<u8>,
     ) -> Option<SimTime> {
+        let fin = self.charge_read(arrive, len, random)?;
+        self.store.read_at_into(id, offset, len, out);
+        Some(fin)
+    }
+
+    /// Charge a `len`-byte read arriving at `arrive` without copying any
+    /// bytes out: the same jitter draw, service time and thread
+    /// occupancy as [`Osd::read_object_at_into`].  Deep scrub uses it
+    /// and then compares the stored copies in place.  Returns `None`
+    /// when down.
+    pub fn charge_read(&mut self, arrive: SimTime, len: usize, random: bool) -> Option<SimTime> {
         if !self.up {
             return None;
         }
         let j = self.jitter();
         let service = self.profile.service(false, random, len as u64, j);
-        self.store.read_at_into(id, offset, len, out);
         let (_, fin) = self.threads.begin(arrive, service);
         Some(fin)
     }
@@ -318,6 +328,37 @@ mod tests {
         assert_eq!(finishes[0], finishes[7]);
         assert!(finishes[8] > finishes[7]);
         let _ = id;
+    }
+
+    #[test]
+    fn charge_read_times_like_a_copying_read() {
+        let mut p = OsdProfile::lab_ssd();
+        p.jitter_frac = 0.1;
+        let id = ObjectId::new(0, 5);
+        let data = Bytes::from(vec![3u8; 10_000]);
+        let mut charged = Osd::new(0, 0, p, Xoshiro256::seed_from_u64(8));
+        let mut copied = Osd::new(0, 0, p, Xoshiro256::seed_from_u64(8));
+        let mut buf = Vec::new();
+        let mut at = SimTime::ZERO;
+        for random in [true, false, true] {
+            let w = charged.write_object(at, id, data.clone(), random);
+            assert_eq!(w, copied.write_object(at, id, data.clone(), random));
+            let fin = charged.charge_read(at, data.len(), random).unwrap();
+            let fin_copy = copied
+                .read_object_at_into(at, id, 0, data.len(), random, &mut buf)
+                .unwrap();
+            assert_eq!(fin, fin_copy);
+            assert_eq!(&buf[..], &data[..]);
+            at = fin;
+        }
+        assert_eq!(charged.ops_served(), copied.ops_served());
+        assert_eq!(
+            charged.rng.next_u64(),
+            copied.rng.next_u64(),
+            "same RNG position"
+        );
+        charged.set_up(false);
+        assert!(charged.charge_read(at, 8, true).is_none());
     }
 
     #[test]

@@ -35,6 +35,7 @@ use bytes::Bytes;
 use deliba_ec::ReedSolomon;
 use deliba_sim::{SimDuration, SimRng, SimTime, Xoshiro256};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 
 /// Scheduler knobs: how aggressively background traffic may compete
 /// with foreground I/O.  `Copy` so it rides inside `EngineConfig`.
@@ -518,9 +519,8 @@ impl Cluster {
                 }
                 let rs = ReedSolomon::new(k, m);
                 rs.reconstruct(&mut slots).ok()?;
-                let data_shards: Vec<Vec<u8>> =
-                    (0..k).map(|i| slots[i].clone().expect("reconstructed")).collect();
-                for (pi, p) in rs.encode_parity(&data_shards).into_iter().enumerate() {
+                let parity = rs.encode_parity(&data_shards(&slots, k));
+                for (pi, p) in parity.into_iter().enumerate() {
                     slots[k + pi] = Some(p);
                 }
                 // Survivors plus every other up placed holder keep their
@@ -554,7 +554,7 @@ impl Cluster {
                 let mut moved = 0u64;
                 for idx in missing_idx {
                     let Some(dst) = targets.next() else { break };
-                    let shard = slots[idx].clone().expect("filled above");
+                    let shard = slots[idx].take().expect("filled above");
                     let len = shard.len() as u64;
                     let arrive =
                         self.topology
@@ -579,28 +579,18 @@ impl Cluster {
     /// media read per readable copy, byte/parity-comparing, and pushing
     /// costed repair writes for every mismatch.
     pub fn scrub_tick(&mut self, sched: &mut RecoveryScheduler, now: SimTime) -> ScrubTick {
-        let chunk = sched.policy.scrub_chunk.max(1) as usize;
+        let chunk = u64::from(sched.policy.scrub_chunk.max(1));
         let mut tick = ScrubTick { finish: now, ..ScrubTick::default() };
 
-        // The merged, ordered keyspace: (0, oid) replicated, (1, oid) EC.
-        let keys: Vec<(u8, ObjectId)> = self
-            .replica_dir
-            .keys()
-            .map(|o| (0u8, *o))
-            .chain(self.shard_dir.keys().map(|o| (1u8, *o)))
-            .collect();
-        if keys.is_empty() {
+        if self.replica_dir.is_empty() && self.shard_dir.is_empty() {
             tick.wrapped = true;
             sched.pass_found = 0;
             return tick;
         }
-        let start = match sched.scrub_cursor {
-            None => 0,
-            Some(last) => keys.partition_point(|&k| k <= last),
-        };
-        let mut idx = start;
-        while idx < keys.len() && tick.objects < chunk as u64 {
-            let (tag, oid) = keys[idx];
+        let mut cursor = sched.scrub_cursor;
+        let mut next = self.next_scrub_key(cursor);
+        while tick.objects < chunk {
+            let Some((tag, oid)) = next else { break };
             let (fin, detected, repaired) = if tag == 0 {
                 self.scrub_replicated_object(oid, now)
             } else {
@@ -610,20 +600,41 @@ impl Cluster {
             tick.detected += detected;
             tick.repaired += repaired;
             tick.objects += 1;
-            idx += 1;
+            cursor = next;
+            next = self.next_scrub_key(cursor);
         }
         sched.stats.scrub_objects += tick.objects;
         sched.stats.bitrot_detected += tick.detected;
         sched.stats.bitrot_repaired += tick.repaired;
         sched.stats.objects_repaired += tick.repaired;
         sched.pass_found += tick.detected;
-        if idx >= keys.len() {
+        if next.is_none() {
             tick.wrapped = true;
             sched.scrub_cursor = None;
         } else {
-            sched.scrub_cursor = Some(keys[idx - 1]);
+            sched.scrub_cursor = cursor;
         }
         tick
+    }
+
+    /// The scrub keyspace entry after `cursor` (from the start when
+    /// `None`): replicated objects `(0, oid)` in id order, then EC
+    /// objects `(1, oid)`.
+    fn next_scrub_key(&self, cursor: Option<(u8, ObjectId)>) -> Option<(u8, ObjectId)> {
+        fn after<V>(dir: &BTreeMap<ObjectId, V>, last: Option<ObjectId>) -> Option<ObjectId> {
+            let from = last.map_or(Bound::Unbounded, Bound::Excluded);
+            dir.range((from, Bound::Unbounded))
+                .next()
+                .map(|(oid, _)| *oid)
+        }
+        let replica = match cursor {
+            Some((1, _)) => None,
+            _ => after(&self.replica_dir, cursor.map(|(_, oid)| oid)).map(|oid| (0, oid)),
+        };
+        replica.or_else(|| {
+            let last = cursor.filter(|&(tag, _)| tag == 1).map(|(_, oid)| oid);
+            after(&self.shard_dir, last).map(|oid| (1, oid))
+        })
     }
 
     /// Reset the per-pass found counter (call when a pass wraps to
@@ -634,63 +645,93 @@ impl Cluster {
         found
     }
 
-    /// Deep-scrub one replicated object: every readable fresh copy does
-    /// a local media read; mismatching copies are rewritten from the
-    /// majority (ties to the first holder) over the cluster network.
+    /// Stored length of `osd`'s copy of `oid` when deep scrub may read
+    /// it: the OSD is up, the copy is fresh (stale copies are
+    /// backfill's job, not scrub's) and present.
+    fn scrub_readable_len(&self, osd: i32, oid: ObjectId) -> Option<usize> {
+        let o = &self.osds[osd as usize];
+        if !o.is_up() || self.stale.contains(&(osd, oid)) {
+            return None;
+        }
+        o.store().peek_len(oid)
+    }
+
+    /// Do two OSDs hold the same bytes for `oid`?  Compared in place.
+    fn same_copy(&self, a: i32, b: i32, oid: ObjectId) -> bool {
+        let store = |osd: i32| self.osds[osd as usize].store();
+        store(a).same_content(oid, store(b), oid)
+    }
+
+    /// Deep-scrub one replicated object: every readable fresh copy is
+    /// charged a local media read and compared with the first one in
+    /// place (no bytes copied, no allocation).  Only on a mismatch do
+    /// the copies vote (majority, ties to the first holder); the
+    /// winning bytes are materialised once and pushed to every
+    /// mismatching holder over the cluster network.
     fn scrub_replicated_object(
         &mut self,
         oid: ObjectId,
         now: SimTime,
     ) -> (SimTime, u64, u64) {
-        let holders = match self.replica_dir.get(&oid) {
-            Some(h) => h.clone(),
-            None => return (now, 0, 0),
+        let Some(holders) = self.replica_dir.get(&oid) else {
+            return (now, 0, 0);
         };
-        let mut copies: Vec<(i32, Vec<u8>)> = Vec::new();
         let mut fin = now;
-        for &osd in &holders {
-            if !self.osds[osd as usize].is_up() || self.stale.contains(&(osd, oid)) {
-                continue; // stale copies are backfill's job, not scrub's
-            }
-            let Some(len) = self.osds[osd as usize].store().peek_len(oid) else {
+        let mut first: Option<i32> = None;
+        let mut all_equal = true;
+        for &osd in holders {
+            let Some(len) = self.scrub_readable_len(osd, oid) else {
                 continue;
             };
-            let mut buf = Vec::new();
             let r_fin = self.osds[osd as usize]
-                .read_object_at_into(now, oid, 0, len, false, &mut buf)
+                .charge_read(now, len, false)
                 .expect("checked up");
             fin = fin.max(r_fin);
-            copies.push((osd, buf));
-        }
-        if copies.len() < 2 {
-            return (fin, 0, 0);
-        }
-        // Majority vote; ties go to the first (write-time primary) copy.
-        let mut best: Option<(usize, usize)> = None;
-        for (i, (_, d)) in copies.iter().enumerate() {
-            let votes = copies.iter().filter(|(_, x)| x == d).count();
-            if best.map(|(_, v)| votes > v).unwrap_or(true) {
-                best = Some((i, votes));
+            match first {
+                None => first = Some(osd),
+                Some(f) => all_equal = all_equal && self.same_copy(f, osd, oid),
             }
         }
-        let auth_idx = best.expect("non-empty").0;
-        let auth = copies[auth_idx].1.clone();
-        let auth_osd = copies[auth_idx].0;
+        // Also true with fewer than two readable copies: nothing to vote on.
+        if all_equal {
+            return (fin, 0, 0);
+        }
+        let copies: Vec<i32> = holders
+            .iter()
+            .copied()
+            .filter(|&osd| self.scrub_readable_len(osd, oid).is_some())
+            .collect();
+        // Majority vote; ties go to the first (write-time primary) copy.
+        let mut best: Option<(i32, usize)> = None;
+        for &osd in &copies {
+            let votes = copies
+                .iter()
+                .filter(|&&x| self.same_copy(x, osd, oid))
+                .count();
+            if best.map(|(_, v)| votes > v).unwrap_or(true) {
+                best = Some((osd, votes));
+            }
+        }
+        let auth_osd = best.expect("non-empty").0;
+        let auth = self.osds[auth_osd as usize]
+            .store()
+            .read(oid)
+            .expect("readable copy");
         let mut detected = 0;
         let mut repaired = 0;
-        for (osd, d) in &copies {
-            if *d != auth {
+        for &osd in &copies {
+            if !self.same_copy(auth_osd, osd, oid) {
                 detected += 1;
                 // Push the authoritative copy to the bad holder.
                 let s_from = self.server_of(auth_osd);
-                let s_to = self.server_of(*osd);
+                let s_to = self.server_of(osd);
                 let arrive = if s_from == s_to {
                     fin + ACK_SAME_SERVER
                 } else {
                     self.topology.server_to_server(fin, s_from, s_to, auth.len() as u64)
                 };
-                let w_fin = self.osds[*osd as usize]
-                    .write_object(arrive, oid, Bytes::from(auth.clone()), false)
+                let w_fin = self.osds[osd as usize]
+                    .write_object(arrive, oid, auth.clone(), false)
                     .expect("checked up");
                 fin = fin.max(w_fin);
                 repaired += 1;
@@ -716,11 +757,10 @@ impl Cluster {
     /// corruption registry (modeling Ceph's per-shard hinfo CRCs); the
     /// shard is reconstructed from the surviving k and rewritten.
     fn scrub_ec_object(&mut self, oid: ObjectId, now: SimTime) -> (SimTime, u64, u64) {
-        let (orig_len, placed) = match self.shard_dir.get(&oid) {
-            Some(p) => p.clone(),
+        let placed = match self.shard_dir.get(&oid) {
+            Some((_, placed)) => placed.clone(),
             None => return (now, 0, 0),
         };
-        let _ = orig_len;
         let pool = self.map.pool(oid.pool).expect("pool exists").clone();
         let PoolKind::Erasure { k, m } = pool.kind else {
             return (now, 0, 0);
@@ -747,8 +787,7 @@ impl Cluster {
         if !(0..k).all(|i| slots[i].is_some()) {
             return (fin, 0, 0); // data shards missing → recovery's job
         }
-        let data_shards: Vec<Vec<u8>> = (0..k).map(|i| slots[i].clone().unwrap()).collect();
-        let parity = rs.encode_parity(&data_shards);
+        let parity = rs.encode_parity(&data_shards(&slots, k));
         let mismatch = parity.iter().enumerate().any(|(pi, p)| {
             slots[k + pi].as_ref().map(|stored| stored != p).unwrap_or(false)
         });
@@ -796,12 +835,10 @@ impl Cluster {
                     continue; // not enough good shards — unrepairable now
                 }
                 let good = if idx < k {
-                    work[idx].clone().expect("reconstructed")
+                    work[idx].take().expect("reconstructed")
                 } else {
-                    rs.encode_parity(
-                        &(0..k).map(|i| work[i].clone().unwrap()).collect::<Vec<_>>(),
-                    )[idx - k]
-                        .clone()
+                    rs.encode_parity(&data_shards(&work, k))
+                        .swap_remove(idx - k)
                 };
                 let arrive = self.topology.client_to_server(
                     fin,
@@ -886,6 +923,15 @@ impl Cluster {
         }
         injected
     }
+}
+
+/// Borrow the `k` data shards of a full slot vector for
+/// [`ReedSolomon::encode_parity`].
+fn data_shards(slots: &[Option<Vec<u8>>], k: usize) -> Vec<&[u8]> {
+    slots[..k]
+        .iter()
+        .map(|s| s.as_deref().expect("data shard present"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1153,5 +1199,117 @@ mod tests {
         }
         assert_eq!(ticks, 4, "10 objects at chunk 3 → 4 ticks");
         assert_eq!(sched.stats.scrub_objects, 10);
+    }
+
+    /// Deep scrub of one replicated object the copying way: materialise
+    /// every readable fresh copy, vote over whole byte vectors (ties to
+    /// the first holder) and return the mismatch count plus every
+    /// holder's expected bytes after repair.
+    fn reference_scrub(c: &Cluster, oid: ObjectId) -> (u64, Vec<(i32, Bytes)>) {
+        let holders = &c.replica_dir[&oid];
+        let stored = |h: i32| c.osds[h as usize].store().read(oid);
+        let mut finals: Vec<(i32, Bytes)> = holders
+            .iter()
+            .map(|&h| (h, stored(h).expect("copy exists")))
+            .collect();
+        let copies: Vec<(i32, Vec<u8>)> = holders
+            .iter()
+            .copied()
+            .filter(|&h| c.osds[h as usize].is_up() && !c.stale.contains(&(h, oid)))
+            .filter_map(|h| stored(h).map(|b| (h, b.to_vec())))
+            .collect();
+        if copies.len() < 2 {
+            return (0, finals);
+        }
+        let mut best: Option<(usize, usize)> = None;
+        for (i, (_, d)) in copies.iter().enumerate() {
+            let votes = copies.iter().filter(|(_, x)| x == d).count();
+            if best.is_none_or(|(_, v)| votes > v) {
+                best = Some((i, votes));
+            }
+        }
+        let auth = &copies[best.expect("two copies").0].1;
+        let mut detected = 0;
+        for (h, d) in &copies {
+            if d != auth {
+                detected += 1;
+                let slot = finals.iter_mut().find(|(f, _)| f == h).expect("holder");
+                slot.1 = Bytes::from(auth.clone());
+            }
+        }
+        (detected, finals)
+    }
+
+    #[test]
+    fn in_place_scrub_matches_the_copying_vote() {
+        let (mut c, t) = seeded_cluster(38, 12);
+        let mut rng = Xoshiro256::seed_from_u64(2024);
+        let holders = |c: &Cluster, i: u64| c.replica_dir[&oid_rep(i)].clone();
+        // Flip one seeded byte of copy `copy` of object `i`; returns the
+        // (offset, mask) so a test case can repeat it on another copy.
+        let mut flip = |c: &mut Cluster, i: u64, copy: usize, at: Option<(usize, u8)>| {
+            let oid = oid_rep(i);
+            let h = holders(c, i)[copy];
+            let (off, mask) =
+                at.unwrap_or_else(|| (rng.gen_range(8192) as usize, 1 + rng.gen_range(255) as u8));
+            let store = c.osds[h as usize].store_mut();
+            let cur = store.read_at(oid, off, 1)[0];
+            store.write_at(oid, off, &[cur ^ mask]);
+            c.corrupted.insert((h, oid));
+            (off, mask)
+        };
+        // 0: clean.  1: copy 2 rotten.  2: copy 0 rotten (the majority
+        // outvotes the first holder).
+        flip(&mut c, 1, 2, None);
+        flip(&mut c, 2, 0, None);
+        // 3: all three copies different (three-way tie → copy 0).
+        flip(&mut c, 3, 0, None);
+        flip(&mut c, 3, 1, None);
+        flip(&mut c, 3, 2, None);
+        // 4 and 5: two readable copies that differ (1:1 tie → copy 0),
+        // once with the rot on copy 1 and once on copy 0.
+        for (i, rotten) in [(4, 1), (5, 0)] {
+            let excluded = holders(&c, i)[2];
+            c.stale.insert((excluded, oid_rep(i)));
+            flip(&mut c, i, rotten, None);
+        }
+        // 6: copies 0 and 1 carry the same flip and outvote copy 2.
+        let same = flip(&mut c, 6, 0, None);
+        flip(&mut c, 6, 1, Some(same));
+        // 7: the last byte of copy 1.  8: copy 1 one zero byte longer.
+        flip(&mut c, 7, 1, Some((8191, 0x01)));
+        let longer = holders(&c, 8)[1];
+        c.osds[longer as usize]
+            .store_mut()
+            .write_at(oid_rep(8), 8192, &[0]);
+
+        let mut want_detected = 0;
+        let mut want_bytes = Vec::new();
+        for i in 0..12 {
+            let (detected, finals) = reference_scrub(&c, oid_rep(i));
+            want_detected += detected;
+            want_bytes.push(finals);
+        }
+        assert_eq!(want_detected, 9, "the cases above outvote nine copies");
+
+        let mut sched = RecoveryScheduler::new(
+            RecoveryPolicy::default().with_scrub(SimDuration::from_micros(100), 64),
+        );
+        let tick = c.scrub_tick(&mut sched, t);
+        assert!(tick.wrapped);
+        assert_eq!(tick.objects, 12);
+        assert_eq!(tick.detected, want_detected);
+        assert_eq!(tick.repaired, want_detected);
+        assert_eq!(sched.stats.bitrot_repaired, want_detected);
+        assert_eq!(c.corrupted_copies(), 0);
+        for (i, finals) in want_bytes.iter().enumerate() {
+            for (h, want) in finals {
+                let got = c.osds[*h as usize].store().read(oid_rep(i as u64)).unwrap();
+                assert_eq!(&got, want, "object {i}, OSD {h}");
+            }
+        }
+        // The repaired copies agree, so a second pass finds nothing.
+        let tick2 = c.scrub_tick(&mut sched, tick.finish);
+        assert_eq!((tick2.detected, tick2.repaired), (0, 0));
     }
 }

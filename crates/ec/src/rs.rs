@@ -101,19 +101,20 @@ impl ReedSolomon {
         shards
     }
 
-    /// Compute the `m` parity shards for `k` equal-length data shards.
-    pub fn encode_parity(&self, data_shards: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    /// Compute the `m` parity shards for `k` equal-length data shards,
+    /// owned (`&[Vec<u8>]`) or borrowed (`&[&[u8]]`).
+    pub fn encode_parity<S: AsRef<[u8]>>(&self, data_shards: &[S]) -> Vec<Vec<u8>> {
         assert_eq!(data_shards.len(), self.k, "need exactly k data shards");
-        let len = data_shards[0].len();
+        let len = data_shards[0].as_ref().len();
         assert!(
-            data_shards.iter().all(|s| s.len() == len),
+            data_shards.iter().all(|s| s.as_ref().len() == len),
             "data shards must be equal length"
         );
         let mut parity = vec![vec![0u8; len]; self.m];
         for (p, out) in parity.iter_mut().enumerate() {
             let row = self.k + p;
             for (c, shard) in data_shards.iter().enumerate() {
-                mul_slice_xor(self.encoding.get(row, c), shard, out);
+                mul_slice_xor(self.encoding.get(row, c), shard.as_ref(), out);
             }
         }
         parity
@@ -307,6 +308,9 @@ mod tests {
         let parity = rs.encode_parity(&data_shards);
         assert_eq!(parity[0], shards[4]);
         assert_eq!(parity[1], shards[5]);
+        // Borrowed shards encode to the same parity.
+        let borrowed: Vec<&[u8]> = opt[..4].iter().map(|s| s.as_deref().unwrap()).collect();
+        assert_eq!(rs.encode_parity(&borrowed), parity);
     }
 
     #[test]
