@@ -1058,32 +1058,42 @@ pub fn perf() -> Experiment {
     let sharded_speedup = sharded_evps / lane_single_evps.max(1e-9);
 
     // Intra-run parallelism, engine shape: an EC-write cell, whose
-    // serial wall-clock is dominated by lane-local compute (payload
-    // fill, FNV checksum, RS(4, 2) arithmetic), run once serially and
-    // once with the prepare worker pool sized to the machine.  Both
-    // runs produce byte-identical reports (pinned by the differential
-    // suite); the cells expose the wall-clock ratio.  On a single-core
-    // runner the pool is size 1 and the ratio reads ~1.0 — CI floors
-    // apply only when the machine actually has cores to win on.
+    // serial wall-clock is lane-local compute (payload fill, FNV
+    // checksum, shard copies; the SIMD RS(4, 2) multiply is a minor
+    // share), run once serially and once with the prepare worker pool
+    // sized to the machine.  Both runs produce byte-identical reports (pinned by
+    // the differential suite); the cells expose the wall-clock ratio.
+    // On a single-core runner the pool is size 1 and the ratio reads
+    // ~1.0 — CI floors apply only when the machine actually has cores
+    // to win on.  The serial leg's events per second is the EC path's
+    // `--baseline` ratchet.
     let pool_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ec_spec = FioSpec::paper(RwMode::Write, Pattern::Rand, 16384, CELL_OPS);
-    let ec_wall = |threads: usize| -> f64 {
+    let ec_run = |threads: usize| -> (f64, u64) {
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding)
             .with_sim_threads(threads);
         let mut e = Engine::new(cfg);
         let t0 = Instant::now();
         let r = e.run_fio(&ec_spec);
+        let wall = t0.elapsed().as_secs_f64();
         assert_eq!(r.verify_failures, 0);
-        t0.elapsed().as_secs_f64()
+        let events = r.counters.expect("engine reports carry counters").events;
+        (wall, events)
     };
     // Interleaved best-of-3 per leg, for the same reason the recorder
     // cells pair their runs: cross-batch drift must hit both legs.
     let mut ec_serial_wall = f64::INFINITY;
+    let mut ec_serial_events = 0u64;
     let mut ec_pool_wall = f64::INFINITY;
     for _ in 0..3 {
-        ec_serial_wall = ec_serial_wall.min(ec_wall(1));
-        ec_pool_wall = ec_pool_wall.min(ec_wall(pool_threads));
+        let (wall, events) = ec_run(1);
+        if wall < ec_serial_wall {
+            ec_serial_wall = wall;
+            ec_serial_events = events;
+        }
+        ec_pool_wall = ec_pool_wall.min(ec_run(pool_threads).0);
     }
+    let ec_serial_evps = ec_serial_events as f64 / ec_serial_wall.max(1e-9);
     let prepare_speedup = ec_serial_wall / ec_pool_wall.max(1e-9);
 
     Experiment {
@@ -1246,6 +1256,13 @@ pub fn perf() -> Experiment {
                 workload: "wall clock".into(),
                 unit: "s",
                 measured: ec_serial_wall,
+                paper: None,
+            },
+            Cell {
+                config: "engine EC write (1 thread)".into(),
+                workload: "events per second".into(),
+                unit: "ev/s",
+                measured: ec_serial_evps,
                 paper: None,
             },
             Cell {

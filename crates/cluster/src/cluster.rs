@@ -314,7 +314,7 @@ impl Cluster {
         // 2. Primary applies locally and forwards to replicas in
         //    parallel.
         let p_fin = self.osds[primary as usize]
-            .write_object(at_primary, oid, data.clone(), random)
+            .write_object(at_primary, oid, &data, random)
             .expect("primary is healthy");
         let mut commit = p_fin;
         for &rep in healthy.iter().skip(1) {
@@ -329,7 +329,7 @@ impl Cluster {
                     .max(at_primary)
             };
             let r_fin = self.osds[rep as usize]
-                .write_object(arrive, oid, data.clone(), random)
+                .write_object(arrive, oid, &data, random)
                 .expect("replica is healthy");
             let ack = if r_server == p_server {
                 r_fin + ACK_SAME_SERVER
@@ -678,7 +678,7 @@ impl Cluster {
                 .client_to_server(now, server, shard.len() as u64);
             let shard_bytes = shard.len() as u64;
             let fin = self.osds[osd as usize]
-                .write_object(arrive, oid, Bytes::from(shard), random)
+                .write_object(arrive, oid, &shard, random)
                 .expect("checked up");
             self.trace_osd_service(fin, osd, shard_bytes);
             let ack = self.topology.server_to_client(fin, server, CONTROL_BYTES);
@@ -829,7 +829,7 @@ impl Cluster {
             } else {
                 v[0] ^= 0xFF;
             }
-            store.write(oid, Bytes::from(v));
+            store.write(oid, &v);
             true
         } else {
             false

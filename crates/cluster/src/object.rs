@@ -144,9 +144,9 @@ impl ObjectStore {
     /// existing object's page allocations are reused rather than freed
     /// and reallocated — full-object overwrites (EC shards, replication
     /// full writes) are the store's hottest path.
-    pub fn write(&mut self, id: ObjectId, data: Bytes) -> u64 {
+    pub fn write(&mut self, id: ObjectId, data: &[u8]) -> u64 {
         let obj = self.objects.entry(id).or_default();
-        obj.replace(&data);
+        obj.replace(data);
         obj.version
     }
 
@@ -233,8 +233,8 @@ mod tests {
     fn write_read_version_cycle() {
         let mut s = ObjectStore::new();
         let id = ObjectId::new(1, 42);
-        assert_eq!(s.write(id, Bytes::from_static(b"v1")), 1);
-        assert_eq!(s.write(id, Bytes::from_static(b"v2")), 2);
+        assert_eq!(s.write(id, b"v1"), 1);
+        assert_eq!(s.write(id, b"v2"), 2);
         assert_eq!(&s.read(id).unwrap()[..], b"v2");
         assert_eq!(s.version(id), Some(2));
         assert!(s.remove(id));
@@ -245,8 +245,8 @@ mod tests {
     fn write_replaces_whole_object() {
         let mut s = ObjectStore::new();
         let id = ObjectId::new(0, 9);
-        s.write(id, Bytes::from(vec![0xAA; 10_000]));
-        s.write(id, Bytes::from_static(b"short"));
+        s.write(id, &[0xAA; 10_000]);
+        s.write(id, b"short");
         assert_eq!(s.peek_len(id), Some(5));
         assert_eq!(&s.read(id).unwrap()[..], b"short");
     }
@@ -290,7 +290,7 @@ mod tests {
     fn read_at_is_sparse() {
         let mut s = ObjectStore::new();
         let id = ObjectId::new(0, 2);
-        s.write(id, Bytes::from_static(b"hello"));
+        s.write(id, b"hello");
         let r = s.read_at(id, 3, 6);
         assert_eq!(&r[..], b"lo\0\0\0\0");
         // Absent object reads zeros.
@@ -309,7 +309,7 @@ mod tests {
     fn counters() {
         let mut s = ObjectStore::new();
         let id = ObjectId::new(0, 1);
-        s.write(id, Bytes::from(vec![0u8; 100]));
+        s.write(id, &[0u8; 100]);
         s.read(id);
         s.read_at(id, 0, 50);
         assert_eq!(s.len(), 1);
@@ -336,22 +336,22 @@ mod tests {
         let id = ObjectId::new(0, 1);
         let data: Vec<u8> = (0..PAGE + 10).map(|i| (i % 251) as u8).collect();
         let (mut x, mut y) = (ObjectStore::new(), ObjectStore::new());
-        x.write(id, Bytes::from(data.clone()));
-        y.write(id, Bytes::from(data.clone()));
+        x.write(id, &data);
+        y.write(id, &data);
         assert!(x.same_content(id, &y, id));
         // A flip inside the 10-byte tail of the last page is seen.
         let mut flipped = data.clone();
         flipped[PAGE + 9] ^= 0x80;
-        y.write(id, Bytes::from(flipped));
+        y.write(id, &flipped);
         assert!(!x.same_content(id, &y, id));
         // Equal bytes but one byte longer (a trailing zero): unequal.
         let mut longer = data.clone();
         longer.push(0);
-        y.write(id, Bytes::from(longer));
+        y.write(id, &longer);
         assert!(!x.same_content(id, &y, id));
         assert!(!y.same_content(id, &x, id));
         // Shrinking back to the same bytes restores equality.
-        y.write(id, Bytes::from(data));
+        y.write(id, &data);
         assert!(x.same_content(id, &y, id));
     }
 
@@ -359,7 +359,7 @@ mod tests {
     fn same_content_is_false_for_an_absent_object() {
         let (id, missing) = (ObjectId::new(0, 1), ObjectId::new(0, 9));
         let mut s = ObjectStore::new();
-        s.write(id, Bytes::new());
+        s.write(id, &[]);
         assert!(s.same_content(id, &s, id));
         assert!(!s.same_content(id, &s, missing));
         assert!(!s.same_content(missing, &s, id));

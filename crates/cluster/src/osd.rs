@@ -142,7 +142,7 @@ impl Osd {
         &mut self,
         arrive: SimTime,
         id: ObjectId,
-        data: Bytes,
+        data: &[u8],
         random: bool,
     ) -> Option<SimTime> {
         if !self.up {
@@ -257,7 +257,7 @@ mod tests {
         let mut o = osd();
         let id = ObjectId::new(0, 7);
         let data = Bytes::from(vec![9u8; 4096]);
-        let ack = o.write_object(SimTime::ZERO, id, data.clone(), true).unwrap();
+        let ack = o.write_object(SimTime::ZERO, id, &data, true).unwrap();
         assert!(ack.as_nanos() > 0);
         let (read, fin) = o.read_object_at(ack, id, 0, 4096, true).unwrap();
         assert_eq!(read, data);
@@ -303,12 +303,12 @@ mod tests {
         let mut o = osd();
         o.set_up(false);
         assert!(o
-            .write_object(SimTime::ZERO, ObjectId::new(0, 1), Bytes::new(), true)
+            .write_object(SimTime::ZERO, ObjectId::new(0, 1), &[], true)
             .is_none());
         assert!(o.read_object_at(SimTime::ZERO, ObjectId::new(0, 1), 0, 8, true).is_none());
         o.set_up(true);
         assert!(o
-            .write_object(SimTime::ZERO, ObjectId::new(0, 1), Bytes::from_static(b"x"), true)
+            .write_object(SimTime::ZERO, ObjectId::new(0, 1), b"x", true)
             .is_some());
     }
 
@@ -321,7 +321,7 @@ mod tests {
         let mut finishes = Vec::new();
         for i in 0..9 {
             let f = o
-                .write_object(SimTime::ZERO, ObjectId::new(0, i), Bytes::from(vec![0; 4096]), true)
+                .write_object(SimTime::ZERO, ObjectId::new(0, i), &[0; 4096], true)
                 .unwrap();
             finishes.push(f);
         }
@@ -341,8 +341,8 @@ mod tests {
         let mut buf = Vec::new();
         let mut at = SimTime::ZERO;
         for random in [true, false, true] {
-            let w = charged.write_object(at, id, data.clone(), random);
-            assert_eq!(w, copied.write_object(at, id, data.clone(), random));
+            let w = charged.write_object(at, id, &data, random);
+            assert_eq!(w, copied.write_object(at, id, &data, random));
             let fin = charged.charge_read(at, data.len(), random).unwrap();
             let fin_copy = copied
                 .read_object_at_into(at, id, 0, data.len(), random, &mut buf)
@@ -369,7 +369,7 @@ mod tests {
         let mut times: Vec<u64> = Vec::new();
         for i in 0..200 {
             let f = o
-                .write_object(SimTime::ZERO, ObjectId::new(0, i), Bytes::from(vec![0; 4096]), true)
+                .write_object(SimTime::ZERO, ObjectId::new(0, i), &[0; 4096], true)
                 .unwrap();
             times.push(f.as_nanos());
         }

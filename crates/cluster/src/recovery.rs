@@ -31,7 +31,6 @@
 use crate::cluster::{Cluster, ACK_SAME_SERVER};
 use crate::object::ObjectId;
 use crate::pool::PoolKind;
-use bytes::Bytes;
 use deliba_ec::ReedSolomon;
 use deliba_sim::{SimDuration, SimRng, SimTime, Xoshiro256};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -466,7 +465,7 @@ impl Cluster {
                     self.topology.server_to_server(read_fin, s_from, s_to, len as u64)
                 };
                 let fin = self.osds[dst as usize]
-                    .write_object(arrive, oid, Bytes::from(buf), false)
+                    .write_object(arrive, oid, &buf, false)
                     .expect("destination is up");
                 // A full-object copy makes the destination fresh.
                 self.stale.remove(&(dst, oid));
@@ -560,7 +559,7 @@ impl Cluster {
                         self.topology
                             .client_to_server(gather, self.server_of(dst), len);
                     let w_fin = self.osds[dst as usize]
-                        .write_object(arrive, oid, Bytes::from(shard), false)
+                        .write_object(arrive, oid, &shard, false)
                         .expect("destination is up");
                     self.stale.remove(&(dst, oid));
                     self.corrupted.remove(&(dst, oid));
@@ -731,7 +730,7 @@ impl Cluster {
                     self.topology.server_to_server(fin, s_from, s_to, auth.len() as u64)
                 };
                 let w_fin = self.osds[osd as usize]
-                    .write_object(arrive, oid, auth.clone(), false)
+                    .write_object(arrive, oid, &auth, false)
                     .expect("checked up");
                 fin = fin.max(w_fin);
                 repaired += 1;
@@ -818,7 +817,7 @@ impl Cluster {
                             p.len() as u64,
                         );
                         let w_fin = self.osds[osd as usize]
-                            .write_object(arrive, oid, Bytes::from(p), false)
+                            .write_object(arrive, oid, &p, false)
                             .expect("checked up");
                         fin = fin.max(w_fin);
                         repaired += 1;
@@ -846,7 +845,7 @@ impl Cluster {
                     good.len() as u64,
                 );
                 let w_fin = self.osds[osd as usize]
-                    .write_object(arrive, oid, Bytes::from(good.clone()), false)
+                    .write_object(arrive, oid, &good, false)
                     .expect("checked up");
                 fin = fin.max(w_fin);
                 slots[idx] = Some(good);
@@ -937,6 +936,7 @@ fn data_shards(slots: &[Option<Vec<u8>>], k: usize) -> Vec<&[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use deliba_sim::SimTime;
 
     fn oid_rep(name: u64) -> ObjectId {

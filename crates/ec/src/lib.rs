@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! # deliba-ec — Reed-Solomon erasure coding over GF(2^8)
 //!
@@ -14,8 +16,9 @@
 //! baseline and the FPGA accelerator model:
 //!
 //! * [`gf256`] — arithmetic in GF(2^8) with the 0x11D polynomial (the
-//!   same field ISA-L and jerasure use), log/exp tables built at first
-//!   use;
+//!   same field ISA-L and jerasure use): log/exp tables built at first
+//!   use, plus a SIMD split-nibble kernel (AVX2 byte shuffles over
+//!   per-constant 16-entry tables) for the encoder's slice multiply;
 //! * [`matrix`] — dense matrices over the field, with inversion;
 //! * [`rs`] — systematic Reed-Solomon codes from Vandermonde-derived
 //!   encoding matrices: [`rs::ReedSolomon::encode`] and
