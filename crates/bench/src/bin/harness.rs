@@ -64,8 +64,9 @@
 //! `timeline.report.json` (the carrier `RunReport` with its `slo`
 //! section) into the directory.
 //!
-//! Sweeps run cells on `DELIBA_JOBS` worker threads (default: all
-//! cores); output is byte-identical to a serial run either way.
+//! Each engine run is serial.  Multi-core use comes from the sweeps:
+//! they run cells on `DELIBA_JOBS` worker threads (default: all
+//! cores), and output is byte-identical to a serial run either way.
 
 use deliba_bench::*;
 

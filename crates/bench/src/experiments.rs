@@ -852,14 +852,13 @@ pub fn breakdown() -> Experiment {
 // Harness perf gate (not a paper artifact)
 // ---------------------------------------------------------------------
 
-/// Wall-clock perf gate: a fixed reference workload through the full
-/// engine plus a pure event-queue churn loop, reporting wall time and
-/// events per second.  This is the reproduction's own benchmark (CI
-/// tracks it as `BENCH_harness.json`), not a paper figure — and because
-/// wall-clock is nondeterministic it is deliberately *excluded* from
-/// `harness all`, whose output must stay bit-reproducible.
+/// Wall-clock perf gate: fixed reference workloads through the full
+/// engine, reporting wall time and events per second.  This is the
+/// reproduction's own benchmark (CI tracks it as `BENCH_harness.json`),
+/// not a paper figure — and because wall-clock is nondeterministic it
+/// is deliberately *excluded* from `harness all`, whose output must
+/// stay bit-reproducible.
 pub fn perf() -> Experiment {
-    use deliba_sim::{EventQueue, LaneQueue, SimDuration, SimTime};
     use std::time::Instant;
 
     // Reference workload: the Fig. 7 headline cell (DeLiBA-K hardware
@@ -997,112 +996,31 @@ pub fn perf() -> Experiment {
     let recording_overhead = recording_overhead.max(0.0);
     let tele_recording_overhead = tele_recording_overhead.max(0.0);
 
-    // Pure queue churn: steady-state schedule/pop with pseudo-random
-    // deltas — the simulator hot loop with the engine stripped away.
-    const CHURN: u64 = 1_000_000;
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(1024);
-    for i in 0..1024u64 {
-        q.schedule_at(SimTime::from_nanos(i), i);
-    }
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let t0 = Instant::now();
-    for _ in 0..CHURN {
-        let (at, v) = q.pop().expect("queue stays populated");
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        q.schedule_at(at + SimDuration::from_nanos(1 + ((x >> 33) & 1023)), v);
-    }
-    let queue_wall = t0.elapsed().as_secs_f64();
-    let queue_evps = CHURN as f64 / queue_wall.max(1e-9);
-
-    // Lane churn: the regime the engine's per-lane sub-queues live in.
-    // Each of 32 lanes carries a deep stream of completions with a
-    // stable per-lane service delta, so successive pushes into one lane
-    // ascend in time — the sharded queue appends them in O(1) behind a
-    // 32-entry frontier, where the single heap sifts every event through
-    // a 4096-deep heap.  Both structures run the identical event stream;
-    // the speedup cell is their ratio.
-    const LANES: usize = 32;
-    const LANE_DEPTH: u64 = 128;
-    let lane_delta = |lane: usize| SimDuration::from_nanos(1 + ((lane as u64 * 137) & 1023));
-    let lane_churn_single = || -> f64 {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(LANES * LANE_DEPTH as usize);
-        for i in 0..LANES as u64 * LANE_DEPTH {
-            q.schedule_at(SimTime::from_nanos(i), i);
-        }
-        let t0 = Instant::now();
-        for _ in 0..CHURN {
-            let (at, v) = q.pop().expect("queue stays populated");
-            q.schedule_at(at + lane_delta(v as usize % LANES), v);
-        }
-        CHURN as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let lane_churn_sharded = || -> f64 {
-        let mut q: LaneQueue<u64> = LaneQueue::new(LANES, 0);
-        for i in 0..LANES as u64 * LANE_DEPTH {
-            q.schedule_at(i as usize % LANES, SimTime::from_nanos(i), i);
-        }
-        let t0 = Instant::now();
-        for _ in 0..CHURN {
-            let (at, v) = q.pop().expect("queue stays populated");
-            let lane = v as usize % LANES;
-            q.schedule_at(lane, at + lane_delta(lane), v);
-        }
-        CHURN as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    // Best of 3 each — a scheduler hiccup in either leg would fake a
-    // ratio shift in both directions.
-    let lane_single_evps = (0..3).map(|_| lane_churn_single()).fold(0.0, f64::max);
-    let sharded_evps = (0..3).map(|_| lane_churn_sharded()).fold(0.0, f64::max);
-    let sharded_speedup = sharded_evps / lane_single_evps.max(1e-9);
-
-    // Intra-run parallelism, engine shape: an EC-write cell, whose
-    // serial wall-clock is lane-local compute (payload fill, FNV
-    // checksum, shard copies; the SIMD RS(4, 2) multiply is a minor
-    // share), run once serially and once with the prepare worker pool
-    // sized to the machine.  Both runs produce byte-identical reports (pinned by
-    // the differential suite); the cells expose the wall-clock ratio.
-    // On a single-core runner the pool is size 1 and the ratio reads
-    // ~1.0 — CI floors apply only when the machine actually has cores
-    // to win on.  The serial leg's events per second is the EC path's
-    // `--baseline` ratchet.
-    let pool_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // The EC-write cell: the engine shape whose host time is lane-local
+    // compute (payload fill, FNV checksum, shard copies, the SIMD
+    // RS(4, 2) multiply).  Best of 3 like the reference; its events per
+    // second is the EC path's `--baseline` ratchet.
     let ec_spec = FioSpec::paper(RwMode::Write, Pattern::Rand, 16384, CELL_OPS);
-    let ec_run = |threads: usize| -> (f64, u64) {
-        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding)
-            .with_sim_threads(threads);
-        let mut e = Engine::new(cfg);
+    let mut ec_wall = f64::INFINITY;
+    let mut ec_events = 0u64;
+    for _ in 0..3 {
+        let mut e = Engine::new(EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding));
         let t0 = Instant::now();
         let r = e.run_fio(&ec_spec);
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(r.verify_failures, 0);
-        let events = r.counters.expect("engine reports carry counters").events;
-        (wall, events)
-    };
-    // Interleaved best-of-3 per leg, for the same reason the recorder
-    // cells pair their runs: cross-batch drift must hit both legs.
-    let mut ec_serial_wall = f64::INFINITY;
-    let mut ec_serial_events = 0u64;
-    let mut ec_pool_wall = f64::INFINITY;
-    for _ in 0..3 {
-        let (wall, events) = ec_run(1);
-        if wall < ec_serial_wall {
-            ec_serial_wall = wall;
-            ec_serial_events = events;
+        if wall < ec_wall {
+            ec_wall = wall;
+            ec_events = r.counters.expect("engine reports carry counters").events;
         }
-        ec_pool_wall = ec_pool_wall.min(ec_run(pool_threads).0);
     }
-    let ec_serial_evps = ec_serial_events as f64 / ec_serial_wall.max(1e-9);
-    let prepare_speedup = ec_serial_wall / ec_pool_wall.max(1e-9);
+    let ec_evps = ec_events as f64 / ec_wall.max(1e-9);
 
     Experiment {
         id: "perf".into(),
         caption: "harness perf gate: wall-clock + events/sec on the reference workload".into(),
         cells: vec![
-            // Cell configs name their thread/shard configuration: the
-            // reference cells run the serial commit loop (1 thread,
-            // sharded queue), the parallel cells below name the pool.
+            // "1 thread" in a cell config: every engine run is serial.
             Cell {
                 config: "engine closed loop (1 thread)".into(),
                 workload: r.workload.clone(),
@@ -1178,34 +1096,6 @@ pub fn perf() -> Experiment {
                 paper: None,
             },
             Cell {
-                config: "event queue".into(),
-                workload: "schedule/pop churn".into(),
-                unit: "ev/s",
-                measured: queue_evps,
-                paper: None,
-            },
-            Cell {
-                config: "sharded queue".into(),
-                workload: "lane churn (single heap)".into(),
-                unit: "ev/s",
-                measured: lane_single_evps,
-                paper: None,
-            },
-            Cell {
-                config: "sharded queue".into(),
-                workload: "lane churn (sharded)".into(),
-                unit: "ev/s",
-                measured: sharded_evps,
-                paper: None,
-            },
-            Cell {
-                config: "sharded queue".into(),
-                workload: "sharded queue speedup".into(),
-                unit: "x",
-                measured: sharded_speedup,
-                paper: None,
-            },
-            Cell {
                 config: "flight recorder".into(),
                 workload: "untraced events per second".into(),
                 unit: "ev/s",
@@ -1247,43 +1137,18 @@ pub fn perf() -> Experiment {
                 measured: tele_recording_overhead,
                 paper: None,
             },
-            // Intra-run parallelism.  "pool" cells run with the machine
-            // width recorded in the "prepare pool threads" cell, so a
-            // reader of BENCH_harness.json knows which configuration
-            // produced the ratio (1.0 is expected on a 1-core box).
             Cell {
                 config: "engine EC write (1 thread)".into(),
                 workload: "wall clock".into(),
                 unit: "s",
-                measured: ec_serial_wall,
+                measured: ec_wall,
                 paper: None,
             },
             Cell {
                 config: "engine EC write (1 thread)".into(),
                 workload: "events per second".into(),
                 unit: "ev/s",
-                measured: ec_serial_evps,
-                paper: None,
-            },
-            Cell {
-                config: "engine EC write (prepare pool)".into(),
-                workload: "wall clock".into(),
-                unit: "s",
-                measured: ec_pool_wall,
-                paper: None,
-            },
-            Cell {
-                config: "engine EC write (prepare pool)".into(),
-                workload: "prepare pool threads".into(),
-                unit: "threads",
-                measured: pool_threads as f64,
-                paper: None,
-            },
-            Cell {
-                config: "engine EC write (prepare pool)".into(),
-                workload: "prepare speedup".into(),
-                unit: "x",
-                measured: prepare_speedup,
+                measured: ec_evps,
                 paper: None,
             },
         ],

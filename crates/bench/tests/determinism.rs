@@ -12,7 +12,9 @@ use deliba_net::LinkFaultProfile;
 use deliba_qdma::DmaFaultProfile;
 use deliba_sim::{SimDuration, SimTime};
 
-/// Same seed, same config → bit-identical serialized `RunReport`.
+/// Same seed, same config → bit-identical serialized `RunReport`.  The
+/// DeLiBA-K write cell drives `run_trace` with three jobs, so writes
+/// from several job streams interleave on the shared timelines.
 #[test]
 fn same_seed_reports_are_bit_identical() {
     let run = |g, mode, rw| {
@@ -30,6 +32,29 @@ fn same_seed_reports_are_bit_identical() {
             run(g, mode, rw),
             "{g:?}/{mode:?}/{rw:?} must reproduce bit-identically"
         );
+    }
+}
+
+/// Closed-loop writes with interleaved read-backs, in both pool modes:
+/// every read verifies against the checksum its write recorded, and the
+/// run replays bit-identically.
+#[test]
+fn mixed_closed_loop_reports_are_bit_identical() {
+    let mut ops = Vec::new();
+    for i in 0..400u64 {
+        ops.push(TraceOp::write(i * 8192, 8192, true));
+        if i % 3 == 0 {
+            ops.push(TraceOp::read(i * 8192, 8192, true));
+        }
+    }
+    for mode in [Mode::Replication, Mode::ErasureCoding] {
+        let run = || {
+            let cfg = EngineConfig::new(Generation::DeLiBAK, true, mode);
+            let r = Engine::new(cfg).run_trace(vec![ops.clone()], 8);
+            assert_eq!(r.verify_failures, 0, "{mode:?}: checksum mismatch");
+            serde_json::to_string(&r).expect("serializable")
+        };
+        assert_eq!(run(), run(), "{mode:?} mixed trace must replay bit-identically");
     }
 }
 

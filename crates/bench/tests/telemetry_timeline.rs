@@ -6,10 +6,11 @@
 //! mirror the fault plane's firings; (2) recording telemetry never
 //! perturbs the simulation — a telemetry-on report minus its SLO
 //! section is byte-identical to the telemetry-off report; (3) the
-//! exported series is byte-identical across the thread matrix, because
-//! windows key off completion instants and gauges sample at monotone
-//! pop times; (4) the `timeline` experiment's exported document alone
-//! re-derives its alert invariants.
+//! exported series is byte-identical whether a run executes on the
+//! test thread or beside other runs on worker threads, because windows
+//! key off completion instants and gauges sample at monotone pop times;
+//! (4) the `timeline` experiment's exported document alone re-derives
+//! its alert invariants.
 
 use deliba_bench::{timeline, timeline_with, TimelineOpts};
 use deliba_cluster::RecoveryPolicy;
@@ -18,8 +19,6 @@ use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_net::LinkFaultProfile;
 use deliba_sim::{InstantKind, SimDuration, SimTime, TelemetryConfig};
 use serde::Value;
-
-const THREAD_MATRIX: [usize; 3] = [1, 2, 8];
 
 fn ms(n: u64) -> SimTime {
     SimTime::from_nanos(n * 1_000_000)
@@ -43,10 +42,9 @@ fn chaos_schedule() -> FaultSchedule {
         .link_restore(ms(4))
 }
 
-fn chaos_engine(telemetry: bool, threads: usize) -> Engine {
+fn chaos_engine(telemetry: bool) -> Engine {
     let mut cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
-        .with_resilience(ResiliencePolicy::default())
-        .with_sim_threads(threads);
+        .with_resilience(ResiliencePolicy::default());
     if telemetry {
         cfg = cfg.with_telemetry(TelemetryConfig::default());
     }
@@ -59,7 +57,7 @@ fn chaos_engine(telemetry: bool, threads: usize) -> Engine {
 /// annotation stream mirrors the fault schedule's firings exactly.
 #[test]
 fn windows_telescope_to_report_totals() {
-    let mut e = chaos_engine(true, 1);
+    let mut e = chaos_engine(true);
     let report = e.run_trace(vec![chaos_trace()], 8);
     assert_eq!(report.verify_failures, 0);
 
@@ -104,8 +102,8 @@ fn windows_telescope_to_report_totals() {
 /// section stripped is byte-identical to a telemetry-off run.
 #[test]
 fn telemetry_never_perturbs_the_run() {
-    let off = chaos_engine(false, 1).run_trace(vec![chaos_trace()], 8);
-    let mut on = chaos_engine(true, 1).run_trace(vec![chaos_trace()], 8);
+    let off = chaos_engine(false).run_trace(vec![chaos_trace()], 8);
+    let mut on = chaos_engine(true).run_trace(vec![chaos_trace()], 8);
     assert!(off.slo.is_none(), "telemetry defaults off");
     assert!(on.slo.is_some(), "telemetry-on runs must report an SLO section");
     on.slo = None;
@@ -117,8 +115,9 @@ fn telemetry_never_perturbs_the_run() {
 }
 
 /// The exported series — timeline JSON, CSV, Prometheus, and the SLO
-/// section — is byte-identical across {1, 2, 8} worker threads, for
-/// both run loops.
+/// section — is byte-identical on the test thread and on three threads
+/// running it side by side, as the sweep runner runs cells, for both
+/// run loops.
 #[test]
 fn series_is_invariant_under_the_thread_matrix() {
     let stream: Vec<ArrivalOp> = (0..1_500u64)
@@ -131,9 +130,9 @@ fn series_is_invariant_under_the_thread_matrix() {
             },
         })
         .collect();
-    let run = |threads: usize| {
+    let run = || {
         // Closed loop under chaos.
-        let mut e = chaos_engine(true, threads);
+        let mut e = chaos_engine(true);
         let report = e.run_trace(vec![chaos_trace()], 8);
         let mut series = e
             .observer()
@@ -142,7 +141,6 @@ fn series_is_invariant_under_the_thread_matrix() {
         let closed_slo = serde_json::to_string(&report.slo).unwrap();
         // Open loop with admission drops.
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
-            .with_sim_threads(threads)
             .with_telemetry(TelemetryConfig::default());
         let mut e = Engine::new(cfg);
         let out = e.run_open_loop(&stream, 8);
@@ -157,7 +155,6 @@ fn series_is_invariant_under_the_thread_matrix() {
             })
             .collect();
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
-            .with_sim_threads(threads)
             .with_resilience(ResiliencePolicy::default())
             .with_recovery(RecoveryPolicy::with_max_active(16))
             .with_telemetry(TelemetryConfig::default());
@@ -175,10 +172,13 @@ fn series_is_invariant_under_the_thread_matrix() {
         series.0.push_str(&storm.1);
         series
     };
-    let reference = run(1);
-    for threads in THREAD_MATRIX {
-        assert_eq!(run(threads), reference, "{threads} threads diverged from serial");
-    }
+    let reference = run();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..3).map(|_| s.spawn(run)).collect();
+        for w in workers {
+            assert_eq!(w.join().expect("run panicked"), reference, "a threaded run diverged");
+        }
+    });
 }
 
 fn num(v: Option<&Value>) -> f64 {

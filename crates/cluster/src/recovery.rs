@@ -23,10 +23,9 @@
 //! * `Cluster::{recovery_scan, backfill_wave, scrub_tick,
 //!   inject_bitrot}` — the costed passes themselves.
 //!
-//! Everything here runs in the engine's serial commit loop and draws
-//! only from the fault plane's dedicated bit-rot stream, so arming a
-//! scheduler never perturbs foreground RNG streams and results are
-//! invariant across worker-thread counts.
+//! Everything here runs in the engine's event loop and draws only from
+//! the fault plane's dedicated bit-rot stream, so arming a scheduler
+//! never perturbs foreground RNG streams.
 
 use crate::cluster::{Cluster, ACK_SAME_SERVER};
 use crate::object::ObjectId;
@@ -148,8 +147,8 @@ impl BackfillItem {
 /// The deterministic, seeded background-work scheduler.
 ///
 /// Owned by the engine next to the fault plane; every mutation happens
-/// in the serial commit loop, so two runs with the same seed and
-/// schedule replay identical waves regardless of worker threads.
+/// in the engine's event loop, so two runs with the same seed and
+/// schedule replay identical waves.
 #[derive(Debug)]
 pub struct RecoveryScheduler {
     policy: RecoveryPolicy,

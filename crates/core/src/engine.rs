@@ -211,12 +211,6 @@ pub struct EngineConfig {
     /// Recording draws no randomness and advances no timeline, so it
     /// never perturbs results.
     pub trace_depth: TraceDepth,
-    /// Intra-run worker threads (`None` = read `DELIBA_SIM_THREADS`,
-    /// default 1).  Above 1, a prepare pipeline generates write
-    /// payloads, checksums and EC shards on worker threads while the
-    /// commit loop executes events serially — reports stay
-    /// byte-identical for every value, only wall-clock changes.
-    pub sim_threads: Option<usize>,
     /// Background recovery/backfill/scrub policy.  `None` (the default)
     /// leaves cluster dynamics off entirely: no background tokens, no
     /// extra event-queue shard, and `RunReport` carries no recovery
@@ -244,7 +238,6 @@ impl EngineConfig {
             jumbo_frames: false,
             resilience: None,
             trace_depth: TraceDepth::Off,
-            sim_threads: None,
             recovery: None,
             telemetry: None,
             seed: 42,
@@ -260,12 +253,6 @@ impl EngineConfig {
     /// Enable the retry/timeout/failover policy.
     pub fn with_resilience(mut self, policy: ResiliencePolicy) -> Self {
         self.resilience = Some(policy);
-        self
-    }
-
-    /// Pin the intra-run worker count (overrides `DELIBA_SIM_THREADS`).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = Some(threads.max(1));
         self
     }
 
@@ -337,12 +324,11 @@ enum Token {
     Scrub,
 }
 
-/// What an admission source did with an `Admit` token; `key` is the
-/// op's `(job, index)` in the prepare pipeline.
+/// What an admission source did with an `Admit` token.
 enum Admitted {
-    Issue { ready: SimTime, lane: u32, io: u64, op: TraceOp, key: (usize, usize) },
+    Issue { ready: SimTime, lane: u32, io: u64, op: TraceOp },
     /// Refused at the admission cap (open loop).
-    Dropped { key: (usize, usize) },
+    Dropped,
     /// The slot's job ran out of ops (closed loop); `drained` when it
     /// was the last live slot.
     Retired { drained: bool },
@@ -351,15 +337,11 @@ enum Admitted {
 /// How foreground ops enter the event loop — the one difference between
 /// closed- and open-loop runs.  [`Engine::event_loop`] shares the rest.
 trait Admission {
-    /// The ops the prepare pool may run ahead on.
-    type Ops: crate::prepare::OpSource;
     /// The report's workload label.
     const WORKLOAD: &'static str;
     /// Completions settle in place and re-arm their slot (closed loop)
     /// instead of through a `Settle` token (open loop).
     const REARM: bool;
-    /// The ops to prepare off-thread; `None` when nothing writes.
-    fn prepare_source(&self) -> Option<Self::Ops>;
     /// Build and seed the queue, appending a background shard when
     /// `background`; returns the queue, that shard, and the foreground
     /// start (`None` when there is nothing to run).
@@ -396,15 +378,9 @@ struct ClosedLoop<'a> {
     io_seq: u64,
 }
 
-impl<'a> Admission for ClosedLoop<'a> {
-    type Ops = crate::prepare::TraceSource<'a>;
+impl Admission for ClosedLoop<'_> {
     const WORKLOAD: &'static str = "trace";
     const REARM: bool = true;
-
-    fn prepare_source(&self) -> Option<Self::Ops> {
-        let jobs = self.jobs;
-        jobs.iter().flatten().any(|op| op.write).then_some(crate::prepare::TraceSource(jobs))
-    }
 
     fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>) {
         let lanes = (self.jobs.len() * self.iodepth as usize).max(1);
@@ -435,7 +411,7 @@ impl<'a> Admission for ClosedLoop<'a> {
         // Application compute between ops runs on the app's own core,
         // off every modeled resource.
         let ready = now + SimDuration::from_nanos(op.think_ns);
-        Admitted::Issue { ready, lane, io, op, key: (job, idx) }
+        Admitted::Issue { ready, lane, io, op }
     }
 
     fn context(&self, lane: u32) -> u32 {
@@ -494,14 +470,8 @@ impl OpenLoop<'_> {
 }
 
 impl Admission for OpenLoop<'_> {
-    type Ops = crate::prepare::StreamSource;
     const WORKLOAD: &'static str = "open-loop";
     const REARM: bool = false;
-
-    fn prepare_source(&self) -> Option<Self::Ops> {
-        let ops = || self.stream.iter().map(|a| (a.op.len, a.op.write));
-        ops().any(|(_, write)| write).then(|| crate::prepare::StreamSource(ops().collect()))
-    }
 
     fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>) {
         let lane = self.contexts;
@@ -515,8 +485,7 @@ impl Admission for OpenLoop<'_> {
     }
 
     fn admit(&mut self, now: SimTime, lane: u32, queue: &mut LaneQueue<Token>) -> Admitted {
-        let idx = self.cursor;
-        let op = self.stream[idx].op;
+        let op = self.stream[self.cursor].op;
         self.cursor += 1;
         if let Some(next) = self.stream.get(self.cursor) {
             queue.schedule_at(lane as usize, next.at.max(now), Token::Admit { lane });
@@ -525,7 +494,7 @@ impl Admission for OpenLoop<'_> {
             // Admission queue full: the op is refused at its arrival
             // instant — a load shed, not a deferral.
             self.dropped += 1;
-            return Admitted::Dropped { key: (0, idx) };
+            return Admitted::Dropped;
         }
         self.inflight += 1;
         let io = self.admitted;
@@ -533,7 +502,7 @@ impl Admission for OpenLoop<'_> {
         // Round-robin across submission contexts (DeLiBA-K's three
         // io_uring instances; one NBD daemon for D1/D2).
         let lane = (io % self.contexts as u64) as u32;
-        Admitted::Issue { ready: now, lane, io, op, key: (0, idx) }
+        Admitted::Issue { ready: now, lane, io, op }
     }
 
     fn settle(&mut self) -> bool {
@@ -598,19 +567,15 @@ pub struct Engine {
     faults: Option<FaultPlane>,
     /// Engine-side resilience counters (retries, timeouts, failovers…).
     res: ResilienceCounters,
-    /// Prepared data for the op the commit loop is about to execute
-    /// (parallel runs only; serial runs never set it).  Consumed by the
-    /// next write attempt; retries fall back to the inline path.
-    prepared_next: Option<crate::prepare::PreparedOp>,
     /// The card is faulted: route I/O over the software host path.
     fpga_down: bool,
     /// When the outstanding card fault began (time-to-recover basis).
     card_fault_at: Option<SimTime>,
     /// Stage histograms, flight recorder and telemetry plane (disabled
     /// unless `cfg.trace_depth` or `cfg.telemetry` armed them; every
-    /// layer below holds a clone).  All recording happens in the serial
-    /// commit loop, keyed by virtual completion/pop instants, so the
-    /// exports stay thread-count invariant.
+    /// layer below holds a clone).  All recording happens in the event
+    /// loop, keyed by virtual completion/pop instants, so the exports
+    /// replay bit-identically.
     obs: Observer,
     /// Clone of the most recent run's latency histogram, kept only when
     /// the telemetry plane is on (the telescoping tests compare merged
@@ -618,7 +583,7 @@ pub struct Engine {
     last_hist: Option<Histogram>,
     /// Background recovery/backfill/scrub scheduler (present iff
     /// `cfg.recovery` armed a policy).  Every mutation happens in the
-    /// serial commit loop, so reports stay thread-count invariant.
+    /// event loop, so armed reports replay bit-identically.
     recovery: Option<RecoveryScheduler>,
     /// Silent corruptions injected by the fault plane's `BitRot` events.
     bitrot_injected: u64,
@@ -682,7 +647,6 @@ impl Engine {
             fused: 0,
             faults: None,
             res: ResilienceCounters::default(),
-            prepared_next: None,
             fpga_down: false,
             card_fault_at: None,
             obs,
@@ -795,10 +759,21 @@ impl Engine {
         self.cluster.map().placement_cache_stats()
     }
 
+    /// FNV-1a over 64-bit words (byte-wise tail) — the verify
+    /// checksum.  Cheap, deterministic, only ever compared against
+    /// itself within one run.
     fn checksum(data: &[u8]) -> u64 {
-        // FNV-1a, single-sourced with the prepare pipeline so workers
-        // and the commit loop can never disagree on a sum.
-        crate::prepare::SharedCtx::fnv_checksum(data)
+        let mut h = 0xcbf29ce484222325u64;
+        let mut words = data.chunks_exact(8);
+        for w in words.by_ref() {
+            h ^= u64::from_le_bytes(w.try_into().expect("exact chunk"));
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        for &b in words.remainder() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h
     }
 
     /// Fill the recycled scratch buffer with `len` deterministic payload
@@ -1139,22 +1114,7 @@ impl Engine {
 
         // --- PCIe + card + FPGA network stack ---------------------------
         let mut ec_shards: Option<(Vec<Vec<u8>>, usize)> = None;
-        // Payload content never reaches report bytes (timing keys on
-        // `op.len`; checksums are recorded and verified within the same
-        // run), so parallel runs may source it from the prepare
-        // pipeline's per-op streams while serial runs keep the engine
-        // RNG stream.  Retries find `prepared_next` consumed and fall
-        // back inline.
-        let mut prepared_sum: Option<u64> = None;
-        let mut prepared_shards: Option<Vec<Vec<u8>>> = None;
-        let payload = write.then(|| match self.prepared_next.take() {
-            Some(p) => {
-                prepared_sum = Some(p.checksum);
-                prepared_shards = p.shards;
-                p.payload
-            }
-            None => self.payload_for(op.len as usize),
-        });
+        let payload = write.then(|| self.payload_for(op.len as usize));
         if use_fpga {
             // Payload (writes) or command (reads) crosses PCIe.
             let dma_bytes = if write { bytes } else { 256 };
@@ -1214,16 +1174,11 @@ impl Engine {
                 t += place_eff;
                 span_accel_card += place_eff;
             }
-            // EC writes: the RS accelerator encodes on the card (shards
-            // precomputed by the prepare pipeline when one is running —
-            // identical bytes, cycle budget and counters either way).
+            // EC writes: the RS accelerator encodes on the card.
             if write && self.cfg.mode == Mode::ErasureCoding {
                 let card = self.card.as_mut().expect("fpga config has a card");
                 let data = payload.as_ref().expect("write has payload");
-                let (shards, enc_t) = match prepared_shards.take() {
-                    Some(s) => card.encode_prepared(s, data.len()),
-                    None => card.encode(data),
-                };
+                let (shards, enc_t) = card.encode(data);
                 let enc_eff = if self.cfg.features.rtl_accel {
                     enc_t
                 } else {
@@ -1241,15 +1196,9 @@ impl Engine {
             }
         } else if write && self.cfg.mode == Mode::ErasureCoding {
             // Software baseline: encode on the host (time already charged
-            // by host_costs; compute the real shards here, or take the
-            // prepare pipeline's — same codec, same bytes).
+            // by host_costs; compute the real shards here).
             let data = payload.as_ref().expect("write has payload");
-            let shards = match prepared_shards.take() {
-                // Guard on the shard count: the pipeline prepares with
-                // the card's profile, the software fallback is RS(4, 2).
-                Some(s) if s.len() == 6 => s,
-                _ => deliba_ec::ReedSolomon::new(4, 2).encode(data),
-            };
+            let shards = deliba_ec::ReedSolomon::new(4, 2).encode(data);
             ec_shards = Some((shards, data.len()));
         }
 
@@ -1280,7 +1229,7 @@ impl Engine {
                 let data = payload.as_ref().expect("write has payload");
                 pending_write_sum = Some((
                     (obj.name, (op.offset % self.image.object_size) as u32),
-                    prepared_sum.take().unwrap_or_else(|| Self::checksum(data)),
+                    Self::checksum(data),
                 ));
                 self.cluster
                     .write_replicated_at(t, obj, obj_off as usize, data, op.random)
@@ -1314,10 +1263,7 @@ impl Engine {
                 let (shards, orig_len) = ec_shards.expect("EC write encoded");
                 let oid = self.ec_oid(obj.name, op.offset);
                 let data = payload.as_ref().expect("write has payload");
-                pending_write_sum = Some((
-                    (oid.name, 0),
-                    prepared_sum.take().unwrap_or_else(|| Self::checksum(data)),
-                ));
+                pending_write_sum = Some(((oid.name, 0), Self::checksum(data)));
                 self.cluster
                     .write_ec_shards(t, oid, orig_len, shards, op.random)
             }
@@ -1458,15 +1404,9 @@ impl Engine {
     }
 
     /// Run per-job traces closed-loop with the given queue depth.
-    ///
-    /// With an effective thread count above one (config override or
-    /// `DELIBA_SIM_THREADS`), write payloads / checksums / EC shards are
-    /// prepared by a worker pool racing ahead of the serial commit loop;
-    /// the report stays byte-identical to the single-threaded run (see
-    /// the `prepare` module).
     pub fn run_trace(&mut self, jobs: Vec<Vec<TraceOp>>, iodepth: u32) -> RunReport {
         let cursors = vec![0; jobs.len()];
-        self.run(&mut ClosedLoop { jobs: &jobs, iodepth, cursors, ..Default::default() }).0
+        self.event_loop(&mut ClosedLoop { jobs: &jobs, iodepth, cursors, ..Default::default() }).0
     }
 
     /// Run an open-loop stream: ops are admitted at their intended
@@ -1487,44 +1427,14 @@ impl Engine {
         );
         let contexts = self.contexts.len() as u32;
         let mut src = OpenLoop { stream, cap: admission_cap, contexts, ..Default::default() };
-        let (report, hist) = self.run(&mut src);
+        let (report, hist) = self.event_loop(&mut src);
         let point = src.point(&report, &hist);
         OpenLoopRun { report, point }
     }
 
-    /// Run `src` through the event loop.  With an effective thread count
-    /// above one (config override, else `DELIBA_SIM_THREADS`) and writes
-    /// to prepare, a worker pool races ahead of the serial loop.
-    fn run<S: Admission>(&mut self, src: &mut S) -> (RunReport, Histogram) {
-        let threads = self.cfg.sim_threads.unwrap_or_else(crate::prepare::threads_from_env);
-        let Some(ops) = (threads > 1).then(|| src.prepare_source()).flatten() else {
-            return self.event_loop(src, None);
-        };
-        // The payload stream seeds from the engine RNG's jump stream, so
-        // parallel runs never touch the serial payload stream.
-        let seed = self.rng.jump().next_u64();
-        let ec_km = (self.cfg.mode == Mode::ErasureCoding).then(|| {
-            self.card.as_ref().map_or((4, 2), |c| (c.rs_codec().k(), c.rs_codec().m()))
-        });
-        let pipe = crate::prepare::Pipeline::new(ops, crate::prepare::SharedCtx::new(seed, ec_km));
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads - 1 {
-                s.spawn(|_| pipe.worker());
-            }
-            let out = self.event_loop(src, Some(&pipe));
-            pipe.shutdown();
-            out
-        })
-        .expect("prepare workers do not panic")
-    }
-
     /// The event loop both run modes share; `src` decides how foreground
     /// ops are admitted.  Returns the report and its latency histogram.
-    fn event_loop<S: Admission>(
-        &mut self,
-        src: &mut S,
-        prep: Option<&crate::prepare::Pipeline<S::Ops>>,
-    ) -> (RunReport, Histogram) {
+    fn event_loop<S: Admission>(&mut self, src: &mut S) -> (RunReport, Histogram) {
         // Reports describe this run alone, even on a reused engine.
         let (events0, fused0) = (self.events, self.fused);
         let cache0 = self.placement_cache_stats();
@@ -1563,7 +1473,7 @@ impl Engine {
             // Telemetry gauge sampling keys off pop times, which the
             // queue guarantees are monotone nondecreasing — windows
             // strictly before the current one close here, so the series
-            // is invariant under the thread/shard matrix.
+            // replays bit-identically.
             if self.obs.needs_sample(now) {
                 let queued = queue.len();
                 let snap = self.gauge_snapshot(now, src.inflight(queued), queued as u32);
@@ -1587,17 +1497,9 @@ impl Engine {
                     continue;
                 }
                 Token::Admit { lane } => match src.admit(now, lane, &mut queue) {
-                    Admitted::Issue { ready, lane, io, op, key: (job, idx) } => {
-                        if let Some(p) = prep {
-                            self.prepared_next = p.fetch(job, idx, op.len as usize, op.write);
-                        }
-                        (ready, lane, io, op, 0, None, now)
-                    }
-                    Admitted::Dropped { key: (job, idx) } => {
+                    Admitted::Issue { ready, lane, io, op } => (ready, lane, io, op, 0, None, now),
+                    Admitted::Dropped => {
                         self.obs.drop_op(now);
-                        if let Some(p) = prep {
-                            p.advance(job, idx);
-                        }
                         continue;
                     }
                     Admitted::Retired { drained } => {
@@ -2229,21 +2131,19 @@ mod tests {
     }
 
     #[test]
-    fn recovery_runs_replay_bit_identically_across_threads() {
-        let run = |threads: usize| {
+    fn recovery_runs_replay_bit_identically() {
+        let run = || {
             let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
                 .with_resilience(ResiliencePolicy::default())
                 .with_recovery(
                     RecoveryPolicy::default().with_scrub(SimDuration::from_micros(300), 16),
-                )
-                .with_sim_threads(threads);
+                );
             let mut e = Engine::new(cfg);
             e.set_fault_schedule(FaultSchedule::new().osd_crash(ms(1), 7).bit_rot(ms(1), 3));
             e.run_trace(vec![object_ops(24)], 2)
         };
-        let a = run(1);
-        assert_eq!(a, run(1), "same seed + schedule replays bit-identically");
-        assert_eq!(a, run(4), "worker threads never change an armed report");
+        let a = run();
+        assert_eq!(a, run(), "same seed + schedule replays bit-identically");
         let rec = a.recovery.unwrap();
         assert!(
             rec.objects_recovered + rec.bitrot_detected > 0,

@@ -30,7 +30,6 @@ pub mod calib;
 pub mod engine;
 pub mod generation;
 pub mod hostpath;
-mod prepare;
 pub mod prom;
 pub mod report;
 pub mod uifd;

@@ -300,27 +300,6 @@ impl RsEncoderAccel {
         (shards, self.clock.cycles(cycles))
     }
 
-    /// [`encode`](Self::encode) with the shards already computed
-    /// off-thread (the engine's prepare pipeline runs the host-side RS
-    /// arithmetic on worker threads): charges the identical cycle
-    /// budget and bumps the same counters, without redoing the
-    /// computation.  `shards` must be what this encoder's own codec
-    /// produces for a `data_len`-byte block — callers derive them from
-    /// [`codec`](Self::codec), so timing, accounting and shard bytes
-    /// are indistinguishable from the inline path.
-    pub fn encode_prepared(
-        &mut self,
-        shards: Vec<Vec<u8>>,
-        data_len: usize,
-    ) -> (Vec<Vec<u8>>, SimDuration) {
-        debug_assert_eq!(shards.len(), self.rs.shards(), "foreign shard layout");
-        let beats = (data_len as u64).div_ceil(DATAPATH_BYTES);
-        let cycles = table_i(AccelKind::RsEncoder).rtl_cycles.1 + beats;
-        self.ops += 1;
-        self.bytes += data_len as u64;
-        (shards, self.clock.cycles(cycles))
-    }
-
     /// Latency of the HLS-generation encoder for the same block.
     pub fn hls_encode_time(&self, len: usize) -> SimDuration {
         let beats = (len as u64).div_ceil(DATAPATH_BYTES);

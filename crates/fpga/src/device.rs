@@ -175,19 +175,6 @@ impl AlveoU280 {
         (shards, d)
     }
 
-    /// [`encode`](Self::encode) with the shards precomputed off-thread:
-    /// identical timing and accounting, no redundant RS arithmetic on
-    /// the commit thread.
-    pub fn encode_prepared(
-        &mut self,
-        shards: Vec<Vec<u8>>,
-        data_len: usize,
-    ) -> (Vec<Vec<u8>>, SimDuration) {
-        let (shards, d) = self.rs.encode_prepared(shards, data_len);
-        self.accel_busy += d;
-        (shards, d)
-    }
-
     /// The erasure codec configured on the card.
     pub fn rs_codec(&self) -> &deliba_ec::ReedSolomon {
         self.rs.codec()

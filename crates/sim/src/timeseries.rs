@@ -21,8 +21,8 @@
 //! 3. **Deterministic.**  Ops and drops are keyed by virtual
 //!    completion/arrival time, so window contents are pure functions of
 //!    the event outcomes and independent of processing order; gauges
-//!    are sampled at event-pop instants, which the engine's
-//!    thread/shard matrix reproduces byte-identically.  Two same-seed
+//!    are sampled at event-pop instants, which the engine's queue
+//!    reproduces byte-identically.  Two same-seed
 //!    runs export byte-identical series.
 //!
 //! On top of the windows sits the SLO layer ([`MetricsRecorder::slo`]):
