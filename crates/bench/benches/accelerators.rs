@@ -5,13 +5,17 @@
 //!
 //! These benches answer "how expensive is the reproduction itself":
 //! bucket selection per algorithm, rule execution on the paper's
-//! 32-OSD map, and RS encode/decode at the paper's block sizes.
+//! 32-OSD map, the engine's card placement, and RS encode/decode at the
+//! paper's block sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use deliba_bench as _;
+use deliba_cluster::{Cluster, ObjectId};
 use deliba_crush::{Bucket, BucketAlg, MapBuilder, WEIGHT_ONE};
 use deliba_ec::ReedSolomon;
-use deliba_fpga::accel::{AccelKind, CrushAccelerator, RsEncoderAccel};
+use deliba_fpga::accel::RsEncoderAccel;
+use deliba_fpga::{AlveoU280, RmId};
+use deliba_sim::SimTime;
 use std::hint::black_box;
 
 fn bench_bucket_select(c: &mut Criterion) {
@@ -51,16 +55,23 @@ fn bench_do_rule(c: &mut Criterion) {
     group.finish();
 }
 
+/// The engine's card placement: the devices come from the cluster map's
+/// epoch-keyed cache, and the card is charged the kernel's cycles.
 fn bench_accelerator_models(c: &mut Criterion) {
-    let map = MapBuilder::new().build(2, 16);
+    let cluster = Cluster::paper_testbed(1);
+    let map = cluster.map();
+    let pool = map.pool(1).expect("replicated pool");
     let mut group = c.benchmark_group("accelerator_model_place");
-    for kind in [AccelKind::Straw2, AccelKind::Tree] {
-        let mut accel = CrushAccelerator::new(kind);
-        group.bench_function(BenchmarkId::from_parameter(format!("{kind:?}")), |b| {
-            let mut x = 0u32;
+    for (name, preferred) in [("Straw2", None), ("Uniform", Some(RmId::Uniform))] {
+        let mut card = AlveoU280::deliba_k_default();
+        let mut devs = Vec::new();
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            let mut x = 0u64;
             b.iter(|| {
                 x = x.wrapping_add(1);
-                black_box(accel.place(&map, 0, black_box(x), 3))
+                let pg = pool.pg_of(ObjectId::new(1, black_box(x)));
+                map.do_rule_cached(pool.crush_rule, pool.pg_seed(pg), 3, &mut devs);
+                black_box(card.place_prefetched(SimTime::ZERO, preferred))
             })
         });
     }

@@ -1,7 +1,7 @@
 //! The experiments: every table and figure of the paper, regenerated.
 
 use deliba_core::{Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RunReport, RwMode};
-use deliba_fpga::accel::{table_i, AccelKind, TABLE_I};
+use deliba_fpga::accel::TABLE_I;
 use deliba_fpga::{ACCEL_CLOCK, PowerModel, RmId};
 use deliba_workload::{OlapSpec, OltpSpec};
 use serde::Serialize;
@@ -1903,24 +1903,4 @@ pub fn scrub() -> Experiment {
         ),
         cells,
     }
-}
-
-/// Table I companion: verify the accelerator models agree with the
-/// functional software implementations (placement and parity equality),
-/// returning the number of cross-checked operations.
-pub fn accelerator_fidelity() -> u64 {
-    use deliba_crush::MapBuilder;
-    use deliba_fpga::accel::CrushAccelerator;
-    let map = MapBuilder::new().build(8, 4);
-    let mut checked = 0;
-    for kind in [AccelKind::Straw2, AccelKind::Straw, AccelKind::Tree, AccelKind::List, AccelKind::Uniform] {
-        let mut accel = CrushAccelerator::new(kind);
-        for x in 0..200u32 {
-            let (hw, _) = accel.place(&map, 0, x, 3);
-            assert_eq!(hw, map.do_rule(0, x, 3));
-            checked += 1;
-        }
-    }
-    let _ = table_i(AccelKind::Straw2);
-    checked
 }

@@ -5,7 +5,7 @@
 //! pin both properties at the library level (the CI perf-smoke job
 //! additionally diffs whole-process output).
 
-use deliba_bench::runner;
+use deliba_bench::{runner, Experiment};
 use deliba_core::{Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RwMode, TraceOp};
 use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_net::LinkFaultProfile;
@@ -98,18 +98,122 @@ fn chaos_run_with_same_seed_and_schedule_is_bit_identical() {
     }
 }
 
+/// The value of the cell labelled exactly `(config, workload)`.
+fn measured(exp: &Experiment, config: &str, workload: &str) -> f64 {
+    exp.cells
+        .iter()
+        .find(|c| c.config == config && c.workload == workload)
+        .unwrap_or_else(|| panic!("{}: no cell ({config}, {workload})", exp.id))
+        .measured
+}
+
 /// The chaos experiment is a plain serial function, so `DELIBA_JOBS`
 /// and the runner mode must not change a byte of its output — the same
-/// guarantee CI pins for the whole harness binary.
+/// guarantee CI pins for the whole harness binary.  Its soak schedule
+/// (pinned seed 42) fires every fault class mid-trace, so each mode must
+/// also show zero corruption, the retry and failover machinery engaged
+/// (nonzero retries, timeouts and FPGA→software failovers) and at least
+/// 99 % availability.
 #[test]
 fn chaos_experiment_ignores_worker_count() {
     std::env::set_var("DELIBA_JOBS", "3");
     runner::set_serial(true);
-    let serial = serde_json::to_string(&deliba_bench::chaos()).expect("serializable");
+    let chaos = deliba_bench::chaos();
+    let serial = serde_json::to_string(&chaos).expect("serializable");
     runner::set_serial(false);
     let parallel = serde_json::to_string(&deliba_bench::chaos()).expect("serializable");
     std::env::remove_var("DELIBA_JOBS");
     assert_eq!(serial, parallel, "chaos output must not depend on worker count");
+
+    let mut modes: Vec<&str> = chaos.cells.iter().map(|c| c.config.as_str()).collect();
+    modes.sort_unstable();
+    modes.dedup();
+    assert!(!modes.is_empty(), "chaos soak produced no cells");
+    for m in modes {
+        let cell = |workload| measured(&chaos, m, workload);
+        assert_eq!(
+            cell("verify failures"),
+            0.0,
+            "{m}: data corruption under chaos"
+        );
+        assert!(
+            cell("retries") > 0.0,
+            "{m}: schedule did not engage retries"
+        );
+        assert!(cell("timeouts") > 0.0, "{m}: no deadline detections");
+        assert!(
+            cell("fpga failovers") > 0.0,
+            "{m}: card outage did not fail over"
+        );
+        assert!(
+            cell("availability") >= 99.0,
+            "{m}: availability floor broken"
+        );
+    }
+}
+
+/// The degraded-mode sweeps replay byte-identically and keep their
+/// headline claims: recovery aggressiveness (`max_active` 1 → 4 → 16)
+/// costs foreground p99 against the healthy baseline and buys
+/// time-to-clean, every crash recovers data without loss, and every
+/// scrub cadence detects and repairs every injected bit-rot flip.
+#[test]
+fn recovery_and_scrub_replay_and_hold_their_invariants() {
+    let json = |e: &Experiment| serde_json::to_string(e).expect("serializable");
+    let rec = deliba_bench::recovery();
+    assert_eq!(
+        json(&rec),
+        json(&deliba_bench::recovery()),
+        "recovery must replay"
+    );
+    let scrub = deliba_bench::scrub();
+    assert_eq!(
+        json(&scrub),
+        json(&deliba_bench::scrub()),
+        "scrub must replay"
+    );
+
+    let crash = |n: u32| format!("crash + max_active {n}");
+    let base = measured(&rec, "healthy baseline", "foreground p99");
+    let p99s: Vec<f64> = [1, 4, 16]
+        .map(|n| measured(&rec, &crash(n), "foreground p99"))
+        .into();
+    let ttcs: Vec<f64> = [1, 4, 16]
+        .map(|n| measured(&rec, &crash(n), "time to clean"))
+        .into();
+    assert!(
+        base <= p99s[0] && p99s[0] <= p99s[1] && p99s[1] <= p99s[2],
+        "recovery aggressiveness must cost foreground p99: {base} {p99s:?}"
+    );
+    assert!(
+        ttcs[0] >= ttcs[1] && ttcs[1] >= ttcs[2],
+        "aggressiveness must buy time-to-clean: {ttcs:?}"
+    );
+    for n in [1, 4, 16] {
+        let cfg = crash(n);
+        assert!(
+            measured(&rec, &cfg, "objects recovered") > 0.0,
+            "{cfg}: nothing recovered"
+        );
+        assert_eq!(
+            measured(&rec, &cfg, "unrecoverable objects"),
+            0.0,
+            "{cfg}: data loss"
+        );
+    }
+
+    for mode in ["replication", "erasure-coding"] {
+        for us in [50, 400, 1600] {
+            let cfg = format!("{mode} scrub {us} µs");
+            let injected = measured(&scrub, &cfg, "bitrot injected");
+            let detected = measured(&scrub, &cfg, "bitrot detected");
+            let repaired = measured(&scrub, &cfg, "bitrot repaired");
+            assert!(
+                injected > 0.0 && detected == injected && repaired == injected,
+                "{cfg}: scrub missed rot ({injected}/{detected}/{repaired})"
+            );
+        }
+    }
 }
 
 /// A representative sweep (Table II: 20 cells, five engine configs)

@@ -20,7 +20,6 @@ use crate::object::ObjectId;
 use crate::osd::{Osd, OsdProfile};
 use crate::osdmap::OsdMap;
 use crate::pool::{PoolConfig, PoolKind};
-use bytes::Bytes;
 use deliba_crush::rule::Rule;
 use deliba_crush::{MapBuilder, RuleStep};
 use deliba_ec::ReedSolomon;
@@ -243,8 +242,8 @@ impl Cluster {
 
     /// Revive an OSD.  Objects that were overwritten while it was down
     /// are in the [`Cluster::stale`] registry: reads route around them
-    /// and writes skip them until backfill re-copies each object, so a
-    /// revived OSD can never serve bytes it missed.
+    /// (and, in dynamics mode, writes skip them) until backfill re-copies
+    /// each object, so a revived OSD can never serve bytes it missed.
     pub fn revive_osd(&mut self, osd: i32) {
         self.osds[osd as usize].set_up(true);
         self.map.mark_osd_up(osd);
@@ -258,11 +257,6 @@ impl Cluster {
     /// Reads that had to route around a stale or corrupt copy so far.
     pub fn bad_copy_skips(&self) -> u64 {
         self.bad_copy_skips
-    }
-
-    /// Copies currently registered as stale (awaiting backfill).
-    pub fn stale_copies(&self) -> usize {
-        self.stale.len()
     }
 
     /// Copies currently registered as silently corrupted (awaiting deep
@@ -281,97 +275,12 @@ impl Cluster {
         self.map.pool(id).expect("pool exists")
     }
 
-    /// Replicated write of a whole object.  Returns `None` only when no
-    /// healthy copy could be written at all.
-    pub fn write_replicated(
-        &mut self,
-        now: SimTime,
-        oid: ObjectId,
-        data: Bytes,
-        random: bool,
-    ) -> Option<IoOutcome> {
-        let pool = self.pool(oid.pool);
-        let PoolKind::Replicated { size } = pool.kind else {
-            panic!("write_replicated on a non-replicated pool");
-        };
-        let pg = pool.pg_of(oid);
-        let mut acting = std::mem::take(&mut self.acting_scratch);
-        self.map.acting_set_into(pg, &mut acting);
-        let healthy: Vec<i32> = acting
-            .iter()
-            .copied()
-            .filter(|&o| self.osds[o as usize].is_up())
-            .collect();
-        self.acting_scratch = acting;
-        let primary = *healthy.first()?;
-        let p_server = self.server_of(primary);
-
-        // 1. Client ships the object to the primary.
-        let at_primary = self
-            .topology
-            .client_to_server(now, p_server, data.len() as u64);
-
-        // 2. Primary applies locally and forwards to replicas in
-        //    parallel.
-        let p_fin = self.osds[primary as usize]
-            .write_object(at_primary, oid, &data, random)
-            .expect("primary is healthy");
-        let mut commit = p_fin;
-        for &rep in healthy.iter().skip(1) {
-            let r_server = self.server_of(rep);
-            let arrive = if r_server == p_server {
-                at_primary + ACK_SAME_SERVER
-            } else {
-                // Cut-through: the forward streams on the cluster network
-                // overlapped with the client transfer.
-                self.topology
-                    .server_to_server(now + CUT_THROUGH, p_server, r_server, data.len() as u64)
-                    .max(at_primary)
-            };
-            let r_fin = self.osds[rep as usize]
-                .write_object(arrive, oid, &data, random)
-                .expect("replica is healthy");
-            let ack = if r_server == p_server {
-                r_fin + ACK_SAME_SERVER
-            } else {
-                r_fin + ACK_CROSS_SERVER
-            };
-            commit = commit.max(ack);
-        }
-
-        // 3. Primary acks the client.
-        let done = self
-            .topology
-            .server_to_client(commit, p_server, CONTROL_BYTES);
-        let degraded = healthy.len() < size;
-        // A holder that missed this write now has an old version: stale
-        // until backfilled.  A full-object replace heals staleness and
-        // corruption on every copy that received it.
-        if let Some(prev) = self.replica_dir.get(&oid) {
-            for &h in prev {
-                if !healthy.contains(&h) {
-                    self.stale.insert((h, oid));
-                }
-            }
-        }
-        for &h in &healthy {
-            self.stale.remove(&(h, oid));
-            self.corrupted.remove(&(h, oid));
-        }
-        self.replica_dir.insert(oid, healthy);
-        Some(IoOutcome {
-            complete: done,
-            bytes: data.len() as u64,
-            degraded,
-            net_tx: at_primary.saturating_since(now),
-            osd_service: commit.saturating_since(at_primary),
-            net_rx: done.saturating_since(commit),
-        })
-    }
-
-    /// Replicated partial write of `data` at `offset` within the object
-    /// (the RBD driver's common case).  Same commit pipeline as
-    /// [`Cluster::write_replicated`].
+    /// Replicated write of `data` at `offset` within the object (an RBD
+    /// block write; a whole-object write is offset 0).  The client
+    /// ships the data to the primary, which applies it and forwards it
+    /// to the replicas in parallel; the primary acks the client once
+    /// every copy has committed.  Returns `None` only when no healthy
+    /// copy could be written at all.
     pub fn write_replicated_at(
         &mut self,
         now: SimTime,
@@ -463,27 +372,11 @@ impl Cluster {
         })
     }
 
-    /// Replicated read of `len` bytes at `offset`.  Serves from the
-    /// primary, falling back to any surviving copy (degraded read).
-    /// Reads of never-written extents return zeros with normal timing
-    /// (RBD sparse semantics).
-    pub fn read_replicated(
-        &mut self,
-        now: SimTime,
-        oid: ObjectId,
-        offset: usize,
-        len: usize,
-        random: bool,
-    ) -> Option<(Bytes, IoOutcome)> {
-        let mut out = Vec::new();
-        let outcome = self.read_replicated_into(now, oid, offset, len, random, &mut out)?;
-        Some((Bytes::from(out), outcome))
-    }
-
-    /// [`Cluster::read_replicated`] into a caller-supplied buffer —
-    /// identical candidate order, timing and RNG stream; `out` is
-    /// resized to `len`.  The engine's closed loop recycles one buffer
-    /// across every read this way.
+    /// Replicated read of `len` bytes at `offset` into `out` (resized to
+    /// `len`).  Serves from the primary, falling back to any surviving
+    /// copy (degraded read).  Reads of never-written extents return
+    /// zeros with normal timing (RBD sparse semantics).  The engine
+    /// recycles one buffer across every read this way.
     pub fn read_replicated_into(
         &mut self,
         now: SimTime,
@@ -558,24 +451,9 @@ impl Cluster {
     }
 
     /// EC sparse read: the object was never written, so the client
-    /// probes the acting set and zero-fills — charged as `k` short
-    /// control round trips plus media checks, matching the ENOENT fast
-    /// path.
-    pub fn read_ec_sparse(
-        &mut self,
-        now: SimTime,
-        oid: ObjectId,
-        len: usize,
-        random: bool,
-    ) -> Option<(Bytes, IoOutcome)> {
-        let mut out = Vec::new();
-        let outcome = self.read_ec_sparse_into(now, oid, len, random, &mut out)?;
-        Some((Bytes::from(out), outcome))
-    }
-
-    /// [`Cluster::read_ec_sparse`] into a caller-supplied buffer (`out`
-    /// ends up `len` zero bytes) — identical timing and RNG stream, no
-    /// allocation beyond the buffer's own growth.
+    /// probes the acting set and zero-fills `out` to `len` bytes —
+    /// charged as `k` short control round trips plus media checks,
+    /// matching the ENOENT fast path.
     pub fn read_ec_sparse_into(
         &mut self,
         now: SimTime,
@@ -586,7 +464,7 @@ impl Cluster {
     ) -> Option<IoOutcome> {
         let pool = self.pool(oid.pool);
         let PoolKind::Erasure { k, .. } = pool.kind else {
-            panic!("read_ec_sparse on a non-EC pool");
+            panic!("read_ec_sparse_into on a non-EC pool");
         };
         let pg = pool.pg_of(oid);
         let mut acting = std::mem::take(&mut self.acting_scratch);
@@ -708,22 +586,8 @@ impl Cluster {
         })
     }
 
-    /// EC read: gather any `k` shards and reconstruct the object.
-    /// Returns the full object payload.
-    pub fn read_ec(
-        &mut self,
-        now: SimTime,
-        oid: ObjectId,
-        random: bool,
-    ) -> Option<(Bytes, IoOutcome)> {
-        let mut out = Vec::new();
-        let outcome = self.read_ec_into(now, oid, random, &mut out)?;
-        Some((Bytes::from(out), outcome))
-    }
-
-    /// [`Cluster::read_ec`] with the reconstructed payload delivered into
-    /// a caller-supplied buffer — identical gather order, timing and RNG
-    /// stream.
+    /// EC read: gather any `k` shards and reconstruct the whole object
+    /// into `out`.
     pub fn read_ec_into(
         &mut self,
         now: SimTime,
@@ -732,7 +596,7 @@ impl Cluster {
         out: &mut Vec<u8>,
     ) -> Option<IoOutcome> {
         let PoolKind::Erasure { k, m } = self.pool(oid.pool).kind else {
-            panic!("read_ec on a non-EC pool");
+            panic!("read_ec_into on a non-EC pool");
         };
         let (original_len, placed) = self.shard_dir.get(&oid)?.clone();
         let mut slots: Vec<Option<Vec<u8>>> = vec![None; k + m];
@@ -793,15 +657,6 @@ impl Cluster {
         })
     }
 
-    /// Max and mean OSD utilization over `[0, horizon]` — bottleneck
-    /// diagnosis for saturation runs.
-    pub fn osd_utilization(&self, horizon: deliba_sim::SimTime) -> (f64, f64) {
-        let utils: Vec<f64> = self.osds.iter().map(|o| o.utilization(horizon)).collect();
-        let max = utils.iter().cloned().fold(0.0, f64::max);
-        let mean = utils.iter().sum::<f64>() / utils.len() as f64;
-        (max, mean)
-    }
-
     /// Per-OSD op counts (load-balance diagnosis).
     pub fn osd_ops(&self) -> Vec<u64> {
         self.osds.iter().map(|o| o.ops_served()).collect()
@@ -849,8 +704,8 @@ mod tests {
         ObjectId::new(2, name)
     }
 
-    fn payload(len: usize, tag: u8) -> Bytes {
-        Bytes::from((0..len).map(|i| (i as u8).wrapping_add(tag)).collect::<Vec<u8>>())
+    fn payload(len: usize, tag: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_add(tag)).collect()
     }
 
     #[test]
@@ -858,12 +713,13 @@ mod tests {
         let mut c = Cluster::paper_testbed(1);
         let data = payload(4096, 3);
         let w = c
-            .write_replicated(SimTime::ZERO, oid_rep(1), data.clone(), true)
+            .write_replicated_at(SimTime::ZERO, oid_rep(1), 0, &data, true)
             .unwrap();
         assert!(!w.degraded);
         assert!(w.complete.as_nanos() > 0);
-        let (read, r) = c
-            .read_replicated(w.complete, oid_rep(1), 0, 4096, true)
+        let mut read = Vec::new();
+        let r = c
+            .read_replicated_into(w.complete, oid_rep(1), 0, 4096, true, &mut read)
             .unwrap();
         assert_eq!(read, data);
         assert!(!r.degraded);
@@ -873,7 +729,7 @@ mod tests {
     #[test]
     fn replication_stores_three_copies() {
         let mut c = Cluster::paper_testbed(2);
-        c.write_replicated(SimTime::ZERO, oid_rep(5), payload(1024, 1), true)
+        c.write_replicated_at(SimTime::ZERO, oid_rep(5), 0, &payload(1024, 1), true)
             .unwrap();
         let holders = c.replica_dir.get(&oid_rep(5)).unwrap().clone();
         assert_eq!(holders.len(), 3);
@@ -886,11 +742,11 @@ mod tests {
     fn write_latency_scales_with_size() {
         let mut c = Cluster::paper_testbed(3);
         let small = c
-            .write_replicated(SimTime::ZERO, oid_rep(1), payload(4096, 0), true)
+            .write_replicated_at(SimTime::ZERO, oid_rep(1), 0, &payload(4096, 0), true)
             .unwrap();
         let mut c2 = Cluster::paper_testbed(3);
         let large = c2
-            .write_replicated(SimTime::ZERO, oid_rep(1), payload(128 * 1024, 0), true)
+            .write_replicated_at(SimTime::ZERO, oid_rep(1), 0, &payload(128 * 1024, 0), true)
             .unwrap();
         assert!(large.complete > small.complete);
     }
@@ -900,12 +756,13 @@ mod tests {
         let mut c = Cluster::paper_testbed(4);
         let data = payload(8192, 9);
         let w = c
-            .write_replicated(SimTime::ZERO, oid_rep(9), data.clone(), true)
+            .write_replicated_at(SimTime::ZERO, oid_rep(9), 0, &data, true)
             .unwrap();
         let primary = c.replica_dir.get(&oid_rep(9)).unwrap()[0];
         c.fail_osd(primary);
-        let (read, r) = c
-            .read_replicated(w.complete, oid_rep(9), 0, 8192, true)
+        let mut read = Vec::new();
+        let r = c
+            .read_replicated_into(w.complete, oid_rep(9), 0, 8192, true, &mut read)
             .unwrap();
         assert_eq!(read, data, "degraded read returns correct data");
         assert!(r.degraded);
@@ -919,11 +776,11 @@ mod tests {
         let acting = c.map.acting_set(pool.pg_of(oid_rep(77)));
         c.osds[acting[1] as usize].set_up(false); // daemon dead, map not yet updated
         let w = c
-            .write_replicated(SimTime::ZERO, oid_rep(77), payload(4096, 2), true)
+            .write_replicated_at(SimTime::ZERO, oid_rep(77), 0, &payload(4096, 2), true)
             .unwrap();
         assert!(w.degraded, "write proceeded with 2/3 copies");
-        let (read, _) = c
-            .read_replicated(w.complete, oid_rep(77), 0, 4096, true)
+        let mut read = Vec::new();
+        c.read_replicated_into(w.complete, oid_rep(77), 0, 4096, true, &mut read)
             .unwrap();
         assert_eq!(read, payload(4096, 2));
     }
@@ -943,30 +800,34 @@ mod tests {
 
         let mut c = Cluster::paper_testbed(11);
         let data = payload(8192, 6);
+        let mut buf = Vec::new();
         let w = c
-            .write_replicated(SimTime::ZERO, oid_rep(21), data.clone(), true)
+            .write_replicated_at(SimTime::ZERO, oid_rep(21), 0, &data, true)
             .unwrap();
-        check("write_replicated", SimTime::ZERO, &w);
-        let (_, r) = c
-            .read_replicated(w.complete, oid_rep(21), 0, 8192, true)
+        check("write_replicated_at", SimTime::ZERO, &w);
+        let r = c
+            .read_replicated_into(w.complete, oid_rep(21), 0, 8192, true, &mut buf)
             .unwrap();
-        check("read_replicated", w.complete, &r);
+        check("read_replicated_into", w.complete, &r);
         let pw = c
             .write_replicated_at(r.complete, oid_rep(21), 1024, &data[..2048], true)
             .unwrap();
-        check("write_replicated_at", r.complete, &pw);
+        check("partial write_replicated_at", r.complete, &pw);
 
         let shards = ReedSolomon::new(4, 2).encode(&data);
         let ew = c
             .write_ec_shards(pw.complete, oid_ec(21), data.len(), shards, true)
             .unwrap();
         check("write_ec_shards", pw.complete, &ew);
-        let (_, er) = c.read_ec(ew.complete, oid_ec(21), true).unwrap();
-        check("read_ec", ew.complete, &er);
-        let (_, es) = c
-            .read_ec_sparse(er.complete, oid_ec(99), 8192, true)
+        let er = c
+            .read_ec_into(ew.complete, oid_ec(21), true, &mut buf)
             .unwrap();
-        check("read_ec_sparse", er.complete, &es);
+        check("read_ec_into", ew.complete, &er);
+        let es = c
+            .read_ec_sparse_into(er.complete, oid_ec(99), 8192, true, &mut buf)
+            .unwrap();
+        check("read_ec_sparse_into", er.complete, &es);
+        assert_eq!(buf, vec![0; 8192], "a sparse EC read zero-fills");
     }
 
     #[test]
@@ -979,7 +840,10 @@ mod tests {
             .write_ec_shards(SimTime::ZERO, oid_ec(1), data.len(), shards, true)
             .unwrap();
         assert!(!w.degraded);
-        let (read, r) = c.read_ec(w.complete, oid_ec(1), true).unwrap();
+        let mut read = Vec::new();
+        let r = c
+            .read_ec_into(w.complete, oid_ec(1), true, &mut read)
+            .unwrap();
         assert_eq!(read, data);
         assert!(!r.degraded);
     }
@@ -996,12 +860,17 @@ mod tests {
         // Kill two shard holders.
         c.fail_osd(placed[0].0);
         c.fail_osd(placed[3].0);
-        let (read, r) = c.read_ec(w.complete, oid_ec(2), true).unwrap();
+        let mut read = Vec::new();
+        let r = c
+            .read_ec_into(w.complete, oid_ec(2), true, &mut read)
+            .unwrap();
         assert_eq!(read, data, "reconstruction recovers the object");
         assert!(r.degraded);
         // A third failure makes it unreadable.
         c.fail_osd(placed[1].0);
-        assert!(c.read_ec(w.complete, oid_ec(2), true).is_none());
+        assert!(c
+            .read_ec_into(w.complete, oid_ec(2), true, &mut read)
+            .is_none());
     }
 
     #[test]
@@ -1025,7 +894,7 @@ mod tests {
         // EC ships 1.5× client→cluster.  Check the client TX accounting.
         let data_len = 64 * 1024;
         let mut rep = Cluster::paper_testbed(9);
-        rep.write_replicated(SimTime::ZERO, oid_rep(1), payload(data_len, 0), false)
+        rep.write_replicated_at(SimTime::ZERO, oid_rep(1), 0, &payload(data_len, 0), false)
             .unwrap();
         let mut ec = Cluster::paper_testbed(9);
         let shards = ReedSolomon::new(4, 2).encode(&payload(data_len, 0));
@@ -1047,6 +916,16 @@ mod tests {
         )
     }
 
+    /// Backfill until a rescan finds no work; returns the last commit.
+    fn backfill_all(c: &mut Cluster, now: SimTime) -> SimTime {
+        let mut sched = RecoveryScheduler::new(RecoveryPolicy::default());
+        let mut t = now;
+        while c.recovery_scan(&mut sched, t) {
+            t = t.max(c.backfill_wave(&mut sched, t).expect("a wave dispatches"));
+        }
+        t
+    }
+
     #[test]
     fn scrub_clean_and_corrupted() {
         // `corrupt_object` flips bytes without a corruption-registry
@@ -1056,7 +935,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for i in 0..10 {
             t = c
-                .write_replicated(t, oid_rep(i), payload(2048, i as u8), true)
+                .write_replicated_at(t, oid_rep(i), 0, &payload(2048, i as u8), true)
                 .unwrap()
                 .complete;
         }
@@ -1076,8 +955,11 @@ mod tests {
         assert_eq!(c.scrub_tick(&mut sched, dirty.finish).detected, 0, "clean after repair");
 
         // The rewritten copy holds the original bytes again.
+        let mut data = Vec::new();
         for i in 0..10 {
-            let (data, r) = c.read_replicated(dirty.finish, oid_rep(i), 0, 2048, true).unwrap();
+            let r = c
+                .read_replicated_into(dirty.finish, oid_rep(i), 0, 2048, true, &mut data)
+                .unwrap();
             assert_eq!(data, payload(2048, i as u8), "object {i}");
             assert!(!r.degraded);
         }
@@ -1113,7 +995,10 @@ mod tests {
         let stored = c.osds[parity_holder as usize].store_mut().read(oid_ec(5)).unwrap();
         let expected = ReedSolomon::new(4, 2).encode(&data)[parity_idx].clone();
         assert_eq!(&stored[..], &expected[..], "parity rewritten to the re-encoded bytes");
-        let (read, r) = c.read_ec(dirty.finish, oid_ec(5), true).unwrap();
+        let mut read = Vec::new();
+        let r = c
+            .read_ec_into(dirty.finish, oid_ec(5), true, &mut read)
+            .unwrap();
         assert_eq!(read, data);
         assert!(!r.degraded);
     }
@@ -1125,27 +1010,107 @@ mod tests {
         // up-to-date copy until backfill heals it.
         let mut c = Cluster::paper_testbed(21);
         let oid = oid_rep(55);
-        c.write_replicated(SimTime::ZERO, oid, payload(4096, 1), true)
+        c.write_replicated_at(SimTime::ZERO, oid, 0, &payload(4096, 1), true)
             .unwrap();
         let primary = c.replica_dir.get(&oid).unwrap()[0];
         c.fail_osd(primary);
         let w = c
-            .write_replicated(SimTime::from_nanos(1000), oid, payload(4096, 2), true)
+            .write_replicated_at(SimTime::from_nanos(1000), oid, 0, &payload(4096, 2), true)
             .unwrap();
         c.revive_osd(primary);
         assert!(c.stale.contains(&(primary, oid)), "missed write marks the copy stale");
-        let (read, r) = c.read_replicated(w.complete, oid, 0, 4096, true).unwrap();
+        let mut read = Vec::new();
+        let r = c
+            .read_replicated_into(w.complete, oid, 0, 4096, true, &mut read)
+            .unwrap();
         assert_eq!(read, payload(4096, 2), "stale copy must not be served");
         assert!(r.degraded, "routing around a stale copy is a degraded read");
         assert!(c.bad_copy_skips() > 0);
-        // A later full-object write heals the copy: no longer stale.
-        let w2 = c
-            .write_replicated(w.complete, oid, payload(4096, 3), true)
-            .unwrap();
+        // Backfill re-copies the whole object: no longer stale, and the
+        // primary serves the current bytes again.
+        let healed = backfill_all(&mut c, w.complete);
         assert!(!c.stale.contains(&(primary, oid)));
-        let (read2, r2) = c.read_replicated(w2.complete, oid, 0, 4096, true).unwrap();
-        assert_eq!(read2, payload(4096, 3));
+        let r2 = c
+            .read_replicated_into(healed, oid, 0, 4096, true, &mut read)
+            .unwrap();
+        assert_eq!(read, payload(4096, 2));
         assert!(!r2.degraded);
+    }
+
+    #[test]
+    fn dynamics_writes_skip_stale_and_missing_copies_until_backfill() {
+        // The engine arms dynamics mode with a recovery scheduler: partial
+        // writes then leave stale copies and acting members without the
+        // object to backfill instead of layering extents over holes.
+        let mut c = Cluster::paper_testbed(23);
+        c.set_dynamics(true);
+        let oid = oid_rep(56);
+        let pg = c.map.pool(1).unwrap().pg_of(oid);
+        let w0 = c
+            .write_replicated_at(SimTime::ZERO, oid, 0, &payload(4096, 1), true)
+            .unwrap();
+        let holders = c.replica_dir[&oid].clone();
+        assert_eq!(holders.len(), 3);
+        let primary = holders[0];
+
+        // While the primary is down its stand-in joins the acting set
+        // without the object: the write skips it.
+        c.fail_osd(primary);
+        let stand_in = *c
+            .map
+            .acting_set(pg)
+            .iter()
+            .find(|o| !holders.contains(o))
+            .expect("the map remaps the down OSD's position");
+        let w1 = c
+            .write_replicated_at(w0.complete, oid, 0, &payload(4096, 2), true)
+            .unwrap();
+        assert!(w1.degraded);
+        assert!(c.osds[stand_in as usize].store().version(oid).is_none());
+        assert_eq!(c.replica_dir[&oid], holders[1..]);
+
+        // Revived, the copy that missed the write is stale, and the next
+        // partial write skips it too.
+        c.revive_osd(primary);
+        assert_eq!(c.map.acting_set(pg), holders);
+        assert!(c.stale.contains(&(primary, oid)));
+        let w2 = c
+            .write_replicated_at(w1.complete, oid, 1024, &payload(512, 3), true)
+            .unwrap();
+        assert!(w2.degraded);
+        assert_eq!(c.replica_dir[&oid], holders[1..]);
+        let old = c.osds[primary as usize].store().read(oid).unwrap();
+        assert_eq!(
+            &old[..],
+            &payload(4096, 1)[..],
+            "the stale copy took no extent"
+        );
+
+        // A read routes around the stale primary to the new bytes.
+        let mut want = payload(4096, 2);
+        want[1024..1536].copy_from_slice(&payload(512, 3));
+        let mut read = Vec::new();
+        let r = c
+            .read_replicated_into(w2.complete, oid, 0, 4096, true, &mut read)
+            .unwrap();
+        assert_eq!(read, want);
+        assert!(r.degraded);
+        assert_eq!(c.bad_copy_skips(), 1);
+
+        // Backfill clears the stale mark; the next partial write reaches
+        // all three holders.
+        let healed = backfill_all(&mut c, r.complete);
+        assert!(!c.stale.contains(&(primary, oid)));
+        let w3 = c
+            .write_replicated_at(healed, oid, 0, &payload(256, 4), true)
+            .unwrap();
+        assert!(!w3.degraded);
+        assert_eq!(c.replica_dir[&oid], holders);
+        want[..256].copy_from_slice(&payload(256, 4));
+        for &h in &holders {
+            let stored = c.osds[h as usize].store().read(oid).unwrap();
+            assert_eq!(&stored[..], &want[..], "OSD {h}");
+        }
     }
 
     #[test]
@@ -1154,12 +1119,15 @@ mod tests {
         let oid = oid_rep(8);
         let data = payload(4096, 9);
         let w = c
-            .write_replicated(SimTime::ZERO, oid, data.clone(), true)
+            .write_replicated_at(SimTime::ZERO, oid, 0, &data, true)
             .unwrap();
         let primary = c.replica_dir.get(&oid).unwrap()[0];
         assert!(c.corrupt_object(primary, oid));
         c.corrupted.insert((primary, oid));
-        let (read, r) = c.read_replicated(w.complete, oid, 0, 4096, true).unwrap();
+        let mut read = Vec::new();
+        let r = c
+            .read_replicated_into(w.complete, oid, 0, 4096, true, &mut read)
+            .unwrap();
         assert_eq!(read, data, "checksum-rejected copy must not be served");
         assert!(r.degraded);
 
@@ -1173,18 +1141,19 @@ mod tests {
         let (osd0, _) = c.shard_dir.get(&eid).unwrap().1[0];
         assert!(c.corrupt_object(osd0, eid));
         c.corrupted.insert((osd0, eid));
-        let (eread, er) = c.read_ec(ew.complete, eid, true).unwrap();
-        assert_eq!(eread, data);
+        let er = c.read_ec_into(ew.complete, eid, true, &mut read).unwrap();
+        assert_eq!(read, data);
         assert!(er.degraded);
     }
 
     #[test]
     fn concurrent_writes_queue_on_network() {
         let mut c = Cluster::paper_testbed(12);
+        let data = payload(128 * 1024, 0);
         let mut completions = Vec::new();
         for i in 0..16 {
             let w = c
-                .write_replicated(SimTime::ZERO, oid_rep(100 + i), payload(128 * 1024, 0), false)
+                .write_replicated_at(SimTime::ZERO, oid_rep(100 + i), 0, &data, false)
                 .unwrap();
             completions.push(w.complete);
         }

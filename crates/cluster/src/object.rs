@@ -218,11 +218,6 @@ impl ObjectStore {
             _ => false,
         }
     }
-
-    /// Iterate object ids (scrub support).
-    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.keys().copied()
-    }
 }
 
 #[cfg(test)]

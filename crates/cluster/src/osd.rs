@@ -6,7 +6,6 @@
 //! distinct sequential/random and read/write characteristics.
 
 use crate::object::{ObjectId, ObjectStore};
-use bytes::Bytes;
 use deliba_sim::{MultiServer, SimDuration, SimRng, SimTime, Xoshiro256};
 
 /// Service-time parameters of one OSD.
@@ -174,23 +173,8 @@ impl Osd {
         Some(fin)
     }
 
-    /// Read `len` bytes at `offset`; returns data and completion time,
-    /// or `None` when down.
-    pub fn read_object_at(
-        &mut self,
-        arrive: SimTime,
-        id: ObjectId,
-        offset: usize,
-        len: usize,
-        random: bool,
-    ) -> Option<(Bytes, SimTime)> {
-        let mut out = Vec::new();
-        let fin = self.read_object_at_into(arrive, id, offset, len, random, &mut out)?;
-        Some((Bytes::from(out), fin))
-    }
-
-    /// [`Osd::read_object_at`] into a caller-supplied buffer (resized to
-    /// `len`) — identical timing and RNG stream, no allocation.
+    /// Read `len` bytes at `offset` into `out` (resized to `len`);
+    /// returns the completion time, or `None` when down.
     pub fn read_object_at_into(
         &mut self,
         arrive: SimTime,
@@ -225,11 +209,6 @@ impl Osd {
         self.threads.served()
     }
 
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        self.threads.utilization(horizon)
-    }
-
     /// Cumulative busy time across this OSD's service threads.
     pub fn busy_time(&self) -> SimDuration {
         self.threads.busy_time()
@@ -245,6 +224,7 @@ impl Osd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn osd() -> Osd {
         let mut p = OsdProfile::lab_ssd();
@@ -259,8 +239,11 @@ mod tests {
         let data = Bytes::from(vec![9u8; 4096]);
         let ack = o.write_object(SimTime::ZERO, id, &data, true).unwrap();
         assert!(ack.as_nanos() > 0);
-        let (read, fin) = o.read_object_at(ack, id, 0, 4096, true).unwrap();
-        assert_eq!(read, data);
+        let mut read = Vec::new();
+        let fin = o
+            .read_object_at_into(ack, id, 0, 4096, true, &mut read)
+            .unwrap();
+        assert_eq!(data, read);
         assert!(fin > ack);
     }
 
@@ -305,7 +288,16 @@ mod tests {
         assert!(o
             .write_object(SimTime::ZERO, ObjectId::new(0, 1), &[], true)
             .is_none());
-        assert!(o.read_object_at(SimTime::ZERO, ObjectId::new(0, 1), 0, 8, true).is_none());
+        assert!(o
+            .read_object_at_into(
+                SimTime::ZERO,
+                ObjectId::new(0, 1),
+                0,
+                8,
+                true,
+                &mut Vec::new()
+            )
+            .is_none());
         o.set_up(true);
         assert!(o
             .write_object(SimTime::ZERO, ObjectId::new(0, 1), b"x", true)

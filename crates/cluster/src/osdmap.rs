@@ -40,16 +40,6 @@ impl OsdMap {
         &self.crush
     }
 
-    /// Mutable CRUSH access for mutations this map has no dedicated
-    /// method for.  Conservatively bumps the epoch on every call: the
-    /// caller *may* mutate through the returned reference, and a spurious
-    /// bump only costs one cache refill while a missed bump would serve
-    /// stale placement.
-    pub fn crush_mut(&mut self) -> &mut CrushMap {
-        self.epoch += 1;
-        &mut self.crush
-    }
-
     /// Register a pool.
     pub fn add_pool(&mut self, pool: PoolConfig) {
         self.pools.insert(pool.id, pool);
@@ -59,11 +49,6 @@ impl OsdMap {
     /// Look up a pool.
     pub fn pool(&self, id: u32) -> Option<&PoolConfig> {
         self.pools.get(&id)
-    }
-
-    /// All pool ids.
-    pub fn pool_ids(&self) -> Vec<u32> {
-        self.pools.keys().copied().collect()
     }
 
     /// Mark an OSD down/out: placement immediately avoids it.
@@ -277,8 +262,6 @@ mod tests {
         assert_eq!(m.epoch, e + 3);
         assert!(m.set_bucket_alg(host, deliba_crush::BucketAlg::Straw2).is_some());
         assert_eq!(m.epoch, e + 4);
-        let _ = m.crush_mut();
-        assert_eq!(m.epoch, e + 5);
     }
 
     #[test]

@@ -46,14 +46,6 @@ impl PoolKind {
             PoolKind::Erasure { k, m } => (k + m) as f64 / k as f64,
         }
     }
-
-    /// Minimum surviving positions that still allow reads.
-    pub fn min_size(&self) -> usize {
-        match *self {
-            PoolKind::Replicated { .. } => 1,
-            PoolKind::Erasure { k, .. } => k,
-        }
-    }
 }
 
 /// Pool configuration.
@@ -145,11 +137,9 @@ mod tests {
         let r = PoolKind::Replicated { size: 3 };
         assert_eq!(r.width(), 3);
         assert_eq!(r.amplification(), 3.0);
-        assert_eq!(r.min_size(), 1);
         let e = PoolKind::Erasure { k: 4, m: 2 };
         assert_eq!(e.width(), 6);
         assert_eq!(e.amplification(), 1.5);
-        assert_eq!(e.min_size(), 4);
     }
 
     #[test]

@@ -215,12 +215,6 @@ impl RecoveryScheduler {
         self.pass_found = 0;
     }
 
-    /// Did the pass that just wrapped find any corruption?  (The drain
-    /// loop stops after the first all-clean pass.)
-    pub fn last_pass_found(&self) -> u64 {
-        self.pass_found
-    }
-
     fn enqueue(&mut self, item: BackfillItem) {
         if self.queued.insert(item.key()) {
             self.pending.push_back(item);
@@ -953,7 +947,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for i in 0..objects {
             let w = c
-                .write_replicated(t, oid_rep(i), payload(8192, i as u8), true)
+                .write_replicated_at(t, oid_rep(i), 0, &payload(8192, i as u8), true)
                 .unwrap();
             t = w.complete;
         }
@@ -990,9 +984,11 @@ mod tests {
         // Every object is fully replicated again on up OSDs.
         assert!(!c.recovery_scan(&mut sched, now));
         // And the healed copies serve reads with the right bytes.
+        let mut data = Vec::new();
         for i in 0..8 {
-            let (data, _) = c.read_replicated(now, oid_rep(i), 0, 8192, true).unwrap();
-            assert_eq!(data, payload(8192, i as u8), "object {i}");
+            c.read_replicated_into(now, oid_rep(i), 0, 8192, true, &mut data)
+                .unwrap();
+            assert_eq!(payload(8192, i as u8), data, "object {i}");
         }
     }
 
@@ -1051,8 +1047,9 @@ mod tests {
             .filter(|&&(o, _)| c.osd_is_up(o))
             .count();
         assert_eq!(up, 6, "rebuilt to k+m on surviving OSDs");
-        let (read, _) = c.read_ec(fin, oid_ec(1), true).unwrap();
-        assert_eq!(read, data);
+        let mut read = Vec::new();
+        c.read_ec_into(fin, oid_ec(1), true, &mut read).unwrap();
+        assert_eq!(data, read);
         c.recovery_scan(&mut sched, fin);
         assert_eq!(sched.pending_items(), 0, "nothing left to rebuild");
     }
@@ -1084,9 +1081,12 @@ mod tests {
         assert!(tick.finish > t, "scrub charges media time");
         assert_eq!(c.corrupted_copies(), 0);
         // Bytes are byte-identical to the originals after repair.
+        let mut data = Vec::new();
         for i in 0..12 {
-            let (data, r) = c.read_replicated(tick.finish, oid_rep(i), 0, 8192, true).unwrap();
-            assert_eq!(data, payload(8192, i as u8), "object {i}");
+            let r = c
+                .read_replicated_into(tick.finish, oid_rep(i), 0, 8192, true, &mut data)
+                .unwrap();
+            assert_eq!(payload(8192, i as u8), data, "object {i}");
             assert!(!r.degraded);
         }
         // A second pass is clean.
@@ -1112,8 +1112,11 @@ mod tests {
         assert_eq!(tick.detected, 1);
         assert_eq!(tick.repaired, 1);
         assert_eq!(c.corrupted_copies(), 0);
-        let (read, r) = c.read_ec(tick.finish, oid_ec(3), true).unwrap();
-        assert_eq!(read, data, "post-repair bytes identical");
+        let mut read = Vec::new();
+        let r = c
+            .read_ec_into(tick.finish, oid_ec(3), true, &mut read)
+            .unwrap();
+        assert_eq!(data, read, "post-repair bytes identical");
         assert!(!r.degraded);
     }
 
@@ -1129,7 +1132,13 @@ mod tests {
             let rs = ReedSolomon::new(4, 2);
             for i in 0..6u64 {
                 let w = c
-                    .write_replicated(t, oid_rep(i), payload(4096, (seed * 17 + i) as u8), true)
+                    .write_replicated_at(
+                        t,
+                        oid_rep(i),
+                        0,
+                        &payload(4096, (seed * 17 + i) as u8),
+                        true,
+                    )
                     .unwrap();
                 t = w.complete;
                 let data = payload(6144, (seed * 31 + i) as u8);
@@ -1143,12 +1152,15 @@ mod tests {
             c.fail_osd(kill);
             c.inject_bitrot(3, &mut rng);
             // Degraded reads are byte-identical to what was written.
+            let mut data = Vec::new();
             for i in 0..6u64 {
-                if let Some((data, _)) = c.read_replicated(t, oid_rep(i), 0, 4096, true) {
-                    assert_eq!(data, payload(4096, (seed * 17 + i) as u8), "rep {seed}/{i}");
+                if c.read_replicated_into(t, oid_rep(i), 0, 4096, true, &mut data)
+                    .is_some()
+                {
+                    assert_eq!(payload(4096, (seed * 17 + i) as u8), data, "rep {seed}/{i}");
                 }
-                if let Some((data, _)) = c.read_ec(t, oid_ec(i), true) {
-                    assert_eq!(data, payload(6144, (seed * 31 + i) as u8), "ec {seed}/{i}");
+                if c.read_ec_into(t, oid_ec(i), true, &mut data).is_some() {
+                    assert_eq!(payload(6144, (seed * 31 + i) as u8), data, "ec {seed}/{i}");
                 }
             }
             // Heal: revive, backfill, scrub-repair; then re-verify.
@@ -1169,11 +1181,13 @@ mod tests {
             now = now.max(tick.finish);
             assert_eq!(c.corrupted_copies(), 0, "seed {seed}: scrub repaired all rot");
             for i in 0..6u64 {
-                let (data, r) = c.read_replicated(now, oid_rep(i), 0, 4096, true).unwrap();
-                assert_eq!(data, payload(4096, (seed * 17 + i) as u8));
+                let r = c
+                    .read_replicated_into(now, oid_rep(i), 0, 4096, true, &mut data)
+                    .unwrap();
+                assert_eq!(payload(4096, (seed * 17 + i) as u8), data);
                 assert!(!r.degraded, "rep {seed}/{i} healthy again");
-                let (data, r) = c.read_ec(now, oid_ec(i), true).unwrap();
-                assert_eq!(data, payload(6144, (seed * 31 + i) as u8));
+                let r = c.read_ec_into(now, oid_ec(i), true, &mut data).unwrap();
+                assert_eq!(payload(6144, (seed * 31 + i) as u8), data);
                 assert!(!r.degraded, "ec {seed}/{i} healthy again");
             }
         }

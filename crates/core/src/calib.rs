@@ -93,9 +93,6 @@ pub const XDMA_DESC: SimDuration = SimDuration(1_700);
 /// Effective PCIe Gen3 x16 data bandwidth (after TLP overhead).
 pub const PCIE_GBYTES_PER_SEC: f64 = 12.0;
 
-/// PCIe transaction latency (doorbell → first data).
-pub const PCIE_LATENCY: SimDuration = SimDuration(400);
-
 // ---------------------------------------------------------------------
 // Completion path
 // ---------------------------------------------------------------------
@@ -160,11 +157,6 @@ pub fn copy_time(bytes: u64, copies: u32) -> SimDuration {
     SimDuration::from_nanos(bytes.div_ceil(1024) * COPY_NS_PER_KIB * copies as u64)
 }
 
-/// PCIe transfer time for `bytes` (one direction, excluding queueing).
-pub fn pcie_transfer(bytes: u64) -> SimDuration {
-    PCIE_LATENCY + SimDuration::from_secs_f64(bytes as f64 / (PCIE_GBYTES_PER_SEC * 1e9))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +171,10 @@ mod tests {
 
     #[test]
     fn pcie_faster_than_network_for_4k() {
-        let t = pcie_transfer(4096);
+        let mut pcie = deliba_qdma::PciePipes::new(PCIE_GBYTES_PER_SEC);
+        let t = pcie
+            .h2c_transfer(deliba_sim::SimTime::ZERO, 4096)
+            .saturating_since(deliba_sim::SimTime::ZERO);
         assert!(t.as_nanos() < 1_500, "{t}");
     }
 

@@ -1145,24 +1145,18 @@ impl Engine {
             // execute the *real* CRUSH rule on the device model so DFX
             // swaps, fallbacks and cycle budgets are all exercised.
             {
-                let (pool_id, rule, width) = match self.cfg.mode {
-                    Mode::Replication => (1u32, deliba_cluster::cluster::RULE_REPLICATED_OSD, 3),
-                    Mode::ErasureCoding => (2u32, deliba_cluster::cluster::RULE_EC_OSD, 6),
-                };
                 let (obj, _) = self.image.object_of(op.offset);
                 let map = self.cluster.map();
-                let pool = map.pool(pool_id).expect("pool exists");
-                let seed = pool.pg_seed(pool.pg_of(ObjectId::new(pool_id, obj.name)));
+                let pool = map.pool(self.image.pool).expect("pool exists");
+                let seed = pool.pg_seed(pool.pg_of(obj));
                 let hls = !self.cfg.features.rtl_accel;
                 let preferred = self.cfg.preferred_rm;
                 // Resolve the placement through the epoch-keyed cache:
                 // same key space as the cluster data path below, so one
                 // CRUSH walk per (rule, pg, epoch) serves both sides.
-                // The card is charged the identical cycle budget it
-                // would burn computing it (`place_prefetched` mirrors
-                // `place` exactly, minus the redundant walk).
+                // The card is charged the kernel's fixed cycle budget.
                 let mut devs = std::mem::take(&mut self.place_buf);
-                map.do_rule_cached(rule, seed, width, &mut devs);
+                map.do_rule_cached(pool.crush_rule, seed, pool.kind.width(), &mut devs);
                 self.place_buf = devs;
                 let card = self.card.as_mut().expect("fpga config has a card");
                 let (place_t, _kernel) = card.place_prefetched(t, preferred);
@@ -1234,31 +1228,6 @@ impl Engine {
                 self.cluster
                     .write_replicated_at(t, obj, obj_off as usize, data, op.random)
             }
-            (Mode::Replication, false) => {
-                let mut buf = std::mem::take(&mut self.read_buf);
-                let res = self.cluster.read_replicated_into(
-                    t,
-                    obj,
-                    obj_off as usize,
-                    op.len as usize,
-                    op.random,
-                    &mut buf,
-                );
-                let out = match res {
-                    Some(out) => {
-                        let key = (obj.name, (op.offset % self.image.object_size) as u32);
-                        if let Some(&sum) = self.written.get(&key) {
-                            if Self::checksum(&buf) != sum {
-                                self.verify_failures += 1;
-                            }
-                        }
-                        Some(out)
-                    }
-                    None => None,
-                };
-                self.read_buf = buf;
-                out
-            }
             (Mode::ErasureCoding, true) => {
                 let (shards, orig_len) = ec_shards.expect("EC write encoded");
                 let oid = self.ec_oid(obj.name, op.offset);
@@ -1267,28 +1236,48 @@ impl Engine {
                 self.cluster
                     .write_ec_shards(t, oid, orig_len, shards, op.random)
             }
-            (Mode::ErasureCoding, false) => {
-                let oid = self.ec_oid(obj.name, op.offset);
+            (mode, false) => {
                 let mut buf = std::mem::take(&mut self.read_buf);
-                let res = if self.cluster.ec_object_exists(oid) {
-                    self.cluster.read_ec_into(t, oid, op.random, &mut buf)
-                } else {
-                    self.cluster
-                        .read_ec_sparse_into(t, oid, op.len as usize, op.random, &mut buf)
-                };
-                let out = match res {
-                    Some(out) => {
-                        if let Some(&sum) = self.written.get(&(oid.name, 0)) {
-                            if Self::checksum(&buf) != sum {
-                                self.verify_failures += 1;
-                            }
-                        }
-                        Some(out)
+                // Each read is verified against the checksum of the last
+                // committed write to the same key.
+                let (res, key) = match mode {
+                    Mode::Replication => (
+                        self.cluster.read_replicated_into(
+                            t,
+                            obj,
+                            obj_off as usize,
+                            op.len as usize,
+                            op.random,
+                            &mut buf,
+                        ),
+                        (obj.name, (op.offset % self.image.object_size) as u32),
+                    ),
+                    Mode::ErasureCoding => {
+                        let oid = self.ec_oid(obj.name, op.offset);
+                        let res = if self.cluster.ec_object_exists(oid) {
+                            self.cluster.read_ec_into(t, oid, op.random, &mut buf)
+                        } else {
+                            self.cluster.read_ec_sparse_into(
+                                t,
+                                oid,
+                                op.len as usize,
+                                op.random,
+                                &mut buf,
+                            )
+                        };
+                        (res, (oid.name, 0))
                     }
-                    None => None,
                 };
+                if res.is_some()
+                    && self
+                        .written
+                        .get(&key)
+                        .is_some_and(|&sum| Self::checksum(&buf) != sum)
+                {
+                    self.verify_failures += 1;
+                }
                 self.read_buf = buf;
-                out
+                res
             }
         };
 

@@ -34,18 +34,6 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-impl CacheStats {
-    /// Hits over total lookups, 0.0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Slot {
     rule: u32,
@@ -268,16 +256,5 @@ mod tests {
         run(&mut c, 0, 1, 3, 1);
         run(&mut c, 0, 1, 3, 1);
         assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn hit_rate_math() {
-        let s = CacheStats {
-            hits: 3,
-            misses: 1,
-            invalidations: 0,
-        };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 }

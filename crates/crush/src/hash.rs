@@ -25,20 +25,6 @@ fn mix(mut a: u32, mut b: u32, mut c: u32) -> (u32, u32, u32) {
     (a, b, c)
 }
 
-/// Hash one 32-bit input.
-pub fn hash32_1(a: u32) -> u32 {
-    let mut hash = CRUSH_HASH_SEED ^ a;
-    let b = a;
-    let x = 231232u32;
-    let y = 1232u32;
-    let (b, x, mut hash2) = mix(b, x, hash);
-    hash = hash2;
-    let (_, _, h) = mix(y, a, hash);
-    hash2 = h;
-    let _ = (b, x);
-    hash2
-}
-
 /// Hash two 32-bit inputs.
 pub fn hash32_2(a: u32, b: u32) -> u32 {
     let mut hash = CRUSH_HASH_SEED ^ a ^ b;
@@ -91,41 +77,15 @@ pub fn hash32_4(a: u32, b: u32, c: u32, d: u32) -> u32 {
     h6
 }
 
-/// Hash five 32-bit inputs.
-pub fn hash32_5(a: u32, b: u32, c: u32, d: u32, e: u32) -> u32 {
-    let mut hash = CRUSH_HASH_SEED ^ a ^ b ^ c ^ d ^ e;
-    let x = 231232u32;
-    let y = 1232u32;
-    let (a2, b2, h) = mix(a, b, hash);
-    hash = h;
-    let (c2, d2, h2) = mix(c, d, hash);
-    hash = h2;
-    let (e2, x2, h3) = mix(e, x, hash);
-    hash = h3;
-    let (y2, a3, h4) = mix(y, a2, hash);
-    hash = h4;
-    let (b3, x3, h5) = mix(b2, x2, hash);
-    hash = h5;
-    let (y3, c3, h6) = mix(y2, c2, hash);
-    hash = h6;
-    let (d3, x4, h7) = mix(d2, x3, hash);
-    hash = h7;
-    let (_, _, h8) = mix(y3, e2, hash);
-    let _ = (a3, b3, c3, d3, x4);
-    h8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn deterministic() {
-        assert_eq!(hash32_1(42), hash32_1(42));
         assert_eq!(hash32_2(1, 2), hash32_2(1, 2));
         assert_eq!(hash32_3(1, 2, 3), hash32_3(1, 2, 3));
         assert_eq!(hash32_4(1, 2, 3, 4), hash32_4(1, 2, 3, 4));
-        assert_eq!(hash32_5(1, 2, 3, 4, 5), hash32_5(1, 2, 3, 4, 5));
     }
 
     #[test]
@@ -133,13 +93,12 @@ mod tests {
         assert_ne!(hash32_2(1, 2), hash32_2(2, 1), "argument order matters");
         assert_ne!(hash32_3(1, 2, 3), hash32_3(1, 2, 4));
         assert_ne!(hash32_4(1, 2, 3, 4), hash32_4(0, 2, 3, 4));
-        assert_ne!(hash32_5(1, 2, 3, 4, 5), hash32_5(1, 2, 3, 4, 6));
     }
 
     #[test]
     fn arity_separation() {
-        // Hashing (a, b) must not collide trivially with hashing (a).
-        assert_ne!(hash32_1(7), hash32_2(7, 0));
+        // Hashing (a, b, 0) must not collide trivially with hashing (a, b).
+        assert_ne!(hash32_2(7, 0), hash32_3(7, 0, 0));
     }
 
     #[test]

@@ -120,13 +120,6 @@ impl ReedSolomon {
         parity
     }
 
-    /// Number of bytes of parity produced per `data_bytes` of input —
-    /// used by the network model to size EC write fan-out.
-    pub fn parity_bytes(&self, data_bytes: u64) -> u64 {
-        let chunk = data_bytes.div_ceil(self.k as u64);
-        chunk * self.m as u64
-    }
-
     /// Reconstruct the original data shards from any `k` surviving
     /// shards.  `shards[i] = None` marks an erasure.  On success, the
     /// erased *data* shards are filled in (parity shards are left as
@@ -219,7 +212,6 @@ mod tests {
         assert_eq!(shards.len(), 6);
         assert!(shards.iter().all(|s| s.len() == 1024));
         assert_eq!(rs.overhead(), 1.5);
-        assert_eq!(rs.parity_bytes(4096), 2048);
     }
 
     #[test]

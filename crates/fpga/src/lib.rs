@@ -16,8 +16,9 @@
 //! * [`accel`] — cycle-accurate accelerator models: each kernel is a
 //!   four-stage FSM (rule evaluation → hash computation → data mapping →
 //!   replication, §IV-B) whose per-stage cycle budgets sum to the RTL
-//!   cycle counts of Table I, wrapping the *real* CRUSH/RS
-//!   implementations so outputs are bit-identical to software;
+//!   cycle counts of Table I; placements come from the real CRUSH
+//!   rule through the cluster's placement cache, and the RS encoder
+//!   runs the real codec;
 //! * [`dfx`] — Dynamic Function eXchange: one reconfigurable partition
 //!   in SLR0 hosting the List/Tree/Uniform reconfigurable modules,
 //!   MCAP-based partial bitstream loading with realistic timing, and a

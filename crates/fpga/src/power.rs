@@ -81,12 +81,6 @@ impl PowerModel {
         let u = u.clamp(0.0, 1.0);
         self.idle_w() + u * (self.full_load_dfx_w() - self.idle_w())
     }
-
-    /// Energy in joules for a workload of `seconds` at utilization `u`
-    /// (DFX configuration).
-    pub fn energy_j(&self, seconds: f64, u: f64) -> f64 {
-        self.at_utilization_dfx(u) * seconds
-    }
 }
 
 #[cfg(test)]
@@ -126,12 +120,5 @@ mod tests {
         }
         assert!((p.at_utilization_dfx(1.0) - p.full_load_dfx_w()).abs() < 1e-9);
         assert!(p.idle_w() < p.full_load_dfx_w());
-    }
-
-    #[test]
-    fn energy_integration() {
-        let p = PowerModel::default();
-        let e = p.energy_j(10.0, 1.0);
-        assert!((e - 1700.0).abs() < 10.0);
     }
 }

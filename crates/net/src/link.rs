@@ -49,12 +49,6 @@ impl EthLink {
         self.bw.serialization(self.frames.wire_bytes(payload))
     }
 
-    /// Total payload goodput moved so far (wire bytes, including
-    /// overhead).
-    pub fn wire_bytes_moved(&self) -> u64 {
-        self.bw.bytes_moved()
-    }
-
     /// Utilization over `[0, horizon]`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         self.bw.utilization(horizon)

@@ -111,14 +111,6 @@ impl TcpStack {
             TcpStackKind::HlsFpga | TcpStackKind::RtlFpga => SimDuration::ZERO,
         }
     }
-
-    /// FPGA pipeline occupancy for `payload` bytes — the time the
-    /// TX path is busy with this message's segments (bounds stack
-    /// throughput under load).
-    pub fn pipeline_occupancy(&self, payload: u64) -> SimDuration {
-        let segs = self.frames.segments(payload);
-        SimDuration::from_nanos(segs * self.per_segment_ns())
-    }
 }
 
 #[cfg(test)]
@@ -156,18 +148,6 @@ mod tests {
         let large = sw.host_cpu(128 * 1024);
         // 4 KiB = 3 segments, 128 KiB = 90 segments.
         assert!(large.as_nanos() > 20 * small.as_nanos() / 3);
-    }
-
-    #[test]
-    fn pipeline_occupancy_scales_with_segments() {
-        let rtl = TcpStack::new(TcpStackKind::RtlFpga);
-        assert_eq!(
-            rtl.pipeline_occupancy(4096).as_nanos(),
-            3 * 260,
-            "3 segments at standard MTU"
-        );
-        let jumbo = rtl.with_frames(FrameConfig::jumbo());
-        assert_eq!(jumbo.pipeline_occupancy(4096).as_nanos(), 260);
     }
 
     #[test]

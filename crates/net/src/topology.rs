@@ -102,12 +102,6 @@ impl Topology {
         self.client_tx.frames()
     }
 
-    /// Client TX utilization over `[0, horizon]` — the figure-6 bottleneck
-    /// indicator.
-    pub fn client_tx_utilization(&self, horizon: SimTime) -> f64 {
-        self.client_tx.utilization(horizon)
-    }
-
     /// Cumulative busy time per link class, with the pipe count of each
     /// class: `(client_tx, client_rx, server public tx+rx, cluster
     /// tx+rx)`.  The telemetry plane differences consecutive samples

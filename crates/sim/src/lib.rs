@@ -13,8 +13,6 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time;
 //! * [`LaneQueue`] — the engine's per-lane sharded event queue, with
 //!   stable FIFO ordering for simultaneous events;
-//! * [`EventQueue`] — the single-heap reference queue that [`LaneQueue`]
-//!   pops identically to;
 //! * [`rng`] — small, fast, seedable PRNGs (`SplitMix64`, `Xoshiro256`)
 //!   used wherever the simulation needs randomness that must not depend on
 //!   platform or `std` hash ordering;
@@ -36,7 +34,6 @@
 //!   fixed-width virtual-time windows of ops/latency/gauge series with
 //!   SLO burn-rate alerts and CSV/JSON/Prometheus/Chrome exporters.
 
-pub mod event;
 pub mod metrics;
 pub mod observe;
 pub mod resource;
@@ -47,7 +44,6 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use event::EventQueue;
 pub use sharded::LaneQueue;
 pub use metrics::{Counter, Histogram};
 pub use observe::Observer;

@@ -92,12 +92,6 @@ impl OlapSpec {
             })
             .collect()
     }
-
-    /// Total I/O bytes the spec will move (for reporting).
-    pub fn total_bytes(&self) -> u64 {
-        // Scans only; materialization is probabilistic.
-        self.numjobs as u64 * self.queries as u64 * self.blocks_per_query as u64 * SCAN_BLOCK as u64
-    }
 }
 
 #[cfg(test)]

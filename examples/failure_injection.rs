@@ -12,7 +12,6 @@
 use deliba_k::cluster::{Cluster, ObjectId, RecoveryPolicy, RecoveryScheduler};
 use deliba_k::ec::ReedSolomon;
 use deliba_k::sim::{SimDuration, SimTime};
-use bytes::Bytes;
 
 fn main() {
     let mut cluster = Cluster::paper_testbed(2026);
@@ -23,9 +22,9 @@ fn main() {
 
     // --- Replication: survive a primary failure ------------------------
     let oid = ObjectId::new(1, 0xCAFE);
-    let payload = Bytes::from((0..8192u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+    let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
     let w = cluster
-        .write_replicated(SimTime::ZERO, oid, payload.clone(), true)
+        .write_replicated_at(SimTime::ZERO, oid, 0, &payload, true)
         .expect("write succeeds");
     println!("replicated write committed at {} (3 copies)", w.complete);
 
@@ -34,8 +33,9 @@ fn main() {
     println!("killing primary osd.{primary} ...");
     cluster.fail_osd(primary);
 
-    let (data, r) = cluster
-        .read_replicated(w.complete, oid, 0, 8192, true)
+    let mut data = Vec::new();
+    let r = cluster
+        .read_replicated_into(w.complete, oid, 0, 8192, true, &mut data)
         .expect("degraded read succeeds");
     assert_eq!(data, payload, "degraded read returned the correct bytes");
     println!(
@@ -46,7 +46,7 @@ fn main() {
 
     // --- Erasure coding: reconstruct after two failures -----------------
     let ec_oid = ObjectId::new(2, 0xBEEF);
-    let ec_data = Bytes::from((0..16384u32).map(|i| (i % 241) as u8).collect::<Vec<u8>>());
+    let ec_data: Vec<u8> = (0..16384u32).map(|i| (i % 241) as u8).collect();
     let shards = ReedSolomon::new(4, 2).encode(&ec_data);
     let w = cluster
         .write_ec_shards(SimTime::ZERO, ec_oid, ec_data.len(), shards, true)
@@ -58,8 +58,8 @@ fn main() {
     cluster.fail_osd(acting[0]);
     cluster.fail_osd(acting[1]);
 
-    let (data, r) = cluster
-        .read_ec(w.complete, ec_oid, true)
+    let r = cluster
+        .read_ec_into(w.complete, ec_oid, true, &mut data)
         .expect("reconstruction succeeds with k surviving shards");
     assert_eq!(data, ec_data, "reconstructed object is bit-exact");
     println!("EC reconstruction OK at {} (degraded = {})\n", r.complete, r.degraded);
@@ -71,10 +71,11 @@ fn main() {
     for i in 0..20u64 {
         t = t.max(
             cluster
-                .write_replicated(
+                .write_replicated_at(
                     SimTime::ZERO,
                     ObjectId::new(1, 1000 + i),
-                    Bytes::from(vec![i as u8; 2048]),
+                    0,
+                    &[i as u8; 2048],
                     true,
                 )
                 .unwrap()
@@ -103,9 +104,9 @@ fn main() {
         holders[2], dirty.detected, dirty.repaired, dirty.finish
     );
     assert_eq!((dirty.detected, dirty.repaired), (1, 1));
-    let (data, _) = cluster
-        .read_replicated(dirty.finish, victim, 0, 2048, true)
+    cluster
+        .read_replicated_into(dirty.finish, victim, 0, 2048, true, &mut data)
         .expect("repaired object reads");
-    assert_eq!(data, Bytes::from(vec![7u8; 2048]), "repair restored the bytes");
+    assert_eq!(data, [7u8; 2048], "repair restored the bytes");
     println!("\nAll failure-injection checks passed.");
 }

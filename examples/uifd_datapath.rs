@@ -8,12 +8,16 @@
 //! SQEs enter a kernel-polled io_uring instance, become block requests
 //! in the scheduler-bypassing DMQ, turn into 128-byte QDMA descriptors,
 //! and the descriptor engine streams the payload to the card — where
-//! the CRUSH accelerator computes the *actual* placement for it.
+//! the CRUSH accelerator is charged for the placement the cluster map
+//! resolves for it.
 
 use deliba_k::blkmq::{BlockRequest, ReqOp};
+use deliba_k::cluster::OsdMap;
 use deliba_k::core::Uifd;
 use deliba_k::crush::MapBuilder;
-use deliba_k::fpga::accel::{AccelKind, CrushAccelerator};
+use deliba_k::fpga::accel::table_i;
+use deliba_k::fpga::AlveoU280;
+use deliba_k::sim::SimTime;
 use deliba_k::uring::{Cqe, IoUring, RingMode, Sqe};
 
 fn main() {
@@ -63,18 +67,23 @@ fn main() {
     assert_eq!(&beats[0].data[..], &payload[..], "payload bit-exact at the card");
     println!("descriptor engine streamed {} bytes to the card", beats[0].data.len());
 
-    // 5. The replication accelerator computes the CRUSH placement for
-    //    the object this write belongs to.
-    let map = MapBuilder::new().build(2, 16); // the paper's 32-OSD testbed
-    let mut accel = CrushAccelerator::new(AccelKind::Straw2);
-    let (osds, time) = accel.place(&map, 0, 0xD3B5, 2);
+    // 5. The CRUSH placement for the object this write belongs to: the
+    //    map's epoch-keyed cache resolves the OSDs, and the card is
+    //    charged the placement kernel's cycles.
+    let map = OsdMap::new(MapBuilder::new().build(2, 16)); // the paper's 32-OSD testbed
+    let mut osds = Vec::new();
+    map.do_rule_cached(0, 0xD3B5, 2, &mut osds);
+    let mut card = AlveoU280::deliba_k_default();
+    let (time, kernel) = card.place_prefetched(SimTime::ZERO, None);
     println!(
-        "Straw2 accelerator placed the object on OSDs {:?} in {} ({} cycles at 235 MHz)",
-        osds,
-        time,
-        accel.rtl_cycles()
+        "{kernel:?} accelerator placed the object on OSDs {osds:?} in {time} ({} cycles at 235 MHz)",
+        table_i(kernel).rtl_cycles.1
     );
-    assert_eq!(osds, map.do_rule(0, 0xD3B5, 2), "identical to software CRUSH");
+    assert_eq!(
+        osds,
+        map.crush().do_rule(0, 0xD3B5, 2),
+        "identical to software CRUSH"
+    );
 
     // 6. Completion: post through the completion engine, reap, release
     //    the tag, and the CQE is already in the application's CQ.

@@ -2,6 +2,7 @@
 //! bytes, multi-queue alignment, tenancy isolation, DFX under load.
 
 use deliba_k::blkmq::{BlockRequest, ReqOp};
+use deliba_k::cluster::OsdMap;
 use deliba_k::core::Uifd;
 use deliba_k::fpga::{AlveoU280, RmId};
 use deliba_k::crush::{BucketAlg, MapBuilder};
@@ -102,11 +103,14 @@ fn replication_and_ec_queue_types_coexist() {
 
 #[test]
 fn dfx_swap_preserves_placement_correctness_under_load() {
-    // Placements computed during a swap (Straw2 fallback) and after it
-    // (specialized kernel) must both equal software CRUSH.
-    let map = MapBuilder::new().host_alg(BucketAlg::Tree).build(8, 4);
+    // The engine's placement path during a swap (Straw2 fallback) and
+    // after it (specialized kernel): the devices come from the map's
+    // epoch-keyed cache and equal software CRUSH whichever kernel the
+    // card is charged for.
+    let map = OsdMap::new(MapBuilder::new().host_alg(BucketAlg::Tree).build(8, 4));
     let mut card = AlveoU280::deliba_k_default();
     let done = card.reconfigure(SimTime::ZERO, RmId::Tree).unwrap();
+    let mut devs = Vec::new();
 
     for x in 0..300u32 {
         // Interleave placements before and after the swap completes.
@@ -115,8 +119,9 @@ fn dfx_swap_preserves_placement_correctness_under_load() {
         } else {
             done + deliba_k::sim::SimDuration::from_nanos(x as u64)
         };
-        let (devs, _, kernel) = card.place(now, &map, 0, x, 3, Some(RmId::Tree));
-        assert_eq!(devs, map.do_rule(0, x, 3), "x={x} via {kernel:?}");
+        map.do_rule_cached(0, x, 3, &mut devs);
+        let (_, kernel) = card.place_prefetched(now, Some(RmId::Tree));
+        assert_eq!(devs, map.crush().do_rule(0, x, 3), "x={x} via {kernel:?}");
     }
     assert!(card.dfx_fallbacks() > 0, "some placements ran during the swap");
 }

@@ -7,7 +7,6 @@ use deliba_k::core::engine::TraceOp;
 use deliba_k::core::{Engine, EngineConfig, Generation, Mode};
 use deliba_k::ec::ReedSolomon;
 use deliba_k::sim::{SimDuration, SimTime};
-use bytes::Bytes;
 
 #[test]
 fn reads_survive_osd_failure_mid_workload() {
@@ -56,7 +55,7 @@ fn writes_continue_degraded_after_failures() {
 fn ec_tolerates_m_but_not_m_plus_one() {
     let mut cluster = Cluster::paper_testbed(5);
     let oid = ObjectId::new(2, 99);
-    let data = Bytes::from(vec![0x5Au8; 32 * 1024]);
+    let data = vec![0x5Au8; 32 * 1024];
     let shards = ReedSolomon::new(4, 2).encode(&data);
     let w = cluster
         .write_ec_shards(SimTime::ZERO, oid, data.len(), shards, true)
@@ -68,15 +67,22 @@ fn ec_tolerates_m_but_not_m_plus_one() {
     // m = 2 failures: recoverable.
     cluster.fail_osd(acting[0]);
     cluster.fail_osd(acting[4]);
-    let (read, out) = cluster.read_ec(w.complete, oid, true).expect("recoverable");
+    let mut read = Vec::new();
+    let out = cluster
+        .read_ec_into(w.complete, oid, true, &mut read)
+        .expect("recoverable");
     assert_eq!(read, data);
     assert!(out.degraded);
     // m + 1 = 3 failures: unreadable.
     cluster.fail_osd(acting[2]);
-    assert!(cluster.read_ec(w.complete, oid, true).is_none());
+    assert!(cluster
+        .read_ec_into(w.complete, oid, true, &mut read)
+        .is_none());
     // Revive one holder: readable again.
     cluster.revive_osd(acting[0]);
-    let (read, _) = cluster.read_ec(w.complete, oid, true).expect("recovered");
+    cluster
+        .read_ec_into(w.complete, oid, true, &mut read)
+        .expect("recovered");
     assert_eq!(read, data);
 }
 
@@ -109,10 +115,11 @@ fn scrub_finds_every_injected_corruption() {
     let mut cluster = Cluster::paper_testbed(7);
     for i in 0..30u64 {
         cluster
-            .write_replicated(
+            .write_replicated_at(
                 SimTime::ZERO,
                 ObjectId::new(1, i),
-                Bytes::from(vec![(i % 251) as u8; 1024]),
+                0,
+                &[(i % 251) as u8; 1024],
                 true,
             )
             .unwrap();
@@ -142,10 +149,11 @@ fn repair_heals_scrub_inconsistencies() {
     let mut cluster = Cluster::paper_testbed(8);
     for i in 0..20u64 {
         cluster
-            .write_replicated(
+            .write_replicated_at(
                 SimTime::ZERO,
                 ObjectId::new(1, i),
-                Bytes::from(vec![(i % 201) as u8; 2048]),
+                0,
+                &[(i % 201) as u8; 2048],
                 true,
             )
             .unwrap();
@@ -166,18 +174,19 @@ fn repair_heals_scrub_inconsistencies() {
     let again = cluster.scrub_tick(&mut scrubber, pass.finish);
     assert_eq!(again.detected, 0, "clean after repair");
     // Data still correct (the corrupted copies were minorities).
+    let mut data = Vec::new();
     for i in [4u64, 13] {
-        let (data, _) = cluster
-            .read_replicated(again.finish, ObjectId::new(1, i), 0, 2048, true)
+        cluster
+            .read_replicated_into(again.finish, ObjectId::new(1, i), 0, 2048, true, &mut data)
             .unwrap();
-        assert_eq!(&data[..], &vec![(i % 201) as u8; 2048][..]);
+        assert_eq!(data, [(i % 201) as u8; 2048]);
     }
 }
 
 #[test]
 fn repair_heals_ec_parity() {
     let mut cluster = Cluster::paper_testbed(9);
-    let data = Bytes::from(vec![0x42u8; 8192]);
+    let data = vec![0x42u8; 8192];
     let shards = ReedSolomon::new(4, 2).encode(&data);
     let oid = ObjectId::new(2, 50);
     cluster
@@ -194,7 +203,10 @@ fn repair_heals_ec_parity() {
     assert_eq!(pass.repaired, 1);
     let again = cluster.scrub_tick(&mut scrubber, pass.finish);
     assert_eq!(again.detected, 0);
-    let (read, out) = cluster.read_ec(again.finish, oid, true).unwrap();
+    let mut read = Vec::new();
+    let out = cluster
+        .read_ec_into(again.finish, oid, true, &mut read)
+        .unwrap();
     assert_eq!(read, data);
     assert!(!out.degraded);
 }

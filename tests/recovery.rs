@@ -6,10 +6,11 @@
 use deliba_k::cluster::{Cluster, ObjectId, RecoveryPolicy, RecoveryScheduler};
 use deliba_k::ec::ReedSolomon;
 use deliba_k::sim::{SimDuration, SimTime};
-use bytes::Bytes;
 
-fn payload(len: usize, tag: u8) -> Bytes {
-    Bytes::from((0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(tag)).collect::<Vec<u8>>())
+fn payload(len: usize, tag: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(tag))
+        .collect()
 }
 
 /// Recover to quiescence: rescan, dispatch one costed backfill wave,
@@ -33,7 +34,7 @@ fn replicated_backfill_restores_redundancy() {
     let mut oids = Vec::new();
     for i in 0..40u64 {
         let oid = ObjectId::new(1, i);
-        c.write_replicated(SimTime::ZERO, oid, payload(4096, i as u8), true)
+        c.write_replicated_at(SimTime::ZERO, oid, 0, &payload(4096, i as u8), true)
             .unwrap();
         oids.push(oid);
     }
@@ -48,8 +49,11 @@ fn replicated_backfill_restores_redundancy() {
     assert!(done > t, "backfill charges virtual time");
 
     // Every object now reads non-degraded from the current acting set.
+    let mut data = Vec::new();
     for (i, &oid) in oids.iter().enumerate() {
-        let (data, out) = c.read_replicated(done, oid, 0, 4096, true).unwrap();
+        let out = c
+            .read_replicated_into(done, oid, 0, 4096, true, &mut data)
+            .unwrap();
         assert_eq!(data, payload(4096, i as u8));
         assert!(!out.degraded, "object {i} still degraded after recovery");
     }
@@ -66,8 +70,14 @@ fn replicated_backfill_restores_redundancy() {
 fn recovery_is_idempotent() {
     let mut c = Cluster::paper_testbed(101);
     for i in 0..20u64 {
-        c.write_replicated(SimTime::ZERO, ObjectId::new(1, i), payload(2048, i as u8), true)
-            .unwrap();
+        c.write_replicated_at(
+            SimTime::ZERO,
+            ObjectId::new(1, i),
+            0,
+            &payload(2048, i as u8),
+            true,
+        )
+        .unwrap();
     }
     c.fail_osd(7);
     let (_, done) = recover(&mut c, SimTime::from_nanos(1));
@@ -98,9 +108,10 @@ fn ec_recovery_reconstructs_missing_shards() {
 
     // Revive nothing; reads must now be whole again (shards re-placed on
     // healthy OSDs).
+    let mut read = Vec::new();
     for (i, data) in datas.iter().enumerate() {
         let oid = ObjectId::new(2, i as u64);
-        let (read, out) = c.read_ec(done, oid, true).unwrap();
+        let out = c.read_ec_into(done, oid, true, &mut read).unwrap();
         assert_eq!(&read, data, "object {i}");
         assert!(!out.degraded, "object {i} still degraded after recovery");
     }
@@ -119,17 +130,26 @@ fn recovery_after_revive_heals_stale_osd() {
     c.fail_osd(11);
     // Writes happen while osd.11 is down.
     for i in 0..30u64 {
-        c.write_replicated(SimTime::ZERO, ObjectId::new(1, 200 + i), payload(1024, i as u8), true)
-            .unwrap();
+        c.write_replicated_at(
+            SimTime::ZERO,
+            ObjectId::new(1, 200 + i),
+            0,
+            &payload(1024, i as u8),
+            true,
+        )
+        .unwrap();
     }
     c.revive_osd(11);
     // The revived OSD rejoins acting sets but lacks the objects written
     // while it was out; recovery backfills it.
     let (sched, done) = recover(&mut c, SimTime::from_nanos(1));
     assert!(sched.stats.objects_recovered > 0, "osd.11 needed backfill");
+    let mut data = Vec::new();
     for i in 0..30u64 {
         let oid = ObjectId::new(1, 200 + i);
-        let (data, out) = c.read_replicated(done, oid, 0, 1024, true).unwrap();
+        let out = c
+            .read_replicated_into(done, oid, 0, 1024, true, &mut data)
+            .unwrap();
         assert_eq!(data, payload(1024, i as u8), "object {i}");
         assert!(!out.degraded, "object {i}");
     }
@@ -152,5 +172,5 @@ fn unrecoverable_objects_are_skipped_not_corrupted() {
     let (sched, done) = recover(&mut c, SimTime::from_nanos(1));
     assert_eq!(sched.stats.objects_recovered, 0);
     assert_eq!(sched.unrecoverable_objects(), 1);
-    assert!(c.read_ec(done, oid, true).is_none());
+    assert!(c.read_ec_into(done, oid, true, &mut Vec::new()).is_none());
 }
