@@ -2,15 +2,31 @@
 //!
 //! The contract: `harness all --json` is byte-reproducible — across
 //! runs, and across serial vs parallel sweep execution.  These tests
-//! pin both properties at the library level (the CI perf-smoke job
-//! additionally diffs whole-process output).
+//! pin both properties at the library level.
 
-use deliba_bench::{runner, Experiment};
+use deliba_bench::{loadcurve_with, runner, Experiment, LoadCurveOpts};
 use deliba_core::{Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RwMode, TraceOp};
 use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_net::LinkFaultProfile;
 use deliba_qdma::DmaFaultProfile;
 use deliba_sim::{SimDuration, SimTime};
+use std::sync::Mutex;
+
+/// Run `f` once on the serial runner and once on `jobs` sweep workers.
+/// The runner's serial flag and `DELIBA_JOBS` are process-wide, so the
+/// tests that flip them take turns; otherwise one test's serial leg
+/// could turn another's parallel leg serial.
+fn serial_then_parallel<T>(jobs: &str, f: impl Fn() -> T) -> (T, T) {
+    static RUNNER: Mutex<()> = Mutex::new(());
+    let _turn = RUNNER.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    std::env::set_var("DELIBA_JOBS", jobs);
+    runner::set_serial(true);
+    let serial = f();
+    runner::set_serial(false);
+    let parallel = f();
+    std::env::remove_var("DELIBA_JOBS");
+    (serial, parallel)
+}
 
 /// Same seed, same config → bit-identical serialized `RunReport`.  The
 /// DeLiBA-K write cell drives `run_trace` with three jobs, so writes
@@ -116,13 +132,9 @@ fn measured(exp: &Experiment, config: &str, workload: &str) -> f64 {
 /// 99 % availability.
 #[test]
 fn chaos_experiment_ignores_worker_count() {
-    std::env::set_var("DELIBA_JOBS", "3");
-    runner::set_serial(true);
-    let chaos = deliba_bench::chaos();
+    let (chaos, parallel) = serial_then_parallel("3", deliba_bench::chaos);
     let serial = serde_json::to_string(&chaos).expect("serializable");
-    runner::set_serial(false);
-    let parallel = serde_json::to_string(&deliba_bench::chaos()).expect("serializable");
-    std::env::remove_var("DELIBA_JOBS");
+    let parallel = serde_json::to_string(&parallel).expect("serializable");
     assert_eq!(serial, parallel, "chaos output must not depend on worker count");
 
     let mut modes: Vec<&str> = chaos.cells.iter().map(|c| c.config.as_str()).collect();
@@ -216,19 +228,38 @@ fn recovery_and_scrub_replay_and_hold_their_invariants() {
     }
 }
 
-/// A representative sweep (Table II: 20 cells, five engine configs)
-/// serializes byte-identically whether cells run on one thread or
-/// several.  `DELIBA_JOBS` forces multiple workers even on single-core
-/// runners so the parallel path is genuinely exercised.
+/// Representative sweeps (Table II: 20 cells, five engine configs;
+/// the MTU study) serialize byte-identically whether cells run on one
+/// thread or on four, as `harness table2 mtu --json` does with
+/// `--serial` and with `DELIBA_JOBS=4`.  `DELIBA_JOBS` forces multiple
+/// workers even on single-core runners so the parallel path is
+/// genuinely exercised.
 #[test]
 fn serial_and_parallel_sweeps_are_byte_identical() {
-    std::env::set_var("DELIBA_JOBS", "3");
-    runner::set_serial(true);
-    let serial = serde_json::to_string(&deliba_bench::table2()).expect("serializable");
-    runner::set_serial(false);
-    let parallel = serde_json::to_string(&deliba_bench::table2()).expect("serializable");
-    std::env::remove_var("DELIBA_JOBS");
+    let sweeps = || {
+        let exps = vec![deliba_bench::table2(), deliba_bench::mtu()];
+        serde_json::to_string_pretty(&exps).expect("serializable")
+    };
+    let (serial, parallel) = serial_then_parallel("4", sweeps);
     assert_eq!(serial, parallel, "sweep output must not depend on worker count");
+}
+
+/// The open-loop sweep `harness loadcurve --rate 2,8,32,128
+/// --admission-cap 64 --json` emits the same reports on one worker and
+/// on four.
+#[test]
+fn loadcurve_sweep_ignores_worker_count() {
+    let opts = LoadCurveOpts {
+        rates_kiops: vec![2.0, 8.0, 32.0, 128.0],
+        admission_cap: 64,
+        ..Default::default()
+    };
+    let reports = || {
+        let (_, reports) = loadcurve_with(&opts);
+        serde_json::to_string_pretty(&reports).expect("serializable")
+    };
+    let (serial, parallel) = serial_then_parallel("4", reports);
+    assert_eq!(serial, parallel, "loadcurve output must not depend on worker count");
 }
 
 /// Full-harness equivalent of the test above — every experiment in
@@ -258,11 +289,6 @@ fn full_harness_serial_vs_parallel() {
         ];
         serde_json::to_string_pretty(&exps).expect("serializable")
     };
-    std::env::set_var("DELIBA_JOBS", "4");
-    runner::set_serial(true);
-    let serial = all();
-    runner::set_serial(false);
-    let parallel = all();
-    std::env::remove_var("DELIBA_JOBS");
+    let (serial, parallel) = serial_then_parallel("4", all);
     assert_eq!(serial, parallel);
 }

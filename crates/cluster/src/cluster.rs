@@ -26,6 +26,7 @@ use deliba_ec::ReedSolomon;
 use deliba_net::{FrameConfig, Topology};
 use deliba_sim::{InstantKind, Observer, SimDuration, SimTime, TraceLayer, Xoshiro256};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// Cross-server commit-ack latency (tiny message, switch + stack).
 pub(crate) const ACK_CROSS_SERVER: SimDuration = SimDuration(4_000);
@@ -106,6 +107,11 @@ pub struct Cluster {
     /// Recycled acting-set buffer: the data-path methods fill it via
     /// [`OsdMap::acting_set_into`] instead of allocating per I/O.
     acting_scratch: Vec<i32>,
+    /// RS codecs by `(k, m)`, built on first use by [`Cluster::ec_codec`]:
+    /// building one inverts a Vandermonde matrix, too much to repeat on
+    /// every EC read or rebuild, and a cluster that never decodes keeps
+    /// none.
+    codecs: Vec<Rc<ReedSolomon>>,
     /// Flight recorder (full-depth recording marks each OSD service).
     pub(crate) trace: Observer,
 }
@@ -168,6 +174,7 @@ impl Cluster {
             bad_copy_skips: 0,
             dynamics: false,
             acting_scratch: Vec::new(),
+            codecs: Vec::new(),
             trace: Observer::off(),
         }
     }
@@ -273,6 +280,23 @@ impl Cluster {
 
     fn pool(&self, id: u32) -> &PoolConfig {
         self.map.pool(id).expect("pool exists")
+    }
+
+    /// The RS codec of EC pool `pool`, built once per `(k, m)` and
+    /// shared by every later caller.
+    ///
+    /// # Panics
+    /// Panics if `pool` is not an erasure-coded pool.
+    pub fn ec_codec(&mut self, pool: u32) -> Rc<ReedSolomon> {
+        let PoolKind::Erasure { k, m } = self.pool(pool).kind else {
+            panic!("ec_codec on a non-EC pool");
+        };
+        if let Some(rs) = self.codecs.iter().find(|rs| rs.k() == k && rs.m() == m) {
+            return Rc::clone(rs);
+        }
+        let rs = Rc::new(ReedSolomon::new(k, m));
+        self.codecs.push(Rc::clone(&rs));
+        rs
     }
 
     /// Replicated write of `data` at `offset` within the object (an RBD
@@ -643,7 +667,7 @@ impl Cluster {
         if fetched < k {
             return None;
         }
-        let rs = ReedSolomon::new(k, m);
+        let rs = self.ec_codec(oid.pool);
         rs.reconstruct(&mut slots).ok()?;
         *out = rs.join(&slots, original_len);
         last_fin = last_fin.max(last_arrive);
@@ -1162,5 +1186,15 @@ mod tests {
         let span = completions.iter().max().unwrap().as_nanos()
             - completions.iter().min().unwrap().as_nanos();
         assert!(span > 100_000, "16×128 KiB must spread out on a 10G port");
+    }
+
+    #[test]
+    fn ec_codec_is_built_once_and_matches_a_fresh_one() {
+        let mut c = Cluster::paper_testbed(13);
+        let rs = c.ec_codec(2);
+        assert!(Rc::ptr_eq(&rs, &c.ec_codec(2)), "second call reuses the codec");
+        assert_eq!((rs.k(), rs.m()), (4, 2));
+        let data = payload(5000, 9);
+        assert_eq!(rs.encode(&data), ReedSolomon::new(4, 2).encode(&data));
     }
 }

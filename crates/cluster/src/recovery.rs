@@ -30,7 +30,6 @@
 use crate::cluster::{Cluster, ACK_SAME_SERVER};
 use crate::object::ObjectId;
 use crate::pool::PoolKind;
-use deliba_ec::ReedSolomon;
 use deliba_sim::{SimDuration, SimRng, SimTime, Xoshiro256};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Bound;
@@ -509,7 +508,7 @@ impl Cluster {
                 if fetched < k {
                     return None;
                 }
-                let rs = ReedSolomon::new(k, m);
+                let rs = self.ec_codec(oid.pool);
                 rs.reconstruct(&mut slots).ok()?;
                 let parity = rs.encode_parity(&data_shards(&slots, k));
                 for (pi, p) in parity.into_iter().enumerate() {
@@ -757,7 +756,7 @@ impl Cluster {
         let PoolKind::Erasure { k, m } = pool.kind else {
             return (now, 0, 0);
         };
-        let rs = ReedSolomon::new(k, m);
+        let rs = self.ec_codec(oid.pool);
         let mut slots: Vec<Option<Vec<u8>>> = vec![None; k + m];
         let mut holder_of: Vec<Option<i32>> = vec![None; k + m];
         let mut fin = now;
@@ -918,7 +917,7 @@ impl Cluster {
 }
 
 /// Borrow the `k` data shards of a full slot vector for
-/// [`ReedSolomon::encode_parity`].
+/// [`deliba_ec::ReedSolomon::encode_parity`].
 fn data_shards(slots: &[Option<Vec<u8>>], k: usize) -> Vec<&[u8]> {
     slots[..k]
         .iter()
@@ -930,6 +929,7 @@ fn data_shards(slots: &[Option<Vec<u8>>], k: usize) -> Vec<&[u8]> {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use deliba_ec::ReedSolomon;
     use deliba_sim::SimTime;
 
     fn oid_rep(name: u64) -> ObjectId {

@@ -282,6 +282,27 @@ impl EngineConfig {
 /// Image size the benchmarks address (1 GiB working set).
 pub const IMAGE_BYTES: u64 = 1 << 30;
 
+/// 64-bit FNV-1a offset basis and prime (the verify checksum's).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Close a 4-lane checksum: mix lanes 1–3 into lane 0, then hash the
+/// `< 32`-byte tail word by word, the last word zero-padded.  Shared by
+/// [`Engine::checksum`] and the fused sum of [`Engine::payload_for`],
+/// so the two agree by construction.
+fn fold_checksum(lanes: [u64; 4], tail: &[u8]) -> u64 {
+    let mut h = lanes[0];
+    for &lane in &lanes[1..] {
+        h = (h ^ lane).wrapping_mul(FNV_PRIME);
+    }
+    for w in tail.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// Outcome of a single I/O attempt (the retry loop's unit of work).
 /// Failed attempts never touch the latency histogram, the observer, or
 /// context occupancy — only the final disposition of the op does.
@@ -544,8 +565,14 @@ pub struct Engine {
     pcie: PciePipes,
     image: RbdImage,
     rng: Xoshiro256,
-    /// Checksums of written blocks for integrity verification.
-    written: BTreeMap<(u64, u32), u64>,
+    /// Committed write extents for integrity verification: `(object,
+    /// offset, len)` → checksum.  A write drops every extent of its
+    /// object that it overlaps, so each entry still describes the bytes
+    /// stored at `[offset, offset + len)`.
+    written: BTreeMap<(u64, u32, u32), u64>,
+    /// Longest length ever recorded in `written` — bounds the overlap
+    /// scan of [`Engine::record_write`].
+    longest_extent: u32,
     verify_failures: u64,
     degraded_ops: u64,
     /// Recycled payload buffer: write payloads are generated into this
@@ -638,6 +665,7 @@ impl Engine {
             image: RbdImage::new(pool, 0xD3B5, IMAGE_BYTES),
             rng: Xoshiro256::seed_from_u64(cfg.seed ^ 0xFEED),
             written: BTreeMap::new(),
+            longest_extent: 0,
             verify_failures: 0,
             degraded_ops: 0,
             scratch: Vec::new(),
@@ -759,36 +787,73 @@ impl Engine {
         self.cluster.map().placement_cache_stats()
     }
 
-    /// FNV-1a over 64-bit words (byte-wise tail) — the verify
-    /// checksum.  Cheap, deterministic, only ever compared against
-    /// itself within one run.
+    /// The verify checksum: 4-lane word FNV-1a.  Word `i` of each
+    /// 32-byte block feeds lane `i`, so the four multiply chains run
+    /// side by side; [`fold_checksum`] then mixes the lanes and the
+    /// zero-padded tail words.  Every step is a bijection in the word or
+    /// lane it takes, so any single changed word (hence any rotted byte)
+    /// changes the sum.  Only ever compared against itself within one
+    /// run.
     fn checksum(data: &[u8]) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut words = data.chunks_exact(8);
-        for w in words.by_ref() {
-            h ^= u64::from_le_bytes(w.try_into().expect("exact chunk"));
-            h = h.wrapping_mul(0x100000001b3);
+        let mut lanes = [FNV_OFFSET; 4];
+        let mut blocks = data.chunks_exact(32);
+        for block in blocks.by_ref() {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                let word = u64::from_le_bytes(w.try_into().expect("exact chunk"));
+                *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
+            }
         }
-        for &b in words.remainder() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        fold_checksum(lanes, blocks.remainder())
     }
 
     /// Fill the recycled scratch buffer with `len` deterministic payload
-    /// bytes.  Consumes exactly one `next_u64` per started 8-byte chunk —
-    /// the same RNG stream as a fresh allocation would.
-    fn payload_for(&mut self, len: usize) -> Vec<u8> {
+    /// bytes and return them with their [`Engine::checksum`], computed
+    /// in the same pass.  Consumes exactly one `next_u64` per started
+    /// 8-byte chunk, little-endian, truncated in the last chunk — the
+    /// payload stream every stored byte and `run_fio`'s `rng.jump()`
+    /// depend on.
+    fn payload_for(&mut self, len: usize) -> (Vec<u8>, u64) {
         let mut v = std::mem::take(&mut self.scratch);
         v.clear();
         v.resize(len, 0);
-        for chunk in v.chunks_mut(8) {
+        let mut lanes = [FNV_OFFSET; 4];
+        let mut blocks = v.chunks_exact_mut(32);
+        for block in blocks.by_ref() {
+            for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact_mut(8)) {
+                let word = self.rng.next_u64();
+                chunk.copy_from_slice(&word.to_le_bytes());
+                *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
+            }
+        }
+        let tail = blocks.into_remainder();
+        for chunk in tail.chunks_mut(8) {
             let word = self.rng.next_u64().to_le_bytes();
             let n = chunk.len();
             chunk.copy_from_slice(&word[..n]);
         }
-        v
+        let sum = fold_checksum(lanes, tail);
+        (v, sum)
+    }
+
+    /// Record a committed write of extent `(object, offset, len)` with
+    /// checksum `sum`, first dropping every recorded extent of the same
+    /// object that the write overlaps.  Extents starting more than
+    /// `longest_extent` before `offset` cannot reach it, so a
+    /// uniform-size aligned workload scans only its own key.
+    fn record_write(&mut self, extent: (u64, u32, u32), sum: u64) {
+        let (obj, off, len) = extent;
+        self.longest_extent = self.longest_extent.max(len);
+        let from = (obj, off.saturating_sub(self.longest_extent.saturating_sub(1)), 0);
+        let end = (obj, off.saturating_add(len), 0);
+        while let Some(stale) = self
+            .written
+            .range(from..end)
+            .map(|(&k, _)| k)
+            .find(|&k| k != extent && k.1.saturating_add(k.2) > off)
+        {
+            self.written.remove(&stale);
+        }
+        self.written.insert(extent, sum);
     }
 
     /// Per-I/O sub-object for EC mode: the paper's accelerators encode
@@ -1114,7 +1179,7 @@ impl Engine {
 
         // --- PCIe + card + FPGA network stack ---------------------------
         let mut ec_shards: Option<(Vec<Vec<u8>>, usize)> = None;
-        let payload = write.then(|| self.payload_for(op.len as usize));
+        let (payload, write_sum) = write.then(|| self.payload_for(op.len as usize)).unzip();
         if use_fpga {
             // Payload (writes) or command (reads) crosses PCIe.
             let dma_bytes = if write { bytes } else { 256 };
@@ -1192,7 +1257,7 @@ impl Engine {
             // Software baseline: encode on the host (time already charged
             // by host_costs; compute the real shards here).
             let data = payload.as_ref().expect("write has payload");
-            let shards = deliba_ec::ReedSolomon::new(4, 2).encode(data);
+            let shards = self.cluster.ec_codec(self.image.pool).encode(data);
             ec_shards = Some((shards, data.len()));
         }
 
@@ -1214,33 +1279,30 @@ impl Engine {
 
         // --- Cluster ----------------------------------------------------
         let (obj, obj_off) = self.image.object_of(op.offset);
-        // Checksum of the write in flight, recorded into `written` only
+        // Extent of the write in flight, recorded into `written` only
         // once the cluster confirms the commit: a failed write leaves
         // the pre-write state visible, and verification must agree.
-        let mut pending_write_sum: Option<((u64, u32), u64)> = None;
+        let mut pending_write: Option<(u64, u32, u32)> = None;
         let outcome = match (self.cfg.mode, write) {
             (Mode::Replication, true) => {
                 let data = payload.as_ref().expect("write has payload");
-                pending_write_sum = Some((
-                    (obj.name, (op.offset % self.image.object_size) as u32),
-                    Self::checksum(data),
-                ));
+                let off = (op.offset % self.image.object_size) as u32;
+                pending_write = Some((obj.name, off, op.len));
                 self.cluster
                     .write_replicated_at(t, obj, obj_off as usize, data, op.random)
             }
             (Mode::ErasureCoding, true) => {
                 let (shards, orig_len) = ec_shards.expect("EC write encoded");
                 let oid = self.ec_oid(obj.name, op.offset);
-                let data = payload.as_ref().expect("write has payload");
-                pending_write_sum = Some(((oid.name, 0), Self::checksum(data)));
+                pending_write = Some((oid.name, 0, op.len));
                 self.cluster
                     .write_ec_shards(t, oid, orig_len, shards, op.random)
             }
             (mode, false) => {
                 let mut buf = std::mem::take(&mut self.read_buf);
-                // Each read is verified against the checksum of the last
-                // committed write to the same key.
-                let (res, key) = match mode {
+                // A read is verified only when the bytes it returned are
+                // exactly a committed write's extent.
+                let (res, (name, off)) = match mode {
                     Mode::Replication => (
                         self.cluster.read_replicated_into(
                             t,
@@ -1268,10 +1330,11 @@ impl Engine {
                         (res, (oid.name, 0))
                     }
                 };
+                let extent = (name, off, buf.len() as u32);
                 if res.is_some()
                     && self
                         .written
-                        .get(&key)
+                        .get(&extent)
                         .is_some_and(|&sum| Self::checksum(&buf) != sum)
                 {
                     self.verify_failures += 1;
@@ -1300,8 +1363,8 @@ impl Engine {
             };
         };
         // The commit stands even if the acknowledgement is lost below.
-        if let Some((key, sum)) = pending_write_sum {
-            self.written.insert(key, sum);
+        if let (Some(extent), Some(sum)) = (pending_write, write_sum) {
+            self.record_write(extent, sum);
         }
         if outcome.degraded {
             self.degraded_ops += 1;
@@ -1725,6 +1788,82 @@ mod tests {
         let r = e.run_trace(vec![ops], 1);
         assert_eq!(r.ops, 60);
         assert_eq!(e.verify_failures(), 0);
+    }
+
+    /// The payload stream is pinned: one `next_u64` per started 8-byte
+    /// chunk, little-endian, truncated in the last chunk — and the
+    /// RNG's next draw matches too, so everything drawn after a write
+    /// (`run_fio`'s `jump`, later payloads) is unchanged.
+    #[test]
+    fn payload_matches_the_per_chunk_reference_stream() {
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
+        let mut e = Engine::new(cfg);
+        let mut reference = Xoshiro256::seed_from_u64(cfg.seed ^ 0xFEED);
+        for len in [0, 1, 7, 8, 31, 32, 33, 4095, 4096, 16384] {
+            let mut want = vec![0u8; len];
+            for chunk in want.chunks_mut(8) {
+                let word = reference.next_u64().to_le_bytes();
+                let n = chunk.len();
+                chunk.copy_from_slice(&word[..n]);
+            }
+            let (got, sum) = e.payload_for(len);
+            assert_eq!(got, want, "payload bytes, len {len}");
+            assert_eq!(sum, Engine::checksum(&got), "fused sum, len {len}");
+            assert_eq!(e.rng.clone().next_u64(), reference.clone().next_u64(), "len {len}");
+            e.scratch = got;
+        }
+    }
+
+    /// Flipping any single bit changes the checksum, in the 4-lane body
+    /// and in every tail length (with and without a block before it).
+    #[test]
+    fn checksum_detects_every_single_bit_flip() {
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        let mut bytes = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u64() as u8).collect() };
+        let mut bufs = vec![bytes(4096)];
+        for tail in 1..32 {
+            bufs.push(bytes(tail));
+            bufs.push(bytes(32 + tail));
+        }
+        for mut buf in bufs {
+            let sum = Engine::checksum(&buf);
+            for bit in 0..buf.len() * 8 {
+                buf[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(Engine::checksum(&buf), sum, "len {} bit {bit}", buf.len());
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    /// Mixed-size replication I/O on correct data never fails verify:
+    /// a read is verified only against an extent it covers exactly, and
+    /// a write drops the older extents it overlaps.
+    #[test]
+    fn mixed_size_replication_io_verifies_only_exact_extents() {
+        let (w, r) = (TraceOp::write, TraceOp::read);
+        let cases = [
+            vec![w(0, 8192, false), w(4096, 4096, false), r(0, 8192, false)],
+            vec![w(0, 8192, false), r(0, 4096, false)],
+            vec![w(0, 4096, false), w(4096, 4096, false), r(0, 8192, false)],
+        ];
+        for ops in cases {
+            let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
+            let mut e = Engine::new(cfg);
+            let n = ops.len() as u64;
+            assert_eq!(e.run_trace(vec![ops.clone()], 1).ops, n);
+            assert_eq!(e.verify_failures(), 0, "{ops:?}");
+        }
+        // The overlapped 8 KiB extent is gone; the 4 KiB one stands.
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
+        let mut e = Engine::new(cfg);
+        e.run_trace(vec![vec![w(0, 8192, false), w(4096, 4096, false)]], 1);
+        let extents: Vec<_> = e.written.keys().map(|&(_, off, len)| (off, len)).collect();
+        assert_eq!(extents, vec![(4096, 4096)]);
+        // An exact-extent read is still verified: a wrong recorded sum
+        // is caught.
+        e.written.values_mut().for_each(|sum| *sum ^= 1);
+        e.run_trace(vec![vec![r(4096, 4096, false)]], 1);
+        assert_eq!(e.verify_failures(), 1);
     }
 
     #[test]
