@@ -16,7 +16,7 @@
 //! reads, and the costed deep scrub in [`crate::recovery`] verifies
 //! replica/parity consistency.
 
-use crate::object::ObjectId;
+use crate::object::{ObjectId, ObjectStore};
 use crate::osd::{Osd, OsdProfile};
 use crate::osdmap::OsdMap;
 use crate::pool::{PoolConfig, PoolKind};
@@ -278,8 +278,34 @@ impl Cluster {
         self.dynamics = on;
     }
 
-    fn pool(&self, id: u32) -> &PoolConfig {
+    pub(crate) fn pool(&self, id: u32) -> &PoolConfig {
         self.map.pool(id).expect("pool exists")
+    }
+
+    /// Charge OSD `dst` a `len`-byte write arriving at `arrive` (the
+    /// jitter draw, service time and thread occupancy of a copying
+    /// write) and hand back its ack time with OSD `src`'s store and
+    /// `dst`'s store, so the caller stores the copy by sharing `src`'s
+    /// pages.  `None` when `dst` is down.
+    pub(crate) fn charge_copy(
+        &mut self,
+        src: i32,
+        dst: i32,
+        arrive: SimTime,
+        len: usize,
+        random: bool,
+    ) -> Option<(SimTime, &ObjectStore, &mut ObjectStore)> {
+        let (s, d) = (src as usize, dst as usize);
+        assert_ne!(s, d, "an OSD cannot copy onto itself");
+        let (from, to) = if s < d {
+            let (lo, hi) = self.osds.split_at_mut(d);
+            (&lo[s], &mut hi[0])
+        } else {
+            let (lo, hi) = self.osds.split_at_mut(s);
+            (&hi[0], &mut lo[d])
+        };
+        let fin = to.charge_write(arrive, len, random)?;
+        Some((fin, from.store(), to.store_mut()))
     }
 
     /// The RS codec of EC pool `pool`, built once per `(k, m)` and
@@ -360,9 +386,12 @@ impl Cluster {
                     .server_to_server(now + CUT_THROUGH, p_server, r_server, data.len() as u64)
                     .max(at_primary)
             };
-            let r_fin = self.osds[rep as usize]
-                .write_object_at(arrive, oid, offset, data, random)
+            // The replica holds the primary's bytes at this extent: it
+            // shares the primary's whole pages and copies only the edges.
+            let (r_fin, from, to) = self
+                .charge_copy(primary, rep, arrive, data.len(), random)
                 .expect("replica is healthy");
+            to.write_at_from(oid, offset, data, from);
             self.trace_osd_service(r_fin, rep, data.len() as u64);
             let ack = if r_server == p_server {
                 r_fin + ACK_SAME_SERVER
@@ -698,21 +727,19 @@ impl Cluster {
         self.osds.iter().map(|o| o.busy_threads_at(at)).collect()
     }
 
-    /// Corrupt one stored copy (test hook for scrub).
+    /// Corrupt one stored copy (test hook for scrub): flip its first
+    /// byte, or give an empty copy one `0xFF` byte.
     pub fn corrupt_object(&mut self, osd: i32, oid: ObjectId) -> bool {
         let store = self.osds[osd as usize].store_mut();
-        if let Some(data) = store.read(oid) {
-            let mut v = data.to_vec();
-            if v.is_empty() {
-                v.push(0xFF);
-            } else {
-                v[0] ^= 0xFF;
+        match store.peek_len(oid) {
+            None => return false,
+            Some(0) => store.write(oid, &[0xFF]),
+            Some(_) => {
+                let first = store.read_at(oid, 0, 1)[0];
+                store.write_at(oid, 0, &[first ^ 0xFF])
             }
-            store.write(oid, &v);
-            true
-        } else {
-            false
-        }
+        };
+        true
     }
 }
 

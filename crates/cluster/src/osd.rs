@@ -144,13 +144,8 @@ impl Osd {
         data: &[u8],
         random: bool,
     ) -> Option<SimTime> {
-        if !self.up {
-            return None;
-        }
-        let j = self.jitter();
-        let service = self.profile.service(true, random, data.len() as u64, j);
+        let fin = self.charge_write(arrive, data.len(), random)?;
         self.store.write(id, data);
-        let (_, fin) = self.threads.begin(arrive, service);
         Some(fin)
     }
 
@@ -163,12 +158,27 @@ impl Osd {
         data: &[u8],
         random: bool,
     ) -> Option<SimTime> {
+        let fin = self.charge_write(arrive, data.len(), random)?;
+        self.store.write_at(id, offset, data);
+        Some(fin)
+    }
+
+    /// Charge a `len`-byte write arriving at `arrive` without storing
+    /// anything: the jitter draw, service time and thread occupancy of
+    /// [`Osd::write_object_at`].  Replica writes, backfill and scrub
+    /// repair use it and then share the source copy's pages.  Returns
+    /// `None` when down.
+    pub(crate) fn charge_write(
+        &mut self,
+        arrive: SimTime,
+        len: usize,
+        random: bool,
+    ) -> Option<SimTime> {
         if !self.up {
             return None;
         }
         let j = self.jitter();
-        let service = self.profile.service(true, random, data.len() as u64, j);
-        self.store.write_at(id, offset, data);
+        let service = self.profile.service(true, random, len as u64, j);
         let (_, fin) = self.threads.begin(arrive, service);
         Some(fin)
     }

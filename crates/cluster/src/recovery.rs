@@ -260,35 +260,27 @@ impl Cluster {
     ///
     /// Pure bookkeeping — no virtual time is charged; the costed moves
     /// happen in [`Cluster::backfill_wave`].
-    pub fn recovery_scan(&mut self, sched: &mut RecoveryScheduler, now: SimTime) -> bool {
+    pub fn recovery_scan(&self, sched: &mut RecoveryScheduler, now: SimTime) -> bool {
+        let up = |osd: i32| self.osds[osd as usize].is_up();
+        let present = |osd: i32, oid| self.osds[osd as usize].store().version(oid).is_some();
         // Replicated objects: each up acting member must hold a fresh
         // copy; a valid source is any up, fresh, uncorrupted holder.
-        let rep_entries: Vec<(ObjectId, Vec<i32>)> =
-            self.replica_dir.iter().map(|(o, v)| (*o, v.clone())).collect();
-        for (oid, holders) in rep_entries {
-            let pool = self.map.pool(oid.pool).expect("pool exists").clone();
+        let mut acting = Vec::new();
+        for (&oid, holders) in &self.replica_dir {
+            let pool = self.pool(oid.pool);
             if !matches!(pool.kind, PoolKind::Replicated { .. }) {
                 continue;
             }
-            let acting = self.map.acting_set(pool.pg_of(oid));
+            self.map.acting_set_into(pool.pg_of(oid), &mut acting);
             let has_source = holders.iter().any(|&h| {
-                self.osds[h as usize].is_up()
+                up(h)
                     && !self.stale.contains(&(h, oid))
                     && !self.corrupted.contains(&(h, oid))
-                    && self.osds[h as usize].store().version(oid).is_some()
+                    && present(h, oid)
             });
-            let mut needs = Vec::new();
-            for &dst in &acting {
-                if !self.osds[dst as usize].is_up() {
-                    continue;
-                }
-                let missing = self.osds[dst as usize].store().version(oid).is_none()
-                    || self.stale.contains(&(dst, oid));
-                if missing {
-                    needs.push(dst);
-                }
-            }
-            if needs.is_empty() {
+            let needs =
+                |&dst: &i32| up(dst) && (!present(dst, oid) || self.stale.contains(&(dst, oid)));
+            if !acting.iter().any(needs) {
                 sched.unrecoverable.remove(&oid);
                 continue;
             }
@@ -297,29 +289,21 @@ impl Cluster {
                 continue;
             }
             sched.unrecoverable.remove(&oid);
-            for dst in needs {
+            for &dst in acting.iter().filter(|d| needs(d)) {
                 sched.enqueue(BackfillItem::Replica { oid, dst });
             }
         }
 
         // EC objects: every placed shard must sit on an up OSD; rebuilds
         // need k readable shards.
-        let ec_entries: Vec<(ObjectId, Vec<(i32, usize)>)> = self
-            .shard_dir
-            .iter()
-            .map(|(o, (_, placed))| (*o, placed.clone()))
-            .collect();
-        for (oid, placed) in ec_entries {
-            let pool = self.map.pool(oid.pool).expect("pool exists").clone();
-            let PoolKind::Erasure { k, m } = pool.kind else {
+        for (&oid, (_, placed)) in &self.shard_dir {
+            let PoolKind::Erasure { k, m } = self.pool(oid.pool).kind else {
                 continue;
             };
             let readable = placed
                 .iter()
                 .filter(|&&(osd, _)| {
-                    self.osds[osd as usize].is_up()
-                        && !self.corrupted.contains(&(osd, oid))
-                        && self.osds[osd as usize].store().version(oid).is_some()
+                    up(osd) && !self.corrupted.contains(&(osd, oid)) && present(osd, oid)
                 })
                 .count();
             if readable == k + m {
@@ -403,7 +387,7 @@ impl Cluster {
                 let Some((_, placed)) = self.shard_dir.get(&oid) else {
                     return Vec::new();
                 };
-                let pool = self.map.pool(oid.pool).expect("pool exists");
+                let pool = self.pool(oid.pool);
                 let pg = pool.pg_of(oid);
                 let held: Vec<i32> = placed
                     .iter()
@@ -434,8 +418,7 @@ impl Cluster {
                 if !self.osds[dst as usize].is_up() {
                     return None;
                 }
-                let holders = self.replica_dir.get(&oid)?.clone();
-                let src = *holders.iter().find(|&&h| {
+                let src = *self.replica_dir.get(&oid)?.iter().find(|&&h| {
                     h != dst
                         && self.osds[h as usize].is_up()
                         && !self.stale.contains(&(h, oid))
@@ -444,9 +427,8 @@ impl Cluster {
                 })?;
                 let len = self.osds[src as usize].store().peek_len(oid)?;
                 // Costed source read (media + queue on the shared OSD).
-                let mut buf = Vec::new();
                 let read_fin = self.osds[src as usize]
-                    .read_object_at_into(now, oid, 0, len, false, &mut buf)
+                    .charge_read(now, len, false)
                     .expect("source is up");
                 // Push src → dst over the cluster network.
                 let s_from = self.server_of(src);
@@ -456,9 +438,11 @@ impl Cluster {
                 } else {
                     self.topology.server_to_server(read_fin, s_from, s_to, len as u64)
                 };
-                let fin = self.osds[dst as usize]
-                    .write_object(arrive, oid, &buf, false)
+                // The destination shares the source's pages.
+                let (fin, from, to) = self
+                    .charge_copy(src, dst, arrive, len, false)
                     .expect("destination is up");
+                to.copy_from(oid, from);
                 // A full-object copy makes the destination fresh.
                 self.stale.remove(&(dst, oid));
                 self.corrupted.remove(&(dst, oid));
@@ -471,10 +455,11 @@ impl Cluster {
             }
             BackfillItem::Ec { oid } => {
                 let (orig_len, placed) = self.shard_dir.get(&oid)?.clone();
-                let pool = self.map.pool(oid.pool).expect("pool exists").clone();
+                let pool = self.pool(oid.pool);
                 let PoolKind::Erasure { k, m } = pool.kind else {
                     return None;
                 };
+                let pg = pool.pg_of(oid);
                 // Gather k readable shards with costed reads, streamed
                 // back to the client for reconstruction.
                 let mut slots: Vec<Option<Vec<u8>>> = vec![None; k + m];
@@ -536,7 +521,7 @@ impl Cluster {
                     .collect();
                 let targets: Vec<i32> = self
                     .map
-                    .acting_set(pool.pg_of(oid))
+                    .acting_set(pg)
                     .into_iter()
                     .filter(|o| self.osds[*o as usize].is_up() && !held.contains(o))
                     .collect();
@@ -704,9 +689,8 @@ impl Cluster {
             }
         }
         let auth_osd = best.expect("non-empty").0;
-        let auth = self.osds[auth_osd as usize]
-            .store()
-            .read(oid)
+        let auth_len = self
+            .scrub_readable_len(auth_osd, oid)
             .expect("readable copy");
         let mut detected = 0;
         let mut repaired = 0;
@@ -719,11 +703,13 @@ impl Cluster {
                 let arrive = if s_from == s_to {
                     fin + ACK_SAME_SERVER
                 } else {
-                    self.topology.server_to_server(fin, s_from, s_to, auth.len() as u64)
+                    self.topology.server_to_server(fin, s_from, s_to, auth_len as u64)
                 };
-                let w_fin = self.osds[osd as usize]
-                    .write_object(arrive, oid, &auth, false)
+                // The repaired copy shares the authoritative pages.
+                let (w_fin, from, to) = self
+                    .charge_copy(auth_osd, osd, arrive, auth_len, false)
                     .expect("checked up");
+                to.copy_from(oid, from);
                 fin = fin.max(w_fin);
                 repaired += 1;
             }
@@ -752,8 +738,7 @@ impl Cluster {
             Some((_, placed)) => placed.clone(),
             None => return (now, 0, 0),
         };
-        let pool = self.map.pool(oid.pool).expect("pool exists").clone();
-        let PoolKind::Erasure { k, m } = pool.kind else {
+        let PoolKind::Erasure { k, m } = self.pool(oid.pool).kind else {
             return (now, 0, 0);
         };
         let rs = self.ec_codec(oid.pool);
@@ -1324,5 +1309,170 @@ mod tests {
         // The repaired copies agree, so a second pass finds nothing.
         let tick2 = c.scrub_tick(&mut sched, tick.finish);
         assert_eq!((tick2.detected, tick2.repaired), (0, 0));
+    }
+    /// Every replicated copy kept the copying way: one independent byte
+    /// vector per `(osd, object)`, written, flipped, backfilled and
+    /// repaired by copying bytes, as the store did before copies shared
+    /// pages.
+    type CopyModel = BTreeMap<(i32, ObjectId), Vec<u8>>;
+
+    /// Deep scrub of every replicated object over the model: vote over
+    /// the copies scrub may read (ties to the first holder) and rewrite
+    /// the losers with the winner's bytes.  Returns the rewrites.
+    fn model_scrub_pass(c: &Cluster, model: &mut CopyModel) -> u64 {
+        let mut repaired = 0;
+        for (&oid, holders) in &c.replica_dir {
+            let copies: Vec<(i32, Vec<u8>)> = holders
+                .iter()
+                .filter(|&&h| c.osd_is_up(h) && !c.stale.contains(&(h, oid)))
+                .filter_map(|&h| model.get(&(h, oid)).map(|d| (h, d.clone())))
+                .collect();
+            let mut best: Option<(usize, usize)> = None;
+            for (i, (_, d)) in copies.iter().enumerate() {
+                let votes = copies.iter().filter(|(_, x)| x == d).count();
+                if best.is_none_or(|(_, v)| votes > v) {
+                    best = Some((i, votes));
+                }
+            }
+            let Some((winner, _)) = best else { continue };
+            let auth = copies[winner].1.clone();
+            for (h, d) in &copies {
+                if *d != auth {
+                    model.insert((*h, oid), auth.clone());
+                    repaired += 1;
+                }
+            }
+        }
+        repaired
+    }
+
+    /// Every stored replicated copy reads back the model's bytes, and
+    /// the stores hold no copy the model lacks.
+    fn assert_matches_model(c: &Cluster, model: &CopyModel, what: &str) {
+        for (&(osd, oid), want) in model {
+            let got = c.osds[osd as usize].store().read(oid);
+            assert_eq!(
+                got.as_deref(),
+                Some(&want[..]),
+                "{what}: OSD {osd}, {oid:?}"
+            );
+        }
+        let stored: usize = c.osds.iter().map(|o| o.store().len()).sum();
+        assert_eq!(stored, model.len(), "{what}: copy count");
+    }
+
+    #[test]
+    fn shared_pages_match_a_copying_reference() {
+        const OBJECTS: u64 = 6;
+        const PAGE: u64 = 4096;
+        let (mut scrubbed, mut backfilled) = (0u64, 0u64);
+        for seed in 0..8u64 {
+            let mut c = Cluster::paper_testbed(60 + seed);
+            c.set_dynamics(seed % 2 == 0);
+            let mut rng = Xoshiro256::seed_from_u64(500 + seed);
+            let mut model = CopyModel::new();
+            let mut sched = RecoveryScheduler::new(
+                RecoveryPolicy::default().with_scrub(SimDuration::from_micros(100), 1024),
+            );
+            let mut down: Option<i32> = None;
+            let mut t = SimTime::ZERO;
+            for step in 0..150 {
+                let what = format!("seed {seed} step {step}");
+                match rng.gen_range(10) {
+                    // Replicated writes, page-aligned or not.
+                    0..=4 => {
+                        let oid = oid_rep(rng.gen_range(OBJECTS));
+                        let (offset, len) = if rng.gen_bool(0.5) {
+                            (PAGE * rng.gen_range(4), PAGE * (1 + rng.gen_range(3)))
+                        } else {
+                            (rng.gen_range(4 * PAGE), 1 + rng.gen_range(2 * PAGE))
+                        };
+                        let (offset, len) = (offset as usize, len as usize);
+                        let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                        let Some(w) = c.write_replicated_at(t, oid, offset, &data, true) else {
+                            continue;
+                        };
+                        t = t.max(w.complete);
+                        for &h in &c.replica_dir[&oid] {
+                            let copy = model.entry((h, oid)).or_default();
+                            if copy.len() < offset + len {
+                                copy.resize(offset + len, 0);
+                            }
+                            copy[offset..offset + len].copy_from_slice(&data);
+                        }
+                    }
+                    // Bit rot on one copy.
+                    5 => {
+                        let before = c.corrupted.clone();
+                        if c.inject_bitrot(1, &mut rng) == 1 {
+                            let &(osd, oid) = c.corrupted.difference(&before).next().unwrap();
+                            let copy = model.get_mut(&(osd, oid)).expect("rotted copy exists");
+                            let mid = copy.len() / 2;
+                            copy[mid] ^= 0xFF;
+                        }
+                    }
+                    // Crash or revive one OSD.
+                    6 => match down.take() {
+                        Some(osd) => c.revive_osd(osd),
+                        None => {
+                            let osd = rng.gen_range(c.num_osds() as u64) as i32;
+                            c.fail_osd(osd);
+                            down = Some(osd);
+                        }
+                    },
+                    // One backfill wave: every copy whose version moved
+                    // was re-copied from the first valid holder.
+                    7 | 8 => {
+                        let version =
+                            |c: &Cluster, osd: usize, oid| c.osds[osd].store().version(oid);
+                        let oids: Vec<ObjectId> = c.replica_dir.keys().copied().collect();
+                        let before: Vec<Vec<Option<u64>>> = (0..c.num_osds())
+                            .map(|o| oids.iter().map(|&oid| version(&c, o, oid)).collect())
+                            .collect();
+                        let (dir, stale, corrupted) =
+                            (c.replica_dir.clone(), c.stale.clone(), c.corrupted.clone());
+                        c.recovery_scan(&mut sched, t);
+                        if let Some(fin) = c.backfill_wave(&mut sched, t) {
+                            t = t.max(fin);
+                        }
+                        for (o, versions) in before.iter().enumerate() {
+                            for (&oid, &v) in oids.iter().zip(versions) {
+                                if version(&c, o, oid) == v {
+                                    continue;
+                                }
+                                let dst = o as i32;
+                                let src = *dir[&oid]
+                                    .iter()
+                                    .find(|&&h| {
+                                        h != dst
+                                            && c.osd_is_up(h)
+                                            && !stale.contains(&(h, oid))
+                                            && !corrupted.contains(&(h, oid))
+                                            && model.contains_key(&(h, oid))
+                                    })
+                                    .expect("backfill had a source");
+                                let bytes = model[&(src, oid)].clone();
+                                model.insert((dst, oid), bytes);
+                                backfilled += 1;
+                            }
+                        }
+                    }
+                    // A full deep-scrub pass.
+                    _ => {
+                        let want = model_scrub_pass(&c, &mut model);
+                        let tick = c.scrub_tick(&mut sched, t);
+                        assert!(tick.wrapped, "{what}");
+                        assert_eq!((tick.detected, tick.repaired), (want, want), "{what}");
+                        t = t.max(tick.finish);
+                        scrubbed += want;
+                    }
+                }
+                assert_matches_model(&c, &model, &what);
+            }
+        }
+        assert!(
+            scrubbed > 0 && backfilled > 0,
+            "the draws reach repair and backfill"
+        );
     }
 }
