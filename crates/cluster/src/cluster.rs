@@ -640,7 +640,7 @@ impl Cluster {
     }
 
     /// EC read: gather any `k` shards and reconstruct the whole object
-    /// into `out`.
+    /// into `out`, overwritten in place.
     pub fn read_ec_into(
         &mut self,
         now: SimTime,
@@ -698,7 +698,7 @@ impl Cluster {
         }
         let rs = self.ec_codec(oid.pool);
         rs.reconstruct(&mut slots).ok()?;
-        *out = rs.join(&slots, original_len);
+        rs.join(&slots, original_len, out);
         last_fin = last_fin.max(last_arrive);
         Some(IoOutcome {
             complete: commit,
@@ -891,11 +891,13 @@ mod tests {
             .write_ec_shards(SimTime::ZERO, oid_ec(1), data.len(), shards, true)
             .unwrap();
         assert!(!w.degraded);
-        let mut read = Vec::new();
+        let mut read = Vec::with_capacity(data.len());
+        let buf = read.as_ptr();
         let r = c
             .read_ec_into(w.complete, oid_ec(1), true, &mut read)
             .unwrap();
         assert_eq!(read, data);
+        assert_eq!(read.as_ptr(), buf, "the caller's buffer is filled in place");
         assert!(!r.degraded);
     }
 

@@ -18,7 +18,7 @@
 
 use crate::calib;
 use crate::generation::PathFeatures;
-use crate::hostpath::host_costs;
+use crate::hostpath::{host_costs, HostCosts};
 use crate::report::RunReport;
 use crate::Generation;
 use crate::report::ResilienceCounters;
@@ -303,15 +303,34 @@ fn fold_checksum(lanes: [u64; 4], tail: &[u8]) -> u64 {
     h
 }
 
-/// Outcome of a single I/O attempt (the retry loop's unit of work).
-/// Failed attempts never touch the latency histogram, the observer, or
-/// context occupancy — only the final disposition of the op does.
-enum AttemptResult {
-    /// The attempt completed; `start` is when the submission context
-    /// picked it up, `complete` when the completion posted.
-    Done { start: SimTime, complete: SimTime },
-    /// The attempt failed at `at` for `cause`.
-    Fail { start: SimTime, at: SimTime, cause: FailCause },
+/// A failed attempt: the instant it failed and why.
+type Failed = (SimTime, FailCause);
+
+/// One I/O attempt on its way down the path: the state the per-layer
+/// steps of [`Engine::attempt_io`] share, held on the stack.
+struct Attempt {
+    op: TraceOp,
+    /// The card carries this attempt (configured and not faulted).
+    fpga: bool,
+    costs: HostCosts,
+    /// Submission context.
+    ctx: usize,
+    /// When the submission context picked the op up.
+    start: SimTime,
+    /// How far along the path the op has got.
+    t: SimTime,
+    /// Stage spans in `Stage` order, recorded if the attempt completes.
+    spans: [(Stage, SimDuration); 11],
+    /// The RBD object the op addresses (the card places it).
+    obj: ObjectId,
+    /// The object the cluster stores (`obj`, or the op's own EC object)
+    /// and the op's offset within it, which also keys `written`.
+    target: ObjectId,
+    off: u32,
+    /// Write payload and its checksum.
+    payload: Option<(Vec<u8>, u64)>,
+    /// The payload's RS shards (EC writes, once encoded).
+    shards: Option<Vec<Vec<u8>>>,
 }
 
 /// What the scheduler does with an op after one attempt.
@@ -1064,9 +1083,10 @@ impl Engine {
         attempt: u32,
         first_start: Option<SimTime>,
     ) -> IoDisposition {
-        match self.attempt_io(ready, job, op) {
-            AttemptResult::Done { start, complete } => {
-                let start = first_start.unwrap_or(start);
+        let (start, result) = self.attempt_io(ready, job, op);
+        let start = first_start.unwrap_or(start);
+        match result {
+            Ok(complete) => {
                 if let Some(p) = self.cfg.resilience {
                     if complete.saturating_since(start) > p.deadline {
                         // The op made it, but past its deadline — the
@@ -1091,8 +1111,7 @@ impl Engine {
                 }
                 IoDisposition::Done { start, complete }
             }
-            AttemptResult::Fail { start, at, cause } => {
-                let start = first_start.unwrap_or(start);
+            Err((at, cause)) => {
                 let Some(p) = self.cfg.resilience else {
                     // No policy: fail fast exactly as before the fault
                     // plane existed — charge a timeout-scale penalty and
@@ -1142,195 +1161,209 @@ impl Engine {
         }
     }
 
-    /// One attempt of one I/O issued at `ready`; returns (start,
-    /// completion) or the failure instant and cause.
-    /// `start` is when the submission context actually picks the op up —
-    /// the basis for fio-style completion latency (time queued behind the
-    /// submitting core's own backlog is submission latency, not clat).
-    fn attempt_io(&mut self, ready: SimTime, job: u32, op: TraceOp) -> AttemptResult {
-        let write = op.write;
-        let bytes = op.len as u64;
+    /// One attempt of one I/O issued at `ready`: returns when the
+    /// submission context picked the op up (the basis for fio-style
+    /// completion latency — time queued behind the submitting core's own
+    /// backlog is submission latency, not clat) and the completion
+    /// instant, or the failure instant and cause.
+    ///
+    /// The steps follow the path layer by layer.  Every failure leaves
+    /// through the one exit below, which recycles the payload and emits
+    /// the cause's instant; a failed attempt records no stage spans and
+    /// no context occupancy — only the op's final disposition counts.
+    fn attempt_io(&mut self, ready: SimTime, job: u32, op: TraceOp) -> (SimTime, Result<SimTime, Failed>) {
+        let mut a = self.host_submit(ready, job, op);
+        let result = self.walk(&mut a);
+        if let Some((buf, _)) = a.payload.take() {
+            self.scratch = buf;
+        }
+        if let Err((at, cause)) = result {
+            let bytes = op.len as u64;
+            let (layer, kind, detail) = match cause {
+                FailCause::DmaH2c => (TraceLayer::Qdma, InstantKind::DmaError, 0),
+                FailCause::DmaC2h => (TraceLayer::Qdma, InstantKind::DmaError, 1),
+                FailCause::LinkDrop => (TraceLayer::Net, InstantKind::FrameDrop, bytes),
+                FailCause::LinkCorrupt => (TraceLayer::Net, InstantKind::FrameCorrupt, bytes),
+                FailCause::ClusterUnavailable => (TraceLayer::Cluster, InstantKind::ClusterUnavailable, 0),
+            };
+            self.obs.instant(at, layer, kind, detail);
+        }
+        (a.start, result)
+    }
+
+    /// The path below the host submit, one step per layer.
+    fn walk(&mut self, a: &mut Attempt) -> Result<SimTime, Failed> {
+        if a.fpga {
+            self.qdma_h2c(a)?;
+        }
+        self.accel(a);
+        self.request_wire(a)?;
+        self.cluster_io(a)?;
+        self.response_wire(a)?;
+        if a.fpga && !a.op.write {
+            self.qdma_c2h(a)?;
+        }
+        Ok(self.complete(a))
+    }
+
+    /// Host submit: host costs, the submission context's pickup, the
+    /// op's objects and, for a write, its payload.
+    fn host_submit(&mut self, ready: SimTime, job: u32, op: TraceOp) -> Attempt {
         // Graceful degradation: while the card is faulted the I/O runs
         // the software host path end to end (host CRUSH, host EC, kernel
         // TCP) — slower, but the data keeps flowing.
-        let use_fpga = self.cfg.fpga && !self.fpga_down;
+        let fpga = self.cfg.fpga && !self.fpga_down;
         if self.fpga_down {
             self.res.degraded_path_ops += 1;
         }
-        let costs = host_costs(
-            &self.cfg.features,
-            use_fpga,
-            write,
-            op.random,
-            bytes,
-            self.cfg.mode,
-        );
-
-        // --- Submission context ----------------------------------------
-        let ctx_idx = (job as usize) % self.contexts.len();
-        let start = self.contexts[ctx_idx].earliest_start(ready);
-
-        let mut t = start + costs.submit_latency;
-
-        // Card-side stage spans (zero when no FPGA is configured).
-        let mut span_h2c = SimDuration::ZERO;
-        let mut span_accel_card = SimDuration::ZERO;
-        let mut span_net_fpga = SimDuration::ZERO;
-
-        // --- PCIe + card + FPGA network stack ---------------------------
-        let mut ec_shards: Option<(Vec<Vec<u8>>, usize)> = None;
-        let (payload, write_sum) = write.then(|| self.payload_for(op.len as usize)).unzip();
-        if use_fpga {
-            // Payload (writes) or command (reads) crosses PCIe.
-            let dma_bytes = if write { bytes } else { 256 };
-            // Descriptor exhaustion stalls the fetch engine until
-            // credits replenish — added latency, not a failure.
-            if let Some(stall) = self
-                .faults
-                .as_mut()
-                .and_then(|p| if p.sync_dma(t) { p.dma.assess_fetch() } else { None })
-            {
-                self.obs
-                    .instant(t, TraceLayer::Qdma, InstantKind::DmaStall, stall.as_nanos());
-                t += stall;
-            }
-            let pre_h2c = t;
-            t = self.pcie.h2c_transfer(t, dma_bytes);
-            span_h2c = t.saturating_since(pre_h2c);
-            // The completion engine reports H2C errors as soon as the
-            // transfer finishes; the transfer still occupied the pipe.
-            if self.faults.as_mut().is_some_and(|p| p.sync_dma(t) && p.dma.assess_h2c()) {
-                if let Some(buf) = payload {
-                    self.scratch = buf;
-                }
-                self.obs.instant(t, TraceLayer::Qdma, InstantKind::DmaError, 0);
-                return AttemptResult::Fail { start, at: t, cause: FailCause::DmaH2c };
-            }
-            // Placement kernel runs as data streams through the card:
-            // execute the *real* CRUSH rule on the device model so DFX
-            // swaps, fallbacks and cycle budgets are all exercised.
-            {
-                let (obj, _) = self.image.object_of(op.offset);
-                let map = self.cluster.map();
-                let pool = map.pool(self.image.pool).expect("pool exists");
-                let seed = pool.pg_seed(pool.pg_of(obj));
-                let hls = !self.cfg.features.rtl_accel;
-                let preferred = self.cfg.preferred_rm;
-                // Resolve the placement through the epoch-keyed cache:
-                // same key space as the cluster data path below, so one
-                // CRUSH walk per (rule, pg, epoch) serves both sides.
-                // The card is charged the kernel's fixed cycle budget.
-                let mut devs = std::mem::take(&mut self.place_buf);
-                map.do_rule_cached(pool.crush_rule, seed, pool.kind.width(), &mut devs);
-                self.place_buf = devs;
-                let card = self.card.as_mut().expect("fpga config has a card");
-                let (place_t, _kernel) = card.place_prefetched(t, preferred);
-                let place_eff = if hls {
-                    place_t * HLS_LATENCY_INFLATION
-                } else {
-                    place_t
-                };
-                t += place_eff;
-                span_accel_card += place_eff;
-            }
-            // EC writes: the RS accelerator encodes on the card.
-            if write && self.cfg.mode == Mode::ErasureCoding {
-                let card = self.card.as_mut().expect("fpga config has a card");
-                let data = payload.as_ref().expect("write has payload");
-                let (shards, enc_t) = card.encode(data);
-                let enc_eff = if self.cfg.features.rtl_accel {
-                    enc_t
-                } else {
-                    enc_t * HLS_LATENCY_INFLATION
-                };
-                t += enc_eff;
-                span_accel_card += enc_eff;
-                ec_shards = Some((shards, data.len()));
-            }
-            // FPGA TCP stack pipeline fill.
-            let stack = TcpStack::new(self.cfg.features.hw_tcp);
-            if stack.is_offloaded() {
-                span_net_fpga = stack.latency(bytes);
-                t += span_net_fpga;
-            }
-        } else if write && self.cfg.mode == Mode::ErasureCoding {
-            // Software baseline: encode on the host (time already charged
-            // by host_costs; compute the real shards here).
-            let data = payload.as_ref().expect("write has payload");
-            let shards = self.cluster.ec_codec(self.image.pool).encode(data);
-            ec_shards = Some((shards, data.len()));
+        let mode = self.cfg.mode;
+        let costs = host_costs(&self.cfg.features, fpga, op.write, op.random, op.len as u64, mode);
+        let ctx = (job as usize) % self.contexts.len();
+        let start = self.contexts[ctx].earliest_start(ready);
+        let (obj, obj_off) = self.image.object_of(op.offset);
+        let (target, off) = match mode {
+            Mode::Replication => (obj, obj_off as u32),
+            Mode::ErasureCoding => (self.ec_oid(obj.name, op.offset), 0),
+        };
+        let p = &costs.parts;
+        let zero = SimDuration::ZERO;
+        Attempt {
+            op, fpga, costs, ctx, start,
+            t: start + costs.submit_latency,
+            // The later steps fill in the card, cluster and return spans.
+            spans: [
+                (Stage::Submit, p.submit),
+                (Stage::RingEnter, p.ring_enter),
+                (Stage::BlkMq, p.blk_mq),
+                (Stage::Uifd, p.uifd),
+                (Stage::QdmaH2C, zero),
+                (Stage::Accel, p.accel),
+                (Stage::NetTx, p.net_tx),
+                (Stage::OsdService, zero),
+                (Stage::NetRx, zero),
+                (Stage::QdmaC2H, zero),
+                (Stage::Complete, costs.complete_latency),
+            ],
+            obj, target, off,
+            payload: op.write.then(|| self.payload_for(op.len as usize)),
+            shards: None,
         }
+    }
 
-        // A dropped request frame vanishes between the NIC and the OSD:
-        // no server-side effect, and no signal back — the failure is only
-        // discovered by the requester's own deadline.
+    /// QDMA H2C: the payload (writes) or command (reads) crosses PCIe.
+    fn qdma_h2c(&mut self, a: &mut Attempt) -> Result<(), Failed> {
+        let dma_bytes = if a.op.write { a.op.len as u64 } else { 256 };
+        // Descriptor exhaustion stalls the fetch engine until credits
+        // replenish — added latency, not a failure.
+        if let Some(stall) = self
+            .faults
+            .as_mut()
+            .and_then(|p| if p.sync_dma(a.t) { p.dma.assess_fetch() } else { None })
+        {
+            self.obs
+                .instant(a.t, TraceLayer::Qdma, InstantKind::DmaStall, stall.as_nanos());
+            a.t += stall;
+        }
+        let pre_h2c = a.t;
+        a.t = self.pcie.h2c_transfer(a.t, dma_bytes);
+        a.spans[Stage::QdmaH2C as usize].1 = a.t.saturating_since(pre_h2c);
+        // The completion engine reports H2C errors as soon as the
+        // transfer finishes; the transfer still occupied the pipe.
+        if self.faults.as_mut().is_some_and(|p| p.sync_dma(a.t) && p.dma.assess_h2c()) {
+            return Err((a.t, FailCause::DmaH2c));
+        }
+        Ok(())
+    }
+
+    /// Card: placement, the RS encode of an EC write and the TCP
+    /// pipeline fill — or, off the card, the software encode (its time
+    /// already charged by `host_costs`).
+    fn accel(&mut self, a: &mut Attempt) {
+        let ec_write = a.op.write && self.cfg.mode == Mode::ErasureCoding;
+        if !a.fpga {
+            if let (true, Some((data, _))) = (ec_write, &a.payload) {
+                a.shards = Some(self.cluster.ec_codec(self.image.pool).encode(data));
+            }
+            return;
+        }
+        let rtl = self.cfg.features.rtl_accel;
+        // Placement kernel runs as data streams through the card:
+        // execute the *real* CRUSH rule on the device model so DFX
+        // swaps, fallbacks and cycle budgets are all exercised.  The
+        // placement resolves through the epoch-keyed cache: same key
+        // space as the cluster data path, so one CRUSH walk per (rule,
+        // pg, epoch) serves both sides.  The card is charged the
+        // kernel's fixed cycle budget.
+        let map = self.cluster.map();
+        let pool = map.pool(self.image.pool).expect("pool exists");
+        let seed = pool.pg_seed(pool.pg_of(a.obj));
+        map.do_rule_cached(pool.crush_rule, seed, pool.kind.width(), &mut self.place_buf);
+        let card = self.card.as_mut().expect("fpga config has a card");
+        let (place_t, _kernel) = card.place_prefetched(a.t, self.cfg.preferred_rm);
+        let mut accel = if rtl { place_t } else { place_t * HLS_LATENCY_INFLATION };
+        a.t += accel;
+        // EC writes: the RS accelerator encodes on the card.
+        if let (true, Some((data, _))) = (ec_write, &a.payload) {
+            let (shards, enc_t) = card.encode(data);
+            let enc_eff = if rtl { enc_t } else { enc_t * HLS_LATENCY_INFLATION };
+            a.t += enc_eff;
+            accel += enc_eff;
+            a.shards = Some(shards);
+        }
+        a.spans[Stage::Accel as usize].1 += accel;
+        // FPGA TCP stack pipeline fill.
+        let stack = TcpStack::new(self.cfg.features.hw_tcp);
+        if stack.is_offloaded() {
+            let fill = stack.latency(a.op.len as u64);
+            a.spans[Stage::NetTx as usize].1 += fill;
+            a.t += fill;
+        }
+    }
+
+    /// Request wire: a dropped request frame vanishes between the NIC
+    /// and the OSD — no server-side effect, and no signal back; the
+    /// failure is only discovered by the requester's own deadline.
+    fn request_wire(&mut self, a: &Attempt) -> Result<(), Failed> {
         if self
             .faults
             .as_mut()
-            .is_some_and(|p| p.sync_link(t) && p.link.assess_request() == LinkVerdict::Drop)
+            .is_some_and(|p| p.sync_link(a.t) && p.link.assess_request() == LinkVerdict::Drop)
         {
-            if let Some(buf) = payload {
-                self.scratch = buf;
-            }
-            self.obs
-                .instant(t, TraceLayer::Net, InstantKind::FrameDrop, bytes);
-            return AttemptResult::Fail { start, at: t, cause: FailCause::LinkDrop };
+            return Err((a.t, FailCause::LinkDrop));
         }
+        Ok(())
+    }
 
-        // --- Cluster ----------------------------------------------------
-        let (obj, obj_off) = self.image.object_of(op.offset);
-        // Extent of the write in flight, recorded into `written` only
-        // once the cluster confirms the commit: a failed write leaves
-        // the pre-write state visible, and verification must agree.
-        let mut pending_write: Option<(u64, u32, u32)> = None;
-        let outcome = match (self.cfg.mode, write) {
-            (Mode::Replication, true) => {
-                let data = payload.as_ref().expect("write has payload");
-                let off = (op.offset % self.image.object_size) as u32;
-                pending_write = Some((obj.name, off, op.len));
+    /// Cluster: the write or read, then the read's verify or the
+    /// write's commit record; the clock moves to the cluster's reply.
+    fn cluster_io(&mut self, a: &mut Attempt) -> Result<(), Failed> {
+        let (op, t, target) = (a.op, a.t, a.target);
+        let outcome = match (&a.payload, self.cfg.mode) {
+            (Some((data, _)), Mode::Replication) => self
+                .cluster
+                .write_replicated_at(t, target, a.off as usize, data, op.random),
+            (Some(_), Mode::ErasureCoding) => {
+                let shards = a.shards.take().expect("EC write encoded");
                 self.cluster
-                    .write_replicated_at(t, obj, obj_off as usize, data, op.random)
+                    .write_ec_shards(t, target, op.len as usize, shards, op.random)
             }
-            (Mode::ErasureCoding, true) => {
-                let (shards, orig_len) = ec_shards.expect("EC write encoded");
-                let oid = self.ec_oid(obj.name, op.offset);
-                pending_write = Some((oid.name, 0, op.len));
-                self.cluster
-                    .write_ec_shards(t, oid, orig_len, shards, op.random)
-            }
-            (mode, false) => {
+            (None, mode) => {
                 let mut buf = std::mem::take(&mut self.read_buf);
+                let (off, len) = (a.off as usize, op.len as usize);
+                let res = match mode {
+                    Mode::Replication => {
+                        self.cluster.read_replicated_into(t, target, off, len, op.random, &mut buf)
+                    }
+                    _ if self.cluster.ec_object_exists(target) => {
+                        self.cluster.read_ec_into(t, target, op.random, &mut buf)
+                    }
+                    _ => self
+                        .cluster
+                        .read_ec_sparse_into(t, target, len, op.random, &mut buf),
+                };
                 // A read is verified only when the bytes it returned are
                 // exactly a committed write's extent.
-                let (res, (name, off)) = match mode {
-                    Mode::Replication => (
-                        self.cluster.read_replicated_into(
-                            t,
-                            obj,
-                            obj_off as usize,
-                            op.len as usize,
-                            op.random,
-                            &mut buf,
-                        ),
-                        (obj.name, (op.offset % self.image.object_size) as u32),
-                    ),
-                    Mode::ErasureCoding => {
-                        let oid = self.ec_oid(obj.name, op.offset);
-                        let res = if self.cluster.ec_object_exists(oid) {
-                            self.cluster.read_ec_into(t, oid, op.random, &mut buf)
-                        } else {
-                            self.cluster.read_ec_sparse_into(
-                                t,
-                                oid,
-                                op.len as usize,
-                                op.random,
-                                &mut buf,
-                            )
-                        };
-                        (res, (oid.name, 0))
-                    }
-                };
-                let extent = (name, off, buf.len() as u32);
+                let extent = (target.name, a.off, buf.len() as u32);
                 if res.is_some()
                     && self
                         .written
@@ -1343,116 +1376,79 @@ impl Engine {
                 res
             }
         };
-
-        // Recycle the payload buffer for the next write.
-        if let Some(buf) = payload {
-            self.scratch = buf;
-        }
-
-        let Some(outcome) = outcome else {
-            // The cluster could not serve the op at this map epoch (too
-            // many replicas/shards unavailable).  The retry path
-            // re-places through the epoch-bumped CRUSH walk; without a
-            // policy the caller charges the legacy timeout penalty.
-            self.obs
-                .instant(t, TraceLayer::Cluster, InstantKind::ClusterUnavailable, 0);
-            return AttemptResult::Fail {
-                start,
-                at: t,
-                cause: FailCause::ClusterUnavailable,
-            };
-        };
-        // The commit stands even if the acknowledgement is lost below.
-        if let (Some(extent), Some(sum)) = (pending_write, write_sum) {
-            self.record_write(extent, sum);
+        // The cluster could not serve the op at this map epoch (too many
+        // replicas/shards unavailable).  The retry path re-places
+        // through the epoch-bumped CRUSH walk; without a policy the
+        // caller charges the legacy timeout penalty.
+        let outcome = outcome.ok_or((t, FailCause::ClusterUnavailable))?;
+        // The write is recorded only once the cluster confirms the
+        // commit — a failed write leaves the pre-write state visible,
+        // and verification must agree — and the commit stands even if
+        // the acknowledgement is lost below.
+        if let Some((_, sum)) = a.payload {
+            self.record_write((target.name, a.off, op.len), sum);
         }
         if outcome.degraded {
             self.degraded_ops += 1;
-            if !write {
+            if !op.write {
                 self.res.degraded_reads += 1;
             }
         }
-        let mut complete = outcome.complete;
+        a.spans[Stage::NetTx as usize].1 += outcome.net_tx;
+        a.spans[Stage::OsdService as usize].1 = outcome.osd_service;
+        a.spans[Stage::NetRx as usize].1 = outcome.net_rx;
+        a.t = outcome.complete;
+        Ok(())
+    }
 
-        // A corrupted response frame fails its FCS/checksum on arrival
-        // and is discarded — the server-side effect stands (the write
-        // committed, the read was served), only the acknowledgement is
-        // lost, so the requester sees an explicit error and retries.
+    /// Response wire: a corrupted response frame fails its FCS/checksum
+    /// on arrival and is discarded — the server-side effect stands (the
+    /// write committed, the read was served), only the acknowledgement
+    /// is lost, so the requester sees an explicit error and retries.
+    fn response_wire(&mut self, a: &Attempt) -> Result<(), Failed> {
         if self
             .faults
             .as_mut()
-            .is_some_and(|p| p.sync_link(complete) && p.link.assess_response() == LinkVerdict::Corrupt)
+            .is_some_and(|p| p.sync_link(a.t) && p.link.assess_response() == LinkVerdict::Corrupt)
         {
-            self.obs
-                .instant(complete, TraceLayer::Net, InstantKind::FrameCorrupt, bytes);
-            return AttemptResult::Fail {
-                start,
-                at: complete,
-                cause: FailCause::LinkCorrupt,
-            };
+            return Err((a.t, FailCause::LinkCorrupt));
         }
+        Ok(())
+    }
 
-        // --- Return path ------------------------------------------------
-        let mut span_c2h = SimDuration::ZERO;
-        if use_fpga && !write {
-            // Read payload crosses PCIe back to the host buffer.
-            let pre_c2h = complete;
-            complete = self.pcie.c2h_transfer(complete, bytes);
-            span_c2h = complete.saturating_since(pre_c2h);
-            if self
-                .faults
-                .as_mut()
-                .is_some_and(|p| p.sync_dma(complete) && p.dma.assess_c2h())
-            {
-                self.obs
-                    .instant(complete, TraceLayer::Qdma, InstantKind::DmaError, 1);
-                return AttemptResult::Fail {
-                    start,
-                    at: complete,
-                    cause: FailCause::DmaC2h,
-                };
-            }
+    /// QDMA C2H: a read's payload crosses PCIe back to the host buffer.
+    fn qdma_c2h(&mut self, a: &mut Attempt) -> Result<(), Failed> {
+        let pre_c2h = a.t;
+        a.t = self.pcie.c2h_transfer(a.t, a.op.len as u64);
+        a.spans[Stage::QdmaC2H as usize].1 = a.t.saturating_since(pre_c2h);
+        if self.faults.as_mut().is_some_and(|p| p.sync_dma(a.t) && p.dma.assess_c2h()) {
+            return Err((a.t, FailCause::DmaC2h));
         }
-        complete += costs.complete_latency;
+        Ok(())
+    }
 
-        // --- Stage spans ------------------------------------------------
-        // Every span above telescopes `start → complete`, so recording
-        // all eleven (zeros included) keeps Σ stage means == e2e mean,
-        // and every ring chain has a uniform shape.  Failed attempts
-        // return above: they are charged a timeout, not a decomposition.
-        let p = &costs.parts;
-        self.obs.op_spans(
-            start,
-            &[
-                (Stage::Submit, p.submit),
-                (Stage::RingEnter, p.ring_enter),
-                (Stage::BlkMq, p.blk_mq),
-                (Stage::Uifd, p.uifd),
-                (Stage::QdmaH2C, span_h2c),
-                (Stage::Accel, p.accel + span_accel_card),
-                (Stage::NetTx, p.net_tx + span_net_fpga + outcome.net_tx),
-                (Stage::OsdService, outcome.osd_service),
-                (Stage::NetRx, outcome.net_rx),
-                (Stage::QdmaC2H, span_c2h),
-                (Stage::Complete, costs.complete_latency),
-            ],
-        );
-
-        // --- Context occupancy -------------------------------------------
-        if self.cfg.features.sync_daemon {
+    /// Completion: the completion latency, the stage spans and the
+    /// submission context's occupancy; returns the completion instant.
+    fn complete(&mut self, a: &Attempt) -> SimTime {
+        let complete = a.t + a.costs.complete_latency;
+        // The spans telescope `start → complete`, so recording all
+        // eleven (zeros included) keeps Σ stage means == e2e mean, and
+        // every ring chain has a uniform shape.
+        self.obs.op_spans(a.start, &a.spans);
+        let hold = if self.cfg.features.sync_daemon {
             // NBD architecture: the daemon is held for the round trip —
             // fully for writes, partially for reads (socket handoff).
-            let rtt = complete.saturating_since(start);
-            let hold = if write {
+            let rtt = complete.saturating_since(a.start);
+            if a.op.write {
                 rtt
             } else {
                 rtt * calib::NBD_READ_HOLD_FRACTION
-            };
-            self.contexts[ctx_idx].begin(start, hold);
+            }
         } else {
-            self.contexts[ctx_idx].begin(start, costs.occupancy);
-        }
-        AttemptResult::Done { start, complete }
+            a.costs.occupancy
+        };
+        self.contexts[a.ctx].begin(a.start, hold);
+        complete
     }
 
     /// Run per-job traces closed-loop with the given queue depth.
@@ -2174,6 +2170,76 @@ mod tests {
             e.card_mut().expect("HW config").is_healthy(),
             "card recovered by end of run"
         );
+    }
+
+    /// Every failed attempt emits one instant naming its cause's layer,
+    /// kind and detail (DESIGN.md §8.2), and the instant counts agree
+    /// with the injectors' own tallies.
+    #[test]
+    fn each_fail_cause_emits_its_layer_kind_and_detail() {
+        use deliba_sim::trace::TraceEventKind;
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
+            .with_resilience(ResiliencePolicy::default())
+            .with_trace_depth(TraceDepth::Full);
+        let mut e = Engine::new(cfg);
+        // Link and DMA faults first; then every OSD dies, so the ops
+        // still in flight fail as cluster-unavailable until exhausted.
+        let schedule = FaultSchedule::new()
+            .link_degrade(ms(1), LinkFaultProfile { drop_p: 0.02, corrupt_p: 0.1 })
+            .dma_degrade(
+                ms(1),
+                DmaFaultProfile { h2c_error_p: 0.1, c2h_error_p: 0.2, exhaust_p: 0.0 },
+            );
+        let schedule = (0..32).fold(schedule, |s, osd| s.osd_crash(ms(30), osd));
+        e.set_fault_schedule(schedule);
+        let ops = (0..100u64)
+            .flat_map(|i| [TraceOp::write(i * 4096, 4096, false), TraceOp::read(i * 4096, 4096, false)])
+            .collect();
+        let r = e.run_trace(vec![ops], 1);
+        let res = r.resilience.unwrap();
+        let instants = |kind: InstantKind| -> Vec<(TraceLayer, u64)> {
+            e.observer()
+                .ring(|ring| {
+                    ring.events()
+                        .filter_map(|ev| match ev.kind {
+                            TraceEventKind::Instant { kind: k, detail } if k == kind => {
+                                Some((ev.layer, detail))
+                            }
+                            _ => None,
+                        })
+                        .collect()
+                })
+                .expect("full depth keeps the ring")
+        };
+        let drops = instants(InstantKind::FrameDrop);
+        let corrupts = instants(InstantKind::FrameCorrupt);
+        let dma = instants(InstantKind::DmaError);
+        let unavailable = instants(InstantKind::ClusterUnavailable);
+        assert!(drops.iter().all(|&i| i == (TraceLayer::Net, 4096)), "{drops:?}");
+        assert!(corrupts.iter().all(|&i| i == (TraceLayer::Net, 4096)), "{corrupts:?}");
+        assert!(dma.iter().all(|&(layer, _)| layer == TraceLayer::Qdma), "{dma:?}");
+        assert!(unavailable.iter().all(|&i| i == (TraceLayer::Cluster, 0)), "{unavailable:?}");
+        let plane = e.faults.as_ref().expect("armed plane");
+        let h2c = dma.iter().filter(|&&(_, d)| d == 0).count() as u64;
+        let c2h = dma.iter().filter(|&&(_, d)| d == 1).count() as u64;
+        assert_eq!(h2c, plane.dma.h2c_errors(), "H2C errors carry detail 0");
+        assert_eq!(c2h, plane.dma.c2h_errors(), "C2H errors carry detail 1");
+        assert_eq!(drops.len() as u64, res.dropped_frames, "{res:?}");
+        assert_eq!(corrupts.len() as u64, res.corrupt_frames, "{res:?}");
+        assert_eq!(dma.len() as u64, res.dma_errors, "{res:?}");
+        for (cause, n) in [
+            ("drop", drops.len()),
+            ("corrupt", corrupts.len()),
+            ("h2c", h2c as usize),
+            ("c2h", c2h as usize),
+            ("unavailable", unavailable.len()),
+        ] {
+            assert!(n > 0, "the schedule must drive {cause}: {res:?}");
+        }
+        // Each failed attempt either retries or exhausts the op.
+        let failed = drops.len() + corrupts.len() + dma.len() + unavailable.len();
+        assert_eq!(failed as u64, res.retries + res.exhausted, "{res:?}");
+        assert_eq!(r.verify_failures, 0);
     }
 
     #[test]

@@ -179,15 +179,17 @@ impl ReedSolomon {
         Ok(())
     }
 
-    /// Join `k` data shards back into a byte vector of `original_len`.
-    pub fn join(&self, shards: &[Option<Vec<u8>>], original_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(original_len);
+    /// Join `k` data shards back into `out`: its first `original_len`
+    /// bytes, the padding dropped.  `out` is overwritten in place, so a
+    /// caller's recycled buffer keeps its allocation.
+    pub fn join(&self, shards: &[Option<Vec<u8>>], original_len: usize, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(original_len);
         for shard in shards.iter().take(self.k) {
             let s = shard.as_ref().expect("data shard missing after reconstruct");
-            out.extend_from_slice(s);
+            let take = s.len().min(original_len - out.len());
+            out.extend_from_slice(&s[..take]);
         }
-        out.truncate(original_len);
-        out
     }
 
     /// Coefficient of the encoding matrix (exposed for the FPGA model's
@@ -203,6 +205,12 @@ mod tests {
 
     fn sample_data(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    fn joined(rs: &ReedSolomon, shards: &[Option<Vec<u8>>], len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        rs.join(shards, len, &mut out);
+        out
     }
 
     #[test]
@@ -221,7 +229,7 @@ mod tests {
         assert_eq!(shards[0].len(), 250);
         let mut opt: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
         rs.reconstruct(&mut opt).unwrap();
-        assert_eq!(rs.join(&opt, 1000), sample_data(1000));
+        assert_eq!(joined(&rs, &opt, 1000), sample_data(1000));
     }
 
     #[test]
@@ -231,7 +239,7 @@ mod tests {
         let shards = rs.encode(&data);
         let mut opt: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
         rs.reconstruct(&mut opt).unwrap();
-        assert_eq!(rs.join(&opt, data.len()), data);
+        assert_eq!(joined(&rs, &opt, data.len()), data);
     }
 
     #[test]
@@ -249,7 +257,7 @@ mod tests {
                 opt[b] = None;
                 rs.reconstruct(&mut opt)
                     .unwrap_or_else(|e| panic!("erasures ({a},{b}): {e}"));
-                assert_eq!(rs.join(&opt, data.len()), data, "erasures ({a},{b})");
+                assert_eq!(joined(&rs, &opt, data.len()), data, "erasures ({a},{b})");
             }
         }
     }
@@ -317,7 +325,7 @@ mod tests {
                 *s = None;
             }
             rs.reconstruct(&mut opt).unwrap();
-            assert_eq!(rs.join(&opt, data.len()), data, "RS({k},{m})");
+            assert_eq!(joined(&rs, &opt, data.len()), data, "RS({k},{m})");
         }
     }
 

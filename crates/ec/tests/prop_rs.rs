@@ -34,7 +34,9 @@ proptest! {
         }
 
         rs.reconstruct(&mut opt).expect("≤ m erasures must be recoverable");
-        prop_assert_eq!(rs.join(&opt, data.len()), data);
+        let mut out = vec![0xAA; 7];
+        rs.join(&opt, data.len(), &mut out);
+        prop_assert_eq!(out, data);
     }
 
     #[test]

@@ -19,15 +19,12 @@
 //!   buffer) and the Completion Engine;
 //! * **SR-IOV**: physical/virtual functions partitioning the queue-set
 //!   space, the thin-hypervisor passthrough model the paper uses for VM
-//!   tenants ([`function`]);
-//! * a [`cmac::Cmac`] port model (the standalone 100G MAC path used for
-//!   monitoring-style traffic).
+//!   tenants ([`function`]).
 //!
 //! Payload movement is real: descriptors reference a [`mem::SparseMemory`]
 //! host address space and the engines move actual bytes, so DMA
 //! correctness is testable end-to-end.
 
-pub mod cmac;
 pub mod descriptor;
 pub mod engine;
 pub mod fault;
