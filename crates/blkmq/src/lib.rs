@@ -22,6 +22,11 @@
 //! * [`queue`] — the [`queue::MultiQueue`]: per-CPU software queues
 //!   mapped onto hardware contexts, mirroring how the DMQ aligns each
 //!   pinned io_uring instance with a dedicated QDMA hardware queue.
+//!
+//! No other crate depends on this one: the engine charges the block-layer
+//! stage as the calibrated constants `deliba_core::calib::MQ_SCHED`
+//! (scheduler on) and `MQ_BYPASS` (the DMQ bypass) and never drives
+//! these queues.
 
 pub mod queue;
 pub mod request;

@@ -248,7 +248,7 @@ impl Cluster {
     }
 
     /// Revive an OSD.  Objects that were overwritten while it was down
-    /// are in the [`Cluster::stale`] registry: reads route around them
+    /// are in the cluster's `stale` registry: reads route around them
     /// (and, in dynamics mode, writes skip them) until backfill re-copies
     /// each object, so a revived OSD can never serve bytes it missed.
     pub fn revive_osd(&mut self, osd: i32) {

@@ -7,8 +7,8 @@
 //! Pages are reference-counted and copy-on-write, so the copies of one
 //! replicated object can hold the same page allocations: a replica
 //! write takes the primary's pages for every page it covers whole
-//! ([`ObjectStore::write_at_from`]), and backfill or a scrub repair
-//! shares the whole source copy ([`ObjectStore::copy_from`]).  Every
+//! (`ObjectStore::write_at_from`), and backfill or a scrub repair
+//! shares the whole source copy (`ObjectStore::copy_from`).  Every
 //! mutation either replaces a page it covers whole or unshares the page
 //! first (`Rc::make_mut`), so a write or a bit flip on one copy never
 //! reaches another.  Pointer-identical pages are therefore equal by

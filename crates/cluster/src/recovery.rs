@@ -833,7 +833,7 @@ impl Cluster {
         (fin, detected, repaired)
     }
 
-    /// Fire a [`FaultKind::BitRot`](deliba_fault::FaultKind) event: flip
+    /// Fire a `deliba_fault::FaultKind::BitRot` event: flip
     /// one stored byte in up to `copies` distinct objects' copies, drawn
     /// deterministically from the plane's dedicated bit-rot stream.
     /// At most one copy per object ever carries rot (until repaired), so

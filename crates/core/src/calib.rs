@@ -24,7 +24,10 @@ pub const COPY_NS_PER_KIB: u64 = 79;
 
 /// io_uring submission+reap cost per I/O on the pinned core (SQE fill,
 /// poller wakeup share, CQE reap) — what remains after batching removes
-/// the syscalls.
+/// the syscalls.  A calibrated stand-in for Fig. 2 circle ① (charged to
+/// the `submit` stage): no ring is simulated.  No paper figure measures
+/// it alone; Table II's DeLiBA-K cells are pinned by [`residual`] on top
+/// of it.
 pub const URING_PER_IO: SimDuration = SimDuration(800);
 
 /// NBD daemon request handling per I/O (event loop, socket framing)
@@ -73,21 +76,33 @@ pub const PROTO_LATENCY_SHARE_WRITE: f64 = 0.10;
 // Block layer
 // ---------------------------------------------------------------------
 
-/// MQ scheduler insertion + dispatch cost (mq-deadline bookkeeping).
+/// MQ scheduler insertion + dispatch cost (mq-deadline bookkeeping),
+/// the whole `blk_mq` stage of DeLiBA-1/-2.  A calibrated stand-in: no
+/// block layer is simulated.  No paper figure measures it alone; the
+/// Table II D1/D2 cells are pinned by [`residual`] on top of it.
 pub const MQ_SCHED: SimDuration = SimDuration(2_500);
 
-/// DMQ bypass cost (tag alloc + direct dispatch only).
+/// DMQ bypass cost (tag alloc + direct dispatch only), charged to
+/// DeLiBA-K's `uifd` stage so its `blk_mq` stage is exactly zero
+/// (Fig. 2 circle ②).  A calibrated stand-in: no tag set is simulated,
+/// and no paper figure measures it alone.
 pub const MQ_BYPASS: SimDuration = SimDuration(300);
 
 // ---------------------------------------------------------------------
 // Driver + DMA
 // ---------------------------------------------------------------------
 
-/// QDMA descriptor post + doorbell + fetch per I/O (DeLiBA-K UIFD).
+/// QDMA descriptor post + doorbell + fetch per I/O (DeLiBA-K UIFD),
+/// charged to the `uifd` stage (Fig. 2 circle ③).  A calibrated
+/// stand-in: no descriptor ring is simulated, and no paper figure
+/// measures it alone; only the payload's PCIe transfer is timed
+/// (`deliba_qdma::PciePipes`).
 pub const QDMA_DESC: SimDuration = SimDuration(500);
 
 /// XDMA-style single-queue DMA engine per I/O (DeLiBA-1/-2): one shared
-/// queue, heavier per-transfer setup.
+/// queue, heavier per-transfer setup.  The `uifd` stage of the older
+/// generations; a calibrated stand-in like [`QDMA_DESC`], measured by no
+/// paper figure on its own.
 pub const XDMA_DESC: SimDuration = SimDuration(1_700);
 
 /// Effective PCIe Gen3 x16 data bandwidth (after TLP overhead).

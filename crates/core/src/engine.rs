@@ -1253,8 +1253,10 @@ impl Engine {
     /// QDMA H2C: the payload (writes) or command (reads) crosses PCIe.
     fn qdma_h2c(&mut self, a: &mut Attempt) -> Result<(), Failed> {
         let dma_bytes = if a.op.write { a.op.len as u64 } else { 256 };
+        let pre_h2c = a.t;
         // Descriptor exhaustion stalls the fetch engine until credits
-        // replenish — added latency, not a failure.
+        // replenish — added latency, not a failure, charged to the
+        // H2C span.
         if let Some(stall) = self
             .faults
             .as_mut()
@@ -1264,7 +1266,6 @@ impl Engine {
                 .instant(a.t, TraceLayer::Qdma, InstantKind::DmaStall, stall.as_nanos());
             a.t += stall;
         }
-        let pre_h2c = a.t;
         a.t = self.pcie.h2c_transfer(a.t, dma_bytes);
         a.spans[Stage::QdmaH2C as usize].1 = a.t.saturating_since(pre_h2c);
         // The completion engine reports H2C errors as soon as the
@@ -2123,6 +2124,30 @@ mod tests {
         assert_eq!(
             res.timeouts, 0,
             "DMA errors carry an explicit signal — no deadline wait: {res:?}"
+        );
+    }
+
+    #[test]
+    fn descriptor_stalls_land_in_the_h2c_span() {
+        // Every descriptor fetch stalls for the whole run: the stall is
+        // latency the breakdown must still account for, so the stage
+        // spans keep telescoping onto the end-to-end mean.
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
+            .with_trace_depth(TraceDepth::Stages);
+        let mut e = Engine::new(cfg);
+        e.set_fault_schedule(FaultSchedule::new().dma_degrade(
+            SimTime::ZERO,
+            DmaFaultProfile { h2c_error_p: 0.0, c2h_error_p: 0.0, exhaust_p: 1.0 },
+        ));
+        let r = e.run_trace(vec![integrity_ops()], 1);
+        assert_eq!(r.resilience.unwrap().dma_stalls, 100, "one stall per op");
+        let b = r.breakdown.as_ref().expect("traced run carries a breakdown");
+        assert_eq!(b.ops, 100);
+        assert!(
+            (b.stage_sum_us - r.mean_latency_us).abs() < 1e-6,
+            "stage sum {:.3} µs vs e2e mean {:.3} µs",
+            b.stage_sum_us,
+            r.mean_latency_us
         );
     }
 

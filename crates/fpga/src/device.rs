@@ -1,12 +1,12 @@
 //! The assembled Alveo U280 card.
 //!
-//! [`AlveoU280`] is what the UIFD driver layer in `deliba-core` binds
-//! to: the static accelerators (Straw, Straw2, RS encoder — §IV-C puts
-//! them "in the static region, spanning across two SLRs"), the DFX
-//! partition with its three swappable bucket accelerators, and the
-//! resource/power books.  Placement requests route to the RM matching
-//! the requested bucket algorithm when it is resident, falling back to
-//! the static Straw2 kernel during a swap.
+//! [`AlveoU280`] is the card the engine in `deliba-core` drives on the
+//! accelerated path: the static accelerators (Straw, Straw2, RS
+//! encoder — §IV-C puts them "in the static region, spanning across two
+//! SLRs"), the DFX partition with its three swappable bucket
+//! accelerators, and the resource/power books.  Placement requests
+//! route to the RM matching the requested bucket algorithm when it is
+//! resident, falling back to the static Straw2 kernel during a swap.
 
 use crate::accel::{AccelKind, CrushAccelerator, RsEncoderAccel};
 use crate::dfx::{configuration_analysis, DfxController, DfxError, RmId};
@@ -140,8 +140,9 @@ impl AlveoU280 {
     }
 
     /// Inject a card-level fault (the accelerator-fault case of the
-    /// fault plane): the card stops serving until [`clear_fault`]
-    /// (AlveoU280::clear_fault) — an `xbutil reset` in the real system.
+    /// fault plane): the card stops serving until
+    /// [`clear_fault`](AlveoU280::clear_fault) — an `xbutil reset` in the
+    /// real system.
     pub fn inject_fault(&mut self) {
         if self.healthy {
             self.healthy = false;

@@ -26,7 +26,7 @@
 //! * [`power`] — the power model behind §V-c (195 W at full load
 //!   without partial reconfiguration, 170 W with it);
 //! * [`device`] — [`device::AlveoU280`] assembling the above into the
-//!   card the UIFD driver binds to.
+//!   card the engine places and encodes on.
 
 pub mod accel;
 pub mod clock;

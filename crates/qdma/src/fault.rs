@@ -1,14 +1,15 @@
 //! QDMA-level fault injection: completion errors and descriptor
 //! exhaustion.
 //!
-//! The QDMA completion engine reports per-descriptor status; a C2H or
-//! H2C transfer that completes in error is visible to the driver
-//! immediately (unlike a lost network frame), so the UIFD layer can
-//! fail the I/O fast and let the engine's retry policy take over.
-//! Descriptor exhaustion — the 64 KiB UltraRAM descriptor budget
-//! momentarily empty — is not an error at all: the fetch engine simply
-//! stalls the queue until credits return, which shows up as added
-//! latency, not a failure.
+//! On the card, the QDMA completion engine reports per-descriptor
+//! status; a C2H or H2C transfer that completes in error is visible to
+//! the driver immediately (unlike a lost network frame), so the engine
+//! fails the I/O fast and lets its retry policy take over.  Descriptor
+//! exhaustion — the 64 KiB UltraRAM descriptor budget momentarily empty
+//! — is not an error at all: the fetch engine stalls the queue until
+//! credits return, which the engine charges as added H2C latency, not a
+//! failure.  Neither the rings nor the budget are simulated; the
+//! injector draws both outcomes from the active [`DmaFaultProfile`].
 
 use deliba_sim::{SimDuration, SimRng, Xoshiro256};
 

@@ -1,44 +1,23 @@
 #![warn(missing_docs)]
 
-//! # deliba-qdma — the AMD/Xilinx QDMA subsystem model
+//! # deliba-qdma — the QDMA timing the engine charges
 //!
 //! DeLiBA-K's UIFD kernel driver talks to the Alveo U280 through a
-//! customized **Queue DMA** (QDMA) IP (paper §III-B, §IV-A).  The model
-//! reproduces the architecture the paper describes:
+//! customized **Queue DMA** (QDMA) IP (paper §III-B, §IV-A).  This crate
+//! keeps the two parts of that path the engine runs on every I/O:
 //!
-//! * up to **2048 queue sets**, each a triple of rings — H2C descriptor
-//!   ring, C2H descriptor ring, C2H completion ring — individually
-//!   configured as *replication* or *erasure-coding* queues;
-//! * **128-byte descriptors** defining the five DMA parameters (source
-//!   address, destination address, length, control, next-descriptor
-//!   pointer), with a 64 KiB aggregate descriptor budget held in
-//!   UltraRAM;
-//! * the five RTL modules of Fig. 2 circle ③: Requester Request
-//!   ([`engine::DescriptorEngine`] fetch path), Descriptor Engine,
-//!   H2C/C2H streaming engines (256 concurrent I/Os, 32 KiB reorder
-//!   buffer) and the Completion Engine;
-//! * **SR-IOV**: physical/virtual functions partitioning the queue-set
-//!   space, the thin-hypervisor passthrough model the paper uses for VM
-//!   tenants ([`function`]).
+//! * [`PciePipes`] — one bandwidth pipe per PCIe direction (H2C, C2H),
+//!   which times each payload transfer and reports link utilization;
+//! * [`DmaFaultInjector`] — seeded completion errors and
+//!   descriptor-exhaustion stalls while a `DmaDegrade` fault is active.
 //!
-//! Payload movement is real: descriptors reference a [`mem::SparseMemory`]
-//! host address space and the engines move actual bytes, so DMA
-//! correctness is testable end-to-end.
+//! The per-I/O descriptor cost (queue-set lookup, 128-byte descriptor
+//! fetch, completion write-back) is not modeled here: it is the
+//! calibrated constant `deliba_core::calib::QDMA_DESC`.
+//! No descriptor rings, queue sets or SR-IOV functions are simulated.
 
-pub mod descriptor;
-pub mod engine;
 pub mod fault;
-pub mod function;
-pub mod mem;
 pub mod pcie;
-pub mod queue;
-pub mod ring;
 
-pub use descriptor::{DescControl, Descriptor, IfType, DESCRIPTOR_BYTES};
-pub use engine::{DescriptorEngine, EngineConfig};
 pub use fault::{DmaFaultInjector, DmaFaultProfile, DESCRIPTOR_STALL};
-pub use function::{FunctionId, FunctionKind, FunctionMap};
-pub use mem::SparseMemory;
 pub use pcie::PciePipes;
-pub use queue::{CmptEntry, QueueSet, MAX_QUEUE_SETS};
-pub use ring::DescriptorRing;

@@ -1,12 +1,11 @@
-//! PCIe DMA pipes — the timing companion to the functional
-//! descriptor engine.
+//! PCIe DMA pipes — the payload timing of the QDMA path.
 //!
 //! The QDMA moves payloads over two independent PCIe directions (H2C
 //! and C2H share the link but not each other's queues).  [`PciePipes`]
-//! bundles one [`Bandwidth`] pipe per direction so callers — the
-//! engine's host-path model, the latency breakdown — charge DMA time
-//! and read link utilization through one QDMA-owned type instead of
-//! carrying loose pipes around.
+//! bundles one [`Bandwidth`] pipe per direction so the engine charges
+//! DMA time (the `qdma_h2c` and `qdma_c2h` stages) and reads link
+//! utilization through one type.  The per-I/O descriptor cost is not
+//! charged here: it is a calibrated constant of the driver stage.
 
 use deliba_sim::{Bandwidth, InstantKind, Observer, SimDuration, SimTime, TraceLayer};
 

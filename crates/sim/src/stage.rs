@@ -36,7 +36,8 @@ pub enum Stage {
     /// post/doorbell (UIFD + QDMA on DeLiBA-K, XDMA-style on earlier
     /// generations).
     Uifd,
-    /// Host→card DMA transfer, including queueing on the PCIe pipe.
+    /// Host→card DMA transfer, including queueing on the PCIe pipe and
+    /// any descriptor-exhaustion stall before it.
     QdmaH2C,
     /// Placement and erasure-coding kernels — on-card RTL/HLS when
     /// accelerated, host software (CRUSH/RS) in the baseline.

@@ -89,9 +89,11 @@ impl TraceDepth {
 pub enum TraceLayer {
     /// Closed-loop engine (stage spans, retry loop, counters).
     Engine,
-    /// Host path (submission API, blk-mq, UIFD driver).
+    /// Host path (submission API, blk-mq, UIFD driver).  Its stages are
+    /// calibrated constants, so no event is recorded here; the layer
+    /// stays in [`TraceLayer::ALL`] to keep every pid after it stable.
     BlkMq,
-    /// QDMA descriptor/DMA engines and the PCIe pipes.
+    /// QDMA: the PCIe pipes and DMA fault events.
     Qdma,
     /// On-card accelerators and the DFX partition.
     Accel,
@@ -188,11 +190,6 @@ pub enum InstantKind {
     DmaH2c,
     /// Qdma: a DMA payload crossed PCIe card→host (detail = bytes).
     DmaC2h,
-    /// BlkMq: the DMQ dispatched a request to its queue set (detail =
-    /// driver tag).
-    BlkMqDispatch,
-    /// Qdma: a descriptor was posted to a ring (detail = user token).
-    DescriptorPost,
     /// Accel: a placement ran on the card (detail = 1 when the DFX RM
     /// served it, 0 for the static Straw2 fallback).
     AccelPlace,
@@ -234,8 +231,6 @@ impl InstantKind {
             InstantKind::LinkTx => "link_tx",
             InstantKind::DmaH2c => "dma_h2c",
             InstantKind::DmaC2h => "dma_c2h",
-            InstantKind::BlkMqDispatch => "blk_mq_dispatch",
-            InstantKind::DescriptorPost => "descriptor_post",
             InstantKind::AccelPlace => "accel_place",
             InstantKind::BitRot => "bit_rot",
             InstantKind::Backfill => "backfill",
@@ -675,7 +670,6 @@ mod tests {
     fn instant_labels_are_stable() {
         assert_eq!(InstantKind::OsdCrash.label(), "osd_crash");
         assert_eq!(InstantKind::CacheInvalidation.label(), "cache_invalidation");
-        assert_eq!(InstantKind::BlkMqDispatch.label(), "blk_mq_dispatch");
         assert_eq!(InstantKind::BitRot.label(), "bit_rot");
         assert_eq!(InstantKind::Backfill.label(), "backfill");
         assert_eq!(InstantKind::ScrubRepair.label(), "scrub_repair");

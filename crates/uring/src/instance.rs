@@ -45,8 +45,8 @@ pub struct EnterResult {
     pub completed: u32,
 }
 
-/// The "kernel" side an instance submits to — implemented by the DeLiBA
-/// UIFD driver model, or by test doubles.
+/// The "kernel" side an instance submits to — implemented by test
+/// doubles, including any `FnMut(&Sqe, &mut BufRegistry) -> Cqe` closure.
 pub trait Completer {
     /// Process one SQE, returning its CQE.
     fn complete(&mut self, sqe: &Sqe, bufs: &mut BufRegistry) -> Cqe;

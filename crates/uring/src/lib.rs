@@ -23,7 +23,9 @@
 //!   and preserve cache locality.
 //!
 //! The rings are real concurrent structures (exercised by multi-threaded
-//! tests); the simulation layers above only *account* for their costs.
+//! tests). No other crate depends on this one: the engine charges the
+//! submit stage as the calibrated constant `deliba_core::calib::URING_PER_IO`
+//! and never drives these rings.
 
 pub mod entry;
 pub mod group;

@@ -6,7 +6,6 @@
 //! reproduction.  See the workspace README for the architecture overview
 //! and DESIGN.md for the paper-to-module map.
 
-pub use deliba_blkmq as blkmq;
 pub use deliba_cluster as cluster;
 pub use deliba_core as core;
 pub use deliba_crush as crush;
@@ -16,5 +15,4 @@ pub use deliba_fpga as fpga;
 pub use deliba_net as net;
 pub use deliba_qdma as qdma;
 pub use deliba_sim as sim;
-pub use deliba_uring as uring;
 pub use deliba_workload as workload;
