@@ -6,7 +6,10 @@
 //! preserved by construction: workers pull cell indices from an atomic
 //! counter, stash `(index, result)` pairs, and the caller receives the
 //! results sorted back into submission order — byte-identical to a
-//! serial run regardless of scheduling.
+//! serial run regardless of scheduling.  A cell that panics fails the
+//! whole sweep: `std::thread::scope` joins every worker and then
+//! re-raises the panic, so a sweep never returns a short or reordered
+//! result.
 //!
 //! Worker count comes from, in priority order: the `--serial` flag
 //! ([`set_serial`]), the `DELIBA_JOBS` environment variable, then
@@ -75,9 +78,9 @@ where
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| {
+            s.spawn(|| {
                 IN_PAR.with(|c| c.set(true));
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -91,8 +94,7 @@ where
                 IN_PAR.with(|c| c.set(false));
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     let mut out = results.into_inner().unwrap();
     out.sort_by_key(|(i, _)| *i);
@@ -116,6 +118,15 @@ mod tests {
     fn par_map_handles_empty_and_single() {
         assert_eq!(par_map(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(par_map(vec![7u32], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn panicking_cell_fails_the_sweep() {
+        par_map((0..64u32).collect(), |x| {
+            assert_ne!(x, 37, "cell 37 fails");
+            x
+        });
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! construction, which is what lets [`ObjectStore::same_content`] skip
 //! them; every other page is compared byte for byte.
 
-use bytes::Bytes;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -312,17 +311,17 @@ impl ObjectStore {
     }
 
     /// Read the whole object.
-    pub fn read(&self, id: ObjectId) -> Option<Bytes> {
+    pub fn read(&self, id: ObjectId) -> Option<Vec<u8>> {
         let obj = self.objects.get(&id)?;
-        Some(Bytes::from(obj.read_at(0, obj.len)))
+        Some(obj.read_at(0, obj.len))
     }
 
     /// Read `len` bytes at `offset` (zero-filled past the end, like a
     /// sparse RBD object).
-    pub fn read_at(&self, id: ObjectId, offset: usize, len: usize) -> Bytes {
+    pub fn read_at(&self, id: ObjectId, offset: usize, len: usize) -> Vec<u8> {
         let mut out = Vec::new();
         self.read_at_into(id, offset, len, &mut out);
-        Bytes::from(out)
+        out
     }
 
     /// [`ObjectStore::read_at`] into a caller-supplied buffer — the

@@ -234,7 +234,6 @@ impl Osd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     fn osd() -> Osd {
         let mut p = OsdProfile::lab_ssd();
@@ -246,7 +245,7 @@ mod tests {
     fn write_then_read_round_trip() {
         let mut o = osd();
         let id = ObjectId::new(0, 7);
-        let data = Bytes::from(vec![9u8; 4096]);
+        let data = vec![9u8; 4096];
         let ack = o.write_object(SimTime::ZERO, id, &data, true).unwrap();
         assert!(ack.as_nanos() > 0);
         let mut read = Vec::new();
@@ -337,7 +336,7 @@ mod tests {
         let mut p = OsdProfile::lab_ssd();
         p.jitter_frac = 0.1;
         let id = ObjectId::new(0, 5);
-        let data = Bytes::from(vec![3u8; 10_000]);
+        let data = vec![3u8; 10_000];
         let mut charged = Osd::new(0, 0, p, Xoshiro256::seed_from_u64(8));
         let mut copied = Osd::new(0, 0, p, Xoshiro256::seed_from_u64(8));
         let mut buf = Vec::new();

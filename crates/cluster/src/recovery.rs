@@ -913,7 +913,6 @@ fn data_shards(slots: &[Option<Vec<u8>>], k: usize) -> Vec<&[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use deliba_ec::ReedSolomon;
     use deliba_sim::SimTime;
 
@@ -923,8 +922,8 @@ mod tests {
     fn oid_ec(name: u64) -> ObjectId {
         ObjectId::new(2, name)
     }
-    fn payload(len: usize, tag: u8) -> Bytes {
-        Bytes::from((0..len).map(|i| (i as u8).wrapping_add(tag)).collect::<Vec<u8>>())
+    fn payload(len: usize, tag: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_add(tag)).collect()
     }
 
     fn seeded_cluster(seed: u64, objects: u64) -> (Cluster, SimTime) {
@@ -1203,10 +1202,10 @@ mod tests {
     /// every readable fresh copy, vote over whole byte vectors (ties to
     /// the first holder) and return the mismatch count plus every
     /// holder's expected bytes after repair.
-    fn reference_scrub(c: &Cluster, oid: ObjectId) -> (u64, Vec<(i32, Bytes)>) {
+    fn reference_scrub(c: &Cluster, oid: ObjectId) -> (u64, Vec<(i32, Vec<u8>)>) {
         let holders = &c.replica_dir[&oid];
         let stored = |h: i32| c.osds[h as usize].store().read(oid);
-        let mut finals: Vec<(i32, Bytes)> = holders
+        let mut finals: Vec<(i32, Vec<u8>)> = holders
             .iter()
             .map(|&h| (h, stored(h).expect("copy exists")))
             .collect();
@@ -1214,7 +1213,7 @@ mod tests {
             .iter()
             .copied()
             .filter(|&h| c.osds[h as usize].is_up() && !c.stale.contains(&(h, oid)))
-            .filter_map(|h| stored(h).map(|b| (h, b.to_vec())))
+            .filter_map(|h| stored(h).map(|b| (h, b)))
             .collect();
         if copies.len() < 2 {
             return (0, finals);
@@ -1232,7 +1231,7 @@ mod tests {
             if d != auth {
                 detected += 1;
                 let slot = finals.iter_mut().find(|(f, _)| f == h).expect("holder");
-                slot.1 = Bytes::from(auth.clone());
+                slot.1 = auth.clone();
             }
         }
         (detected, finals)
