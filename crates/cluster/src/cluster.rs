@@ -107,6 +107,9 @@ pub struct Cluster {
     /// Recycled acting-set buffer: the data-path methods fill it via
     /// [`OsdMap::acting_set_into`] instead of allocating per I/O.
     acting_scratch: Vec<i32>,
+    /// Recycled parity buffer: deep scrub re-encodes each EC object's
+    /// parity here.
+    pub(crate) parity_scratch: Vec<u8>,
     /// RS codecs by `(k, m)`, built on first use by [`Cluster::ec_codec`]:
     /// building one inverts a Vandermonde matrix, too much to repeat on
     /// every EC read or rebuild, and a cluster that never decodes keeps
@@ -174,6 +177,7 @@ impl Cluster {
             bad_copy_skips: 0,
             dynamics: false,
             acting_scratch: Vec::new(),
+            parity_scratch: Vec::new(),
             codecs: Vec::new(),
             trace: Observer::off(),
         }
@@ -573,61 +577,90 @@ impl Cluster {
     }
 
     /// EC write: the caller (the DeLiBA client — in hardware, the RS
-    /// accelerator) provides the `k + m` shards; the cluster fans them
-    /// out to the acting set.  Succeeds while at least `k` shards land.
+    /// accelerator) provides the `k + m` shards, owned or borrowed; the
+    /// cluster fans them out to the acting set.  Succeeds while at least
+    /// `k` shards land.  With fewer than `k` acting members up, the
+    /// shards still cross the network and occupy the OSDs, but nothing
+    /// is stored: the object keeps its old shards and placement, rather
+    /// than mixing new shards with old ones under the old placement.
+    ///
+    /// # Panics
+    /// Panics on a non-EC pool, or unless `shards` yields `k + m`
+    /// shards.
     pub fn write_ec_shards(
         &mut self,
         now: SimTime,
         oid: ObjectId,
         original_len: usize,
-        shards: Vec<Vec<u8>>,
+        shards: impl IntoIterator<Item = impl AsRef<[u8]>>,
         random: bool,
     ) -> Option<IoOutcome> {
         let pool = self.pool(oid.pool);
         let PoolKind::Erasure { k, m } = pool.kind else {
             panic!("write_ec_shards on a non-EC pool");
         };
-        assert_eq!(shards.len(), k + m, "wrong shard count");
         let pg = pool.pg_of(oid);
         let mut acting = std::mem::take(&mut self.acting_scratch);
         self.map.acting_set_into(pg, &mut acting);
-        let mut placed: Vec<(i32, usize)> = Vec::new();
+        let landing = || {
+            acting
+                .iter()
+                .take(k + m)
+                .enumerate()
+                .filter(|&(_, &osd)| self.osds[osd as usize].is_up())
+                .map(|(idx, &osd)| (osd, idx))
+        };
+        let written = landing().count();
+        let commits = written >= k;
+        if commits {
+            // An overwrite refills its entry's placement in place.
+            let (len, placed) = self.shard_dir.entry(oid).or_default();
+            *len = original_len;
+            placed.clear();
+            placed.reserve_exact(written);
+            placed.extend(landing());
+        }
         let mut commit = now;
         let mut last_arrive = now;
         let mut last_fin = now;
-        let mut written = 0usize;
+        let mut count = 0;
         for (idx, shard) in shards.into_iter().enumerate() {
+            count += 1;
             let Some(&osd) = acting.get(idx) else {
                 continue;
             };
             if !self.osds[osd as usize].is_up() {
                 continue;
             }
+            let shard = shard.as_ref();
             let server = self.server_of(osd);
             let arrive = self
                 .topology
                 .client_to_server(now, server, shard.len() as u64);
-            let shard_bytes = shard.len() as u64;
-            let fin = self.osds[osd as usize]
-                .write_object(arrive, oid, &shard, random)
-                .expect("checked up");
-            self.trace_osd_service(fin, osd, shard_bytes);
+            let target = &mut self.osds[osd as usize];
+            let fin = if commits {
+                target.write_object(arrive, oid, shard, random)
+            } else {
+                target.charge_write(arrive, shard.len(), random)
+            }
+            .expect("checked up");
+            self.trace_osd_service(fin, osd, shard.len() as u64);
             let ack = self.topology.server_to_client(fin, server, CONTROL_BYTES);
             commit = commit.max(ack);
             last_arrive = last_arrive.max(arrive);
             last_fin = last_fin.max(fin);
-            // A full shard replace heals prior staleness/corruption.
-            self.stale.remove(&(osd, oid));
-            self.corrupted.remove(&(osd, oid));
-            placed.push((osd, idx));
-            written += 1;
+            if commits {
+                // A full shard replace heals prior staleness/corruption.
+                self.stale.remove(&(osd, oid));
+                self.corrupted.remove(&(osd, oid));
+            }
         }
         self.acting_scratch = acting;
-        if written < k {
+        assert_eq!(count, k + m, "wrong shard count");
+        if !commits {
             return None; // insufficient durability — op fails
         }
         let degraded = written < k + m;
-        self.shard_dir.insert(oid, (original_len, placed));
         last_fin = last_fin.max(last_arrive);
         Some(IoOutcome {
             complete: commit,
@@ -939,6 +972,39 @@ mod tests {
         assert!(c
             .write_ec_shards(SimTime::ZERO, oid_ec(3), data.len(), shards, true)
             .is_none());
+    }
+
+    #[test]
+    fn failed_ec_overwrite_leaves_the_old_object_readable() {
+        let mut c = Cluster::paper_testbed(8);
+        let rs = ReedSolomon::new(4, 2);
+        let (v1, v2) = (payload(16 * 1024, 1), payload(16 * 1024, 2));
+        let w = c
+            .write_ec_shards(SimTime::ZERO, oid_ec(9), v1.len(), rs.encode(&v1), true)
+            .unwrap();
+        let placed = c.shard_dir[&oid_ec(9)].clone();
+        let acting = c.map.acting_set(c.pool(2).pg_of(oid_ec(9)));
+        // Three of six shard holders go down: v2 cannot reach k = 4.
+        for &osd in &acting[3..] {
+            c.osds[osd as usize].set_up(false);
+        }
+        let busy = c.osd_busy_times();
+        assert!(c
+            .write_ec_shards(w.complete, oid_ec(9), v2.len(), rs.encode(&v2), true)
+            .is_none());
+        // The failed write still crossed the wire and occupied the up
+        // holders, but stored nothing and kept the old placement.
+        for &osd in &acting[..3] {
+            assert!(c.osd_busy_times()[osd as usize] > busy[osd as usize]);
+        }
+        assert_eq!(c.shard_dir[&oid_ec(9)], placed);
+        for &osd in &acting[3..] {
+            c.osds[osd as usize].set_up(true);
+        }
+        let mut read = Vec::new();
+        c.read_ec_into(w.complete, oid_ec(9), true, &mut read)
+            .unwrap();
+        assert!(read == v1, "a failed overwrite must not tear the object");
     }
 
     #[test]

@@ -734,18 +734,17 @@ impl Cluster {
     /// corruption registry (modeling Ceph's per-shard hinfo CRCs); the
     /// shard is reconstructed from the surviving k and rewritten.
     fn scrub_ec_object(&mut self, oid: ObjectId, now: SimTime) -> (SimTime, u64, u64) {
-        let placed = match self.shard_dir.get(&oid) {
-            Some((_, placed)) => placed.clone(),
-            None => return (now, 0, 0),
-        };
         let PoolKind::Erasure { k, m } = self.pool(oid.pool).kind else {
             return (now, 0, 0);
         };
         let rs = self.ec_codec(oid.pool);
+        let Some((_, placed)) = self.shard_dir.get(&oid) else {
+            return (now, 0, 0);
+        };
         let mut slots: Vec<Option<Vec<u8>>> = vec![None; k + m];
         let mut holder_of: Vec<Option<i32>> = vec![None; k + m];
         let mut fin = now;
-        for &(osd, idx) in &placed {
+        for &(osd, idx) in placed {
             if !self.osds[osd as usize].is_up() {
                 continue;
             }
@@ -763,11 +762,16 @@ impl Cluster {
         if !(0..k).all(|i| slots[i].is_some()) {
             return (fin, 0, 0); // data shards missing → recovery's job
         }
-        let parity = rs.encode_parity(&data_shards(&slots, k));
-        let mismatch = parity.iter().enumerate().any(|(pi, p)| {
-            slots[k + pi].as_ref().map(|stored| stored != p).unwrap_or(false)
-        });
-        if !mismatch {
+        let mut parity = std::mem::take(&mut self.parity_scratch);
+        rs.encode_parity_into(&data_shards(&slots, k), &mut parity);
+        let len = parity.len() / m;
+        let divergent = |pi: usize| {
+            slots[k + pi]
+                .as_deref()
+                .is_some_and(|stored| stored != &parity[pi * len..][..len])
+        };
+        if !(0..m).any(divergent) {
+            self.parity_scratch = parity;
             return (fin, 0, 0);
         }
         // Which shard is bad?  Consult the registry (hinfo CRC model);
@@ -780,56 +784,48 @@ impl Cluster {
         let mut detected = 0;
         let mut repaired = 0;
         if bad.is_empty() {
-            for (pi, p) in parity.into_iter().enumerate() {
-                let divergent = slots[k + pi]
-                    .as_ref()
-                    .map(|stored| stored != &p)
-                    .unwrap_or(false);
-                if divergent {
-                    if let Some(osd) = holder_of[k + pi] {
-                        detected += 1;
-                        let arrive = self.topology.client_to_server(
-                            fin,
-                            self.server_of(osd),
-                            p.len() as u64,
-                        );
-                        let w_fin = self.osds[osd as usize]
-                            .write_object(arrive, oid, &p, false)
-                            .expect("checked up");
-                        fin = fin.max(w_fin);
-                        repaired += 1;
-                    }
+            for pi in (0..m).filter(|&pi| divergent(pi)) {
+                if let Some(osd) = holder_of[k + pi] {
+                    detected += 1;
+                    let p = &parity[pi * len..][..len];
+                    let arrive =
+                        self.topology
+                            .client_to_server(fin, self.server_of(osd), p.len() as u64);
+                    let w_fin = self.osds[osd as usize]
+                        .write_object(arrive, oid, p, false)
+                        .expect("checked up");
+                    fin = fin.max(w_fin);
+                    repaired += 1;
                 }
             }
         } else {
             for (osd, idx) in bad {
                 detected += 1;
                 // Reconstruct the registered shard from the others.
-                let mut work = slots.clone();
-                work[idx] = None;
-                if rs.reconstruct(&mut work).is_err() {
+                let registered = slots[idx].take();
+                if rs.reconstruct(&mut slots).is_err() {
+                    slots[idx] = registered;
                     continue; // not enough good shards — unrepairable now
                 }
-                let good = if idx < k {
-                    work[idx].take().expect("reconstructed")
-                } else {
-                    rs.encode_parity(&data_shards(&work, k))
-                        .swap_remove(idx - k)
-                };
+                if idx >= k {
+                    rs.encode_parity_into(&data_shards(&slots, k), &mut parity);
+                    slots[idx] = Some(parity[(idx - k) * len..][..len].to_vec());
+                }
+                let good = slots[idx].as_deref().expect("reconstructed");
                 let arrive = self.topology.client_to_server(
                     fin,
                     self.server_of(osd),
                     good.len() as u64,
                 );
                 let w_fin = self.osds[osd as usize]
-                    .write_object(arrive, oid, &good, false)
+                    .write_object(arrive, oid, good, false)
                     .expect("checked up");
                 fin = fin.max(w_fin);
-                slots[idx] = Some(good);
                 self.corrupted.remove(&(osd, oid));
                 repaired += 1;
             }
         }
+        self.parity_scratch = parity;
         (fin, detected, repaired)
     }
 

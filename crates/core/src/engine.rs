@@ -329,8 +329,6 @@ struct Attempt {
     off: u32,
     /// Write payload and its checksum.
     payload: Option<(Vec<u8>, u64)>,
-    /// The payload's RS shards (EC writes, once encoded).
-    shards: Option<Vec<Vec<u8>>>,
 }
 
 /// What the scheduler does with an op after one attempt.
@@ -600,6 +598,10 @@ pub struct Engine {
     /// Recycled read buffer: cluster reads land here instead of a fresh
     /// allocation per op.
     read_buf: Vec<u8>,
+    /// Recycled encode buffer: an EC write's parity, after any padded
+    /// data chunk, as `ReedSolomon::encode_into` fills it.  The payload
+    /// lends its whole chunks, so the shards reach the cluster borrowed.
+    parity_buf: Vec<u8>,
     /// Recycled device buffer for the card-side placement lookup.
     place_buf: Vec<i32>,
     /// Events popped by the shared event loop, both admission modes
@@ -689,6 +691,7 @@ impl Engine {
             degraded_ops: 0,
             scratch: Vec::new(),
             read_buf: Vec::new(),
+            parity_buf: Vec::new(),
             place_buf: Vec::new(),
             events: 0,
             fused: 0,
@@ -1246,7 +1249,6 @@ impl Engine {
             ],
             obj, target, off,
             payload: op.write.then(|| self.payload_for(op.len as usize)),
-            shards: None,
         }
     }
 
@@ -1283,7 +1285,9 @@ impl Engine {
         let ec_write = a.op.write && self.cfg.mode == Mode::ErasureCoding;
         if !a.fpga {
             if let (true, Some((data, _))) = (ec_write, &a.payload) {
-                a.shards = Some(self.cluster.ec_codec(self.image.pool).encode(data));
+                self.cluster
+                    .ec_codec(self.image.pool)
+                    .encode_into(data, &mut self.parity_buf);
             }
             return;
         }
@@ -1305,11 +1309,10 @@ impl Engine {
         a.t += accel;
         // EC writes: the RS accelerator encodes on the card.
         if let (true, Some((data, _))) = (ec_write, &a.payload) {
-            let (shards, enc_t) = card.encode(data);
+            let enc_t = card.encode_into(data, &mut self.parity_buf);
             let enc_eff = if rtl { enc_t } else { enc_t * HLS_LATENCY_INFLATION };
             a.t += enc_eff;
             accel += enc_eff;
-            a.shards = Some(shards);
         }
         a.spans[Stage::Accel as usize].1 += accel;
         // FPGA TCP stack pipeline fill.
@@ -1343,8 +1346,10 @@ impl Engine {
             (Some((data, _)), Mode::Replication) => self
                 .cluster
                 .write_replicated_at(t, target, a.off as usize, data, op.random),
-            (Some(_), Mode::ErasureCoding) => {
-                let shards = a.shards.take().expect("EC write encoded");
+            (Some((data, _)), Mode::ErasureCoding) => {
+                // `accel` encoded this payload into `parity_buf`.
+                let rs = self.cluster.ec_codec(self.image.pool);
+                let shards = rs.shards_of(data, &self.parity_buf);
                 self.cluster
                     .write_ec_shards(t, target, op.len as usize, shards, op.random)
             }

@@ -17,12 +17,13 @@
 //!
 //! * [`gf256`] — arithmetic in GF(2^8) with the 0x11D polynomial (the
 //!   same field ISA-L and jerasure use): log/exp tables built at first
-//!   use, plus a SIMD split-nibble kernel (AVX2 byte shuffles over
-//!   per-constant 16-entry tables) for the encoder's slice multiply;
+//!   use, plus two SIMD kernels for the codec's slice multiply, GFNI
+//!   bit-matrix multiplies and AVX2 split-nibble byte shuffles;
 //! * [`matrix`] — dense matrices over the field, with inversion;
 //! * [`rs`] — systematic Reed-Solomon codes from Vandermonde-derived
-//!   encoding matrices: [`rs::ReedSolomon::encode`] and
-//!   [`rs::ReedSolomon::reconstruct`].
+//!   encoding matrices: [`rs::ReedSolomon::encode_into`] (one fused
+//!   pass into a caller's recycled buffer), [`rs::ReedSolomon::encode`]
+//!   and [`rs::ReedSolomon::reconstruct`].
 
 pub mod gf256;
 pub mod matrix;

@@ -6,7 +6,7 @@
 //! by the systematic encoding matrix; reconstruction inverts the rows
 //! corresponding to the surviving chunks.
 
-use crate::gf256::{mul_slice_xor, Gf256};
+use crate::gf256::{mul_rows, mul_slice_xor, Gf256, Kernel, MAX_ROWS, MAX_SRCS};
 use crate::matrix::Matrix;
 
 /// Erasure-coding errors.
@@ -87,37 +87,107 @@ impl ReedSolomon {
     /// Split `data` into `k` equal chunks (zero-padding the tail) and
     /// append `m` parity chunks.  Returns `k + m` shards of equal length.
     pub fn encode(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let chunk_len = data.len().div_ceil(self.k).max(1);
-        let mut shards: Vec<Vec<u8>> = Vec::with_capacity(self.shards());
-        for i in 0..self.k {
-            let start = (i * chunk_len).min(data.len());
-            let end = ((i + 1) * chunk_len).min(data.len());
-            let mut chunk = data[start..end].to_vec();
-            chunk.resize(chunk_len, 0);
-            shards.push(chunk);
-        }
-        let parity = self.encode_parity(&shards);
-        shards.extend(parity);
-        shards
+        let mut out = Vec::new();
+        self.encode_into(data, &mut out);
+        self.shards_of(data, &out).map(<[u8]>::to_vec).collect()
+    }
+
+    /// [`ReedSolomon::encode`] without copying the data: the chunks
+    /// that lie whole inside `data` stay there, and `out` receives the
+    /// rest — the zero-padded chunks holding the last `data.len() %
+    /// chunk` bytes, then the `m` parity chunks.  `out` is overwritten
+    /// in place, so a caller's recycled buffer keeps its allocation;
+    /// [`ReedSolomon::shards_of`] lists the `k + m` shards.
+    pub fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        let (chunk, whole) = self.split(data.len());
+        let pad_len = (self.k - whole) * chunk;
+        out.resize(pad_len + self.m * chunk, 0);
+        let (pad, parity) = out.split_at_mut(pad_len);
+        let rest = &data[whole * chunk..];
+        pad[..rest.len()].copy_from_slice(rest);
+        pad[rest.len()..].fill(0);
+        let shard = |c: usize| match c.checked_sub(whole) {
+            None => &data[c * chunk..][..chunk],
+            Some(p) => &pad[p * chunk..][..chunk],
+        };
+        self.parity_with(Kernel::detect(), shard, parity);
+    }
+
+    /// The `k + m` shards, in order, of `data` encoded into `out` by
+    /// [`ReedSolomon::encode_into`], all borrowed.
+    ///
+    /// # Panics
+    /// Panics if `out` is not the length `encode_into` gives it.
+    pub fn shards_of<'a>(&self, data: &'a [u8], out: &'a [u8]) -> impl Iterator<Item = &'a [u8]> {
+        let (chunk, whole) = self.split(data.len());
+        assert_eq!(
+            out.len(),
+            (self.shards() - whole) * chunk,
+            "not an encoding of {} bytes",
+            data.len()
+        );
+        data.chunks_exact(chunk).chain(out.chunks_exact(chunk))
+    }
+
+    /// The chunk length for `len` bytes of data, and how many chunks
+    /// lie whole inside the data.
+    fn split(&self, len: usize) -> (usize, usize) {
+        let chunk = len.div_ceil(self.k).max(1);
+        (chunk, len / chunk)
     }
 
     /// Compute the `m` parity shards for `k` equal-length data shards,
     /// owned (`&[Vec<u8>]`) or borrowed (`&[&[u8]]`).
     pub fn encode_parity<S: AsRef<[u8]>>(&self, data_shards: &[S]) -> Vec<Vec<u8>> {
-        assert_eq!(data_shards.len(), self.k, "need exactly k data shards");
-        let len = data_shards[0].as_ref().len();
+        let mut parity = Vec::new();
+        self.encode_parity_into(data_shards, &mut parity);
+        let len = parity.len() / self.m;
+        (0..self.m)
+            .map(|p| parity[p * len..][..len].to_vec())
+            .collect()
+    }
+
+    /// [`ReedSolomon::encode_parity`] into one buffer: the `m` parity
+    /// rows back to back.  `parity` is overwritten in place, so a
+    /// caller's recycled buffer keeps its allocation.
+    pub fn encode_parity_into<S: AsRef<[u8]>>(&self, data: &[S], parity: &mut Vec<u8>) {
+        assert_eq!(data.len(), self.k, "need exactly k data shards");
+        parity.resize(self.m * data[0].as_ref().len(), 0);
+        self.parity_with(Kernel::detect(), |c| data[c].as_ref(), parity);
+    }
+
+    /// The one encoder: fill `parity` with the `m` parity rows of data
+    /// shards `shard(0..k)`, on `kernel`.  Each [`mul_rows`] pass fuses
+    /// up to `MAX_ROWS` parity rows over up to `MAX_SRCS` data shards,
+    /// so RS(k ≤ 8, m ≤ 4) reads every data byte once.
+    fn parity_with<'a>(
+        &self,
+        kernel: Kernel,
+        shard: impl Fn(usize) -> &'a [u8],
+        parity: &mut [u8],
+    ) {
+        let len = shard(0).len();
         assert!(
-            data_shards.iter().all(|s| s.as_ref().len() == len),
+            (0..self.k).all(|c| shard(c).len() == len),
             "data shards must be equal length"
         );
-        let mut parity = vec![vec![0u8; len]; self.m];
-        for (p, out) in parity.iter_mut().enumerate() {
-            let row = self.k + p;
-            for (c, shard) in data_shards.iter().enumerate() {
-                mul_slice_xor(self.encoding.get(row, c), shard.as_ref(), out);
+        assert_eq!(parity.len(), self.m * len, "parity is not m rows");
+        if len == 0 {
+            return;
+        }
+        let mut coefs = [Gf256::ZERO; MAX_ROWS * MAX_SRCS];
+        for (g, rows) in parity.chunks_mut(MAX_ROWS * len).enumerate() {
+            let (row0, n_rows) = (self.k + g * MAX_ROWS, rows.len() / len);
+            for c0 in (0..self.k).step_by(MAX_SRCS) {
+                let n = MAX_SRCS.min(self.k - c0);
+                let srcs: [&[u8]; MAX_SRCS] =
+                    std::array::from_fn(|i| if i < n { shard(c0 + i) } else { &[] });
+                for (i, coef) in coefs[..n_rows * n].iter_mut().enumerate() {
+                    *coef = self.encoding.get(row0 + i / n, c0 + i % n);
+                }
+                mul_rows(kernel, &coefs[..n_rows * n], &srcs[..n], rows, c0 > 0);
             }
         }
-        parity
     }
 
     /// Reconstruct the original data shards from any `k` surviving
@@ -329,13 +399,11 @@ mod tests {
         }
     }
 
-    /// FNV-1a over every parity shard, in order.
-    fn parity_digest(shards: &[Vec<u8>], k: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in shards[k..].iter().flatten() {
-            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-        h
+    /// FNV-1a over a byte stream.
+    fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
     }
 
     /// A xorshift byte stream: every byte value, in no regular pattern.
@@ -351,15 +419,139 @@ mod tests {
             .collect()
     }
 
+    /// Every kernel this CPU runs; the others are skipped with a note.
+    fn kernels() -> Vec<Kernel> {
+        [Kernel::Gfni, Kernel::Nibble, Kernel::Scalar]
+            .into_iter()
+            .filter(|k| {
+                let ok = k.available();
+                if !ok {
+                    eprintln!("note: this CPU lacks the {k:?} kernel, so it is skipped");
+                }
+                ok
+            })
+            .collect()
+    }
+
     #[test]
     fn parity_matches_pinned_digests() {
         // Recorded with the log/exp multiply alone, so a wrong SIMD
         // product table fails here even where the SIMD and scalar
         // kernels agree with each other.
         let rs = ReedSolomon::new(4, 2);
-        let digest = |len| parity_digest(&rs.encode(&noise(len)), 4);
-        assert_eq!(digest(16384), 0xe948_6d1b_0793_1134);
-        assert_eq!(digest(1000), 0xde2b_48da_903e_ce94);
+        for (len, want) in [
+            (16384, 0xe948_6d1b_0793_1134),
+            (1000, 0xde2b_48da_903e_ce94),
+        ] {
+            let data = noise(len);
+            let shards = rs.encode(&data);
+            assert_eq!(
+                fnv(shards[4..].iter().flatten().copied()),
+                want,
+                "encode, {len} B"
+            );
+            let mut out = vec![0x5A; 3];
+            rs.encode_into(&data, &mut out);
+            let parity = rs.shards_of(&data, &out).skip(4).flatten();
+            assert_eq!(fnv(parity.copied()), want, "encode_into, {len} B");
+            let mut parity = Vec::new();
+            rs.encode_parity_into(&shards[..4], &mut parity);
+            assert_eq!(
+                fnv(parity.iter().copied()),
+                want,
+                "encode_parity_into, {len} B"
+            );
+            for kernel in kernels() {
+                parity.fill(0x5A);
+                rs.parity_with(kernel, |c| &shards[c], &mut parity);
+                assert_eq!(fnv(parity.iter().copied()), want, "{kernel:?}, {len} B");
+            }
+        }
+    }
+
+    /// The `m` parity rows of `data`, back to back, by the per-byte
+    /// `Gf256::mul` alone.
+    fn oracle_parity(rs: &ReedSolomon, data: &[&[u8]]) -> Vec<u8> {
+        let len = data[0].len();
+        let mut out = vec![0u8; rs.m() * len];
+        for (p, row) in out.chunks_exact_mut(len).enumerate() {
+            for (c, shard) in data.iter().enumerate() {
+                let coef = rs.coefficient(rs.k() + p, c);
+                for (o, &b) in row.iter_mut().zip(*shard) {
+                    *o ^= coef.mul(Gf256(b)).0;
+                }
+            }
+        }
+        out
+    }
+
+    const PROFILES: [(usize, usize); 4] = [(1, 1), (4, 2), (10, 4), (16, 4)];
+    const LENS: [usize; 7] = [1, 31, 32, 33, 1001, 4096, 16384];
+
+    #[test]
+    fn encode_parity_into_matches_oracle() {
+        for (k, m) in PROFILES {
+            let rs = ReedSolomon::new(k, m);
+            for len in LENS {
+                let bytes = noise(k * len);
+                let data: Vec<&[u8]> = bytes.chunks_exact(len).collect();
+                let want = oracle_parity(&rs, &data);
+                // A dirty buffer with room to spare keeps its allocation.
+                let mut parity = Vec::with_capacity(m * len + 64);
+                parity.resize(m * len + 7, 0xA5);
+                let cap = parity.capacity();
+                rs.encode_parity_into(&data, &mut parity);
+                assert_eq!(parity, want, "RS({k},{m}) shard {len} B");
+                assert_eq!(
+                    parity.capacity(),
+                    cap,
+                    "RS({k},{m}) shard {len} B reallocated"
+                );
+                for kernel in kernels() {
+                    parity.fill(0xA5);
+                    rs.parity_with(kernel, |c| data[c], &mut parity);
+                    assert_eq!(parity, want, "RS({k},{m}) shard {len} B, {kernel:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_lends_the_data_and_pads_the_tail() {
+        for (k, m) in PROFILES {
+            let rs = ReedSolomon::new(k, m);
+            for len in LENS.into_iter().chain([0, 5]) {
+                let data = noise(len);
+                let chunk = len.div_ceil(k).max(1);
+                // The shards `encode` has always made: the data cut into
+                // k chunks, zero-padded, then the oracle's parity.
+                let mut padded = data.clone();
+                padded.resize(k * chunk, 0);
+                let chunks: Vec<&[u8]> = padded.chunks_exact(chunk).collect();
+                let parity = oracle_parity(&rs, &chunks);
+                let want: Vec<&[u8]> = chunks
+                    .iter()
+                    .copied()
+                    .chain(parity.chunks_exact(chunk))
+                    .collect();
+                let mut out = vec![0xA5; 2 * len + 3];
+                rs.encode_into(&data, &mut out);
+                let got: Vec<&[u8]> = rs.shards_of(&data, &out).collect();
+                assert_eq!(got, want, "RS({k},{m}) payload {len} B");
+                // Only the tail is copied.
+                let whole = len / chunk;
+                assert_eq!(
+                    out.len(),
+                    (k + m - whole) * chunk,
+                    "RS({k},{m}) payload {len} B"
+                );
+                assert_eq!(
+                    rs.encode(&data),
+                    want,
+                    "RS({k},{m}) payload {len} B, encode"
+                );
+            }
+        }
     }
 
     #[test]

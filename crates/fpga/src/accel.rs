@@ -252,12 +252,23 @@ impl RsEncoderAccel {
     /// Encode `data`, returning the shards and the time consumed:
     /// pipeline fill + streaming beats.
     pub fn encode(&mut self, data: &[u8]) -> (Vec<Vec<u8>>, SimDuration) {
-        let shards = self.rs.encode(data);
+        let mut out = Vec::new();
+        let d = self.encode_into(data, &mut out);
+        (
+            self.rs.shards_of(data, &out).map(<[u8]>::to_vec).collect(),
+            d,
+        )
+    }
+
+    /// [`RsEncoderAccel::encode`] into a recycled buffer, as
+    /// [`ReedSolomon::encode_into`] fills it; returns the time consumed.
+    pub fn encode_into(&mut self, data: &[u8], out: &mut Vec<u8>) -> SimDuration {
+        self.rs.encode_into(data, out);
         let beats = (data.len() as u64).div_ceil(DATAPATH_BYTES);
         let cycles = table_i(AccelKind::RsEncoder).rtl_cycles.1 + beats;
         self.ops += 1;
         self.bytes += data.len() as u64;
-        (shards, self.clock.cycles(cycles))
+        self.clock.cycles(cycles)
     }
 
     /// (encode operations, payload bytes encoded).
@@ -315,6 +326,11 @@ mod tests {
         let (hw_shards, d) = accel.encode(&data);
         let sw_shards = ReedSolomon::new(4, 2).encode(&data);
         assert_eq!(hw_shards, sw_shards);
+        let mut out = Vec::new();
+        assert_eq!(accel.encode_into(&data, &mut out), d);
+        let rs = ReedSolomon::new(4, 2);
+        assert!(rs.shards_of(&data, &out).eq(sw_shards.iter().map(Vec::as_slice)));
+        assert_eq!(accel.counters(), (2, 2 * 4096));
         // 150 + 128 beats = 278 cycles ≈ 1.18 µs.
         assert!((1_000..1_400).contains(&d.as_nanos()), "{d}");
     }

@@ -126,6 +126,15 @@ impl AlveoU280 {
         (shards, d)
     }
 
+    /// [`AlveoU280::encode`] into a recycled buffer, as
+    /// [`deliba_ec::ReedSolomon::encode_into`] fills it; returns the
+    /// time consumed.
+    pub fn encode_into(&mut self, data: &[u8], out: &mut Vec<u8>) -> SimDuration {
+        let d = self.rs.encode_into(data, out);
+        self.accel_busy += d;
+        d
+    }
+
     /// Begin a DFX swap.
     pub fn reconfigure(&mut self, now: SimTime, target: RmId) -> Result<SimTime, DfxError> {
         let done = self.dfx.reconfigure(now, target)?;
