@@ -997,16 +997,36 @@ pub fn perf() -> Experiment {
     let tele_recording_overhead = tele_recording_overhead.max(0.0);
 
     // The EC-write cell: the engine shape whose host time is lane-local
-    // compute (payload fill, FNV checksum, shard copies, the SIMD
-    // RS(4, 2) multiply).  Best of 3 like the reference; its events per
+    // compute (payload fill, FNV checksum, the SIMD RS(4, 2) parity
+    // encode).  Three jobs of random 16 KiB writes land on an 8 MiB span
+    // (512 extents), like the benchmark's `ec-randwrite`, so the shard
+    // store covers the span early and most timed writes overwrite rather
+    // than create objects.  Best of 3 like the reference; its events per
     // second is the EC path's `--baseline` ratchet.
-    let ec_spec = FioSpec::paper(RwMode::Write, Pattern::Rand, 16384, CELL_OPS);
+    let ec_jobs: Vec<Vec<_>> = {
+        use deliba_core::TraceOp;
+        use deliba_sim::{SimRng, Xoshiro256};
+        const BLOCK: u32 = 16384;
+        const SPAN: u64 = 8 << 20;
+        let mut rng = Xoshiro256::seed_from_u64(1);
+        (0..3)
+            .map(|_| {
+                (0..CELL_OPS / 3)
+                    .map(|_| {
+                        let offset = rng.gen_range(SPAN / BLOCK as u64) * BLOCK as u64;
+                        TraceOp::write(offset, BLOCK, true)
+                    })
+                    .collect()
+            })
+            .collect()
+    };
     let mut ec_wall = f64::INFINITY;
     let mut ec_events = 0u64;
     for _ in 0..3 {
         let mut e = Engine::new(EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding));
+        let jobs = ec_jobs.clone();
         let t0 = Instant::now();
-        let r = e.run_fio(&ec_spec);
+        let r = e.run_trace(jobs, 32);
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(r.verify_failures, 0);
         if wall < ec_wall {

@@ -10,6 +10,7 @@ use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_net::LinkFaultProfile;
 use deliba_qdma::DmaFaultProfile;
 use deliba_sim::{SimDuration, SimTime};
+use std::process::Command;
 use std::sync::Mutex;
 
 /// Run `f` once on the serial runner and once on `jobs` sweep workers.
@@ -114,6 +115,21 @@ fn chaos_run_with_same_seed_and_schedule_is_bit_identical() {
     }
 }
 
+/// Run the `harness` binary with `args`, require exit 0 and return its
+/// stdout.
+fn harness(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+        .args(args)
+        .output()
+        .expect("run harness");
+    assert!(
+        out.status.success(),
+        "harness {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("harness stdout is UTF-8")
+}
+
 /// The value of the cell labelled exactly `(config, workload)`.
 fn measured(exp: &Experiment, config: &str, workload: &str) -> f64 {
     exp.cells
@@ -164,8 +180,9 @@ fn chaos_experiment_ignores_worker_count() {
     }
 }
 
-/// The degraded-mode sweeps replay byte-identically and keep their
-/// headline claims: recovery aggressiveness (`max_active` 1 → 4 → 16)
+/// The degraded-mode sweeps replay byte-identically, in this process and
+/// through `harness recovery --json` and `harness scrub --json`, and keep
+/// their headline claims: recovery aggressiveness (`max_active` 1 → 4 → 16)
 /// costs foreground p99 against the healthy baseline and buys
 /// time-to-clean, every crash recovers data without loss, and every
 /// scrub cadence detects and repairs every injected bit-rot flip.
@@ -184,6 +201,11 @@ fn recovery_and_scrub_replay_and_hold_their_invariants() {
         json(&deliba_bench::scrub()),
         "scrub must replay"
     );
+    let cli = |e: &Experiment| {
+        serde_json::to_string_pretty(std::slice::from_ref(e)).expect("serializable") + "\n"
+    };
+    assert_eq!(harness(&["recovery", "--json"]), cli(&rec), "harness recovery --json");
+    assert_eq!(harness(&["scrub", "--json"]), cli(&scrub), "harness scrub --json");
 
     let crash = |n: u32| format!("crash + max_active {n}");
     let base = measured(&rec, "healthy baseline", "foreground p99");
@@ -246,7 +268,7 @@ fn serial_and_parallel_sweeps_are_byte_identical() {
 
 /// The open-loop sweep `harness loadcurve --rate 2,8,32,128
 /// --admission-cap 64 --json` emits the same reports on one worker and
-/// on four.
+/// on four, and the binary prints exactly those reports.
 #[test]
 fn loadcurve_sweep_ignores_worker_count() {
     let opts = LoadCurveOpts {
@@ -260,6 +282,8 @@ fn loadcurve_sweep_ignores_worker_count() {
     };
     let (serial, parallel) = serial_then_parallel("4", reports);
     assert_eq!(serial, parallel, "loadcurve output must not depend on worker count");
+    let cli = harness(&["loadcurve", "--rate", "2,8,32,128", "--admission-cap", "64", "--json"]);
+    assert_eq!(cli, serial + "\n", "harness loadcurve --json");
 }
 
 /// Full-harness equivalent of the test above — every experiment in

@@ -1,18 +1,10 @@
 //! Workspace hygiene: every package under `crates/` and `vendor/` is
 //! reachable from the root package `deliba-k`, so no crate or vendored
-//! stand-in sits in the workspace that nothing imports, apart from
-//! those on [`AWAITING_DELETION`].
+//! stand-in sits in the workspace that nothing imports.
 
 use serde::Value;
 use std::collections::{HashMap, HashSet};
 use std::process::Command;
-
-/// Packages that nothing imports and that await their own deletion
-/// change (ROADMAP item 2).  `deliba-blkmq` models the block layer that
-/// the engine charges as the calibrated constants `calib::MQ_SCHED` and
-/// `calib::MQ_BYPASS`.  The check is exact, so the list must shrink
-/// when a package on it goes.
-const AWAITING_DELETION: &[&str] = &["deliba-blkmq"];
 
 fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
     v.get(key).unwrap_or_else(|| panic!("cargo metadata: no `{key}`"))
@@ -88,5 +80,5 @@ fn every_workspace_package_is_reachable_from_the_root() {
         .map(|(name, _)| name)
         .collect();
     orphans.sort_unstable();
-    assert_eq!(orphans, AWAITING_DELETION, "workspace packages nothing imports");
+    assert!(orphans.is_empty(), "workspace packages nothing imports: {orphans:?}");
 }
