@@ -51,18 +51,18 @@
 //!
 //! `trace` runs alone (it is a file-emitting export, not a figure): it
 //! writes `trace-<cell>.trace.json` (Chrome trace-event JSON — load in
-//! Perfetto or `chrome://tracing`) and `trace-<cell>.prom` (Prometheus
-//! text exposition) per cell into the `--out` directory (default `.`)
-//! and prints each cell's worst-K tail-latency attribution table.
+//! Perfetto or `chrome://tracing`) and `trace-<cell>.report.json` (the
+//! cell's `RunReport`) per cell into the `--out` directory (default
+//! `.`), and prints each cell's ring counts (events held and dropped)
+//! and worst-K tail-latency attribution table.
 //!
 //! `timeline` also runs alone: it runs the telemetry-plane experiment
 //! (open-loop ramp + mid-run OSD crash with recovery armed, asserting
 //! the burn-rate alert correlates with the degrade onset) and, when
 //! `--out <dir>` is given, writes `timeline.json` (the machine-checked
-//! timeline document), `timeline.csv`, `timeline.prom` (timestamped
-//! series), `timeline.trace.json` (Chrome counter tracks) and
-//! `timeline.report.json` (the carrier `RunReport` with its `slo`
-//! section) into the directory.
+//! timeline document: SLO verdict, annotations and every window's
+//! series) and `timeline.report.json` (the carrier `RunReport` with its
+//! `slo` section) into the directory.
 //!
 //! Each engine run is serial.  Multi-core use comes from the sweeps:
 //! they run cells on `DELIBA_JOBS` worker threads (default: all
@@ -220,8 +220,22 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Write `body` to `path`, or exit 1 naming the path.
+fn write_or_exit(path: &std::path::Path, body: &str) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
+/// The pretty JSON of `report` plus a newline, as the file exports
+/// write it.
+fn report_json(report: &deliba_core::RunReport) -> String {
+    serde_json::to_string_pretty(report).expect("serializable") + "\n"
+}
+
 /// The `trace` subcommand: run the flight-recorder cells and write each
-/// one's Chrome trace + Prometheus dump into `out_dir`.
+/// one's Chrome trace + run report into `out_dir`.
 fn run_trace(depth_flag: Option<String>, out_dir: Option<String>) {
     let depth_str = depth_flag.unwrap_or_else(|| "full".into());
     let Some(depth) = deliba_sim::TraceDepth::parse(&depth_str) else {
@@ -243,27 +257,24 @@ fn run_trace(depth_flag: Option<String>, out_dir: Option<String>) {
     println!("== trace — flight-recorder export (depth {})", depth.label());
     for cell in run_trace_cells(depth) {
         let chrome_path = dir.join(format!("trace-{}.trace.json", cell.name));
-        let prom_path = dir.join(format!("trace-{}.prom", cell.name));
-        for (path, body) in [(&chrome_path, &cell.chrome), (&prom_path, &cell.prom)] {
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        let report_path = dir.join(format!("trace-{}.report.json", cell.name));
+        write_or_exit(&chrome_path, &cell.chrome);
+        write_or_exit(&report_path, &report_json(&cell.report));
         println!(
-            "  {} → {} ({} events) + {}",
+            "  {} → {} ({} events held, {} dropped) + {}",
             cell.name,
             chrome_path.display(),
             cell.stats.held,
-            prom_path.display()
+            cell.stats.dropped,
+            report_path.display()
         );
         print!("{}", worst_k_table(&cell));
     }
 }
 
 /// The `timeline` subcommand: run the telemetry-plane experiment (the
-/// in-run alert asserts fire inside `timeline_with`) and write the four
-/// series exports plus the carrier report into `out_dir` when given.
+/// in-run alert asserts fire inside `timeline_with`) and write the
+/// timeline document plus the carrier report into `out_dir` when given.
 fn run_timeline(opts: TimelineOpts, out_dir: Option<String>) {
     let (exp, art) = timeline_with(&opts);
     exp.print();
@@ -273,20 +284,13 @@ fn run_timeline(opts: TimelineOpts, out_dir: Option<String>) {
         eprintln!("cannot create {}: {e}", dir.display());
         std::process::exit(1);
     }
-    let report_body = serde_json::to_string_pretty(&art.report).expect("serializable") + "\n";
     let files = [
-        ("timeline.json", &art.timeline_json),
-        ("timeline.csv", &art.csv),
-        ("timeline.prom", &art.prom),
-        ("timeline.trace.json", &art.chrome),
-        ("timeline.report.json", &report_body),
+        ("timeline.json", art.timeline_json),
+        ("timeline.report.json", report_json(&art.report)),
     ];
     for (name, body) in files {
         let path = dir.join(name);
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        write_or_exit(&path, &body);
         println!("  wrote {}", path.display());
     }
 }
@@ -500,11 +504,11 @@ fn main() {
         usage();
     }
 
-    // `timeline` runs alone too: its `--out` is a directory of series
-    // exports, not a JSON path.
+    // `timeline` runs alone too: its `--out` is a directory, not a JSON
+    // path.
     if expanded.iter().any(|w| w == "timeline") {
         if expanded.len() != 1 {
-            eprintln!("`timeline` runs alone (its --out is a directory of series exports)");
+            eprintln!("`timeline` runs alone (its --out is a directory, not a JSON path)");
             usage();
         }
         run_timeline(tl, out);

@@ -852,6 +852,33 @@ pub fn breakdown() -> Experiment {
 // Harness perf gate (not a paper artifact)
 // ---------------------------------------------------------------------
 
+/// One timed leg of the perf gate: best of 3 fresh engines.  `setup`
+/// builds the engine and its input untimed; only `run` is timed.  The
+/// first run in a process pays one-time page-fault and allocator warmup
+/// that is not the engine's cost, and the run is deterministic, so every
+/// repeat produces identical counters.  Returns the fastest rep's wall
+/// seconds and events per second, and the last rep's report.
+fn best_of_3<I>(
+    setup: impl Fn() -> (Engine, I),
+    run: impl Fn(&mut Engine, I) -> RunReport,
+) -> (f64, f64, RunReport) {
+    let mut best = (f64::INFINITY, 0.0);
+    let mut last = None;
+    for _ in 0..3 {
+        let (mut e, input) = setup();
+        let t0 = std::time::Instant::now();
+        let r = run(&mut e, input);
+        let wall = t0.elapsed().as_secs_f64();
+        assert_eq!(r.verify_failures, 0);
+        if wall < best.0 {
+            let events = r.counters.expect("engine reports carry counters").events;
+            best = (wall, events as f64 / wall.max(1e-9));
+        }
+        last = Some(r);
+    }
+    (best.0, best.1, last.expect("three reps ran"))
+}
+
 /// Wall-clock perf gate: fixed reference workloads through the full
 /// engine, reporting wall time and events per second.  This is the
 /// reproduction's own benchmark (CI tracks it as `BENCH_harness.json`),
@@ -863,29 +890,11 @@ pub fn perf() -> Experiment {
 
     // Reference workload: the Fig. 7 headline cell (DeLiBA-K hardware
     // path, replication, 4 kB random read) at 5× the usual cell budget.
-    // Best of 3 fresh engines: the first run in a process pays one-time
-    // page-fault and allocator warmup (roughly 3× the steady-state wall
-    // on the CI box) that is not the engine's cost, and the run is
-    // deterministic so every repeat produces identical counters.
     let spec = FioSpec::paper(RwMode::Read, Pattern::Rand, 4096, 5 * CELL_OPS);
-    let mut engine_wall = f64::INFINITY;
-    let mut engine_events = 0u64;
-    let mut reference = None;
-    for _ in 0..3 {
-        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
-        let mut e = Engine::new(cfg);
-        let t0 = Instant::now();
-        let r = e.run_fio(&spec);
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(e.verify_failures(), 0);
-        if wall < engine_wall {
-            engine_wall = wall;
-            engine_events = r.counters.expect("engine reports carry counters").events;
-        }
-        reference = Some(r);
-    }
-    let r = reference.expect("best-of-3 ran");
-    let engine_evps = engine_events as f64 / engine_wall.max(1e-9);
+    let (engine_wall, engine_evps, r) = best_of_3(
+        || (Engine::new(EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)), ()),
+        |e, ()| e.run_fio(&spec),
+    );
     let counters = r.counters.expect("engine reports carry counters");
     let fused_share = counters.fused_events as f64 / counters.events.max(1) as f64;
     let events_per_io = counters.events as f64 / r.ops.max(1) as f64;
@@ -909,8 +918,7 @@ pub fn perf() -> Experiment {
     // Recovery-active engine rate: the same closed loop with an OSD
     // crash mid-run and the background scheduler armed (backfill plus a
     // deep-scrub cadence), so the cell prices the recovery machinery's
-    // event overhead next to the fault-free reference above.  Best of 3
-    // like the reference; the run itself is deterministic.
+    // event overhead next to the fault-free reference above.
     let recovery_evps = {
         use deliba_cluster::RecoveryPolicy;
         use deliba_core::TraceOp;
@@ -926,8 +934,7 @@ pub fn perf() -> Experiment {
                 }
             })
             .collect();
-        let mut best = 0.0f64;
-        for _ in 0..3 {
+        let setup = || {
             let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
                 .with_resilience(ResiliencePolicy::default())
                 .with_recovery(
@@ -937,16 +944,12 @@ pub fn perf() -> Experiment {
             e.set_fault_schedule(
                 FaultSchedule::new().osd_crash(SimTime::from_nanos(2_000_000), 5),
             );
-            let t0 = Instant::now();
-            let r = e.run_trace(vec![trace.clone()], 8);
-            let wall = t0.elapsed().as_secs_f64();
-            assert_eq!(r.verify_failures, 0);
-            let rec = r.recovery.expect("armed");
-            assert!(rec.objects_recovered > 0, "the crash must cost something");
-            let events = r.counters.expect("engine reports carry counters").events;
-            best = best.max(events as f64 / wall.max(1e-9));
-        }
-        best
+            (e, ())
+        };
+        let (_, evps, r) = best_of_3(setup, |e, ()| e.run_trace(vec![trace.clone()], 8));
+        let rec = r.recovery.expect("armed");
+        assert!(rec.objects_recovered > 0, "the crash must cost something");
+        evps
     };
 
     // Observation cost.  The disabled path (`TraceDepth::Off` and no
@@ -1001,8 +1004,8 @@ pub fn perf() -> Experiment {
     // encode).  Three jobs of random 16 KiB writes land on an 8 MiB span
     // (512 extents), like the benchmark's `ec-randwrite`, so the shard
     // store covers the span early and most timed writes overwrite rather
-    // than create objects.  Best of 3 like the reference; its events per
-    // second is the EC path's `--baseline` ratchet.
+    // than create objects.  Its events per second is the EC path's
+    // `--baseline` ratchet.
     let ec_jobs: Vec<Vec<_>> = {
         use deliba_core::TraceOp;
         use deliba_sim::{SimRng, Xoshiro256};
@@ -1020,21 +1023,13 @@ pub fn perf() -> Experiment {
             })
             .collect()
     };
-    let mut ec_wall = f64::INFINITY;
-    let mut ec_events = 0u64;
-    for _ in 0..3 {
-        let mut e = Engine::new(EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding));
-        let jobs = ec_jobs.clone();
-        let t0 = Instant::now();
-        let r = e.run_trace(jobs, 32);
-        let wall = t0.elapsed().as_secs_f64();
-        assert_eq!(r.verify_failures, 0);
-        if wall < ec_wall {
-            ec_wall = wall;
-            ec_events = r.counters.expect("engine reports carry counters").events;
-        }
-    }
-    let ec_evps = ec_events as f64 / ec_wall.max(1e-9);
+    let (ec_wall, ec_evps, _) = best_of_3(
+        || {
+            let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding);
+            (Engine::new(cfg), ec_jobs.clone())
+        },
+        |e, jobs| e.run_trace(jobs, 32),
+    );
 
     Experiment {
         id: "perf".into(),
@@ -1553,8 +1548,8 @@ impl Default for TimelineOpts {
     }
 }
 
-/// Exported artifacts of one timeline run: the carrier report plus all
-/// four telemetry-plane exports, ready to write to disk.
+/// Exported artifacts of one timeline run: the carrier report plus the
+/// telemetry plane's timeline document, ready to write to disk.
 #[derive(Debug, Clone)]
 pub struct TimelineArtifacts {
     /// The run's report (carries the `slo` section).
@@ -1562,12 +1557,6 @@ pub struct TimelineArtifacts {
     /// Machine-checked timeline document (CI re-derives the alert
     /// invariants from this).
     pub timeline_json: String,
-    /// One row per window.
-    pub csv: String,
-    /// Timestamped Prometheus series.
-    pub prom: String,
-    /// Chrome-trace counter tracks.
-    pub chrome: String,
 }
 
 /// The telemetry-plane showcase: an open-loop ramp that ends past
@@ -1717,9 +1706,6 @@ pub fn timeline_with(opts: &TimelineOpts) -> (Experiment, TimelineArtifacts) {
         .telemetry(|r| TimelineArtifacts {
             report: run.report.clone(),
             timeline_json: r.timeline_json(),
-            csv: r.csv(),
-            prom: r.prom_series(&config, "open-loop"),
-            chrome: r.chrome_json(),
         })
         .expect("recording");
 

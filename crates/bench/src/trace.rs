@@ -2,8 +2,8 @@
 //!
 //! Runs a small, pinned set of cells with the per-I/O flight recorder
 //! armed and snapshots each one as a Chrome trace-event JSON (load it
-//! in Perfetto / `chrome://tracing`), a Prometheus text-exposition
-//! dump, and a worst-K tail-latency attribution table.  The cells:
+//! in Perfetto / `chrome://tracing`), its run report, and a worst-K
+//! tail-latency attribution table.  The cells:
 //!
 //! * one latency probe per framework generation (D1 / D2 / DK,
 //!   rand-read 4 kB, qd 1) — the Table-II span structure on a timeline;
@@ -12,12 +12,12 @@
 //!   the `fault` track as instant events.
 //!
 //! Everything here is deterministic at a fixed depth: two same-seed
-//! invocations emit byte-identical `.trace.json` and `.prom` files.
+//! invocations emit byte-identical `.trace.json` and `.report.json`
+//! files.
 
 use crate::experiments::PROBE_OPS;
 use deliba_core::{
-    prometheus_dump, Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RunReport, RwMode,
-    TraceOp,
+    Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RunReport, RwMode, TraceOp,
 };
 use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_fpga::RmId;
@@ -32,7 +32,7 @@ pub const WORST_K: usize = 8;
 /// Ops per chaos-cell job (writes + read-backs).
 const CHAOS_OPS_PER_JOB: u64 = 600;
 
-/// One flight-recorded cell: the run report plus every export form.
+/// One flight-recorded cell: the run report plus the ring's exports.
 #[derive(Debug, Clone)]
 pub struct TraceCell {
     /// File-stem name, e.g. `"dk-rand-read-4k"`.
@@ -42,8 +42,6 @@ pub struct TraceCell {
     pub report: RunReport,
     /// Chrome trace-event JSON (Perfetto-loadable).
     pub chrome: String,
-    /// Prometheus text-exposition dump.
-    pub prom: String,
     /// Worst-K I/O chains by end-to-end span.
     pub worst: Vec<IoChain>,
     /// Recorder ring statistics.
@@ -54,7 +52,6 @@ fn snapshot(name: &'static str, report: RunReport, engine: &Engine) -> TraceCell
     let cell = move |ring: &TraceSink| TraceCell {
         name,
         chrome: ring.chrome_json(),
-        prom: prometheus_dump(&report, Some(&ring.stats())),
         worst: ring.worst_k(WORST_K),
         stats: ring.stats(),
         report,

@@ -2,14 +2,20 @@
 //!
 //! The contract: `harness all --json` is byte-reproducible — across
 //! runs, and across serial vs parallel sweep execution.  These tests
-//! pin both properties at the library level.
+//! pin both properties at the library level, and pin that the binary's
+//! JSON and file exports are exactly what the library returns.
 
-use deliba_bench::{loadcurve_with, runner, Experiment, LoadCurveOpts};
-use deliba_core::{Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RwMode, TraceOp};
+use deliba_bench::{
+    loadcurve_with, run_trace_cells, runner, worst_k_table, Experiment, LoadCurveOpts,
+};
+use deliba_core::{
+    Engine, EngineConfig, FioSpec, Generation, Mode, Pattern, RunReport, RwMode, TraceOp,
+};
 use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_net::LinkFaultProfile;
 use deliba_qdma::DmaFaultProfile;
-use deliba_sim::{SimDuration, SimTime};
+use deliba_sim::{SimDuration, SimTime, TraceDepth};
+use std::collections::BTreeMap;
 use std::process::Command;
 use std::sync::Mutex;
 
@@ -128,6 +134,68 @@ fn harness(args: &[&str]) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("harness stdout is UTF-8")
+}
+
+/// Run `harness <args> --out <fresh dir>`, require exit 0 and return
+/// its stdout plus every file it wrote, by name.
+fn harness_files(args: &[&str], tag: &str) -> (String, BTreeMap<String, String>) {
+    let dir = std::env::temp_dir().join(format!("deliba-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("temp dir is UTF-8");
+    let stdout = harness(&[args, &["--out", dir_arg]].concat());
+    let files = std::fs::read_dir(&dir)
+        .expect("harness created the out dir")
+        .map(|entry| {
+            let path = entry.expect("readable dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(&path).expect("exports are UTF-8"))
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).expect("remove the out dir");
+    (stdout, files)
+}
+
+/// A report as the file exports write it: pretty JSON plus a newline.
+fn report_file(report: &RunReport) -> String {
+    serde_json::to_string_pretty(report).expect("serializable") + "\n"
+}
+
+/// `got` holds exactly the files of `want`, each byte-identical.
+fn assert_same_files(got: &BTreeMap<String, String>, want: &BTreeMap<String, String>) {
+    assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>(), "file set");
+    for (name, body) in want {
+        assert!(got[name] == *body, "{name} differs from the library's export");
+    }
+}
+
+/// `harness trace --out D` writes each cell's Chrome trace and run
+/// report and nothing else, each exactly the library's, and prints each
+/// cell's ring counts and worst-K table.
+#[test]
+fn trace_out_writes_each_cells_trace_and_report() {
+    let (stdout, files) = harness_files(&["trace"], "trace");
+    let mut want = BTreeMap::new();
+    for cell in run_trace_cells(TraceDepth::Full) {
+        let counts = format!("({} events held, {} dropped)", cell.stats.held, cell.stats.dropped);
+        assert!(stdout.contains(&counts), "{}: stdout lacks {counts}", cell.name);
+        assert!(stdout.contains(&worst_k_table(&cell)), "{}: worst-K table", cell.name);
+        want.insert(format!("trace-{}.report.json", cell.name), report_file(&cell.report));
+        want.insert(format!("trace-{}.trace.json", cell.name), cell.chrome);
+    }
+    assert_same_files(&files, &want);
+}
+
+/// `harness timeline --out D` writes the timeline document and its
+/// carrier report and nothing else, each exactly the library's.
+#[test]
+fn timeline_out_writes_the_document_and_report() {
+    let (_, files) = harness_files(&["timeline"], "timeline");
+    let (_, art) = deliba_bench::timeline();
+    let want = BTreeMap::from([
+        ("timeline.json".to_string(), art.timeline_json),
+        ("timeline.report.json".to_string(), report_file(&art.report)),
+    ]);
+    assert_same_files(&files, &want);
 }
 
 /// The value of the cell labelled exactly `(config, workload)`.

@@ -114,10 +114,9 @@ fn telemetry_never_perturbs_the_run() {
     );
 }
 
-/// The exported series — timeline JSON, CSV, Prometheus, and the SLO
-/// section — is byte-identical on the test thread and on three threads
-/// running it side by side, as the sweep runner runs cells, for both
-/// run loops.
+/// The exported series — timeline JSON and the SLO section — is
+/// byte-identical on the test thread and on three threads running it
+/// side by side, as the sweep runner runs cells, for both run loops.
 #[test]
 fn series_is_invariant_under_the_thread_matrix() {
     let stream: Vec<ArrivalOp> = (0..1_500u64)
@@ -134,10 +133,7 @@ fn series_is_invariant_under_the_thread_matrix() {
         // Closed loop under chaos.
         let mut e = chaos_engine(true);
         let report = e.run_trace(vec![chaos_trace()], 8);
-        let mut series = e
-            .observer()
-            .telemetry(|r| (r.timeline_json(), r.csv(), r.prom_series("cfg", "closed")))
-            .expect("telemetry is on");
+        let mut series = e.observer().telemetry(|r| r.timeline_json()).expect("telemetry is on");
         let closed_slo = serde_json::to_string(&report.slo).unwrap();
         // Open loop with admission drops.
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
@@ -162,14 +158,10 @@ fn series_is_invariant_under_the_thread_matrix() {
         e.set_fault_schedule(FaultSchedule::new().osd_crash(SimTime::from_nanos(300_000), 9));
         let run = e.run_open_loop(&storm_stream, 256);
         assert!(run.report.recovery.expect("armed").objects_recovered > 0);
-        let storm = e
-            .observer()
-            .telemetry(|r| (r.timeline_json(), r.chrome_json()))
-            .expect("telemetry is on");
-        series.0.push_str(&closed_slo);
-        series.0.push_str(&open);
-        series.0.push_str(&storm.0);
-        series.0.push_str(&storm.1);
+        let storm = e.observer().telemetry(|r| r.timeline_json()).expect("telemetry is on");
+        series.push_str(&closed_slo);
+        series.push_str(&open);
+        series.push_str(&storm);
         series
     };
     let reference = run();

@@ -1,7 +1,7 @@
 //! Flight-recorder determinism and telescoping invariants.
 //!
-//! * Same-seed runs emit byte-identical Chrome traces and Prometheus
-//!   dumps — including the chaos cell, whose fault instants ride the
+//! * Same-seed runs emit byte-identical Chrome traces and run reports —
+//!   including the chaos cell, whose fault instants ride the
 //!   deterministic fault plane — and byte-identical timeline exports.
 //! * On a fault-free cell, every I/O's span chain is complete (all 11
 //!   stages, contiguous, in critical-path order) and the per-I/O sums
@@ -11,8 +11,7 @@
 //!   only the breakdown.
 //! * The four cells' Chrome JSON parses with the workspace's own JSON
 //!   model, every B has its matching E per (pid, tid) lane, and fault
-//!   instants appear exactly in the chaos cell; every Prometheus line
-//!   follows the text exposition grammar.
+//!   instants appear exactly in the chaos cell.
 //! * `harness trace` refuses a depth without a ring.
 
 use deliba_bench::{run_trace_cells, worst_k_table, WORST_K};
@@ -35,15 +34,15 @@ fn same_seed_runs_emit_byte_identical_exports() {
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.name, y.name);
         assert_eq!(x.chrome, y.chrome, "{}: chrome trace not reproducible", x.name);
-        assert_eq!(x.prom, y.prom, "{}: prometheus dump not reproducible", x.name);
+        assert_eq!(x.report, y.report, "{}: run report not reproducible", x.name);
         assert_eq!(x.stats.held, y.stats.held, "{}", x.name);
         assert_eq!(x.stats.dropped, y.stats.dropped, "{}", x.name);
     }
-    // The `timeline` experiment's five exports reproduce too.
+    // The `timeline` experiment's two exports reproduce too.
     let timeline_files = || {
         let (_, art) = deliba_bench::timeline();
         let report = serde_json::to_string_pretty(&art.report).expect("serializable");
-        [art.timeline_json, art.csv, art.prom, art.chrome, report]
+        [art.timeline_json, report]
     };
     assert_eq!(timeline_files(), timeline_files(), "timeline exports not reproducible");
 }
@@ -202,70 +201,6 @@ fn check_chrome(chrome: &str) -> BTreeSet<String> {
     assert_eq!(metadata, 7, "one process_name record per layer");
     assert!(stacks.values().all(Vec::is_empty), "every B closed by run end");
     faults
-}
-
-/// Every line of every cell's Prometheus dump is a `# HELP`/`# TYPE`
-/// comment or a sample line, and the run, stage and ring families are
-/// all there.
-#[test]
-fn prometheus_dumps_follow_the_exposition_grammar() {
-    for cell in run_trace_cells(TraceDepth::Full) {
-        for family in ["run_mean_latency_us", "stage_latency_us", "trace_events_held"] {
-            assert!(cell.prom.contains(&format!("deliba_{family}")), "{}: {family}", cell.name);
-        }
-        for line in cell.prom.lines() {
-            let comment = line.starts_with("# HELP ") || line.starts_with("# TYPE ");
-            assert!(comment || is_sample(line), "{}: bad exposition line: {line}", cell.name);
-        }
-    }
-    for good in ["a 1", "a_b:c{x=\"y\"} 1.5e-3", "m{a=\"q\\\"\",b=\"\"} -2"] {
-        assert!(is_sample(good), "{good}");
-    }
-    for bad in ["", "1a 1", "a", "a  1", "a{x=y} 1", "a{x=\"y\"", "a{x=\"y\",} 1", "a nan"] {
-        assert!(!is_sample(bad), "{bad}");
-    }
-}
-
-/// `name({label="value"(,label="value")*})? number`: names match
-/// `[a-zA-Z_:][a-zA-Z0-9_:]*` (no `:` in labels), values may escape
-/// with `\`, numbers are `[0-9.eE+-]+`.
-fn is_sample(line: &str) -> bool {
-    let ident = |s: &str, colon: bool| {
-        if s.starts_with(|c: char| c.is_ascii_digit()) {
-            return 0;
-        }
-        let n = s.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || colon && c == ':'));
-        n.unwrap_or(s.len())
-    };
-    let n = ident(line, true);
-    if n == 0 {
-        return false;
-    }
-    let mut rest = &line[n..];
-    if let Some(mut labels) = rest.strip_prefix('{') {
-        loop {
-            let n = ident(labels, false);
-            let Some(value) = labels[n..].strip_prefix("=\"").filter(|_| n > 0) else {
-                return false;
-            };
-            let mut escaped = false;
-            let close = value.char_indices().find(|&(_, c)| {
-                let hit = !escaped && c == '"';
-                escaped = !escaped && c == '\\';
-                hit
-            });
-            let Some((end, _)) = close else { return false };
-            labels = &value[end + 1..];
-            match labels.strip_prefix(',') {
-                Some(next) => labels = next,
-                None => break,
-            }
-        }
-        let Some(after) = labels.strip_prefix('}') else { return false };
-        rest = after;
-    }
-    let value = rest.strip_prefix(' ').unwrap_or("");
-    !value.is_empty() && value.chars().all(|c| c.is_ascii_digit() || ".eE+-".contains(c))
 }
 
 /// `harness trace` records nothing below the ring depths: `off` and

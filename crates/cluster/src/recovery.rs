@@ -495,10 +495,9 @@ impl Cluster {
                 }
                 let rs = self.ec_codec(oid.pool);
                 rs.reconstruct(&mut slots).ok()?;
-                let parity = rs.encode_parity(&data_shards(&slots, k));
-                for (pi, p) in parity.into_iter().enumerate() {
-                    slots[k + pi] = Some(p);
-                }
+                let mut parity = std::mem::take(&mut self.parity_scratch);
+                rs.encode_parity_into(&data_shards(&slots, k), &mut parity);
+                let parity_len = parity.len() / m;
                 // Survivors plus every other up placed holder keep their
                 // shards; rebuild the rest onto fresh acting members.
                 let mut held: Vec<i32> = survivors.iter().map(|&(o, _)| o).collect();
@@ -530,13 +529,16 @@ impl Cluster {
                 let mut moved = 0u64;
                 for idx in missing_idx {
                     let Some(dst) = targets.next() else { break };
-                    let shard = slots[idx].take().expect("filled above");
+                    let shard = match idx.checked_sub(k) {
+                        None => slots[idx].as_deref().expect("reconstructed"),
+                        Some(pi) => &parity[pi * parity_len..][..parity_len],
+                    };
                     let len = shard.len() as u64;
                     let arrive =
                         self.topology
                             .client_to_server(gather, self.server_of(dst), len);
                     let w_fin = self.osds[dst as usize]
-                        .write_object(arrive, oid, &shard, false)
+                        .write_object(arrive, oid, shard, false)
                         .expect("destination is up");
                     self.stale.remove(&(dst, oid));
                     self.corrupted.remove(&(dst, oid));
@@ -544,6 +546,7 @@ impl Cluster {
                     moved += len;
                     new_placed.push((dst, idx));
                 }
+                self.parity_scratch = parity;
                 self.shard_dir.insert(oid, (orig_len, new_placed));
                 Some((fin, moved))
             }
@@ -898,7 +901,7 @@ impl Cluster {
 }
 
 /// Borrow the `k` data shards of a full slot vector for
-/// [`deliba_ec::ReedSolomon::encode_parity`].
+/// [`deliba_ec::ReedSolomon::encode_parity_into`].
 fn data_shards(slots: &[Option<Vec<u8>>], k: usize) -> Vec<&[u8]> {
     slots[..k]
         .iter()

@@ -1519,8 +1519,7 @@ impl Engine {
                 src.sample_counters(&obs, at, queued);
             }
         };
-        // An event already known without a pop (the closed loop's fused
-        // completion path).
+        // The next event when the closed loop's re-arm already popped it.
         let mut fused = None;
         while let Some((now, token)) = fused.take().or_else(|| queue.pop()) {
             self.events += 1;
@@ -1589,24 +1588,14 @@ impl Engine {
                 continue;
             }
             complete_op(src, complete, complete.saturating_since(start), op.len, queue.len());
-            // Fused fast path: when the re-armed slot would be the very
-            // next event popped anyway — strictly earlier than everything
-            // pending (ties must round-trip through the heap so the
-            // sequence-number FIFO tiebreak is preserved) — consume it in
-            // place and skip the schedule/pop.
+            // Re-arm the slot and pop the next event in one queue call.
+            // A completion strictly earlier than everything pending comes
+            // straight back without touching the shards (ties round-trip
+            // so the sequence-number FIFO tiebreak holds); those are the
+            // fused events.
+            self.fused += queue.peek_time().is_none_or(|head| head > complete) as u64;
             let rearm = Token::Admit { lane };
-            fused = Some(match queue.peek_time() {
-                // Push-pop fused: the queue rewrites its root in place
-                // (the head pops first — its seq is smaller), identical
-                // in pop order to schedule_at + pop.
-                Some(head) if head <= complete => {
-                    queue.schedule_at_then_pop(lane as usize, complete, rearm)
-                }
-                _ => {
-                    self.fused += 1;
-                    (complete, rearm)
-                }
-            });
+            fused = Some(queue.schedule_at_then_pop(lane as usize, complete, rearm));
         }
         let window = last_complete.saturating_since(SimTime::ZERO);
         let mut report = RunReport::new(

@@ -24,15 +24,12 @@
 //! * [`hostpath`] — per-I/O host-side cost computation;
 //! * [`engine`] — the closed-loop virtual-time engine;
 //! * [`report`] — serializable run reports consumed by the benchmark
-//!   harness;
-//! * [`prom`] — Prometheus text-exposition export of a run report and
-//!   the flight recorder's ring statistics.
+//!   harness.
 
 pub mod calib;
 pub mod engine;
 pub mod generation;
 pub mod hostpath;
-pub mod prom;
 pub mod report;
 
 pub use engine::{
@@ -40,7 +37,6 @@ pub use engine::{
     IMAGE_BYTES,
 };
 pub use generation::Generation;
-pub use prom::prometheus_dump;
 pub use report::{
     LoadCurve, LoadPoint, PerfCounters, RecoveryCounters, ResilienceCounters, RunReport,
     StageBreakdown, StageSpanReport,

@@ -136,19 +136,9 @@ impl ReedSolomon {
         (chunk, len / chunk)
     }
 
-    /// Compute the `m` parity shards for `k` equal-length data shards,
-    /// owned (`&[Vec<u8>]`) or borrowed (`&[&[u8]]`).
-    pub fn encode_parity<S: AsRef<[u8]>>(&self, data_shards: &[S]) -> Vec<Vec<u8>> {
-        let mut parity = Vec::new();
-        self.encode_parity_into(data_shards, &mut parity);
-        let len = parity.len() / self.m;
-        (0..self.m)
-            .map(|p| parity[p * len..][..len].to_vec())
-            .collect()
-    }
-
-    /// [`ReedSolomon::encode_parity`] into one buffer: the `m` parity
-    /// rows back to back.  `parity` is overwritten in place, so a
+    /// Compute the `m` parity rows for `k` equal-length data shards,
+    /// owned (`&[Vec<u8>]`) or borrowed (`&[&[u8]]`), into one buffer:
+    /// the rows back to back.  `parity` is overwritten in place, so a
     /// caller's recycled buffer keeps its allocation.
     pub fn encode_parity_into<S: AsRef<[u8]>>(&self, data: &[S], parity: &mut Vec<u8>) {
         assert_eq!(data.len(), self.k, "need exactly k data shards");
@@ -193,7 +183,8 @@ impl ReedSolomon {
     /// Reconstruct the original data shards from any `k` surviving
     /// shards.  `shards[i] = None` marks an erasure.  On success, the
     /// erased *data* shards are filled in (parity shards are left as
-    /// provided; call [`ReedSolomon::encode_parity`] to rebuild them).
+    /// provided; call [`ReedSolomon::encode_parity_into`] to rebuild
+    /// them).
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
         if shards.len() != self.shards() {
             return Err(EcError::WrongShardCount {
@@ -375,12 +366,14 @@ mod tests {
         // Rebuild parity from recovered data and compare with original.
         let data_shards: Vec<Vec<u8>> =
             (0..4).map(|i| opt[i].clone().unwrap()).collect();
-        let parity = rs.encode_parity(&data_shards);
-        assert_eq!(parity[0], shards[4]);
-        assert_eq!(parity[1], shards[5]);
+        let mut parity = Vec::new();
+        rs.encode_parity_into(&data_shards, &mut parity);
+        assert_eq!(parity, [&shards[4][..], &shards[5][..]].concat());
         // Borrowed shards encode to the same parity.
         let borrowed: Vec<&[u8]> = opt[..4].iter().map(|s| s.as_deref().unwrap()).collect();
-        assert_eq!(rs.encode_parity(&borrowed), parity);
+        let mut again = Vec::new();
+        rs.encode_parity_into(&borrowed, &mut again);
+        assert_eq!(again, parity);
     }
 
     #[test]

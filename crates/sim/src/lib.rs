@@ -32,7 +32,7 @@
 //! * [`timeseries`] — the time-resolved telemetry plane
 //!   ([`timeseries::MetricsRecorder`]):
 //!   fixed-width virtual-time windows of ops/latency/gauge series with
-//!   SLO burn-rate alerts and CSV/JSON/Prometheus/Chrome exporters.
+//!   SLO burn-rate alerts and a timeline JSON exporter.
 
 pub mod metrics;
 pub mod observe;

@@ -1,7 +1,7 @@
 //! Time-resolved telemetry plane: fixed-width virtual-time windows.
 //!
 //! Every other observability surface is either an end-of-run aggregate
-//! (`StageBreakdown`, the Prometheus dump) or a per-I/O event stream
+//! (`StageBreakdown` in the report JSON) or a per-I/O event stream
 //! (the flight recorder).  This module adds the third axis — *time* —
 //! so a run can be read as a trajectory: per-window ops/drops/IOPS and
 //! latency quantiles, inflight/queue-depth gauges, per-OSD busy
@@ -32,12 +32,9 @@
 //! threshold, and clears when the short window falls back under it,
 //! each with a deterministic virtual-time stamp at a window boundary.
 //!
-//! Four exporters read the windows, all pure functions of recorder
-//! state: [`MetricsRecorder::csv`] (one row per window),
-//! [`MetricsRecorder::timeline_json`] (the machine-checked timeline
-//! document), [`MetricsRecorder::prom_series`] (timestamped Prometheus
-//! samples), and [`MetricsRecorder::chrome_json`] (Chrome counter
-//! tracks on the flight recorder's engine pid and timebase).
+//! One exporter reads the windows: [`MetricsRecorder::timeline_json`],
+//! the machine-checked timeline document, a pure function of recorder
+//! state.
 
 use crate::metrics::Histogram;
 use crate::time::{SimDuration, SimTime};
@@ -498,67 +495,6 @@ impl MetricsRecorder {
         }
     }
 
-    fn aggregate(w: &Window) -> (f64, f64, u32) {
-        let max = w.osd_busy.iter().copied().fold(0.0, f64::max);
-        let mean = if w.osd_busy.is_empty() {
-            0.0
-        } else {
-            w.osd_busy.iter().sum::<f64>() / w.osd_busy.len() as f64
-        };
-        let qd_max = w.osd_qd.iter().copied().max().unwrap_or(0);
-        (max, mean, qd_max)
-    }
-
-    /// One CSV row per window (per-OSD columns aggregated to
-    /// max/mean).
-    pub fn csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "window,start_us,end_us,ops,drops,kiops,bytes,p50_us,p99_us,mean_us,\
-             inflight,queue_depth,osd_busy_max,osd_busy_mean,osd_qd_max,\
-             link_client_tx_util,link_client_rx_util,link_server_util,link_cluster_util,\
-             recovery_backlog,scrub_objects,cache_hit_rate,retries,burn,annotations\n",
-        );
-        let slo = self.slo();
-        let width_us = self.width_ns as f64 / 1_000.0;
-        for (i, w) in self.windows.iter().enumerate() {
-            let (busy_max, busy_mean, qd_max) = Self::aggregate(w);
-            let kiops = w.ops as f64 / (self.width_ns as f64 / 1e9) / 1_000.0;
-            let anns: Vec<String> = w
-                .annotations
-                .iter()
-                .map(|a| format!("{}:{}", a.kind.label(), a.detail))
-                .collect();
-            let _ = writeln!(
-                out,
-                "{i},{start},{end},{ops},{drops},{kiops},{bytes},{p50},{p99},{mean},\
-                 {inflight},{qd},{busy_max},{busy_mean},{qd_max},\
-                 {l0},{l1},{l2},{l3},{backlog},{scrub},{hit},{retries},{burn},{anns}",
-                start = i as f64 * width_us,
-                end = (i + 1) as f64 * width_us,
-                ops = w.ops,
-                drops = w.drops,
-                bytes = w.bytes,
-                p50 = w.hist.quantile(0.50) / 1_000.0,
-                p99 = w.hist.quantile(0.99) / 1_000.0,
-                mean = w.hist.mean_us(),
-                inflight = w.inflight,
-                qd = w.queue_depth,
-                l0 = w.link_util[0],
-                l1 = w.link_util[1],
-                l2 = w.link_util[2],
-                l3 = w.link_util[3],
-                backlog = w.recovery_backlog,
-                scrub = w.scrub_objects,
-                hit = w.cache_hit_rate,
-                retries = w.retries,
-                burn = slo.burn[i],
-                anns = anns.join(";"),
-            );
-        }
-        out
-    }
-
     /// The timeline document: config, SLO verdict, annotations and the
     /// full window series as hand-written JSON (byte-identical across
     /// same-seed runs).
@@ -657,119 +593,6 @@ impl MetricsRecorder {
                 slo.burn[i],
                 anns.join(","),
             );
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-
-    /// Timestamped Prometheus series: one sample per window per family,
-    /// the timestamp slot carrying the window-end instant in virtual
-    /// *microseconds* (the exposition grammar calls the slot
-    /// milliseconds; virtual runs are too short for that resolution, so
-    /// the µs reading keeps consecutive windows distinct).
-    pub fn prom_series(&self, config: &str, workload: &str) -> String {
-        let esc = |v: &str| -> String {
-            v.chars()
-                .flat_map(|c| match c {
-                    '\\' => vec!['\\', '\\'],
-                    '"' => vec!['\\', '"'],
-                    '\n' => vec!['\\', 'n'],
-                    c => vec![c],
-                })
-                .collect()
-        };
-        let labels = format!("config=\"{}\",workload=\"{}\"", esc(config), esc(workload));
-        let slo = self.slo();
-        let mut out = String::new();
-        let families: [(&str, &str); 9] = [
-            ("deliba_ts_ops", "Ops completed in the window."),
-            ("deliba_ts_drops", "Arrivals dropped at admission in the window."),
-            ("deliba_ts_kiops", "Completion rate over the window, KIOPS."),
-            ("deliba_ts_p99_latency_us", "Window p99 latency, microseconds."),
-            ("deliba_ts_inflight", "In-flight ops at window close."),
-            ("deliba_ts_recovery_backlog", "Recovery backlog at window close."),
-            ("deliba_ts_scrub_objects", "Cumulative scrubbed objects at window close."),
-            ("deliba_ts_cache_hit_rate", "Placement-cache hit rate over the window span."),
-            ("deliba_ts_burn_rate", "SLO burn rate of the window."),
-        ];
-        for (name, help) in families {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for (i, w) in self.windows.iter().enumerate() {
-                let ts = (i as u64 + 1) * self.width_ns / 1_000;
-                let value = match name {
-                    "deliba_ts_ops" => w.ops as f64,
-                    "deliba_ts_drops" => w.drops as f64,
-                    "deliba_ts_kiops" => {
-                        w.ops as f64 / (self.width_ns as f64 / 1e9) / 1_000.0
-                    }
-                    "deliba_ts_p99_latency_us" => w.hist.quantile(0.99) / 1_000.0,
-                    "deliba_ts_inflight" => w.inflight as f64,
-                    "deliba_ts_recovery_backlog" => w.recovery_backlog as f64,
-                    "deliba_ts_scrub_objects" => w.scrub_objects as f64,
-                    "deliba_ts_cache_hit_rate" => w.cache_hit_rate,
-                    _ => slo.burn[i],
-                };
-                let _ = writeln!(out, "{name}{{{labels},window=\"{i}\"}} {value} {ts}");
-            }
-        }
-        let name = "deliba_ts_link_utilization";
-        let _ = writeln!(out, "# HELP {name} Link-class utilization over the window span.");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for (i, w) in self.windows.iter().enumerate() {
-            let ts = (i as u64 + 1) * self.width_ns / 1_000;
-            for (c, label) in LINK_CLASS_LABELS.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "{name}{{{labels},window=\"{i}\",link=\"{label}\"}} {} {ts}",
-                    w.link_util[c]
-                );
-            }
-        }
-        let name = "deliba_ts_osd_busy_fraction";
-        let _ = writeln!(out, "# HELP {name} Per-OSD busy fraction over the window span.");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for (i, w) in self.windows.iter().enumerate() {
-            let ts = (i as u64 + 1) * self.width_ns / 1_000;
-            for (osd, b) in w.osd_busy.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "{name}{{{labels},window=\"{i}\",osd=\"{osd}\"}} {b} {ts}"
-                );
-            }
-        }
-        out
-    }
-
-    /// A Chrome trace document of counter tracks, one event per window
-    /// per track.  Tracks land on pid 1 (the engine process) like the
-    /// flight recorder's counter samples.
-    pub fn chrome_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        let mut first = true;
-        let slo = self.slo();
-        for (i, w) in self.windows.iter().enumerate() {
-            let ns = (i as u64 + 1) * self.width_ns;
-            let ts = format!("{}.{:03}", ns / 1_000, ns % 1_000);
-            for (name, value) in [
-                ("ts_iops", w.ops * 1_000_000_000 / self.width_ns),
-                ("ts_p99_us", (w.hist.quantile(0.99) / 1_000.0) as u64),
-                ("ts_inflight", w.inflight as u64),
-                ("ts_queue_depth", w.queue_depth as u64),
-                ("ts_recovery_backlog", w.recovery_backlog),
-                ("ts_drops", w.drops),
-                ("ts_burn_rate_x100", (slo.burn[i] * 100.0) as u64),
-            ] {
-                if !first {
-                    out.push_str(",\n");
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\
-                     \"tid\":0,\"args\":{{\"{name}\":{value}}}}}"
-                );
-            }
         }
         out.push_str("\n]}\n");
         out
@@ -959,35 +782,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let csv = r.csv();
-        assert!(csv.starts_with("window,start_us"));
-        let cols = csv.lines().next().unwrap().split(',').count();
-        for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
-        }
-        assert_eq!(csv.lines().count(), 1 + r.windows().len());
         let json = r.timeline_json();
         assert!(json.starts_with("{\n\"window_us\":100"));
         assert!(json.ends_with("]}\n"));
         assert!(json.contains("\"slo\":{"));
-        let prom = r.prom_series("cfg", "wl");
-        for line in prom.lines() {
-            if line.starts_with('#') {
-                continue;
-            }
-            // name{labels} value timestamp
-            let mut parts = line.rsplitn(3, ' ');
-            let ts = parts.next().unwrap();
-            let value = parts.next().unwrap();
-            assert!(ts.parse::<u64>().is_ok(), "bad timestamp in {line}");
-            assert!(value.parse::<f64>().is_ok(), "bad value in {line}");
-        }
-        assert!(prom.contains("deliba_ts_osd_busy_fraction"));
-        assert!(prom.contains("link=\"client_tx\""));
-        // Chrome counters form a loadable trace document.
-        let chrome = r.chrome_json();
-        assert!(chrome.starts_with("{\"displayTimeUnit\""));
-        assert!(chrome.contains("\"name\":\"ts_iops\""));
-        assert!(chrome.ends_with("]}\n"));
     }
 }

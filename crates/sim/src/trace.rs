@@ -297,7 +297,7 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// Recorder statistics (exported to the Prometheus dump).
+/// Recorder statistics (printed beside each `harness trace` cell).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStats {
     /// Recording depth.

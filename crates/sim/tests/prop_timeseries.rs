@@ -1,8 +1,8 @@
 //! Property tests for the telemetry plane: windowed counters telescope
 //! to run totals, merged per-window histograms equal the run
 //! histogram, annotations survive window bucketing exactly, the SLO
-//! accounting balances, and the exporters are deterministic functions
-//! of the recorded history.
+//! accounting balances, and the timeline exporter is a deterministic
+//! function of the recorded history.
 
 use deliba_sim::timeseries::MetricsRecorder;
 use deliba_sim::{
@@ -135,9 +135,8 @@ proptest! {
         }
     }
 
-    /// Exporters are pure functions of the history: replaying the same
-    /// steps yields byte-identical CSV, timeline JSON, Prometheus
-    /// series, and Chrome counter tracks.
+    /// The exporter is a pure function of the history: replaying the
+    /// same steps yields a byte-identical timeline JSON.
     #[test]
     fn exporters_are_deterministic(
         history in proptest::collection::vec(rec(), 1..200),
@@ -145,9 +144,6 @@ proptest! {
         let cfg = TelemetryConfig::default();
         let (a, ..) = replay(&history, cfg);
         let (b, ..) = replay(&history, cfg);
-        prop_assert_eq!(a.csv(), b.csv());
         prop_assert_eq!(a.timeline_json(), b.timeline_json());
-        prop_assert_eq!(a.prom_series("cfg", "wl"), b.prom_series("cfg", "wl"));
-        prop_assert_eq!(a.chrome_json(), b.chrome_json());
     }
 }
