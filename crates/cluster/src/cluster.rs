@@ -348,8 +348,10 @@ impl Cluster {
             panic!("write_replicated_at on a non-replicated pool");
         };
         let pg = pool.pg_of(oid);
-        let mut acting = std::mem::take(&mut self.acting_scratch);
-        self.map.acting_set_into(pg, &mut acting);
+        // The acting set is filtered down to its healthy members in the
+        // recycled scratch, which goes back on every return.
+        let mut healthy = std::mem::take(&mut self.acting_scratch);
+        self.map.acting_set_into(pg, &mut healthy);
         // In dynamics mode a stale copy (missed writes while its OSD was
         // down) cannot take a partial write — layering new extents over
         // missing ones would corrupt it silently — and neither can an
@@ -357,19 +359,16 @@ impl Cluster {
         // for backfill to re-copy the whole object.
         let dynamics = self.dynamics;
         let written = dynamics && self.replica_dir.contains_key(&oid);
-        let healthy: Vec<i32> = acting
-            .iter()
-            .copied()
-            .filter(|&o| {
-                self.osds[o as usize].is_up()
-                    && (!dynamics
-                        || (!self.stale.contains(&(o, oid))
-                            && (!written
-                                || self.osds[o as usize].store().version(oid).is_some())))
-            })
-            .collect();
-        self.acting_scratch = acting;
-        let primary = *healthy.first()?;
+        healthy.retain(|&o| {
+            self.osds[o as usize].is_up()
+                && (!dynamics
+                    || (!self.stale.contains(&(o, oid))
+                        && (!written || self.osds[o as usize].store().version(oid).is_some())))
+        });
+        let Some(&primary) = healthy.first() else {
+            self.acting_scratch = healthy;
+            return None;
+        };
         let p_server = self.server_of(primary);
         let at_primary = self
             .topology
@@ -411,14 +410,16 @@ impl Cluster {
         // Holders that missed this partial write fall behind; unlike a
         // full replace, the copies that did receive it are *not* healed
         // of prior staleness/corruption (the write touches one extent).
-        if let Some(prev) = self.replica_dir.get(&oid) {
-            for &h in prev {
-                if !healthy.contains(&h) {
-                    self.stale.insert((h, oid));
-                }
+        // An overwrite refills its entry in place.
+        let holders = self.replica_dir.entry(oid).or_default();
+        for &h in holders.iter() {
+            if !healthy.contains(&h) {
+                self.stale.insert((h, oid));
             }
         }
-        self.replica_dir.insert(oid, healthy);
+        holders.clear();
+        holders.extend_from_slice(&healthy);
+        self.acting_scratch = healthy;
         Some(IoOutcome {
             complete: done,
             bytes: data.len() as u64,

@@ -30,7 +30,7 @@ use deliba_net::{LinkVerdict, TcpStack};
 use deliba_qdma::PciePipes;
 use deliba_sim::{
     Counter, GaugeSnapshot, Histogram, InstantKind, LaneQueue, Observer, Server, SimDuration,
-    SimRng, SimTime, Stage, TelemetryConfig, TraceDepth, TraceLayer, Xoshiro256,
+    SimRng, SimTime, SplitMix64, Stage, TelemetryConfig, TraceDepth, TraceLayer, Xoshiro256,
 };
 use std::collections::BTreeMap;
 
@@ -286,21 +286,60 @@ pub const IMAGE_BYTES: u64 = 1 << 30;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// Close a 4-lane checksum: mix lanes 1–3 into lane 0, then hash the
-/// `< 32`-byte tail word by word, the last word zero-padded.  Shared by
-/// [`Engine::checksum`] and the fused sum of [`Engine::payload_for`],
-/// so the two agree by construction.
-fn fold_checksum(lanes: [u64; 4], tail: &[u8]) -> u64 {
-    let mut h = lanes[0];
-    for &lane in &lanes[1..] {
-        h = (h ^ lane).wrapping_mul(FNV_PRIME);
+/// Fill `out` with the payload bytes of `key`: four xorshift128+
+/// lanes, seeded from `key` through [`SplitMix64`] (every lane's first
+/// state word, then every lane's second).  Word `j` of each 32-byte
+/// block comes from lane `j`, the layout of [`Engine::checksum`], so the
+/// four lanes step side by side and no dependency chain is longer than
+/// one lane step; a `< 32`-byte tail is cut from one more step of every
+/// lane, little-endian.
+fn fill_payload(key: u64, out: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU runs AVX2, checked just above.
+        return unsafe { fill_payload_avx2(key, out) };
     }
-    for w in tail.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..w.len()].copy_from_slice(w);
-        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
+    fill_payload_lanes(key, out);
+}
+
+/// [`fill_payload`] compiled for AVX2, which steps the four lanes in
+/// one 256-bit register; the shared body makes its bytes the portable
+/// version's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_payload_avx2(key: u64, out: &mut [u8]) {
+    fill_payload_lanes(key, out);
+}
+
+/// The body of [`fill_payload`], inlined into the portable caller and
+/// into the AVX2 copy.
+#[inline(always)]
+fn fill_payload_lanes(key: u64, out: &mut [u8]) {
+    let mut seed = SplitMix64::new(key);
+    // SplitMix64 maps distinct states to distinct outputs, so a lane's
+    // two state words are never both zero, xorshift's fixed point.
+    let mut a: [u64; 4] = std::array::from_fn(|_| seed.next_u64());
+    let mut b: [u64; 4] = std::array::from_fn(|_| seed.next_u64());
+    let mut step = || -> [u8; 32] {
+        let mut block = [0u8; 32];
+        for (j, w) in block.chunks_exact_mut(8).enumerate() {
+            let (mut x, y) = (a[j], b[j]);
+            w.copy_from_slice(&x.wrapping_add(y).to_le_bytes());
+            x ^= x << 23;
+            a[j] = y;
+            b[j] = x ^ y ^ (x >> 17) ^ (y >> 26);
+        }
+        block
+    };
+    let mut blocks = out.chunks_exact_mut(32);
+    for block in blocks.by_ref() {
+        block.copy_from_slice(&step());
     }
-    h
+    let tail = blocks.into_remainder();
+    if !tail.is_empty() {
+        let n = tail.len();
+        tail.copy_from_slice(&step()[..n]);
+    }
 }
 
 /// A failed attempt: the instant it failed and why.
@@ -811,11 +850,11 @@ impl Engine {
 
     /// The verify checksum: 4-lane word FNV-1a.  Word `i` of each
     /// 32-byte block feeds lane `i`, so the four multiply chains run
-    /// side by side; [`fold_checksum`] then mixes the lanes and the
-    /// zero-padded tail words.  Every step is a bijection in the word or
-    /// lane it takes, so any single changed word (hence any rotted byte)
-    /// changes the sum.  Only ever compared against itself within one
-    /// run.
+    /// side by side; lanes 1–3 then fold into lane 0, followed by the
+    /// `< 32`-byte tail word by word, the last word zero-padded.  Every
+    /// step is a bijection in the word or lane it takes, so any single
+    /// changed word (hence any rotted byte) changes the sum.  Only ever
+    /// compared against itself within one run.
     fn checksum(data: &[u8]) -> u64 {
         let mut lanes = [FNV_OFFSET; 4];
         let mut blocks = data.chunks_exact(32);
@@ -825,35 +864,29 @@ impl Engine {
                 *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
             }
         }
-        fold_checksum(lanes, blocks.remainder())
+        let mut h = lanes[0];
+        for &lane in &lanes[1..] {
+            h = (h ^ lane).wrapping_mul(FNV_PRIME);
+        }
+        for w in blocks.remainder().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..w.len()].copy_from_slice(w);
+            h = (h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
+        }
+        h
     }
 
     /// Fill the recycled scratch buffer with `len` deterministic payload
-    /// bytes and return them with their [`Engine::checksum`], computed
-    /// in the same pass.  Consumes exactly one `next_u64` per started
-    /// 8-byte chunk, little-endian, truncated in the last chunk — the
-    /// payload stream every stored byte and `run_fio`'s `rng.jump()`
-    /// depend on.
+    /// bytes and return them with their [`Engine::checksum`], summed in
+    /// a second pass while the bytes are still in L1.  Draws exactly one
+    /// `next_u64` from the engine's RNG per payload, the key of
+    /// [`fill_payload`]'s lanes.
     fn payload_for(&mut self, len: usize) -> (Vec<u8>, u64) {
         let mut v = std::mem::take(&mut self.scratch);
-        v.clear();
+        // The fill writes every byte, so recycled bytes need no zeroing.
         v.resize(len, 0);
-        let mut lanes = [FNV_OFFSET; 4];
-        let mut blocks = v.chunks_exact_mut(32);
-        for block in blocks.by_ref() {
-            for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact_mut(8)) {
-                let word = self.rng.next_u64();
-                chunk.copy_from_slice(&word.to_le_bytes());
-                *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
-            }
-        }
-        let tail = blocks.into_remainder();
-        for chunk in tail.chunks_mut(8) {
-            let word = self.rng.next_u64().to_le_bytes();
-            let n = chunk.len();
-            chunk.copy_from_slice(&word[..n]);
-        }
-        let sum = fold_checksum(lanes, tail);
+        fill_payload(self.rng.next_u64(), &mut v);
+        let sum = Self::checksum(&v);
         (v, sum)
     }
 
@@ -1781,27 +1814,71 @@ mod tests {
         assert_eq!(e.verify_failures(), 0);
     }
 
-    /// The payload stream is pinned: one `next_u64` per started 8-byte
-    /// chunk, little-endian, truncated in the last chunk — and the
-    /// RNG's next draw matches too, so everything drawn after a write
-    /// (`run_fio`'s `jump`, later payloads) is unchanged.
+    /// The payload contract: one `next_u64` of the engine's RNG per
+    /// payload keys four xorshift128+ lanes, word `i` comes from step
+    /// `i / 4` of lane `i % 4` (the tail word truncated), and the
+    /// returned sum is [`Engine::checksum`].  The engine's fill runs
+    /// the AVX2 copy wherever the CPU has AVX2, and the portable body
+    /// is checked beside it, so both compiled versions write the
+    /// reference bytes.
     #[test]
-    fn payload_matches_the_per_chunk_reference_stream() {
+    fn payload_is_four_keyed_lanes_and_one_draw() {
+        /// Word after word, one lane at a time.
+        fn reference(key: u64, len: usize) -> Vec<u8> {
+            let mut seed = SplitMix64::new(key);
+            let firsts: Vec<u64> = (0..4).map(|_| seed.next_u64()).collect();
+            let mut lanes: Vec<(u64, u64)> =
+                firsts.into_iter().map(|s0| (s0, seed.next_u64())).collect();
+            let mut out = vec![0u8; len];
+            for (i, chunk) in out.chunks_mut(8).enumerate() {
+                let (s0, s1) = &mut lanes[i % 4];
+                let word = s0.wrapping_add(*s1);
+                let t = *s0 ^ (*s0 << 23);
+                *s0 = *s1;
+                *s1 = t ^ *s1 ^ (t >> 17) ^ (*s1 >> 26);
+                let n = chunk.len();
+                chunk.copy_from_slice(&word.to_le_bytes()[..n]);
+            }
+            out
+        }
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
         let mut e = Engine::new(cfg);
-        let mut reference = Xoshiro256::seed_from_u64(cfg.seed ^ 0xFEED);
+        let mut rng = Xoshiro256::seed_from_u64(cfg.seed ^ 0xFEED);
         for len in [0, 1, 7, 8, 31, 32, 33, 4095, 4096, 16384] {
-            let mut want = vec![0u8; len];
-            for chunk in want.chunks_mut(8) {
-                let word = reference.next_u64().to_le_bytes();
-                let n = chunk.len();
-                chunk.copy_from_slice(&word[..n]);
-            }
+            let key = rng.next_u64();
+            let want = reference(key, len);
             let (got, sum) = e.payload_for(len);
             assert_eq!(got, want, "payload bytes, len {len}");
-            assert_eq!(sum, Engine::checksum(&got), "fused sum, len {len}");
-            assert_eq!(e.rng.clone().next_u64(), reference.clone().next_u64(), "len {len}");
+            assert_eq!(sum, Engine::checksum(&got), "sum, len {len}");
+            assert_eq!(
+                e.rng.clone().next_u64(),
+                rng.clone().next_u64(),
+                "one draw, len {len}"
+            );
+            let mut portable = vec![0u8; len];
+            fill_payload_lanes(key, &mut portable);
+            assert_eq!(portable, want, "portable fill, len {len}");
             e.scratch = got;
+        }
+    }
+
+    /// Consecutive equal-length payloads share no word at any index, so
+    /// a read that returns an older write's bytes still fails verify.
+    #[test]
+    fn consecutive_payloads_share_no_word_at_an_index() {
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
+        let mut e = Engine::new(cfg);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..1000 {
+            let (p, _) = e.payload_for(4096);
+            for (i, w) in p.chunks_exact(8).enumerate() {
+                let word = u64::from_le_bytes(w.try_into().expect("exact chunk"));
+                assert!(
+                    seen.insert((i, word)),
+                    "word {word:#x} repeats at index {i}"
+                );
+            }
+            e.scratch = p;
         }
     }
 

@@ -306,8 +306,6 @@ pub struct TraceStats {
     pub held: u64,
     /// Events evicted by the ring bound.
     pub dropped: u64,
-    /// Ring capacity.
-    pub capacity: u64,
 }
 
 /// One stage span of one I/O, reconstructed from the ring.
@@ -399,7 +397,6 @@ impl TraceSink {
             depth: self.depth,
             held: self.events.len() as u64,
             dropped: self.dropped,
-            capacity: self.cap as u64,
         }
     }
 
@@ -591,7 +588,7 @@ mod tests {
         let held: Vec<u64> = sink.events().map(|e| e.io).collect();
         assert_eq!(held, [2, 3, 4, 5]);
         let stats = sink.stats();
-        assert_eq!((stats.held, stats.dropped, stats.capacity), (4, 2, 4));
+        assert_eq!((stats.held, stats.dropped), (4, 2));
     }
 
     #[test]
