@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! harness [experiment ...] [--json] [--out <path>] [--serial]
-//!         [--baseline <file>]
+//!         [--baseline <file>] [--gate]
 //! harness trace [--trace-depth <off|stages|spans|full>] [--out <dir>]
 //! harness loadcurve [--rate <kiops,...>] [--arrival <poisson|bursty|diurnal>]
 //!                   [--zipf-s <s>] [--admission-cap <n>] [--json] [--out <path>]
@@ -30,6 +30,8 @@
 //!                  exit nonzero when any ev/s cell lost more than 20 %
 //!                  or a cell exists on only one side — the CI
 //!                  perf-ratchet (pairs with `perf`)
+//! --gate           check `perf`'s cells against the floors in
+//!                  `PERF_FLOORS` and exit nonzero when one breaks
 //! --serial         run every sweep on one thread (also: DELIBA_JOBS=n)
 //! --trace-depth    recorder depth for `trace` (default: full)
 //! --rate           loadcurve offered rates, comma-separated KIOPS
@@ -208,7 +210,8 @@ fn compare_baseline(path: &str, results: &[Experiment]) -> bool {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness [experiment ...] [--json] [--out <path>] [--serial] [--baseline <file>]"
+        "usage: harness [experiment ...] [--json] [--out <path>] [--serial] [--baseline <file>] \
+         [--gate]"
     );
     eprintln!("       harness trace [--trace-depth <off|stages|spans|full>] [--out <dir>]");
     eprintln!(
@@ -321,6 +324,7 @@ fn main() {
     let mut serial = false;
     let mut out: Option<String> = None;
     let mut baseline: Option<String> = None;
+    let mut gate = false;
     let mut trace_depth: Option<String> = None;
     let mut lc = LoadCurveOpts::default();
     let mut lc_flag_seen = false;
@@ -332,6 +336,7 @@ fn main() {
         match a.as_str() {
             "--json" => json = true,
             "--serial" => serial = true,
+            "--gate" => gate = true,
             "--out" => match it.next() {
                 Some(p) => {
                     json = true; // --out without --json still means JSON
@@ -474,6 +479,10 @@ fn main() {
         );
         usage();
     }
+    if gate && !expanded.iter().any(|w| w == "perf") {
+        eprintln!("--gate checks the `perf` experiment's cells; run it with `perf`");
+        usage();
+    }
     if expanded.iter().any(|w| w == "trace") {
         if expanded.len() != 1 {
             eprintln!("`trace` runs alone (its --out is a directory, not a JSON path)");
@@ -561,9 +570,22 @@ fn main() {
             None => println!("{body}"),
         }
     }
-    if let Some(path) = &baseline {
-        if compare_baseline(path, &results) {
-            std::process::exit(1);
+    let mut failed = baseline.is_some_and(|path| compare_baseline(&path, &results));
+    if gate {
+        let perf = results
+            .iter()
+            .find(|e| e.id == "perf")
+            .expect("--gate requires perf");
+        let broken = perf_gate(perf);
+        for line in &broken {
+            eprintln!("perf gate FAILED: {line}");
         }
+        if broken.is_empty() {
+            eprintln!("perf gate passed ({} floors)", PERF_FLOORS.len());
+        }
+        failed |= !broken.is_empty();
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

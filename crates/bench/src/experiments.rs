@@ -1170,6 +1170,79 @@ pub fn perf() -> Experiment {
     }
 }
 
+/// The side of a [`PERF_FLOORS`] limit a cell must stay on (strictly).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Limit {
+    /// The cell must read more than this.
+    Above(f64),
+    /// The cell must read less than this.
+    Below(f64),
+}
+
+/// The `harness perf --gate` floors: `(config, workload)` cells of
+/// [`perf`] and the limit each must clear.
+///
+/// The engine floor sits at ~80 % of the committed baseline (2.9M ev/s
+/// after the sharded-queue + batched-straw2 work), so a structural
+/// regression trips it while run-to-run jitter does not; the rest are
+/// conservative sanity bars.  The placement cache must be hitting on
+/// the reference workload.  The fused fast path is checked at qd 1,
+/// where the completion-pops-next fusion provably fires (the deep-queue
+/// cell reads 0.0 by design).  The disabled observer must be free: one
+/// branch on `None` per emit site (DESIGN.md §9, §12), measured as
+/// interleaved pairs, under 1 % and above the same absolute floor.
+/// Recovery + scrub active mid-run is media-bound 4 MiB backfill, so
+/// its floor is loose, but a deadlock or pacing livelock reads as ~0.
+pub const PERF_FLOORS: [(&str, &str, Limit); 6] = [
+    (
+        "engine closed loop (1 thread)",
+        "events per second",
+        Limit::Above(2_300_000.0),
+    ),
+    ("placement cache", "hit rate", Limit::Above(0.95)),
+    (
+        "fused fast path",
+        "fused event share (qd 1)",
+        Limit::Above(0.5),
+    ),
+    (
+        "flight recorder",
+        "untraced events per second",
+        Limit::Above(50_000.0),
+    ),
+    (
+        "flight recorder",
+        "disabled-path overhead",
+        Limit::Below(0.01),
+    ),
+    (
+        "engine recovery active (1 thread)",
+        "events per second",
+        Limit::Above(20_000.0),
+    ),
+];
+
+/// Check `perf`'s cells against [`PERF_FLOORS`].  Returns one line per
+/// floor the run breaks; a cell the run lacks breaks its floor.
+pub fn perf_gate(perf: &Experiment) -> Vec<String> {
+    PERF_FLOORS
+        .iter()
+        .filter_map(|&(config, workload, limit)| {
+            let measured = perf
+                .cells
+                .iter()
+                .find(|c| c.config == config && c.workload == workload)
+                .map(|c| c.measured);
+            let holds = match (measured, limit) {
+                (Some(m), Limit::Above(floor)) => m > floor,
+                (Some(m), Limit::Below(ceiling)) => m < ceiling,
+                (None, _) => false,
+            };
+            (!holds).then(|| format!("{config} / {workload}: {measured:?} breaks {limit:?}"))
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // Chaos soak (fault plane + resilience policy)
 // ---------------------------------------------------------------------
@@ -1908,5 +1981,59 @@ pub fn scrub() -> Experiment {
              (write-once traces, both redundancy modes)"
         ),
         cells,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A perf experiment whose floor cells read `value(limit)`.
+    fn perf_cells(value: impl Fn(Limit) -> f64) -> Experiment {
+        let cells = PERF_FLOORS
+            .iter()
+            .map(|&(config, workload, limit)| Cell {
+                config: config.into(),
+                workload: workload.into(),
+                unit: "",
+                measured: value(limit),
+                paper: None,
+            })
+            .collect();
+        Experiment {
+            id: "perf".into(),
+            caption: String::new(),
+            cells,
+        }
+    }
+
+    /// Every floor passes clear of its limit, and fails at it (the
+    /// limits are strict) and past it; a missing cell fails too.
+    #[test]
+    fn perf_gate_fails_each_floor_at_or_past_its_limit() {
+        let clear = |limit| match limit {
+            Limit::Above(x) => 2.0 * x,
+            Limit::Below(_) => 0.0,
+        };
+        assert_eq!(perf_gate(&perf_cells(clear)), Vec::<String>::new());
+        for (i, &(config, workload, _)) in PERF_FLOORS.iter().enumerate() {
+            let limit_of = |l| match l {
+                Limit::Above(x) | Limit::Below(x) => x,
+            };
+            let past = |l| match l {
+                Limit::Above(x) => x / 2.0,
+                Limit::Below(x) => 2.0 * x,
+            };
+            for broken in [limit_of, past] {
+                let mut exp = perf_cells(clear);
+                exp.cells[i].measured = broken(PERF_FLOORS[i].2);
+                let failures = perf_gate(&exp);
+                assert_eq!(failures.len(), 1, "{config} / {workload}: {failures:?}");
+                assert!(failures[0].starts_with(&format!("{config} / {workload}:")));
+            }
+            let mut exp = perf_cells(clear);
+            exp.cells.remove(i);
+            assert_eq!(perf_gate(&exp).len(), 1, "missing {config} / {workload}");
+        }
     }
 }

@@ -25,6 +25,7 @@ use deliba_crush::{MapBuilder, RuleStep};
 use deliba_ec::ReedSolomon;
 use deliba_net::{FrameConfig, Topology};
 use deliba_sim::{InstantKind, Observer, SimDuration, SimTime, TraceLayer, Xoshiro256};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -358,7 +359,8 @@ impl Cluster {
         // acting member that does not hold the object yet: both wait
         // for backfill to re-copy the whole object.
         let dynamics = self.dynamics;
-        let written = dynamics && self.replica_dir.contains_key(&oid);
+        let dir = self.replica_dir.entry(oid);
+        let written = dynamics && matches!(dir, Entry::Occupied(_));
         healthy.retain(|&o| {
             self.osds[o as usize].is_up()
                 && (!dynamics
@@ -369,6 +371,20 @@ impl Cluster {
             self.acting_scratch = healthy;
             return None;
         };
+        // Holders that miss this partial write fall behind; unlike a
+        // full replace, the copies that do receive it are *not* healed
+        // of prior staleness/corruption (the write touches one extent).
+        // An overwrite refills its entry in place.  Nothing below reads
+        // the directory or the stale registry, so both are updated here
+        // on the one directory probe.
+        let holders = dir.or_default();
+        for &h in holders.iter() {
+            if !healthy.contains(&h) {
+                self.stale.insert((h, oid));
+            }
+        }
+        holders.clear();
+        holders.extend_from_slice(&healthy);
         let p_server = self.server_of(primary);
         let at_primary = self
             .topology
@@ -407,18 +423,6 @@ impl Cluster {
             .topology
             .server_to_client(commit, p_server, CONTROL_BYTES);
         let degraded = healthy.len() < size;
-        // Holders that missed this partial write fall behind; unlike a
-        // full replace, the copies that did receive it are *not* healed
-        // of prior staleness/corruption (the write touches one extent).
-        // An overwrite refills its entry in place.
-        let holders = self.replica_dir.entry(oid).or_default();
-        for &h in holders.iter() {
-            if !healthy.contains(&h) {
-                self.stale.insert((h, oid));
-            }
-        }
-        holders.clear();
-        holders.extend_from_slice(&healthy);
         self.acting_scratch = healthy;
         Some(IoOutcome {
             complete: done,
@@ -450,8 +454,9 @@ impl Cluster {
         // cluster's recycled scratch — no allocation on the steady path.
         let mut candidates = std::mem::take(&mut self.acting_scratch);
         self.map.acting_set_into(pg, &mut candidates);
-        let written = self.replica_dir.contains_key(&oid);
-        if let Some(writers) = self.replica_dir.get(&oid) {
+        let writers = self.replica_dir.get(&oid);
+        let written = writers.is_some();
+        if let Some(writers) = writers {
             for &w in writers {
                 if !candidates.contains(&w) {
                     candidates.push(w);

@@ -29,7 +29,7 @@ pub mod rbd;
 pub mod recovery;
 
 pub use cluster::{Cluster, IoOutcome};
-pub use object::{ObjectId, ObjectStore};
+pub use object::{ObjectId, ObjectStore, OidHasher, OidMap};
 pub use osd::{Osd, OsdProfile};
 pub use osdmap::OsdMap;
 pub use pool::{PgId, PoolConfig, PoolKind};

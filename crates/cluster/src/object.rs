@@ -16,7 +16,8 @@
 //! them; every other page is compared byte for byte.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// Page granularity of the store.
@@ -47,6 +48,46 @@ impl ObjectId {
         (self.name ^ (self.name >> 32)) as u32
     }
 }
+
+/// The hasher of maps keyed by [`ObjectId`]: each word is folded in
+/// with one multiply and a rotate, and the rotate moves the product's
+/// well-mixed high bits down to the low bits a table indexes by.
+///
+/// It drops std's SipHash protection against keys crafted to collide.
+/// That is safe here because an object name is never raw outside
+/// input: every name the program stores is already a SplitMix output
+/// of its own hashing (`RbdImage::object_name`, and the engine's
+/// per-write EC object names).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct OidHasher(u64);
+
+impl Hasher for OidHasher {
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(26);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by [`ObjectId`], hashed with [`OidHasher`].  For
+/// maps that are only looked up, never walked in id order.
+pub type OidMap<V> = HashMap<ObjectId, V, BuildHasherDefault<OidHasher>>;
 
 /// A fresh page holding `bytes` followed by zeros.
 fn new_page(bytes: &[u8]) -> Page {
@@ -253,10 +294,12 @@ impl StoredObject {
     }
 }
 
-/// One OSD's (or one shard's) object store.
+/// One OSD's (or one shard's) object store.  Every access is by id,
+/// so the objects sit in a hash map; the walks that need id order go
+/// over the cluster's directories instead.
 #[derive(Debug, Default, Clone)]
 pub struct ObjectStore {
-    objects: BTreeMap<ObjectId, StoredObject>,
+    objects: OidMap<StoredObject>,
 }
 
 impl ObjectStore {
@@ -443,6 +486,19 @@ mod tests {
         // Absent object reads zeros.
         let r = s.read_at(ObjectId::new(0, 99), 0, 4);
         assert_eq!(&r[..], b"\0\0\0\0");
+    }
+
+    #[test]
+    fn many_sequentially_named_objects_read_back() {
+        let mut s = ObjectStore::new();
+        for i in 0..10_000u64 {
+            s.write(ObjectId::new(0, i), &i.to_le_bytes());
+        }
+        assert_eq!(s.len(), 10_000);
+        for i in 0..10_000u64 {
+            assert_eq!(s.read(ObjectId::new(0, i)), Some(i.to_le_bytes().to_vec()));
+        }
+        assert!(s.read(ObjectId::new(1, 0)).is_none());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::hostpath::{host_costs, HostCosts};
 use crate::report::RunReport;
 use crate::Generation;
 use crate::report::ResilienceCounters;
-use deliba_cluster::{Cluster, ObjectId, RbdImage, RecoveryPolicy, RecoveryScheduler};
+use deliba_cluster::{Cluster, ObjectId, OidMap, RbdImage, RecoveryPolicy, RecoveryScheduler};
 use deliba_fault::{FailCause, FaultKind, FaultPlane, FaultSchedule, ResiliencePolicy};
 use deliba_fpga::accel::HLS_LATENCY_INFLATION;
 use deliba_fpga::{AlveoU280, RmId};
@@ -32,7 +32,6 @@ use deliba_sim::{
     Counter, GaugeSnapshot, Histogram, InstantKind, LaneQueue, Observer, Server, SimDuration,
     SimRng, SimTime, SplitMix64, Stage, TelemetryConfig, TraceDepth, TraceLayer, Xoshiro256,
 };
-use std::collections::BTreeMap;
 
 /// Pool / durability mode under test (every figure reports both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -342,6 +341,67 @@ fn fill_payload_lanes(key: u64, out: &mut [u8]) {
     }
 }
 
+/// A committed write extent of one object and its payload checksum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    off: u32,
+    len: u32,
+    sum: u64,
+}
+
+impl Extent {
+    fn end(&self) -> u32 {
+        self.off.saturating_add(self.len)
+    }
+
+    /// The sort key of an object's extent list.
+    fn key(&self) -> (u32, u32) {
+        (self.off, self.len)
+    }
+}
+
+/// One object's committed write extents, sorted by `(off, len)` and
+/// pairwise disjoint.  A lone extent, as every EC sub-object holds,
+/// sits inline rather than in a heap allocation of its own.
+#[derive(Debug, PartialEq, Eq)]
+enum Extents {
+    One(Extent),
+    Many(Vec<Extent>),
+}
+
+impl Extents {
+    fn as_slice(&self) -> &[Extent] {
+        match self {
+            Extents::One(x) => std::slice::from_ref(x),
+            Extents::Many(v) => v,
+        }
+    }
+
+    /// Record `new`, replacing every extent it overlaps, and an equal
+    /// (zero-length) one.
+    ///
+    /// The extents are sorted and disjoint, so their ends are sorted
+    /// too, and the replaced ones form one window: those before it end
+    /// by `new.off` and sort below `new`, those after it start at or
+    /// past `new`'s end and sort above it.
+    fn record(&mut self, new: Extent) {
+        let extents = self.as_slice();
+        let (end, key) = (new.end(), new.key());
+        let lo = extents.partition_point(|e| e.end() <= new.off && e.key() < key);
+        let hi = lo + extents[lo..].partition_point(|e| e.off < end || e.key() <= key);
+        match self {
+            Extents::One(_) if hi > lo => *self = Extents::One(new),
+            Extents::One(old) => {
+                let pair = if lo == 0 { [new, *old] } else { [*old, new] };
+                *self = Extents::Many(pair.to_vec());
+            }
+            Extents::Many(v) => {
+                v.splice(lo..hi, [new]);
+            }
+        }
+    }
+}
+
 /// A failed attempt: the instant it failed and why.
 type Failed = (SimTime, FailCause);
 
@@ -621,14 +681,11 @@ pub struct Engine {
     pcie: PciePipes,
     image: RbdImage,
     rng: Xoshiro256,
-    /// Committed write extents for integrity verification: `(object,
-    /// offset, len)` → checksum.  A write drops every extent of its
-    /// object that it overlaps, so each entry still describes the bytes
-    /// stored at `[offset, offset + len)`.
-    written: BTreeMap<(u64, u32, u32), u64>,
-    /// Longest length ever recorded in `written` — bounds the overlap
-    /// scan of [`Engine::record_write`].
-    longest_extent: u32,
+    /// Committed write extents for integrity verification, per target
+    /// object.  A write drops every extent of its object that it
+    /// overlaps, so each entry still describes the bytes stored at its
+    /// extent.
+    written: OidMap<Extents>,
     verify_failures: u64,
     degraded_ops: u64,
     /// Recycled payload buffer: write payloads are generated into this
@@ -724,8 +781,7 @@ impl Engine {
             pcie,
             image: RbdImage::new(pool, 0xD3B5, IMAGE_BYTES),
             rng: Xoshiro256::seed_from_u64(cfg.seed ^ 0xFEED),
-            written: BTreeMap::new(),
-            longest_extent: 0,
+            written: OidMap::default(),
             verify_failures: 0,
             degraded_ops: 0,
             scratch: Vec::new(),
@@ -890,25 +946,23 @@ impl Engine {
         (v, sum)
     }
 
-    /// Record a committed write of extent `(object, offset, len)` with
-    /// checksum `sum`, first dropping every recorded extent of the same
-    /// object that the write overlaps.  Extents starting more than
-    /// `longest_extent` before `offset` cannot reach it, so a
-    /// uniform-size aligned workload scans only its own key.
-    fn record_write(&mut self, extent: (u64, u32, u32), sum: u64) {
-        let (obj, off, len) = extent;
-        self.longest_extent = self.longest_extent.max(len);
-        let from = (obj, off.saturating_sub(self.longest_extent.saturating_sub(1)), 0);
-        let end = (obj, off.saturating_add(len), 0);
-        while let Some(stale) = self
-            .written
-            .range(from..end)
-            .map(|(&k, _)| k)
-            .find(|&k| k != extent && k.1.saturating_add(k.2) > off)
-        {
-            self.written.remove(&stale);
-        }
-        self.written.insert(extent, sum);
+    /// Record a committed write of `new` to object `target`
+    /// ([`Extents::record`]).
+    fn record_write(&mut self, target: ObjectId, new: Extent) {
+        self.written
+            .entry(target)
+            .and_modify(|x| x.record(new))
+            .or_insert(Extents::One(new));
+    }
+
+    /// The checksum of the committed write whose extent of `target` is
+    /// exactly `[off, off + len)`, if one is recorded.
+    fn committed_sum(&self, target: ObjectId, off: u32, len: u32) -> Option<u64> {
+        let extents = self.written.get(&target)?.as_slice();
+        let i = extents
+            .binary_search_by_key(&(off, len), Extent::key)
+            .ok()?;
+        Some(extents[i].sum)
     }
 
     /// Per-I/O sub-object for EC mode: the paper's accelerators encode
@@ -1402,12 +1456,10 @@ impl Engine {
                 };
                 // A read is verified only when the bytes it returned are
                 // exactly a committed write's extent.
-                let extent = (target.name, a.off, buf.len() as u32);
                 if res.is_some()
                     && self
-                        .written
-                        .get(&extent)
-                        .is_some_and(|&sum| Self::checksum(&buf) != sum)
+                        .committed_sum(target, a.off, buf.len() as u32)
+                        .is_some_and(|sum| Self::checksum(&buf) != sum)
                 {
                     self.verify_failures += 1;
                 }
@@ -1425,7 +1477,8 @@ impl Engine {
         // and verification must agree — and the commit stands even if
         // the acknowledgement is lost below.
         if let Some((_, sum)) = a.payload {
-            self.record_write((target.name, a.off, op.len), sum);
+            let (off, len) = (a.off, op.len);
+            self.record_write(target, Extent { off, len, sum });
         }
         if outcome.degraded {
             self.degraded_ops += 1;
@@ -1925,13 +1978,82 @@ mod tests {
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
         let mut e = Engine::new(cfg);
         e.run_trace(vec![vec![w(0, 8192, false), w(4096, 4096, false)]], 1);
-        let extents: Vec<_> = e.written.keys().map(|&(_, off, len)| (off, len)).collect();
-        assert_eq!(extents, vec![(4096, 4096)]);
+        let (&target, extents) = e.written.iter().next().expect("one object written");
+        let x = extents.as_slice()[0];
+        assert_eq!((e.written.len(), extents.as_slice().len()), (1, 1));
+        assert_eq!(x.key(), (4096, 4096));
         // An exact-extent read is still verified: a wrong recorded sum
         // is caught.
-        e.written.values_mut().for_each(|sum| *sum ^= 1);
+        let sum = x.sum ^ 1;
+        e.record_write(target, Extent { sum, ..x });
         e.run_trace(vec![vec![r(4096, 4096, false)]], 1);
         assert_eq!(e.verify_failures(), 1);
+    }
+
+    /// The extent record against a brute-force reference: a seeded run
+    /// of mixed-size writes (and some zero-length ones) over three
+    /// objects.  After each write the object's extents are exactly the
+    /// reference's (every overlapping extent dropped, then the write
+    /// inserted), sorted and disjoint; the write's exact extent looks up
+    /// its own checksum, and no dropped extent looks up at all.
+    #[test]
+    fn extent_record_matches_a_brute_force_reference() {
+        const SPAN: u32 = 256 << 10;
+        const LENS: [u32; 5] = [512, 4096, 6144, 16384, 65536];
+        let overlaps = |a: &Extent, b: &Extent| a.off < b.end() && b.off < a.end();
+        let mut e = Engine::new(EngineConfig::new(
+            Generation::DeLiBAK,
+            true,
+            Mode::Replication,
+        ));
+        let objects = [1u64, 2, 3].map(|n| ObjectId::new(1, n));
+        let mut reference: Vec<Vec<Extent>> = vec![Vec::new(); objects.len()];
+        let mut rng = Xoshiro256::seed_from_u64(29);
+        for _ in 0..2_000 {
+            let slot = rng.gen_range(objects.len() as u64) as usize;
+            // One write in 16 is zero-length.
+            let len = match rng.gen_range(16) {
+                0 => 0,
+                _ => LENS[rng.gen_range(LENS.len() as u64) as usize],
+            };
+            let off = rng.gen_range(u64::from((SPAN - len) / 512 + 1)) as u32 * 512;
+            let new = Extent {
+                off,
+                len,
+                sum: rng.next_u64(),
+            };
+            let (target, want) = (objects[slot], &mut reference[slot]);
+            let dropped: Vec<Extent> = want
+                .iter()
+                .filter(|x| overlaps(x, &new) && x.key() != new.key())
+                .copied()
+                .collect();
+            want.retain(|x| !overlaps(x, &new) && x.key() != new.key());
+            want.push(new);
+            want.sort_by_key(Extent::key);
+
+            e.record_write(target, new);
+            let got = e.written[&target].as_slice();
+            assert_eq!(got, &want[..], "after {new:?}");
+            for pair in got.windows(2) {
+                assert!(pair[0].key() < pair[1].key() && !overlaps(&pair[0], &pair[1]));
+            }
+            assert_eq!(e.committed_sum(target, off, len), Some(new.sum));
+            for x in dropped {
+                assert_eq!(e.committed_sum(target, x.off, x.len), None, "{x:?}");
+            }
+        }
+        // A repeated zero-length write replaces its extent instead of
+        // adding a second one beside it.
+        let target = ObjectId::new(1, 4);
+        let zero = |sum| Extent {
+            off: 4096,
+            len: 0,
+            sum,
+        };
+        e.record_write(target, zero(1));
+        e.record_write(target, zero(2));
+        assert_eq!(e.written[&target], Extents::One(zero(2)));
     }
 
     #[test]
