@@ -667,7 +667,6 @@ pub fn ablation() -> Experiment {
     let steps: Vec<Step> = vec![
         ("baseline: DeLiBA-2 path", |_f| {}),
         ("① io_uring: batching, zero-copy, async", |f| {
-            f.io_uring = true;
             f.sync_daemon = false;
             f.contexts = 3;
             f.crossings = 0;

@@ -77,34 +77,55 @@ pub struct IoOutcome {
 /// index)` pairs.
 type ShardPlacement = (usize, Vec<(i32, usize)>);
 
+/// What one OSD's copy of an object can do.  [`Cluster::copy_state`]
+/// decides it for the reads, recovery, backfill, deep scrub and bit
+/// rot.  A path that walks a replicated object's acting set also asks
+/// whether the OSD is a holder: a copy outside the holder list missed a
+/// write, and nothing may read it or add extents to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CopyState {
+    /// The OSD is down.
+    Down,
+    /// The OSD is up but stores no copy.
+    Missing,
+    /// A stored copy of this many bytes that checksum verification
+    /// rejects: reads route around it and deep scrub repairs it.
+    Corrupt(usize),
+    /// A stored copy of this many bytes that verifies.
+    Sound(usize),
+}
+
+impl CopyState {
+    /// Stored length of a copy that can be read at all (deep scrub and
+    /// bit rot take corrupt copies too).
+    pub(crate) fn stored_len(self) -> Option<usize> {
+        match self {
+            CopyState::Corrupt(len) | CopyState::Sound(len) => Some(len),
+            CopyState::Down | CopyState::Missing => None,
+        }
+    }
+}
+
 /// The cluster.
 pub struct Cluster {
     pub(crate) map: OsdMap,
     pub(crate) osds: Vec<Osd>,
     pub(crate) topology: Topology,
     per_server: usize,
-    /// Where each replicated object's copies were written.
+    /// Each written replicated object's holders: the OSDs whose copy
+    /// took every write, in acting-set order.  A write reaches only the
+    /// up holders and the list becomes exactly those; backfill appends
+    /// each OSD it re-copies the whole object to.  A stored copy on any
+    /// other OSD missed a write: that is what "stale" means.
     pub(crate) replica_dir: BTreeMap<ObjectId, Vec<i32>>,
     /// Where each EC object's shards were written.
     pub(crate) shard_dir: BTreeMap<ObjectId, ShardPlacement>,
-    /// Copies that missed one or more writes while their OSD was down
-    /// (or awaiting backfill after a revive).  A `(osd, oid)` entry means
-    /// that OSD's stored bytes for the object are behind the authoritative
-    /// version: reads route around it and writes skip it until backfill
-    /// re-copies the whole object.
-    pub(crate) stale: BTreeSet<(i32, ObjectId)>,
     /// Copies known (via checksum verification, modeling BlueStore's
     /// per-extent CRCs) to hold silently corrupted bytes.  Reads route
     /// around them; deep scrub finds and repairs them.
     pub(crate) corrupted: BTreeSet<(i32, ObjectId)>,
     /// Reads that had to route around a stale or corrupt copy.
     pub(crate) bad_copy_skips: u64,
-    /// Cluster-dynamics mode (set when the engine arms a recovery
-    /// scheduler): partial writes additionally skip stale/missing
-    /// copies, leaving them to backfill instead of layering new extents
-    /// over holes.  Off by default so legacy runs keep their exact
-    /// write fan-out.
-    pub(crate) dynamics: bool,
     /// Recycled acting-set buffer: the data-path methods fill it via
     /// [`OsdMap::acting_set_into`] instead of allocating per I/O.
     acting_scratch: Vec<i32>,
@@ -173,10 +194,8 @@ impl Cluster {
             per_server,
             replica_dir: BTreeMap::new(),
             shard_dir: BTreeMap::new(),
-            stale: BTreeSet::new(),
             corrupted: BTreeSet::new(),
             bad_copy_skips: 0,
-            dynamics: false,
             acting_scratch: Vec::new(),
             parity_scratch: Vec::new(),
             codecs: Vec::new(),
@@ -253,9 +272,9 @@ impl Cluster {
     }
 
     /// Revive an OSD.  Objects that were overwritten while it was down
-    /// are in the cluster's `stale` registry: reads route around them
-    /// (and, in dynamics mode, writes skip them) until backfill re-copies
-    /// each object, so a revived OSD can never serve bytes it missed.
+    /// no longer list it as a holder: reads route around its copies and
+    /// writes skip them until backfill re-copies each object, so a
+    /// revived OSD can never serve bytes it missed.
     pub fn revive_osd(&mut self, osd: i32) {
         self.osds[osd as usize].set_up(true);
         self.map.mark_osd_up(osd);
@@ -277,10 +296,23 @@ impl Cluster {
         self.corrupted.len()
     }
 
-    /// Arm cluster-dynamics mode (see the `dynamics` field): the engine
-    /// sets this when a recovery scheduler is configured.
-    pub fn set_dynamics(&mut self, on: bool) {
-        self.dynamics = on;
+    /// Does nothing.  Every run follows one write rule (see
+    /// [`Cluster::write_replicated_at`]); the method is kept only
+    /// because the benchmark's replay driver still calls it.
+    pub fn set_dynamics(&mut self, _on: bool) {}
+
+    /// The state of `osd`'s copy of `oid`: the one place a data path
+    /// learns whether a copy may be read, sourced or rotted.
+    pub(crate) fn copy_state(&self, osd: i32, oid: ObjectId) -> CopyState {
+        let o = &self.osds[osd as usize];
+        if !o.is_up() {
+            return CopyState::Down;
+        }
+        match o.store().peek_len(oid) {
+            None => CopyState::Missing,
+            Some(len) if self.corrupted.contains(&(osd, oid)) => CopyState::Corrupt(len),
+            Some(len) => CopyState::Sound(len),
+        }
     }
 
     pub(crate) fn pool(&self, id: u32) -> &PoolConfig {
@@ -353,36 +385,29 @@ impl Cluster {
         // recycled scratch, which goes back on every return.
         let mut healthy = std::mem::take(&mut self.acting_scratch);
         self.map.acting_set_into(pg, &mut healthy);
-        // In dynamics mode a stale copy (missed writes while its OSD was
-        // down) cannot take a partial write — layering new extents over
-        // missing ones would corrupt it silently — and neither can an
-        // acting member that does not hold the object yet: both wait
-        // for backfill to re-copy the whole object.
-        let dynamics = self.dynamics;
+        // A written object takes the write only on its up holders.  An
+        // acting member outside the holder list lacks the object or
+        // missed an earlier write; layering this extent over its holes
+        // would corrupt it silently, so it waits for backfill to re-copy
+        // the whole object.  Membership alone decides: no store probe.
         let dir = self.replica_dir.entry(oid);
-        let written = dynamics && matches!(dir, Entry::Occupied(_));
-        healthy.retain(|&o| {
-            self.osds[o as usize].is_up()
-                && (!dynamics
-                    || (!self.stale.contains(&(o, oid))
-                        && (!written || self.osds[o as usize].store().version(oid).is_some())))
-        });
+        let holders = match &dir {
+            Entry::Occupied(e) => Some(e.get()),
+            Entry::Vacant(_) => None,
+        };
+        healthy
+            .retain(|&o| self.osds[o as usize].is_up() && holders.is_none_or(|h| h.contains(&o)));
         let Some(&primary) = healthy.first() else {
             self.acting_scratch = healthy;
             return None;
         };
-        // Holders that miss this partial write fall behind; unlike a
-        // full replace, the copies that do receive it are *not* healed
-        // of prior staleness/corruption (the write touches one extent).
-        // An overwrite refills its entry in place.  Nothing below reads
-        // the directory or the stale registry, so both are updated here
-        // on the one directory probe.
+        // The holders become exactly the copies written, so a holder
+        // this write misses drops out (it is stale from now on) and a
+        // holder is never stale.  The copies that do receive the write
+        // are not healed of prior corruption (it touches one extent).
+        // An overwrite refills its entry in place; nothing below reads
+        // the directory, so it is updated here on the one probe.
         let holders = dir.or_default();
-        for &h in holders.iter() {
-            if !healthy.contains(&h) {
-                self.stale.insert((h, oid));
-            }
-        }
         holders.clear();
         holders.extend_from_slice(&healthy);
         let p_server = self.server_of(primary);
@@ -466,32 +491,30 @@ impl Cluster {
         let mut degraded = false;
         let mut outcome = None;
         for (rank, osd) in candidates.iter().copied().enumerate() {
-            if !self.osds[osd as usize].is_up() {
+            let serves = match writers {
+                // Never written: the first up OSD serves zeros (RBD
+                // sparse read) with ordinary media timing, and no store
+                // is probed.
+                None => self.osds[osd as usize].is_up(),
+                Some(holders) => match self.copy_state(osd, oid) {
+                    // Down, or remapped here but not recovered.
+                    CopyState::Down | CopyState::Missing => false,
+                    CopyState::Sound(_) if holders.contains(&osd) => true,
+                    // A non-holder's copy missed a write (a revived OSD
+                    // awaiting backfill must never serve the bytes it
+                    // missed), and checksum verification (BlueStore's
+                    // per-extent CRCs) rejects a corrupt copy until deep
+                    // scrub repairs it: route to a sound holder.
+                    CopyState::Corrupt(_) | CopyState::Sound(_) => {
+                        self.bad_copy_skips += 1;
+                        false
+                    }
+                },
+            };
+            if !serves {
                 degraded = true;
                 continue;
             }
-            if written && self.osds[osd as usize].store().version(oid).is_none() {
-                // Copy not present here (remapped but not recovered).
-                degraded = true;
-                continue;
-            }
-            if self.stale.contains(&(osd, oid)) {
-                // This copy missed writes while its OSD was down (a
-                // revived OSD awaiting backfill must never serve the
-                // bytes it missed): route to an up-to-date copy.
-                self.bad_copy_skips += 1;
-                degraded = true;
-                continue;
-            }
-            if self.corrupted.contains(&(osd, oid)) {
-                // Checksum verification (BlueStore's per-extent CRCs)
-                // rejects the copy; deep scrub will repair it.
-                self.bad_copy_skips += 1;
-                degraded = true;
-                continue;
-            }
-            // For never-written objects the primary serves zeros (RBD
-            // sparse read) with ordinary media timing.
             let server = self.server_of(osd);
             let at_osd = self.topology.client_to_server(now, server, CONTROL_BYTES);
             let fin = self.osds[osd as usize]
@@ -656,8 +679,7 @@ impl Cluster {
             last_arrive = last_arrive.max(arrive);
             last_fin = last_fin.max(fin);
             if commits {
-                // A full shard replace heals prior staleness/corruption.
-                self.stale.remove(&(osd, oid));
+                // A full shard replace heals prior corruption.
                 self.corrupted.remove(&(osd, oid));
             }
         }
@@ -701,22 +723,21 @@ impl Cluster {
             if fetched >= k {
                 break;
             }
-            if !self.osds[osd as usize].is_up() {
-                skipped_any = true;
-                continue;
-            }
-            if self.corrupted.contains(&(osd, oid)) {
+            let shard_len = match self.copy_state(osd, oid) {
+                CopyState::Sound(len) => len,
                 // A checksum-rejected shard counts as missing; the
                 // decoder reconstructs from the surviving k.
-                self.bad_copy_skips += 1;
-                skipped_any = true;
-                continue;
-            }
-            let server = self.server_of(osd);
-            let Some(shard_len) = self.osds[osd as usize].store().peek_len(oid) else {
-                skipped_any = true;
-                continue;
+                CopyState::Corrupt(_) => {
+                    self.bad_copy_skips += 1;
+                    skipped_any = true;
+                    continue;
+                }
+                CopyState::Down | CopyState::Missing => {
+                    skipped_any = true;
+                    continue;
+                }
             };
+            let server = self.server_of(osd);
             let at_osd = self.topology.client_to_server(now, server, CONTROL_BYTES);
             let mut data = Vec::new();
             let fin = self.osds[osd as usize]
@@ -1143,7 +1164,10 @@ mod tests {
             .write_replicated_at(SimTime::from_nanos(1000), oid, 0, &payload(4096, 2), true)
             .unwrap();
         c.revive_osd(primary);
-        assert!(c.stale.contains(&(primary, oid)), "missed write marks the copy stale");
+        assert!(
+            !c.replica_dir[&oid].contains(&primary),
+            "a missed write drops the copy from the holders"
+        );
         let mut read = Vec::new();
         let r = c
             .read_replicated_into(w.complete, oid, 0, 4096, true, &mut read)
@@ -1154,7 +1178,7 @@ mod tests {
         // Backfill re-copies the whole object: no longer stale, and the
         // primary serves the current bytes again.
         let healed = backfill_all(&mut c, w.complete);
-        assert!(!c.stale.contains(&(primary, oid)));
+        assert!(c.replica_dir[&oid].contains(&primary));
         let r2 = c
             .read_replicated_into(healed, oid, 0, 4096, true, &mut read)
             .unwrap();
@@ -1164,11 +1188,9 @@ mod tests {
 
     #[test]
     fn dynamics_writes_skip_stale_and_missing_copies_until_backfill() {
-        // The engine arms dynamics mode with a recovery scheduler: partial
-        // writes then leave stale copies and acting members without the
-        // object to backfill instead of layering extents over holes.
+        // Partial writes leave stale copies and acting members without
+        // the object to backfill instead of layering extents over holes.
         let mut c = Cluster::paper_testbed(23);
-        c.set_dynamics(true);
         let oid = oid_rep(56);
         let pg = c.map.pool(1).unwrap().pg_of(oid);
         let w0 = c
@@ -1194,11 +1216,11 @@ mod tests {
         assert!(c.osds[stand_in as usize].store().version(oid).is_none());
         assert_eq!(c.replica_dir[&oid], holders[1..]);
 
-        // Revived, the copy that missed the write is stale, and the next
-        // partial write skips it too.
+        // Revived, the copy that missed the write is stale (no longer a
+        // holder), and the next partial write skips it too.
         c.revive_osd(primary);
         assert_eq!(c.map.acting_set(pg), holders);
-        assert!(c.stale.contains(&(primary, oid)));
+        assert!(!c.replica_dir[&oid].contains(&primary));
         let w2 = c
             .write_replicated_at(w1.complete, oid, 1024, &payload(512, 3), true)
             .unwrap();
@@ -1222,10 +1244,9 @@ mod tests {
         assert!(r.degraded);
         assert_eq!(c.bad_copy_skips(), 1);
 
-        // Backfill clears the stale mark; the next partial write reaches
-        // all three holders.
+        // Backfill makes the copy a holder again; the next partial write
+        // reaches all three holders.
         let healed = backfill_all(&mut c, r.complete);
-        assert!(!c.stale.contains(&(primary, oid)));
         let w3 = c
             .write_replicated_at(healed, oid, 0, &payload(256, 4), true)
             .unwrap();
@@ -1236,6 +1257,153 @@ mod tests {
             let stored = c.osds[h as usize].store().read(oid).unwrap();
             assert_eq!(&stored[..], &want[..], "OSD {h}");
         }
+    }
+
+    /// The copies of one replicated object on a six-copy pool, one per
+    /// copy state, at acting positions 0..6 in this order.
+    struct EveryState {
+        /// A revived OSD that missed a write: present, not a holder.
+        stale: i32,
+        /// An up stand-in without the object.
+        missing: i32,
+        /// A holder whose daemon died before the map noticed.
+        down: i32,
+        /// A rotted holder.
+        corrupt: i32,
+        /// Two sound holders.
+        sound: [i32; 2],
+    }
+
+    /// A cluster holding every copy state for `ObjectId::new(3, 7)`,
+    /// written twice (the current bytes are `payload(4096, 2)`), and the
+    /// second write's commit time.
+    fn every_copy_state() -> (Cluster, ObjectId, EveryState, SimTime) {
+        let mut c = Cluster::paper_testbed(24);
+        let six = PoolConfig::replicated(3, "six-copy", 6, 128, RULE_REPLICATED_OSD);
+        c.map.add_pool(six);
+        let oid = ObjectId::new(3, 7);
+        let pg = c.pool(3).pg_of(oid);
+        let w1 = c
+            .write_replicated_at(SimTime::ZERO, oid, 0, &payload(4096, 1), true)
+            .unwrap();
+        let q = c.map.acting_set(pg);
+        c.fail_osd(q[0]);
+        let w2 = c
+            .write_replicated_at(w1.complete, oid, 0, &payload(4096, 2), true)
+            .unwrap();
+        c.revive_osd(q[0]);
+        c.fail_osd(q[1]);
+        c.osds[q[2] as usize].set_up(false);
+        assert!(c.corrupt_object(q[3], oid));
+        c.corrupted.insert((q[3], oid));
+        let acting = c.map.acting_set(pg);
+        assert_eq!((&acting[..1], &acting[2..]), (&q[..1], &q[2..]));
+        assert!(!q.contains(&acting[1]), "a stand-in replaces position 1");
+        let copies = EveryState {
+            stale: q[0],
+            missing: acting[1],
+            down: q[2],
+            corrupt: q[3],
+            sound: [q[4], q[5]],
+        };
+        (c, oid, copies, w2.complete)
+    }
+
+    /// OSDs whose busy time moved since `before`, in id order.
+    fn touched(c: &Cluster, before: &[SimDuration]) -> Vec<i32> {
+        let now = c.osd_busy_times();
+        (0..now.len() as i32)
+            .filter(|&o| now[o as usize] != before[o as usize])
+            .collect()
+    }
+
+    fn sorted(mut osds: Vec<i32>) -> Vec<i32> {
+        osds.sort_unstable();
+        osds
+    }
+
+    #[test]
+    fn copy_state_decides_what_each_copy_may_do() {
+        use CopyState::{Corrupt, Down, Missing, Sound};
+        let (c, oid, k, _) = every_copy_state();
+        let all = [k.stale, k.missing, k.down, k.corrupt];
+        assert_eq!(
+            all.map(|o| c.copy_state(o, oid)),
+            [Sound(4096), Missing, Down, Corrupt(4096)]
+        );
+        assert_eq!(k.sound.map(|o| c.copy_state(o, oid)), [Sound(4096); 2]);
+        let holder = |o: i32| c.replica_dir[&oid].contains(&o);
+        assert_eq!(all.map(holder), [false, false, true, true]);
+        assert_eq!(k.sound.map(holder), [true; 2]);
+
+        // Write: only the up holders, the corrupt one included.
+        let (mut c, oid, k, t) = every_copy_state();
+        let before = c.osd_busy_times();
+        c.write_replicated_at(t, oid, 0, &payload(512, 3), true)
+            .unwrap();
+        let written = sorted(vec![k.corrupt, k.sound[0], k.sound[1]]);
+        assert_eq!(touched(&c, &before), written);
+        assert_eq!(sorted(c.replica_dir[&oid].clone()), written);
+
+        // Read: walked in acting order, the stale and the corrupt copy
+        // each count one bad-copy skip, the missing and the down one
+        // none, and the first sound holder serves.
+        let (mut c, oid, k, t) = every_copy_state();
+        let before = c.osd_busy_times();
+        let mut read = Vec::new();
+        let r = c
+            .read_replicated_into(t, oid, 0, 4096, true, &mut read)
+            .unwrap();
+        assert_eq!(read, payload(4096, 2));
+        assert!(r.degraded);
+        assert_eq!(c.bad_copy_skips(), 2);
+        assert_eq!(touched(&c, &before), vec![k.sound[0]]);
+
+        // Backfill: the up non-holders in the acting set (stale and
+        // missing) are re-copied from the first sound holder alone.
+        let (mut c, oid, k, t) = every_copy_state();
+        let before = c.osd_busy_times();
+        let mut sched = RecoveryScheduler::new(RecoveryPolicy::default());
+        assert!(c.recovery_scan(&mut sched, t));
+        c.backfill_wave(&mut sched, t).expect("a wave dispatches");
+        assert_eq!(
+            touched(&c, &before),
+            sorted(vec![k.stale, k.missing, k.sound[0]])
+        );
+        for dst in [k.stale, k.missing] {
+            assert_eq!(c.copy_state(dst, oid), Sound(4096));
+            assert!(c.replica_dir[&oid].contains(&dst));
+        }
+
+        // Deep scrub: reads the up holders, corrupt or sound, outvotes
+        // the corrupt copy and repairs it.
+        let (mut c, oid, k, t) = every_copy_state();
+        let before = c.osd_busy_times();
+        let tick = c.scrub_tick(&mut full_pass_scrubber(), t);
+        assert_eq!((tick.detected, tick.repaired), (1, 1));
+        assert_eq!(
+            touched(&c, &before),
+            sorted(vec![k.corrupt, k.sound[0], k.sound[1]])
+        );
+        assert_eq!(c.copy_state(k.corrupt, oid), Sound(4096));
+
+        // Bit rot: none while the object carries rot; once the registry
+        // forgets it, exactly the up holders are targets.
+        let (mut c, _, _, _) = every_copy_state();
+        assert_eq!(c.inject_bitrot(1, &mut Xoshiro256::seed_from_u64(0)), 0);
+        let mut hit = BTreeSet::new();
+        for seed in 0..16 {
+            let (mut c, oid, _, _) = every_copy_state();
+            c.corrupted.clear();
+            assert_eq!(c.inject_bitrot(1, &mut Xoshiro256::seed_from_u64(seed)), 1);
+            let &(osd, rotted) = c.corrupted.first().unwrap();
+            assert_eq!(rotted, oid);
+            hit.insert(osd);
+        }
+        assert_eq!(
+            hit.into_iter().collect::<Vec<_>>(),
+            sorted(vec![k.corrupt, k.sound[0], k.sound[1]])
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! the fault plane's dedicated bit-rot stream, so arming a scheduler
 //! never perturbs foreground RNG streams.
 
-use crate::cluster::{Cluster, ACK_SAME_SERVER};
+use crate::cluster::{Cluster, CopyState, ACK_SAME_SERVER};
 use crate::object::ObjectId;
 use crate::pool::PoolKind;
 use deliba_sim::{SimDuration, SimRng, SimTime, Xoshiro256};
@@ -261,10 +261,10 @@ impl Cluster {
     /// Pure bookkeeping — no virtual time is charged; the costed moves
     /// happen in [`Cluster::backfill_wave`].
     pub fn recovery_scan(&self, sched: &mut RecoveryScheduler, now: SimTime) -> bool {
-        let up = |osd: i32| self.osds[osd as usize].is_up();
-        let present = |osd: i32, oid| self.osds[osd as usize].store().version(oid).is_some();
-        // Replicated objects: each up acting member must hold a fresh
-        // copy; a valid source is any up, fresh, uncorrupted holder.
+        let sound = |osd: i32, oid| matches!(self.copy_state(osd, oid), CopyState::Sound(_));
+        // Replicated objects: each up acting member must be a holder (a
+        // non-holder lacks the object or missed a write); a valid source
+        // is any sound holder.
         let mut acting = Vec::new();
         for (&oid, holders) in &self.replica_dir {
             let pool = self.pool(oid.pool);
@@ -272,14 +272,8 @@ impl Cluster {
                 continue;
             }
             self.map.acting_set_into(pool.pg_of(oid), &mut acting);
-            let has_source = holders.iter().any(|&h| {
-                up(h)
-                    && !self.stale.contains(&(h, oid))
-                    && !self.corrupted.contains(&(h, oid))
-                    && present(h, oid)
-            });
-            let needs =
-                |&dst: &i32| up(dst) && (!present(dst, oid) || self.stale.contains(&(dst, oid)));
+            let has_source = holders.iter().any(|&h| sound(h, oid));
+            let needs = |&dst: &i32| !holders.contains(&dst) && self.osd_is_up(dst);
             if !acting.iter().any(needs) {
                 sched.unrecoverable.remove(&oid);
                 continue;
@@ -300,12 +294,7 @@ impl Cluster {
             let PoolKind::Erasure { k, m } = self.pool(oid.pool).kind else {
                 continue;
             };
-            let readable = placed
-                .iter()
-                .filter(|&&(osd, _)| {
-                    up(osd) && !self.corrupted.contains(&(osd, oid)) && present(osd, oid)
-                })
-                .count();
+            let readable = placed.iter().filter(|&&(osd, _)| sound(osd, oid)).count();
             if readable == k + m {
                 sched.unrecoverable.remove(&oid);
                 continue;
@@ -391,10 +380,7 @@ impl Cluster {
                 let pg = pool.pg_of(oid);
                 let held: Vec<i32> = placed
                     .iter()
-                    .filter(|&&(osd, _)| {
-                        self.osds[osd as usize].is_up()
-                            && self.osds[osd as usize].store().version(oid).is_some()
-                    })
+                    .filter(|&&(osd, _)| self.copy_state(osd, oid).stored_len().is_some())
                     .map(|&(osd, _)| osd)
                     .collect();
                 let missing = placed.len().saturating_sub(held.len())
@@ -402,7 +388,7 @@ impl Cluster {
                 self.map
                     .acting_set(pg)
                     .into_iter()
-                    .filter(|o| self.osds[*o as usize].is_up() && !held.contains(o))
+                    .filter(|&o| self.osd_is_up(o) && !held.contains(&o))
                     .take(missing)
                     .collect()
             }
@@ -415,41 +401,24 @@ impl Cluster {
     fn backfill_one(&mut self, item: BackfillItem, now: SimTime) -> Option<(SimTime, u64)> {
         match item {
             BackfillItem::Replica { oid, dst } => {
-                if !self.osds[dst as usize].is_up() {
+                if !self.osd_is_up(dst) {
                     return None;
                 }
-                let src = *self.replica_dir.get(&oid)?.iter().find(|&&h| {
-                    h != dst
-                        && self.osds[h as usize].is_up()
-                        && !self.stale.contains(&(h, oid))
-                        && !self.corrupted.contains(&(h, oid))
-                        && self.osds[h as usize].store().version(oid).is_some()
+                let (src, len) = self.replica_dir.get(&oid)?.iter().find_map(|&h| {
+                    match self.copy_state(h, oid) {
+                        CopyState::Sound(len) if h != dst => Some((h, len)),
+                        _ => None,
+                    }
                 })?;
-                let len = self.osds[src as usize].store().peek_len(oid)?;
                 // Costed source read (media + queue on the shared OSD).
                 let read_fin = self.osds[src as usize]
                     .charge_read(now, len, false)
                     .expect("source is up");
-                // Push src → dst over the cluster network.
-                let s_from = self.server_of(src);
-                let s_to = self.server_of(dst);
-                let arrive = if s_from == s_to {
-                    read_fin + ACK_SAME_SERVER
-                } else {
-                    self.topology.server_to_server(read_fin, s_from, s_to, len as u64)
-                };
-                // The destination shares the source's pages.
-                let (fin, from, to) = self
-                    .charge_copy(src, dst, arrive, len, false)
-                    .expect("destination is up");
-                to.copy_from(oid, from);
-                // A full-object copy makes the destination fresh.
-                self.stale.remove(&(dst, oid));
-                self.corrupted.remove(&(dst, oid));
-                if let Some(h) = self.replica_dir.get_mut(&oid) {
-                    if !h.contains(&dst) {
-                        h.push(dst);
-                    }
+                let fin = self.push_replica(src, dst, oid, len, read_fin);
+                // A full-object copy makes the destination a holder.
+                let holders = self.replica_dir.get_mut(&oid).expect("looked up above");
+                if !holders.contains(&dst) {
+                    holders.push(dst);
                 }
                 Some((fin, len as u64))
             }
@@ -470,12 +439,7 @@ impl Cluster {
                     if fetched >= k {
                         break;
                     }
-                    if !self.osds[osd as usize].is_up()
-                        || self.corrupted.contains(&(osd, oid))
-                    {
-                        continue;
-                    }
-                    let Some(len) = self.osds[osd as usize].store().peek_len(oid) else {
+                    let CopyState::Sound(len) = self.copy_state(osd, oid) else {
                         continue;
                     };
                     let mut buf = Vec::new();
@@ -506,9 +470,7 @@ impl Cluster {
                     if held.contains(&osd) {
                         continue;
                     }
-                    if self.osds[osd as usize].is_up()
-                        && !self.corrupted.contains(&(osd, oid))
-                        && self.osds[osd as usize].store().version(oid).is_some()
+                    if matches!(self.copy_state(osd, oid), CopyState::Sound(_))
                         && !new_placed.iter().any(|&(_, i)| i == idx)
                     {
                         held.push(osd);
@@ -522,7 +484,7 @@ impl Cluster {
                     .map
                     .acting_set(pg)
                     .into_iter()
-                    .filter(|o| self.osds[*o as usize].is_up() && !held.contains(o))
+                    .filter(|&o| self.osd_is_up(o) && !held.contains(&o))
                     .collect();
                 let mut targets = targets.into_iter();
                 let mut fin = gather;
@@ -533,17 +495,8 @@ impl Cluster {
                         None => slots[idx].as_deref().expect("reconstructed"),
                         Some(pi) => &parity[pi * parity_len..][..parity_len],
                     };
-                    let len = shard.len() as u64;
-                    let arrive =
-                        self.topology
-                            .client_to_server(gather, self.server_of(dst), len);
-                    let w_fin = self.osds[dst as usize]
-                        .write_object(arrive, oid, shard, false)
-                        .expect("destination is up");
-                    self.stale.remove(&(dst, oid));
-                    self.corrupted.remove(&(dst, oid));
-                    fin = fin.max(w_fin);
-                    moved += len;
+                    fin = fin.max(self.push_shard(dst, oid, shard, gather));
+                    moved += shard.len() as u64;
                     new_placed.push((dst, idx));
                 }
                 self.parity_scratch = parity;
@@ -624,15 +577,45 @@ impl Cluster {
         found
     }
 
-    /// Stored length of `osd`'s copy of `oid` when deep scrub may read
-    /// it: the OSD is up, the copy is fresh (stale copies are
-    /// backfill's job, not scrub's) and present.
-    fn scrub_readable_len(&self, osd: i32, oid: ObjectId) -> Option<usize> {
-        let o = &self.osds[osd as usize];
-        if !o.is_up() || self.stale.contains(&(osd, oid)) {
-            return None;
-        }
-        o.store().peek_len(oid)
+    /// Push `src`'s whole `len`-byte copy of `oid`, read out by
+    /// `ready`, to `dst` over the cluster network: backfill's copy and
+    /// scrub's repair.  `dst` shares `src`'s pages, is charged a full
+    /// write and loses any corrupt mark.  Returns `dst`'s commit time.
+    fn push_replica(
+        &mut self,
+        src: i32,
+        dst: i32,
+        oid: ObjectId,
+        len: usize,
+        ready: SimTime,
+    ) -> SimTime {
+        let (s_from, s_to) = (self.server_of(src), self.server_of(dst));
+        let arrive = if s_from == s_to {
+            ready + ACK_SAME_SERVER
+        } else {
+            self.topology
+                .server_to_server(ready, s_from, s_to, len as u64)
+        };
+        let (fin, from, to) = self
+            .charge_copy(src, dst, arrive, len, false)
+            .expect("destination is up");
+        to.copy_from(oid, from);
+        self.corrupted.remove(&(dst, oid));
+        fin
+    }
+
+    /// Send one EC shard from the client to `dst` at `ready` and store
+    /// it whole: backfill's rebuild and scrub's repair.  `dst` loses
+    /// any corrupt mark.  Returns the write's commit time.
+    fn push_shard(&mut self, dst: i32, oid: ObjectId, shard: &[u8], ready: SimTime) -> SimTime {
+        let arrive = self
+            .topology
+            .client_to_server(ready, self.server_of(dst), shard.len() as u64);
+        let fin = self.osds[dst as usize]
+            .write_object(arrive, oid, shard, false)
+            .expect("destination is up");
+        self.corrupted.remove(&(dst, oid));
+        fin
     }
 
     /// Do two OSDs hold the same bytes for `oid`?  Compared in place.
@@ -641,7 +624,7 @@ impl Cluster {
         store(a).same_content(oid, store(b), oid)
     }
 
-    /// Deep-scrub one replicated object: every readable fresh copy is
+    /// Deep-scrub one replicated object: every readable holder copy is
     /// charged a local media read and compared with the first one in
     /// place (no bytes copied, no allocation).  Only on a mismatch do
     /// the copies vote (majority, ties to the first holder); the
@@ -659,7 +642,7 @@ impl Cluster {
         let mut first: Option<i32> = None;
         let mut all_equal = true;
         for &osd in holders {
-            let Some(len) = self.scrub_readable_len(osd, oid) else {
+            let Some(len) = self.copy_state(osd, oid).stored_len() else {
                 continue;
             };
             let r_fin = self.osds[osd as usize]
@@ -675,45 +658,29 @@ impl Cluster {
         if all_equal {
             return (fin, 0, 0);
         }
-        let copies: Vec<i32> = holders
+        let copies: Vec<(i32, usize)> = holders
             .iter()
-            .copied()
-            .filter(|&osd| self.scrub_readable_len(osd, oid).is_some())
+            .filter_map(|&osd| Some((osd, self.copy_state(osd, oid).stored_len()?)))
             .collect();
         // Majority vote; ties go to the first (write-time primary) copy.
-        let mut best: Option<(i32, usize)> = None;
-        for &osd in &copies {
+        let mut best: Option<((i32, usize), usize)> = None;
+        for &(osd, len) in &copies {
             let votes = copies
                 .iter()
-                .filter(|&&x| self.same_copy(x, osd, oid))
+                .filter(|&&(x, _)| self.same_copy(x, osd, oid))
                 .count();
             if best.map(|(_, v)| votes > v).unwrap_or(true) {
-                best = Some((osd, votes));
+                best = Some(((osd, len), votes));
             }
         }
-        let auth_osd = best.expect("non-empty").0;
-        let auth_len = self
-            .scrub_readable_len(auth_osd, oid)
-            .expect("readable copy");
+        let (auth_osd, auth_len) = best.expect("non-empty").0;
         let mut detected = 0;
         let mut repaired = 0;
-        for &osd in &copies {
+        for &(osd, _) in &copies {
             if !self.same_copy(auth_osd, osd, oid) {
                 detected += 1;
-                // Push the authoritative copy to the bad holder.
-                let s_from = self.server_of(auth_osd);
-                let s_to = self.server_of(osd);
-                let arrive = if s_from == s_to {
-                    fin + ACK_SAME_SERVER
-                } else {
-                    self.topology.server_to_server(fin, s_from, s_to, auth_len as u64)
-                };
                 // The repaired copy shares the authoritative pages.
-                let (w_fin, from, to) = self
-                    .charge_copy(auth_osd, osd, arrive, auth_len, false)
-                    .expect("checked up");
-                to.copy_from(oid, from);
-                fin = fin.max(w_fin);
+                fin = fin.max(self.push_replica(auth_osd, osd, oid, auth_len, fin));
                 repaired += 1;
             }
         }
@@ -748,10 +715,7 @@ impl Cluster {
         let mut holder_of: Vec<Option<i32>> = vec![None; k + m];
         let mut fin = now;
         for &(osd, idx) in placed {
-            if !self.osds[osd as usize].is_up() {
-                continue;
-            }
-            let Some(len) = self.osds[osd as usize].store().peek_len(oid) else {
+            let Some(len) = self.copy_state(osd, oid).stored_len() else {
                 continue;
             };
             let mut buf = Vec::new();
@@ -781,7 +745,7 @@ impl Cluster {
         // without an entry, fall back to rewriting the divergent parity.
         let bad: Vec<(i32, usize)> = placed
             .iter()
-            .filter(|&&(osd, _)| self.corrupted.contains(&(osd, oid)))
+            .filter(|&&(osd, _)| matches!(self.copy_state(osd, oid), CopyState::Corrupt(_)))
             .copied()
             .collect();
         let mut detected = 0;
@@ -791,13 +755,7 @@ impl Cluster {
                 if let Some(osd) = holder_of[k + pi] {
                     detected += 1;
                     let p = &parity[pi * len..][..len];
-                    let arrive =
-                        self.topology
-                            .client_to_server(fin, self.server_of(osd), p.len() as u64);
-                    let w_fin = self.osds[osd as usize]
-                        .write_object(arrive, oid, p, false)
-                        .expect("checked up");
-                    fin = fin.max(w_fin);
+                    fin = fin.max(self.push_shard(osd, oid, p, fin));
                     repaired += 1;
                 }
             }
@@ -815,16 +773,7 @@ impl Cluster {
                     slots[idx] = Some(parity[(idx - k) * len..][..len].to_vec());
                 }
                 let good = slots[idx].as_deref().expect("reconstructed");
-                let arrive = self.topology.client_to_server(
-                    fin,
-                    self.server_of(osd),
-                    good.len() as u64,
-                );
-                let w_fin = self.osds[osd as usize]
-                    .write_object(arrive, oid, good, false)
-                    .expect("checked up");
-                fin = fin.max(w_fin);
-                self.corrupted.remove(&(osd, oid));
+                fin = fin.max(self.push_shard(osd, oid, good, fin));
                 repaired += 1;
             }
         }
@@ -841,40 +790,21 @@ impl Cluster {
     pub fn inject_bitrot(&mut self, copies: u32, rng: &mut Xoshiro256) -> u64 {
         let rotten_oids: BTreeSet<ObjectId> =
             self.corrupted.iter().map(|&(_, o)| o).collect();
-        let mut pool: Vec<(i32, ObjectId)> = Vec::new();
-        for (oid, holders) in &self.replica_dir {
-            if rotten_oids.contains(oid) {
-                continue;
-            }
-            for &h in holders {
-                if self.osds[h as usize].is_up()
-                    && !self.stale.contains(&(h, *oid))
-                    && self.osds[h as usize]
-                        .store()
-                        .peek_len(*oid)
-                        .map(|l| l > 0)
-                        .unwrap_or(false)
-                {
-                    pool.push((h, *oid));
-                }
-            }
-        }
-        for (oid, (_, placed)) in &self.shard_dir {
-            if rotten_oids.contains(oid) {
-                continue;
-            }
-            for &(osd, _) in placed {
-                if self.osds[osd as usize].is_up()
-                    && self.osds[osd as usize]
-                        .store()
-                        .peek_len(*oid)
-                        .map(|l| l > 0)
-                        .unwrap_or(false)
-                {
-                    pool.push((osd, *oid));
-                }
-            }
-        }
+        // Candidates: every non-empty copy on a replicated holder or an
+        // EC shard holder, of an object that carries no rot yet.
+        let replicas = self
+            .replica_dir
+            .iter()
+            .flat_map(|(&oid, holders)| holders.iter().map(move |&osd| (osd, oid)));
+        let shards = self
+            .shard_dir
+            .iter()
+            .flat_map(|(&oid, (_, placed))| placed.iter().map(move |&(osd, _)| (osd, oid)));
+        let rottable = |&(osd, oid): &(i32, ObjectId)| {
+            let len = self.copy_state(osd, oid).stored_len();
+            !rotten_oids.contains(&oid) && len.is_some_and(|len| len > 0)
+        };
+        let mut pool: Vec<(i32, ObjectId)> = replicas.chain(shards).filter(rottable).collect();
         let mut hit_oids: BTreeSet<ObjectId> = BTreeSet::new();
         let mut injected = 0u64;
         while injected < copies as u64 && !pool.is_empty() {
@@ -884,10 +814,7 @@ impl Cluster {
                 continue;
             }
             let store = self.osds[osd as usize].store_mut();
-            let Some(len) = store.peek_len(oid) else { continue };
-            if len == 0 {
-                continue;
-            }
+            let len = store.peek_len(oid).expect("a candidate copy is stored");
             // Flip one byte in the middle of the stored payload.
             let mid = len / 2;
             let cur = store.read_at(oid, mid, 1);
@@ -1198,7 +1125,7 @@ mod tests {
     }
 
     /// Deep scrub of one replicated object the copying way: materialise
-    /// every readable fresh copy, vote over whole byte vectors (ties to
+    /// every readable holder copy, vote over whole byte vectors (ties to
     /// the first holder) and return the mismatch count plus every
     /// holder's expected bytes after repair.
     fn reference_scrub(c: &Cluster, oid: ObjectId) -> (u64, Vec<(i32, Vec<u8>)>) {
@@ -1211,7 +1138,7 @@ mod tests {
         let copies: Vec<(i32, Vec<u8>)> = holders
             .iter()
             .copied()
-            .filter(|&h| c.osds[h as usize].is_up() && !c.stale.contains(&(h, oid)))
+            .filter(|&h| c.osd_is_up(h))
             .filter_map(|h| stored(h).map(|b| (h, b)))
             .collect();
         if copies.len() < 2 {
@@ -1263,10 +1190,13 @@ mod tests {
         flip(&mut c, 3, 1, None);
         flip(&mut c, 3, 2, None);
         // 4 and 5: two readable copies that differ (1:1 tie → copy 0),
-        // once with the rot on copy 1 and once on copy 0.
+        // once with the rot on copy 1 and once on copy 0.  Copy 2 leaves
+        // the holder list, as a missed write leaves it: scrub must not
+        // read it.
         for (i, rotten) in [(4, 1), (5, 0)] {
             let excluded = holders(&c, i)[2];
-            c.stale.insert((excluded, oid_rep(i)));
+            let dir = c.replica_dir.get_mut(&oid_rep(i)).unwrap();
+            dir.retain(|&h| h != excluded);
             flip(&mut c, i, rotten, None);
         }
         // 6: copies 0 and 1 carry the same flip and outvote copy 2.
@@ -1322,7 +1252,7 @@ mod tests {
         for (&oid, holders) in &c.replica_dir {
             let copies: Vec<(i32, Vec<u8>)> = holders
                 .iter()
-                .filter(|&&h| c.osd_is_up(h) && !c.stale.contains(&(h, oid)))
+                .filter(|&&h| c.osd_is_up(h))
                 .filter_map(|&h| model.get(&(h, oid)).map(|d| (h, d.clone())))
                 .collect();
             let mut best: Option<(usize, usize)> = None;
@@ -1366,7 +1296,6 @@ mod tests {
         let (mut scrubbed, mut backfilled) = (0u64, 0u64);
         for seed in 0..8u64 {
             let mut c = Cluster::paper_testbed(60 + seed);
-            c.set_dynamics(seed % 2 == 0);
             let mut rng = Xoshiro256::seed_from_u64(500 + seed);
             let mut model = CopyModel::new();
             let mut sched = RecoveryScheduler::new(
@@ -1427,8 +1356,7 @@ mod tests {
                         let before: Vec<Vec<Option<u64>>> = (0..c.num_osds())
                             .map(|o| oids.iter().map(|&oid| version(&c, o, oid)).collect())
                             .collect();
-                        let (dir, stale, corrupted) =
-                            (c.replica_dir.clone(), c.stale.clone(), c.corrupted.clone());
+                        let (dir, corrupted) = (c.replica_dir.clone(), c.corrupted.clone());
                         c.recovery_scan(&mut sched, t);
                         if let Some(fin) = c.backfill_wave(&mut sched, t) {
                             t = t.max(fin);
@@ -1444,7 +1372,6 @@ mod tests {
                                     .find(|&&h| {
                                         h != dst
                                             && c.osd_is_up(h)
-                                            && !stale.contains(&(h, oid))
                                             && !corrupted.contains(&(h, oid))
                                             && model.contains_key(&(h, oid))
                                     })

@@ -211,7 +211,7 @@ pub struct EngineConfig {
     /// never perturbs results.
     pub trace_depth: TraceDepth,
     /// Background recovery/backfill/scrub policy.  `None` (the default)
-    /// leaves cluster dynamics off entirely: no background tokens, no
+    /// leaves background work off entirely: no background tokens, no
     /// extra event-queue shard, and `RunReport` carries no recovery
     /// block — pre-existing runs stay byte-identical.
     pub recovery: Option<RecoveryPolicy>,
@@ -753,12 +753,6 @@ impl Engine {
         let mut cluster = Cluster::paper_testbed_with_frames(cfg.seed, frames);
         cluster.set_trace(obs.clone());
         let recovery = cfg.recovery.map(RecoveryScheduler::new);
-        if recovery.is_some() {
-            // Dynamics on: partial-write fan-out starts honoring the
-            // stale/backfill registries (reads always did — any stale
-            // consult without dynamics would have been a verify failure).
-            cluster.set_dynamics(true);
-        }
         let card = cfg.fpga.then(|| {
             let mut card = AlveoU280::deliba_k_default();
             card.set_trace(obs.clone());
@@ -2499,6 +2493,29 @@ mod tests {
             ops.push(TraceOp::read(i * (4 << 20), 4096, false));
         }
         ops
+    }
+
+    #[test]
+    fn a_crash_between_block_writes_never_serves_missed_extents() {
+        // Replication with no recovery policy.  Block 0 of 8 objects is
+        // written, one OSD crashes, block 1 is written, block 0 is read
+        // back.  The crash remaps a holder's position to a stand-in that
+        // lacks the object; the stand-in must not take block 1 and then
+        // serve zeros for block 0.  Every victim must read back clean.
+        let block = |i: u64, b: u64| i * (4 << 20) + b * 4096;
+        let mut ops: Vec<TraceOp> = (0..8)
+            .map(|i| TraceOp::write(block(i, 0), 4096, false))
+            .collect();
+        ops.extend((0..8).map(|i| TraceOp::write(block(i, 1), 4096, false)));
+        ops[8] = ops[8].with_think(2_000_000);
+        ops.extend((0..8).map(|i| TraceOp::read(block(i, 0), 4096, false)));
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
+        for victim in 0..32 {
+            let mut e = Engine::new(cfg);
+            e.set_fault_schedule(FaultSchedule::new().osd_crash(ms(1), victim));
+            let r = e.run_trace(vec![ops.clone()], 1);
+            assert_eq!(r.verify_failures, 0, "victim OSD {victim}");
+        }
     }
 
     #[test]

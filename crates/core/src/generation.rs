@@ -27,8 +27,6 @@ pub struct PathFeatures {
     pub crossings: u32,
     /// Host payload copies per I/O.
     pub copies: u32,
-    /// io_uring (true) vs NBD read()/write() plumbing (circle ①).
-    pub io_uring: bool,
     /// DMQ scheduler bypass (circle ②).
     pub sched_bypass: bool,
     /// QDMA multi-queue DMA vs XDMA-style single queue (circle ③).
@@ -39,10 +37,12 @@ pub struct PathFeatures {
     pub polled_completion: bool,
     /// TCP stack when the FPGA is present (circle ⑥).
     pub hw_tcp: TcpStackKind,
-    /// Synchronous NBD daemon architecture (one event loop holding each
-    /// request for its round trip).
+    /// NBD read()/write() plumbing with one synchronous user-space
+    /// daemon that holds each request for its round trip (D1/D2), vs
+    /// io_uring, whose instances pipeline (circle ①).
     pub sync_daemon: bool,
-    /// Concurrent submission contexts.
+    /// Concurrent submission contexts (io_uring instances for DeLiBA-K,
+    /// the NBD daemon otherwise).
     pub contexts: usize,
     /// Which generation's fitted residual anchors this path (see
     /// `calib::residual`).
@@ -70,82 +70,50 @@ impl Generation {
         }
     }
 
-    /// User/kernel crossings per I/O.
-    pub fn crossings_per_io(self) -> u32 {
-        match self {
-            Generation::DeLiBA1 => 6,
-            Generation::DeLiBA2 => 5,
-            // Kernel-polled io_uring: no syscall in steady state; the
-            // residual crossing cost is amortized over whole batches and
-            // charged separately in the host path.
-            Generation::DeLiBAK => 0,
-        }
-    }
-
-    /// Payload memory copies per I/O on the host.
-    pub fn copies_per_io(self) -> u32 {
-        match self {
-            Generation::DeLiBA1 => 6,
-            Generation::DeLiBA2 => 5,
-            Generation::DeLiBAK => 1,
-        }
-    }
-
-    /// Does the block layer run an MQ scheduler?
-    pub fn uses_mq_scheduler(self) -> bool {
-        !matches!(self, Generation::DeLiBAK)
-    }
-
-    /// Synchronous NBD-daemon architecture?  D1/D2 funnel every volume's
-    /// I/O through one user-space NBD event loop that holds the request
-    /// for its full round trip; DeLiBA-K's io_uring instances pipeline.
-    pub fn synchronous_daemon(self) -> bool {
-        !matches!(self, Generation::DeLiBAK)
-    }
-
-    /// Number of concurrent host submission contexts (io_uring instances
-    /// for DeLiBA-K — §III-A fixes this at 3; the NBD daemon otherwise).
-    pub fn submission_contexts(self) -> usize {
-        match self {
-            Generation::DeLiBAK => 3,
-            _ => 1,
-        }
-    }
-
-    /// TCP stack used when the FPGA is present.
-    pub fn hw_tcp_stack(self) -> TcpStackKind {
-        match self {
-            // D1 accelerated storage only; networking stayed on the host.
-            Generation::DeLiBA1 => TcpStackKind::HostSoftware,
-            Generation::DeLiBA2 => TcpStackKind::HlsFpga,
-            Generation::DeLiBAK => TcpStackKind::RtlFpga,
-        }
-    }
-
-    /// Are the accelerators the HLS generation (D1/D2) or RTL (DK)?
-    pub fn hls_accelerators(self) -> bool {
-        !matches!(self, Generation::DeLiBAK)
-    }
-
-    /// Interrupt-driven completion (vs. polled CQ).
-    pub fn interrupt_completion(self) -> bool {
-        !matches!(self, Generation::DeLiBAK)
-    }
-
-    /// The generation's feature preset.
+    /// The generation's feature preset: one row of the table above.
     pub fn features(self) -> PathFeatures {
-        PathFeatures {
-            crossings: self.crossings_per_io(),
-            copies: self.copies_per_io(),
-            io_uring: !self.synchronous_daemon(),
-            sched_bypass: !self.uses_mq_scheduler(),
-            qdma: self == Generation::DeLiBAK,
-            rtl_accel: !self.hls_accelerators(),
-            polled_completion: !self.interrupt_completion(),
-            hw_tcp: self.hw_tcp_stack(),
-            sync_daemon: self.synchronous_daemon(),
-            contexts: self.submission_contexts(),
-            residual_of: self,
+        match self {
+            Generation::DeLiBA1 => PathFeatures {
+                crossings: 6,
+                copies: 6,
+                sched_bypass: false,
+                qdma: false,
+                rtl_accel: false,
+                polled_completion: false,
+                // D1 accelerated storage only; networking stayed on the host.
+                hw_tcp: TcpStackKind::HostSoftware,
+                sync_daemon: true,
+                contexts: 1,
+                residual_of: self,
+            },
+            Generation::DeLiBA2 => PathFeatures {
+                crossings: 5,
+                copies: 5,
+                sched_bypass: false,
+                qdma: false,
+                rtl_accel: false,
+                polled_completion: false,
+                hw_tcp: TcpStackKind::HlsFpga,
+                sync_daemon: true,
+                contexts: 1,
+                residual_of: self,
+            },
+            Generation::DeLiBAK => PathFeatures {
+                // Kernel-polled io_uring: no syscall in steady state; the
+                // residual crossing cost is amortized over whole batches
+                // and charged separately in the host path.
+                crossings: 0,
+                copies: 1,
+                sched_bypass: true,
+                qdma: true,
+                rtl_accel: true,
+                polled_completion: true,
+                hw_tcp: TcpStackKind::RtlFpga,
+                sync_daemon: false,
+                // §III-A fixes the io_uring instances at 3.
+                contexts: 3,
+                residual_of: self,
+            },
         }
     }
 }
@@ -156,10 +124,10 @@ mod tests {
 
     #[test]
     fn paper_constants() {
-        assert_eq!(Generation::DeLiBA1.crossings_per_io(), 6);
-        assert_eq!(Generation::DeLiBA2.copies_per_io(), 5);
-        assert_eq!(Generation::DeLiBAK.copies_per_io(), 1);
-        assert_eq!(Generation::DeLiBAK.submission_contexts(), 3);
+        assert_eq!(Generation::DeLiBA1.features().crossings, 6);
+        assert_eq!(Generation::DeLiBA2.features().copies, 5);
+        assert_eq!(Generation::DeLiBAK.features().copies, 1);
+        assert_eq!(Generation::DeLiBAK.features().contexts, 3);
     }
 
     #[test]
@@ -171,28 +139,34 @@ mod tests {
             Generation::DeLiBAK,
         ];
         for w in gens.windows(2) {
-            assert!(w[0].crossings_per_io() >= w[1].crossings_per_io());
-            assert!(w[0].copies_per_io() >= w[1].copies_per_io());
+            let (a, b) = (w[0].features(), w[1].features());
+            assert!(a.crossings >= b.crossings);
+            assert!(a.copies >= b.copies);
         }
     }
 
     #[test]
     fn stacks_match_paper_history() {
         assert_eq!(
-            Generation::DeLiBA1.hw_tcp_stack(),
+            Generation::DeLiBA1.features().hw_tcp,
             TcpStackKind::HostSoftware,
             "D2 'moved the network stack onto the FPGA as well' — so D1 had it on the host"
         );
-        assert_eq!(Generation::DeLiBA2.hw_tcp_stack(), TcpStackKind::HlsFpga);
-        assert_eq!(Generation::DeLiBAK.hw_tcp_stack(), TcpStackKind::RtlFpga);
+        assert_eq!(Generation::DeLiBA2.features().hw_tcp, TcpStackKind::HlsFpga);
+        assert_eq!(Generation::DeLiBAK.features().hw_tcp, TcpStackKind::RtlFpga);
     }
 
     #[test]
     fn only_deliba_k_bypasses_and_polls() {
-        assert!(Generation::DeLiBA1.uses_mq_scheduler());
-        assert!(Generation::DeLiBA2.interrupt_completion());
-        assert!(!Generation::DeLiBAK.uses_mq_scheduler());
-        assert!(!Generation::DeLiBAK.interrupt_completion());
-        assert!(!Generation::DeLiBAK.synchronous_daemon());
+        let (d1, d2, dk) = (
+            Generation::DeLiBA1.features(),
+            Generation::DeLiBA2.features(),
+            Generation::DeLiBAK.features(),
+        );
+        assert!(!d1.sched_bypass);
+        assert!(!d2.polled_completion);
+        assert!(dk.sched_bypass);
+        assert!(dk.polled_completion);
+        assert!(!dk.sync_daemon);
     }
 }

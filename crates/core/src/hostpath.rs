@@ -93,10 +93,10 @@ pub fn host_costs(
     // API + crossings + copies.
     let crossings = calib::CROSSING * features.crossings as u64;
     let copies = calib::copy_time(bytes, features.copies);
-    let api = if features.io_uring {
-        calib::URING_PER_IO
-    } else {
+    let api = if features.sync_daemon {
         calib::NBD_PER_IO
+    } else {
+        calib::URING_PER_IO
     };
     parts.ring_enter += crossings;
     parts.submit += copies + api;

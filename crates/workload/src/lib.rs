@@ -32,10 +32,8 @@ pub mod arrival;
 pub mod mixed;
 pub mod olap;
 pub mod oltp;
-pub mod trace;
 
 pub use arrival::{ArrivalKind, OpenLoopSpec, Zipf};
 pub use mixed::MixedSpec;
 pub use olap::OlapSpec;
 pub use oltp::OltpSpec;
-pub use trace::{load_timed_trace, load_trace, save_timed_trace, save_trace};
