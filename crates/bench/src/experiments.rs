@@ -999,8 +999,7 @@ pub fn perf() -> Experiment {
     let tele_recording_overhead = tele_recording_overhead.max(0.0);
 
     // The EC-write cell: the engine shape whose host time is lane-local
-    // compute (payload fill, FNV checksum, the SIMD RS(4, 2) parity
-    // encode).  Three jobs of random 16 KiB writes land on an 8 MiB span
+    // compute (payload fill and the SIMD RS(4, 2) parity encode).  Three jobs of random 16 KiB writes land on an 8 MiB span
     // (512 extents), like the benchmark's `ec-randwrite`, so the shard
     // store covers the span early and most timed writes overwrite rather
     // than create objects.  Its events per second is the EC path's

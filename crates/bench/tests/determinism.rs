@@ -59,7 +59,7 @@ fn same_seed_reports_are_bit_identical() {
 }
 
 /// Closed-loop writes with interleaved read-backs, in both pool modes:
-/// every read verifies against the checksum its write recorded, and the
+/// every read verifies against the payload its write recorded, and the
 /// run replays bit-identically.
 #[test]
 fn mixed_closed_loop_reports_are_bit_identical() {
@@ -74,7 +74,7 @@ fn mixed_closed_loop_reports_are_bit_identical() {
         let run = || {
             let cfg = EngineConfig::new(Generation::DeLiBAK, true, mode);
             let r = Engine::new(cfg).run_trace(vec![ops.clone()], 8);
-            assert_eq!(r.verify_failures, 0, "{mode:?}: checksum mismatch");
+            assert_eq!(r.verify_failures, 0, "{mode:?}: verify mismatch");
             serde_json::to_string(&r).expect("serializable")
         };
         assert_eq!(run(), run(), "{mode:?} mixed trace must replay bit-identically");

@@ -59,8 +59,6 @@ pub const RULE_EC_OSD: u32 = 11;
 pub struct IoOutcome {
     /// Commit/visible time at the client.
     pub complete: SimTime,
-    /// Logical payload bytes.
-    pub bytes: u64,
     /// True when the op proceeded with fewer than `width` healthy
     /// positions.
     pub degraded: bool,
@@ -71,6 +69,9 @@ pub struct IoOutcome {
     pub osd_service: SimDuration,
     /// OSD→client receive span for the response/ack.
     pub net_rx: SimDuration,
+    /// A read found its object never written and served zeros (RBD
+    /// sparse read).
+    pub sparse: bool,
 }
 
 /// Shard placement record: original object length plus `(osd, shard
@@ -451,11 +452,11 @@ impl Cluster {
         self.acting_scratch = healthy;
         Some(IoOutcome {
             complete: done,
-            bytes: data.len() as u64,
             degraded,
             net_tx: at_primary.saturating_since(now),
             osd_service: commit.saturating_since(at_primary),
             net_rx: done.saturating_since(commit),
+            sparse: false,
         })
     }
 
@@ -524,11 +525,11 @@ impl Cluster {
             let done = self.topology.server_to_client(fin, server, len as u64);
             outcome = Some(IoOutcome {
                 complete: done,
-                bytes: len as u64,
                 degraded: written && (degraded || rank > 0),
                 net_tx: at_osd.saturating_since(now),
                 osd_service: fin.saturating_since(at_osd),
                 net_rx: done.saturating_since(fin),
+                sparse: !written,
             });
             break;
         }
@@ -592,11 +593,11 @@ impl Cluster {
         out.resize(len, 0);
         Some(IoOutcome {
             complete: commit,
-            bytes: len as u64,
             degraded: false,
             net_tx: last_arrive.saturating_since(now),
             osd_service: last_fin.saturating_since(last_arrive),
             net_rx: commit.saturating_since(last_fin),
+            sparse: true,
         })
     }
 
@@ -692,11 +693,11 @@ impl Cluster {
         last_fin = last_fin.max(last_arrive);
         Some(IoOutcome {
             complete: commit,
-            bytes: original_len as u64,
             degraded,
             net_tx: last_arrive.saturating_since(now),
             osd_service: last_fin.saturating_since(last_arrive),
             net_rx: commit.saturating_since(last_fin),
+            sparse: false,
         })
     }
 
@@ -762,11 +763,11 @@ impl Cluster {
         last_fin = last_fin.max(last_arrive);
         Some(IoOutcome {
             complete: commit,
-            bytes: original_len as u64,
             degraded: skipped_any,
             net_tx: last_arrive.saturating_since(now),
             osd_service: last_fin.saturating_since(last_arrive),
             net_rx: commit.saturating_since(last_fin),
+            sparse: false,
         })
     }
 

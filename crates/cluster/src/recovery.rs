@@ -627,7 +627,8 @@ impl Cluster {
     /// Deep-scrub one replicated object: every readable holder copy is
     /// charged a local media read and compared with the first one in
     /// place (no bytes copied, no allocation).  Only on a mismatch do
-    /// the copies vote (majority, ties to the first holder); the
+    /// the copies vote (sound copies before registered-corrupt ones,
+    /// then the majority, ties to the first holder); the
     /// winning bytes are materialised once and pushed to every
     /// mismatching holder over the cluster network.
     fn scrub_replicated_object(
@@ -658,25 +659,33 @@ impl Cluster {
         if all_equal {
             return (fin, 0, 0);
         }
-        let copies: Vec<(i32, usize)> = holders
+        let copies: Vec<(i32, usize, bool)> = holders
             .iter()
-            .filter_map(|&osd| Some((osd, self.copy_state(osd, oid).stored_len()?)))
+            .filter_map(|&osd| {
+                let state = self.copy_state(osd, oid);
+                Some((
+                    osd,
+                    state.stored_len()?,
+                    matches!(state, CopyState::Sound(_)),
+                ))
+            })
             .collect();
-        // Majority vote; ties go to the first (write-time primary) copy.
-        let mut best: Option<((i32, usize), usize)> = None;
-        for &(osd, len) in &copies {
+        // A sound copy outranks a registered-corrupt one, then the
+        // majority wins; ties go to the first (write-time primary) copy.
+        let mut best: Option<((i32, usize), (bool, usize))> = None;
+        for &(osd, len, sound) in &copies {
             let votes = copies
                 .iter()
-                .filter(|&&(x, _)| self.same_copy(x, osd, oid))
+                .filter(|&&(x, _, _)| self.same_copy(x, osd, oid))
                 .count();
-            if best.map(|(_, v)| votes > v).unwrap_or(true) {
-                best = Some(((osd, len), votes));
+            if best.is_none_or(|(_, rank)| (sound, votes) > rank) {
+                best = Some(((osd, len), (sound, votes)));
             }
         }
         let (auth_osd, auth_len) = best.expect("non-empty").0;
         let mut detected = 0;
         let mut repaired = 0;
-        for &(osd, _) in &copies {
+        for &(osd, _, _) in &copies {
             if !self.same_copy(auth_osd, osd, oid) {
                 detected += 1;
                 // The repaired copy shares the authoritative pages.
@@ -1004,6 +1013,35 @@ mod tests {
         assert_eq!(tick2.detected, 0);
     }
 
+    /// With one holder down, a sound copy and a registered-corrupt one
+    /// tie 1:1 on bytes; the sound copy wins, whichever holder comes
+    /// first.
+    #[test]
+    fn scrub_never_crowns_a_registered_corrupt_copy() {
+        let mut c = Cluster::paper_testbed(36);
+        let (oid, data) = (oid_rep(0), payload(4096, 7));
+        let w = c
+            .write_replicated_at(SimTime::ZERO, oid, 0, &data, true)
+            .unwrap();
+        let holders = c.replica_dir[&oid].clone();
+        c.fail_osd(holders[2]);
+        assert!(c.corrupt_object(holders[0], oid));
+        c.corrupted.insert((holders[0], oid));
+        let mut sched = RecoveryScheduler::new(
+            RecoveryPolicy::default().with_scrub(SimDuration::from_micros(100), 64),
+        );
+        let tick = c.scrub_tick(&mut sched, w.complete);
+        assert_eq!((tick.detected, tick.repaired), (1, 1));
+        assert_eq!(c.corrupted_copies(), 0);
+        for &h in &holders[..2] {
+            assert_eq!(
+                c.osds[h as usize].store().read(oid).unwrap(),
+                data,
+                "OSD {h}"
+            );
+        }
+    }
+
     #[test]
     fn scrub_detects_ec_shard_rot() {
         let mut c = Cluster::paper_testbed(36);
@@ -1124,10 +1162,27 @@ mod tests {
         assert_eq!(sched.stats.scrub_objects, 10);
     }
 
+    /// The winning copy of a scrub vote over whole byte vectors: sound
+    /// copies before registered-corrupt ones, then the most votes, ties
+    /// to the first.
+    fn vote(c: &Cluster, oid: ObjectId, copies: &[(i32, Vec<u8>)]) -> Option<usize> {
+        let rank = |(h, d): &(i32, Vec<u8>)| {
+            let votes = copies.iter().filter(|(_, x)| x == d).count();
+            (!c.corrupted.contains(&(*h, oid)), votes)
+        };
+        let mut best: Option<(usize, (bool, usize))> = None;
+        for (i, copy) in copies.iter().enumerate() {
+            if best.is_none_or(|(_, r)| rank(copy) > r) {
+                best = Some((i, rank(copy)));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
     /// Deep scrub of one replicated object the copying way: materialise
-    /// every readable holder copy, vote over whole byte vectors (ties to
-    /// the first holder) and return the mismatch count plus every
-    /// holder's expected bytes after repair.
+    /// every readable holder copy, vote over whole byte vectors (sound
+    /// copies first, ties to the first holder) and return the mismatch
+    /// count plus every holder's expected bytes after repair.
     fn reference_scrub(c: &Cluster, oid: ObjectId) -> (u64, Vec<(i32, Vec<u8>)>) {
         let holders = &c.replica_dir[&oid];
         let stored = |h: i32| c.osds[h as usize].store().read(oid);
@@ -1144,14 +1199,7 @@ mod tests {
         if copies.len() < 2 {
             return (0, finals);
         }
-        let mut best: Option<(usize, usize)> = None;
-        for (i, (_, d)) in copies.iter().enumerate() {
-            let votes = copies.iter().filter(|(_, x)| x == d).count();
-            if best.is_none_or(|(_, v)| votes > v) {
-                best = Some((i, votes));
-            }
-        }
-        let auth = &copies[best.expect("two copies").0].1;
+        let auth = &copies[vote(c, oid, &copies).expect("two copies")].1;
         let mut detected = 0;
         for (h, d) in &copies {
             if d != auth {
@@ -1189,17 +1237,18 @@ mod tests {
         flip(&mut c, 3, 0, None);
         flip(&mut c, 3, 1, None);
         flip(&mut c, 3, 2, None);
-        // 4 and 5: two readable copies that differ (1:1 tie → copy 0),
-        // once with the rot on copy 1 and once on copy 0.  Copy 2 leaves
-        // the holder list, as a missed write leaves it: scrub must not
-        // read it.
+        // 4 and 5: two readable copies that differ, once with the rot
+        // on copy 1 and once on copy 0; the sound copy wins either way.
+        // Copy 2 leaves the holder list, as a missed write leaves it:
+        // scrub must not read it.
         for (i, rotten) in [(4, 1), (5, 0)] {
             let excluded = holders(&c, i)[2];
             let dir = c.replica_dir.get_mut(&oid_rep(i)).unwrap();
             dir.retain(|&h| h != excluded);
             flip(&mut c, i, rotten, None);
         }
-        // 6: copies 0 and 1 carry the same flip and outvote copy 2.
+        // 6: copies 0 and 1 carry the same registered flip; sound copy 2
+        // outranks their two votes.
         let same = flip(&mut c, 6, 0, None);
         flip(&mut c, 6, 1, Some(same));
         // 7: the last byte of copy 1.  8: copy 1 one zero byte longer.
@@ -1216,7 +1265,7 @@ mod tests {
             want_detected += detected;
             want_bytes.push(finals);
         }
-        assert_eq!(want_detected, 9, "the cases above outvote nine copies");
+        assert_eq!(want_detected, 10, "the cases above outvote ten copies");
 
         let mut sched = RecoveryScheduler::new(
             RecoveryPolicy::default().with_scrub(SimDuration::from_micros(100), 64),
@@ -1255,14 +1304,9 @@ mod tests {
                 .filter(|&&h| c.osd_is_up(h))
                 .filter_map(|&h| model.get(&(h, oid)).map(|d| (h, d.clone())))
                 .collect();
-            let mut best: Option<(usize, usize)> = None;
-            for (i, (_, d)) in copies.iter().enumerate() {
-                let votes = copies.iter().filter(|(_, x)| x == d).count();
-                if best.is_none_or(|(_, v)| votes > v) {
-                    best = Some((i, votes));
-                }
-            }
-            let Some((winner, _)) = best else { continue };
+            let Some(winner) = vote(c, oid, &copies) else {
+                continue;
+            };
             let auth = copies[winner].1.clone();
             for (h, d) in &copies {
                 if *d != auth {

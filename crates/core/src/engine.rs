@@ -21,8 +21,9 @@ use crate::generation::PathFeatures;
 use crate::hostpath::{host_costs, HostCosts};
 use crate::report::RunReport;
 use crate::Generation;
+use crate::oracle::{fill_payload, Extent, Oracle};
 use crate::report::ResilienceCounters;
-use deliba_cluster::{Cluster, ObjectId, OidMap, RbdImage, RecoveryPolicy, RecoveryScheduler};
+use deliba_cluster::{Cluster, ObjectId, RbdImage, RecoveryPolicy, RecoveryScheduler};
 use deliba_fault::{FailCause, FaultKind, FaultPlane, FaultSchedule, ResiliencePolicy};
 use deliba_fpga::accel::HLS_LATENCY_INFLATION;
 use deliba_fpga::{AlveoU280, RmId};
@@ -30,7 +31,7 @@ use deliba_net::{LinkVerdict, TcpStack};
 use deliba_qdma::PciePipes;
 use deliba_sim::{
     Counter, GaugeSnapshot, Histogram, InstantKind, LaneQueue, Observer, Server, SimDuration,
-    SimRng, SimTime, SplitMix64, Stage, TelemetryConfig, TraceDepth, TraceLayer, Xoshiro256,
+    SimRng, SimTime, Stage, TelemetryConfig, TraceDepth, TraceLayer, Xoshiro256,
 };
 
 /// Pool / durability mode under test (every figure reports both).
@@ -281,127 +282,6 @@ impl EngineConfig {
 /// Image size the benchmarks address (1 GiB working set).
 pub const IMAGE_BYTES: u64 = 1 << 30;
 
-/// 64-bit FNV-1a offset basis and prime (the verify checksum's).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Fill `out` with the payload bytes of `key`: four xorshift128+
-/// lanes, seeded from `key` through [`SplitMix64`] (every lane's first
-/// state word, then every lane's second).  Word `j` of each 32-byte
-/// block comes from lane `j`, the layout of [`Engine::checksum`], so the
-/// four lanes step side by side and no dependency chain is longer than
-/// one lane step; a `< 32`-byte tail is cut from one more step of every
-/// lane, little-endian.
-fn fill_payload(key: u64, out: &mut [u8]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU runs AVX2, checked just above.
-        return unsafe { fill_payload_avx2(key, out) };
-    }
-    fill_payload_lanes(key, out);
-}
-
-/// [`fill_payload`] compiled for AVX2, which steps the four lanes in
-/// one 256-bit register; the shared body makes its bytes the portable
-/// version's.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn fill_payload_avx2(key: u64, out: &mut [u8]) {
-    fill_payload_lanes(key, out);
-}
-
-/// The body of [`fill_payload`], inlined into the portable caller and
-/// into the AVX2 copy.
-#[inline(always)]
-fn fill_payload_lanes(key: u64, out: &mut [u8]) {
-    let mut seed = SplitMix64::new(key);
-    // SplitMix64 maps distinct states to distinct outputs, so a lane's
-    // two state words are never both zero, xorshift's fixed point.
-    let mut a: [u64; 4] = std::array::from_fn(|_| seed.next_u64());
-    let mut b: [u64; 4] = std::array::from_fn(|_| seed.next_u64());
-    let mut step = || -> [u8; 32] {
-        let mut block = [0u8; 32];
-        for (j, w) in block.chunks_exact_mut(8).enumerate() {
-            let (mut x, y) = (a[j], b[j]);
-            w.copy_from_slice(&x.wrapping_add(y).to_le_bytes());
-            x ^= x << 23;
-            a[j] = y;
-            b[j] = x ^ y ^ (x >> 17) ^ (y >> 26);
-        }
-        block
-    };
-    let mut blocks = out.chunks_exact_mut(32);
-    for block in blocks.by_ref() {
-        block.copy_from_slice(&step());
-    }
-    let tail = blocks.into_remainder();
-    if !tail.is_empty() {
-        let n = tail.len();
-        tail.copy_from_slice(&step()[..n]);
-    }
-}
-
-/// A committed write extent of one object and its payload checksum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Extent {
-    off: u32,
-    len: u32,
-    sum: u64,
-}
-
-impl Extent {
-    fn end(&self) -> u32 {
-        self.off.saturating_add(self.len)
-    }
-
-    /// The sort key of an object's extent list.
-    fn key(&self) -> (u32, u32) {
-        (self.off, self.len)
-    }
-}
-
-/// One object's committed write extents, sorted by `(off, len)` and
-/// pairwise disjoint.  A lone extent, as every EC sub-object holds,
-/// sits inline rather than in a heap allocation of its own.
-#[derive(Debug, PartialEq, Eq)]
-enum Extents {
-    One(Extent),
-    Many(Vec<Extent>),
-}
-
-impl Extents {
-    fn as_slice(&self) -> &[Extent] {
-        match self {
-            Extents::One(x) => std::slice::from_ref(x),
-            Extents::Many(v) => v,
-        }
-    }
-
-    /// Record `new`, replacing every extent it overlaps, and an equal
-    /// (zero-length) one.
-    ///
-    /// The extents are sorted and disjoint, so their ends are sorted
-    /// too, and the replaced ones form one window: those before it end
-    /// by `new.off` and sort below `new`, those after it start at or
-    /// past `new`'s end and sort above it.
-    fn record(&mut self, new: Extent) {
-        let extents = self.as_slice();
-        let (end, key) = (new.end(), new.key());
-        let lo = extents.partition_point(|e| e.end() <= new.off && e.key() < key);
-        let hi = lo + extents[lo..].partition_point(|e| e.off < end || e.key() <= key);
-        match self {
-            Extents::One(_) if hi > lo => *self = Extents::One(new),
-            Extents::One(old) => {
-                let pair = if lo == 0 { [new, *old] } else { [*old, new] };
-                *self = Extents::Many(pair.to_vec());
-            }
-            Extents::Many(v) => {
-                v.splice(lo..hi, [new]);
-            }
-        }
-    }
-}
-
 /// A failed attempt: the instant it failed and why.
 type Failed = (SimTime, FailCause);
 
@@ -422,11 +302,12 @@ struct Attempt {
     spans: [(Stage, SimDuration); 11],
     /// The RBD object the op addresses (the card places it).
     obj: ObjectId,
-    /// The object the cluster stores (`obj`, or the op's own EC object)
-    /// and the op's offset within it, which also keys `written`.
+    /// The object the cluster stores: `obj`, or the op's own EC object.
     target: ObjectId,
+    /// The op's offset within `obj`; with `obj` it keys the oracle's
+    /// record.
     off: u32,
-    /// Write payload and its checksum.
+    /// Write payload and its key.
     payload: Option<(Vec<u8>, u64)>,
 }
 
@@ -681,11 +562,9 @@ pub struct Engine {
     pcie: PciePipes,
     image: RbdImage,
     rng: Xoshiro256,
-    /// Committed write extents for integrity verification, per target
-    /// object.  A write drops every extent of its object that it
-    /// overlaps, so each entry still describes the bytes stored at its
-    /// extent.
-    written: OidMap<Extents>,
+    /// Committed write extents, per RBD object, that every read is
+    /// verified against.
+    oracle: Oracle,
     verify_failures: u64,
     degraded_ops: u64,
     /// Recycled payload buffer: write payloads are generated into this
@@ -775,7 +654,7 @@ impl Engine {
             pcie,
             image: RbdImage::new(pool, 0xD3B5, IMAGE_BYTES),
             rng: Xoshiro256::seed_from_u64(cfg.seed ^ 0xFEED),
-            written: OidMap::default(),
+            oracle: Oracle::default(),
             verify_failures: 0,
             degraded_ops: 0,
             scratch: Vec::new(),
@@ -898,65 +777,16 @@ impl Engine {
         self.cluster.map().placement_cache_stats()
     }
 
-    /// The verify checksum: 4-lane word FNV-1a.  Word `i` of each
-    /// 32-byte block feeds lane `i`, so the four multiply chains run
-    /// side by side; lanes 1–3 then fold into lane 0, followed by the
-    /// `< 32`-byte tail word by word, the last word zero-padded.  Every
-    /// step is a bijection in the word or lane it takes, so any single
-    /// changed word (hence any rotted byte) changes the sum.  Only ever
-    /// compared against itself within one run.
-    fn checksum(data: &[u8]) -> u64 {
-        let mut lanes = [FNV_OFFSET; 4];
-        let mut blocks = data.chunks_exact(32);
-        for block in blocks.by_ref() {
-            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-                let word = u64::from_le_bytes(w.try_into().expect("exact chunk"));
-                *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
-            }
-        }
-        let mut h = lanes[0];
-        for &lane in &lanes[1..] {
-            h = (h ^ lane).wrapping_mul(FNV_PRIME);
-        }
-        for w in blocks.remainder().chunks(8) {
-            let mut word = [0u8; 8];
-            word[..w.len()].copy_from_slice(w);
-            h = (h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
-
     /// Fill the recycled scratch buffer with `len` deterministic payload
-    /// bytes and return them with their [`Engine::checksum`], summed in
-    /// a second pass while the bytes are still in L1.  Draws exactly one
-    /// `next_u64` from the engine's RNG per payload, the key of
-    /// [`fill_payload`]'s lanes.
+    /// bytes and return them with their key: exactly one `next_u64` of
+    /// the engine's RNG per payload, which keys [`fill_payload`]'s lanes.
     fn payload_for(&mut self, len: usize) -> (Vec<u8>, u64) {
         let mut v = std::mem::take(&mut self.scratch);
         // The fill writes every byte, so recycled bytes need no zeroing.
         v.resize(len, 0);
-        fill_payload(self.rng.next_u64(), &mut v);
-        let sum = Self::checksum(&v);
-        (v, sum)
-    }
-
-    /// Record a committed write of `new` to object `target`
-    /// ([`Extents::record`]).
-    fn record_write(&mut self, target: ObjectId, new: Extent) {
-        self.written
-            .entry(target)
-            .and_modify(|x| x.record(new))
-            .or_insert(Extents::One(new));
-    }
-
-    /// The checksum of the committed write whose extent of `target` is
-    /// exactly `[off, off + len)`, if one is recorded.
-    fn committed_sum(&self, target: ObjectId, off: u32, len: u32) -> Option<u64> {
-        let extents = self.written.get(&target)?.as_slice();
-        let i = extents
-            .binary_search_by_key(&(off, len), Extent::key)
-            .ok()?;
-        Some(extents[i].sum)
+        let key = self.rng.next_u64();
+        fill_payload(key, &mut v);
+        (v, key)
     }
 
     /// Per-I/O sub-object for EC mode: the paper's accelerators encode
@@ -1304,10 +1134,10 @@ impl Engine {
         let costs = host_costs(&self.cfg.features, fpga, op.write, op.random, op.len as u64, mode);
         let ctx = (job as usize) % self.contexts.len();
         let start = self.contexts[ctx].earliest_start(ready);
-        let (obj, obj_off) = self.image.object_of(op.offset);
-        let (target, off) = match mode {
-            Mode::Replication => (obj, obj_off as u32),
-            Mode::ErasureCoding => (self.ec_oid(obj.name, op.offset), 0),
+        let (obj, off) = self.image.object_of(op.offset);
+        let target = match mode {
+            Mode::Replication => obj,
+            Mode::ErasureCoding => self.ec_oid(obj.name, op.offset),
         };
         let p = &costs.parts;
         let zero = SimDuration::ZERO;
@@ -1328,7 +1158,7 @@ impl Engine {
                 (Stage::QdmaC2H, zero),
                 (Stage::Complete, costs.complete_latency),
             ],
-            obj, target, off,
+            obj, target, off: off as u32,
             payload: op.write.then(|| self.payload_for(op.len as usize)),
         }
     }
@@ -1435,30 +1265,18 @@ impl Engine {
                     .write_ec_shards(t, target, op.len as usize, shards, op.random)
             }
             (None, mode) => {
-                let mut buf = std::mem::take(&mut self.read_buf);
-                let (off, len) = (a.off as usize, op.len as usize);
-                let res = match mode {
-                    Mode::Replication => {
-                        self.cluster.read_replicated_into(t, target, off, len, op.random, &mut buf)
-                    }
+                let (off, len, buf) = (a.off as usize, op.len as usize, &mut self.read_buf);
+                match mode {
+                    Mode::Replication => self
+                        .cluster
+                        .read_replicated_into(t, target, off, len, op.random, buf),
                     _ if self.cluster.ec_object_exists(target) => {
-                        self.cluster.read_ec_into(t, target, op.random, &mut buf)
+                        self.cluster.read_ec_into(t, target, op.random, buf)
                     }
                     _ => self
                         .cluster
-                        .read_ec_sparse_into(t, target, len, op.random, &mut buf),
-                };
-                // A read is verified only when the bytes it returned are
-                // exactly a committed write's extent.
-                if res.is_some()
-                    && self
-                        .committed_sum(target, a.off, buf.len() as u32)
-                        .is_some_and(|sum| Self::checksum(&buf) != sum)
-                {
-                    self.verify_failures += 1;
+                        .read_ec_sparse_into(t, target, len, op.random, buf),
                 }
-                self.read_buf = buf;
-                res
             }
         };
         // The cluster could not serve the op at this map epoch (too many
@@ -1469,10 +1287,16 @@ impl Engine {
         // The write is recorded only once the cluster confirms the
         // commit — a failed write leaves the pre-write state visible,
         // and verification must agree — and the commit stands even if
-        // the acknowledgement is lost below.
-        if let Some((_, sum)) = a.payload {
-            let (off, len) = (a.off, op.len);
-            self.record_write(target, Extent { off, len, sum });
+        // the acknowledgement is lost below.  A served read must return
+        // the bytes the record holds, as many as it asked for.
+        let (off, len) = (a.off, op.len);
+        match a.payload {
+            Some((_, key)) => self.oracle.record(a.obj, Extent { off, len, key }),
+            None => {
+                let ok = self.read_buf.len() == len as usize
+                    && self.oracle.verify(a.obj, off, &self.read_buf, outcome.sparse);
+                self.verify_failures += u64::from(!ok);
+            }
         }
         if outcome.degraded {
             self.degraded_ops += 1;
@@ -1761,6 +1585,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::fill_payload_lanes;
+    use deliba_sim::SplitMix64;
 
     fn quick(cfg: EngineConfig, spec: FioSpec) -> RunReport {
         Engine::new(cfg).run_fio(&spec)
@@ -1862,12 +1688,11 @@ mod tests {
     }
 
     /// The payload contract: one `next_u64` of the engine's RNG per
-    /// payload keys four xorshift128+ lanes, word `i` comes from step
-    /// `i / 4` of lane `i % 4` (the tail word truncated), and the
-    /// returned sum is [`Engine::checksum`].  The engine's fill runs
-    /// the AVX2 copy wherever the CPU has AVX2, and the portable body
-    /// is checked beside it, so both compiled versions write the
-    /// reference bytes.
+    /// payload is its key, which keys four xorshift128+ lanes; word `i`
+    /// comes from step `i / 4` of lane `i % 4` (the tail word
+    /// truncated).  The engine's fill runs the AVX2 copy wherever the
+    /// CPU has AVX2, and the portable body is checked beside it, so both
+    /// compiled versions write the reference bytes.
     #[test]
     fn payload_is_four_keyed_lanes_and_one_draw() {
         /// Word after word, one lane at a time.
@@ -1894,9 +1719,9 @@ mod tests {
         for len in [0, 1, 7, 8, 31, 32, 33, 4095, 4096, 16384] {
             let key = rng.next_u64();
             let want = reference(key, len);
-            let (got, sum) = e.payload_for(len);
+            let (got, got_key) = e.payload_for(len);
             assert_eq!(got, want, "payload bytes, len {len}");
-            assert_eq!(sum, Engine::checksum(&got), "sum, len {len}");
+            assert_eq!(got_key, key, "key, len {len}");
             assert_eq!(
                 e.rng.clone().next_u64(),
                 rng.clone().next_u64(),
@@ -1929,37 +1754,22 @@ mod tests {
         }
     }
 
-    /// Flipping any single bit changes the checksum, in the 4-lane body
-    /// and in every tail length (with and without a block before it).
-    #[test]
-    fn checksum_detects_every_single_bit_flip() {
-        let mut rng = Xoshiro256::seed_from_u64(7);
-        let mut bytes = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u64() as u8).collect() };
-        let mut bufs = vec![bytes(4096)];
-        for tail in 1..32 {
-            bufs.push(bytes(tail));
-            bufs.push(bytes(32 + tail));
-        }
-        for mut buf in bufs {
-            let sum = Engine::checksum(&buf);
-            for bit in 0..buf.len() * 8 {
-                buf[bit / 8] ^= 1 << (bit % 8);
-                assert_ne!(Engine::checksum(&buf), sum, "len {} bit {bit}", buf.len());
-                buf[bit / 8] ^= 1 << (bit % 8);
-            }
-        }
-    }
-
     /// Mixed-size replication I/O on correct data never fails verify:
-    /// a read is verified only against an extent it covers exactly, and
-    /// a write drops the older extents it overlaps.
+    /// every read is compared with what the writes it overlaps left of
+    /// their payloads, zeros in the holes, and a wrong record is caught.
     #[test]
-    fn mixed_size_replication_io_verifies_only_exact_extents() {
+    fn mixed_size_replication_io_verifies_every_overlapped_byte() {
         let (w, r) = (TraceOp::write, TraceOp::read);
         let cases = [
             vec![w(0, 8192, false), w(4096, 4096, false), r(0, 8192, false)],
             vec![w(0, 8192, false), r(0, 4096, false)],
             vec![w(0, 4096, false), w(4096, 4096, false), r(0, 8192, false)],
+            vec![
+                w(0, 8192, false),
+                w(2048, 1024, false),
+                r(1024, 6144, false),
+            ],
+            vec![w(4096, 4096, false), r(0, 16384, false)],
         ];
         for ops in cases {
             let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
@@ -1968,86 +1778,138 @@ mod tests {
             assert_eq!(e.run_trace(vec![ops.clone()], 1).ops, n);
             assert_eq!(e.verify_failures(), 0, "{ops:?}");
         }
-        // The overlapped 8 KiB extent is gone; the 4 KiB one stands.
+        // The 8 KiB write keeps its front; the 4 KiB one stands beside it.
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
         let mut e = Engine::new(cfg);
         e.run_trace(vec![vec![w(0, 8192, false), w(4096, 4096, false)]], 1);
-        let (&target, extents) = e.written.iter().next().expect("one object written");
-        let x = extents.as_slice()[0];
-        assert_eq!((e.written.len(), extents.as_slice().len()), (1, 1));
-        assert_eq!(x.key(), (4096, 4096));
-        // An exact-extent read is still verified: a wrong recorded sum
-        // is caught.
-        let sum = x.sum ^ 1;
-        e.record_write(target, Extent { sum, ..x });
+        let (&obj, extents) = e.oracle.written.iter().next().expect("one object written");
+        let &[front, back] = extents.as_slice() else {
+            panic!("two extents: {extents:?}");
+        };
+        assert_eq!(e.oracle.written.len(), 1);
+        assert_eq!(
+            [front.off, front.len, back.off, back.len],
+            [0, 4096, 4096, 4096]
+        );
+        // A wrong key in the record is caught.
+        e.oracle.record(
+            obj,
+            Extent {
+                key: back.key ^ 1,
+                ..back
+            },
+        );
         e.run_trace(vec![vec![r(4096, 4096, false)]], 1);
         assert_eq!(e.verify_failures(), 1);
     }
 
-    /// The extent record against a brute-force reference: a seeded run
-    /// of mixed-size writes (and some zero-length ones) over three
-    /// objects.  After each write the object's extents are exactly the
-    /// reference's (every overlapping extent dropped, then the write
-    /// inserted), sorted and disjoint; the write's exact extent looks up
-    /// its own checksum, and no dropped extent looks up at all.
+    /// A seeded replication trace of 4–64 KiB writes and reads at
+    /// 512-byte offsets that cut across earlier writes reads back every
+    /// byte it wrote, and zeros where nothing was.
+    #[test]
+    fn overlapping_mixed_size_replication_io_verifies() {
+        let mut rng = Xoshiro256::seed_from_u64(41);
+        let mut op = |write: bool| {
+            let len = (8 + rng.gen_range(121)) as u32 * 512;
+            let off = rng.gen_range(((256 << 10) - u64::from(len)) / 512 + 1) * 512;
+            let make = if write { TraceOp::write } else { TraceOp::read };
+            make(off, len, true)
+        };
+        let ops: Vec<TraceOp> = (0..600).map(|i| op(i % 3 != 2)).collect();
+        let reads = ops
+            .iter()
+            .filter(|o| !o.write)
+            .map(|o| u64::from(o.len))
+            .sum::<u64>();
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
+        let mut e = Engine::new(cfg);
+        let r = e.run_trace(vec![ops], 4);
+        assert_eq!((r.ops, r.verify_failures), (600, 0));
+        assert_eq!(e.oracle.compared, reads, "every read is compared");
+    }
+
+    /// The oracle's work: reads of a never-written image (the
+    /// `engine-randread` shape) compare no byte, and a fill-then-read
+    /// run compares exactly the bytes it reads, holes included.
+    #[test]
+    fn oracle_compares_only_reads_of_written_objects() {
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication);
+        let mut e = Engine::new(cfg);
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        let jobs = (0..3)
+            .map(|_| {
+                (0..200)
+                    .map(|_| TraceOp::read(rng.gen_range(IMAGE_BYTES / 4096) * 4096, 4096, true))
+                    .collect()
+            })
+            .collect();
+        let r = e.run_trace(jobs, 32);
+        assert_eq!((r.ops, r.verify_failures, e.oracle.compared), (600, 0, 0));
+
+        let mut e = Engine::new(cfg);
+        let mut ops: Vec<TraceOp> = (0..64)
+            .map(|i| TraceOp::write(i * 8192, 4096, true))
+            .collect();
+        ops.extend((0..64).map(|i| TraceOp::read(i * 8192, 8192, true)));
+        let r = e.run_trace(vec![ops], 4);
+        assert_eq!(
+            (r.ops, r.verify_failures, e.oracle.compared),
+            (128, 0, 64 * 8192)
+        );
+    }
+
+    /// The extent record against a byte-level reference: a seeded run
+    /// of mixed-size writes over three objects, every 512-byte sector
+    /// holding the key and offset of the write that reached it last.
+    /// After each write the record is the reference's runs of sectors
+    /// of one write, each from where it starts, sorted and disjoint; an
+    /// empty write records nothing.
     #[test]
     fn extent_record_matches_a_brute_force_reference() {
         const SPAN: u32 = 256 << 10;
-        const LENS: [u32; 5] = [512, 4096, 6144, 16384, 65536];
-        let overlaps = |a: &Extent, b: &Extent| a.off < b.end() && b.off < a.end();
-        let mut e = Engine::new(EngineConfig::new(
-            Generation::DeLiBAK,
-            true,
-            Mode::Replication,
-        ));
+        const LENS: [u32; 6] = [0, 512, 4096, 6144, 16384, 65536];
+        let mut oracle = Oracle::default();
         let objects = [1u64, 2, 3].map(|n| ObjectId::new(1, n));
-        let mut reference: Vec<Vec<Extent>> = vec![Vec::new(); objects.len()];
+        let mut sectors = vec![[None; (SPAN / 512) as usize]; objects.len()];
         let mut rng = Xoshiro256::seed_from_u64(29);
         for _ in 0..2_000 {
             let slot = rng.gen_range(objects.len() as u64) as usize;
-            // One write in 16 is zero-length.
-            let len = match rng.gen_range(16) {
-                0 => 0,
-                _ => LENS[rng.gen_range(LENS.len() as u64) as usize],
-            };
+            let len = LENS[rng.gen_range(LENS.len() as u64) as usize];
             let off = rng.gen_range(u64::from((SPAN - len) / 512 + 1)) as u32 * 512;
             let new = Extent {
                 off,
                 len,
-                sum: rng.next_u64(),
+                key: rng.next_u64(),
             };
-            let (target, want) = (objects[slot], &mut reference[slot]);
-            let dropped: Vec<Extent> = want
-                .iter()
-                .filter(|x| overlaps(x, &new) && x.key() != new.key())
-                .copied()
-                .collect();
-            want.retain(|x| !overlaps(x, &new) && x.key() != new.key());
-            want.push(new);
-            want.sort_by_key(Extent::key);
-
-            e.record_write(target, new);
-            let got = e.written[&target].as_slice();
-            assert_eq!(got, &want[..], "after {new:?}");
-            for pair in got.windows(2) {
-                assert!(pair[0].key() < pair[1].key() && !overlaps(&pair[0], &pair[1]));
+            for s in &mut sectors[slot][(off / 512) as usize..(new.end() / 512) as usize] {
+                *s = Some((new.key, off));
             }
-            assert_eq!(e.committed_sum(target, off, len), Some(new.sum));
-            for x in dropped {
-                assert_eq!(e.committed_sum(target, x.off, x.len), None, "{x:?}");
+            // Runs of sectors one write reached last, as (start, extent).
+            let mut want: Vec<(u32, Extent)> = Vec::new();
+            for (i, s) in sectors[slot].iter().enumerate() {
+                let Some((key, off)) = *s else { continue };
+                let at = i as u32 * 512;
+                match want.last_mut() {
+                    Some((_, x)) if (x.key, x.off, x.end()) == (key, off, at) => x.len += 512,
+                    _ => want.push((
+                        at,
+                        Extent {
+                            off,
+                            len: at + 512 - off,
+                            key,
+                        },
+                    )),
+                }
             }
+            oracle.record(objects[slot], new);
+            let got: Vec<(u32, Extent)> = oracle.written.get(&objects[slot]).map_or(vec![], |x| {
+                let x = x.as_slice();
+                (0..x.len())
+                    .map(|i| (crate::oracle::start(x, i), x[i]))
+                    .collect()
+            });
+            assert_eq!(got, want, "after {new:?}");
         }
-        // A repeated zero-length write replaces its extent instead of
-        // adding a second one beside it.
-        let target = ObjectId::new(1, 4);
-        let zero = |sum| Extent {
-            off: 4096,
-            len: 0,
-            sum,
-        };
-        e.record_write(target, zero(1));
-        e.record_write(target, zero(2));
-        assert_eq!(e.written[&target], Extents::One(zero(2)));
     }
 
     #[test]
@@ -2476,7 +2338,7 @@ mod tests {
         assert_eq!(res.retries, 20, "{res:?}");
         assert_eq!(r.degraded_ops, 20);
         assert_eq!(res.availability(r.ops), 0.0);
-        assert_eq!(r.verify_failures, 0, "failed writes never poison the checksum map");
+        assert_eq!(r.verify_failures, 0, "failed writes never poison the extent record");
     }
 
     // --- background recovery / scrub ----------------------------------

@@ -30,6 +30,7 @@ pub mod calib;
 pub mod engine;
 pub mod generation;
 pub mod hostpath;
+mod oracle;
 pub mod report;
 
 pub use engine::{

@@ -56,7 +56,7 @@ fn integrity_across_block_sizes() {
 fn overwrites_return_latest_data() {
     let mut e = Engine::new(EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication));
     let mut ops = Vec::new();
-    // Write each block three times, then read: the checksum tracker
+    // Write each block three times, then read: the extent record
     // keeps the last version, so verify_failures == 0 proves the cluster
     // serves the latest write.
     for round in 0..3 {

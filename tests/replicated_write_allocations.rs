@@ -2,7 +2,9 @@
 //! the payload, the acting set and the replica directory entry all live
 //! in recycled buffers, and the replicas share the primary's fresh
 //! copy-on-write page, so a 4 KiB overwrite of a page the three copies
-//! share costs exactly the one page that replaces it.
+//! share costs exactly the one page that replaces it.  A warm verified
+//! read allocates nothing: it lands in a recycled buffer and is
+//! compared with the regenerated payload in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -62,21 +64,22 @@ static GLOBAL: Counting = Counting;
 const EXTENTS: u64 = 64;
 const JOBS: u64 = 3;
 
-/// `ops` 4 KiB writes per job, extent `(i · 7 + job) mod EXTENTS`.
-fn writes(ops: u64) -> Vec<Vec<TraceOp>> {
+/// `ops` 4 KiB ops per job made by `op`, extent `(i · 7 + job) mod
+/// EXTENTS`.
+fn trace(ops: u64, op: fn(u64, u32, bool) -> TraceOp) -> Vec<Vec<TraceOp>> {
     (0..JOBS)
         .map(|job| {
             (0..ops)
-                .map(|i| TraceOp::write((i * 7 + job) % EXTENTS * BLOCK as u64, BLOCK, true))
+                .map(|i| op((i * 7 + job) % EXTENTS * BLOCK as u64, BLOCK, true))
                 .collect()
         })
         .collect()
 }
 
-/// Allocations, and page-sized allocations, of one overwrite run of
-/// `ops` writes per job.
-fn run_allocs(engine: &mut Engine, ops: u64) -> (u64, u64) {
-    let jobs = writes(ops);
+/// Allocations, and page-sized allocations, of one run of `ops` ops
+/// per job made by `op`.
+fn run_allocs(engine: &mut Engine, ops: u64, op: fn(u64, u32, bool) -> TraceOp) -> (u64, u64) {
+    let jobs = trace(ops, op);
     let before = (ALLOCS.with(Cell::get), PAGES.with(Cell::get));
     let report = engine.run_trace(jobs, 32);
     let after = (ALLOCS.with(Cell::get), PAGES.with(Cell::get));
@@ -85,29 +88,47 @@ fn run_allocs(engine: &mut Engine, ops: u64) -> (u64, u64) {
     (after.0 - before.0, after.1 - before.1)
 }
 
+/// An engine whose every extent is written and whose buffers and
+/// queues have reached their working size under `op`.
+fn warm(fpga: bool, op: fn(u64, u32, bool) -> TraceOp) -> Engine {
+    let mut engine = Engine::new(EngineConfig::new(
+        Generation::DeLiBAK,
+        fpga,
+        Mode::Replication,
+    ));
+    let fill = (0..EXTENTS)
+        .map(|e| TraceOp::write(e * BLOCK as u64, BLOCK, true))
+        .collect();
+    engine.run_trace(vec![fill], 32);
+    run_allocs(&mut engine, 200, op);
+    engine
+}
+
 #[test]
 fn replicated_overwrites_allocate_one_page_per_op() {
     for fpga in [true, false] {
-        let mut engine = Engine::new(EngineConfig::new(
-            Generation::DeLiBAK,
-            fpga,
-            Mode::Replication,
-        ));
-        // Write every extent, then run once more so every buffer and
-        // queue reaches its working size.
-        let fill = (0..EXTENTS)
-            .map(|e| TraceOp::write(e * BLOCK as u64, BLOCK, true))
-            .collect();
-        engine.run_trace(vec![fill], 32);
-        run_allocs(&mut engine, 200);
-        let (n, n_pages) = run_allocs(&mut engine, 200);
-        let (two_n, two_n_pages) = run_allocs(&mut engine, 400);
+        let mut engine = warm(fpga, TraceOp::write);
+        let (n, n_pages) = run_allocs(&mut engine, 200, TraceOp::write);
+        let (two_n, two_n_pages) = run_allocs(&mut engine, 400, TraceOp::write);
         let extra_ops = JOBS * 200;
         assert_eq!(
             (two_n - n, two_n_pages - n_pages),
             (extra_ops, extra_ops),
             "fpga={fpga}: {n} allocations ({n_pages} pages) for N ops, \
              {two_n} ({two_n_pages} pages) for 2N"
+        );
+    }
+}
+
+#[test]
+fn verified_replicated_reads_allocate_nothing() {
+    for fpga in [true, false] {
+        let mut engine = warm(fpga, TraceOp::read);
+        let (n, _) = run_allocs(&mut engine, 200, TraceOp::read);
+        let (two_n, _) = run_allocs(&mut engine, 400, TraceOp::read);
+        assert_eq!(
+            two_n, n,
+            "fpga={fpga}: {n} allocations for N reads, {two_n} for 2N"
         );
     }
 }
