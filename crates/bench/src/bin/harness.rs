@@ -368,7 +368,12 @@ fn main() {
                 };
                 let rates: Option<Vec<f64>> = list
                     .split(',')
-                    .map(|r| r.trim().parse::<f64>().ok().filter(|v| *v > 0.0))
+                    .map(|r| {
+                        r.trim()
+                            .parse::<f64>()
+                            .ok()
+                            .filter(|v| v.is_finite() && *v > 0.0)
+                    })
                     .collect();
                 match rates {
                     Some(r) if !r.is_empty() => lc.rates_kiops = r,
@@ -394,10 +399,11 @@ fn main() {
                 lc_flag_seen = true;
             }
             "--zipf-s" => {
-                match it.next().and_then(|s| s.parse::<f64>().ok()).filter(|s| *s >= 0.0) {
+                let zipf_s = it.next().and_then(|s| s.parse::<f64>().ok());
+                match zipf_s.filter(|s| s.is_finite() && *s >= 0.0) {
                     Some(s) => lc.zipf_s = s,
                     None => {
-                        eprintln!("--zipf-s requires a nonnegative number");
+                        eprintln!("--zipf-s requires a finite nonnegative number");
                         usage();
                     }
                 }

@@ -8,7 +8,7 @@ use serde::Serialize;
 
 /// Default op budget per figure cell (enough for steady state, cheap
 /// enough that the full harness runs in seconds).
-pub const CELL_OPS: u64 = 4_000;
+pub(crate) const CELL_OPS: u64 = 4_000;
 
 /// Latency-probe op budget (qd = 1).
 pub const PROBE_OPS: u64 = 400;
@@ -31,12 +31,12 @@ pub struct Cell {
 
 impl Cell {
     /// Relative error against the paper value.
-    pub fn error(&self) -> Option<f64> {
+    pub(crate) fn error(&self) -> Option<f64> {
         self.paper.map(|p| (self.measured - p) / p)
     }
 
     /// Printable row.
-    pub fn row(&self) -> String {
+    pub(crate) fn row(&self) -> String {
         match self.paper {
             Some(p) if p != 0.0 => format!(
                 "{:<28} {:<18} measured {:>9.1} {:<5} paper {:>9.1}  ({:+.1} %)",
@@ -65,7 +65,7 @@ pub struct Experiment {
     /// Paper artifact id, e.g. "Fig. 6".
     pub id: String,
     /// Short caption.
-    pub caption: String,
+    pub(crate) caption: String,
     /// The cells.
     pub cells: Vec<Cell>,
 }
@@ -328,7 +328,7 @@ pub fn table1() -> Experiment {
 // ---------------------------------------------------------------------
 
 /// Paper Table II values, µs.
-pub fn table2_paper(g: Generation, mode: Mode, rw: RwMode, pat: Pattern) -> Option<f64> {
+pub(crate) fn table2_paper(g: Generation, mode: Mode, rw: RwMode, pat: Pattern) -> Option<f64> {
     use Generation::*;
     use Mode::*;
     use Pattern::*;
@@ -766,7 +766,7 @@ pub fn mtu() -> Experiment {
 
 /// Run a qd-1 latency probe with stage tracing and return the traced
 /// report (breakdown attached).
-pub fn traced_probe(g: Generation, rw: RwMode, pat: Pattern, bs: u32) -> RunReport {
+pub(crate) fn traced_probe(g: Generation, rw: RwMode, pat: Pattern, bs: u32) -> RunReport {
     let cfg = EngineConfig::new(g, true, Mode::Replication)
         .with_trace_depth(deliba_sim::TraceDepth::Stages);
     let mut e = Engine::new(cfg);
@@ -1453,11 +1453,6 @@ pub fn loadcurve_with(opts: &LoadCurveOpts) -> (Experiment, Vec<RunReport>) {
         cells,
     };
     (exp, reports)
-}
-
-/// [`loadcurve_with`] at the default sweep.
-pub fn loadcurve() -> (Experiment, Vec<RunReport>) {
-    loadcurve_with(&LoadCurveOpts::default())
 }
 
 // ---------------------------------------------------------------------

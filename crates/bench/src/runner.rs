@@ -14,7 +14,7 @@
 //! Worker count comes from, in priority order: the `--serial` flag
 //! ([`set_serial`]), the `DELIBA_JOBS` environment variable, then
 //! [`std::thread::available_parallelism`].  Nested calls (an experiment
-//! that itself calls [`par_map`] from inside a cell) degrade to serial
+//! that itself calls `par_map` from inside a cell) degrade to serial
 //! execution rather than oversubscribing.
 
 use std::cell::Cell;
@@ -29,7 +29,7 @@ thread_local! {
     static IN_PAR: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Force every subsequent [`par_map`] to run on the calling thread.
+/// Force every subsequent sweep to run on the calling thread.
 pub fn set_serial(serial: bool) {
     FORCE_SERIAL.store(serial, Ordering::SeqCst);
 }
@@ -37,7 +37,7 @@ pub fn set_serial(serial: bool) {
 /// Worker count for sweeps: `DELIBA_JOBS` if set (clamped to ≥ 1), else
 /// the machine's available parallelism.  Returns 1 when `--serial` is in
 /// effect.
-pub fn jobs() -> usize {
+pub(crate) fn jobs() -> usize {
     if FORCE_SERIAL.load(Ordering::SeqCst) {
         return 1;
     }
@@ -58,7 +58,7 @@ pub fn jobs() -> usize {
 /// Falls back to a plain serial loop when only one job is configured,
 /// when there is one item or fewer, or when called from inside another
 /// `par_map` (nesting guard).
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub(crate) fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

@@ -143,16 +143,9 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Build a cluster of `servers × per_server` OSDs with the given
-    /// profile.  Pools must be added afterwards (see
-    /// [`Cluster::paper_testbed`]).
-    pub fn new(servers: usize, per_server: usize, profile: OsdProfile, seed: u64) -> Self {
-        Self::with_frames(servers, per_server, profile, seed, FrameConfig::standard())
-    }
-
     /// As [`Cluster::new`] but with explicit Ethernet framing (§IV-B:
     /// the design supports standard 1518 B and jumbo 9018 B frames).
-    pub fn with_frames(
+    pub(crate) fn with_frames(
         servers: usize,
         per_server: usize,
         profile: OsdProfile,
@@ -181,7 +174,7 @@ impl Cluster {
         });
         let mut root_rng = Xoshiro256::seed_from_u64(seed);
         let osds = (0..servers * per_server)
-            .map(|id| Osd::new(id as i32, id / per_server, profile, root_rng.jump()))
+            .map(|_| Osd::new(profile, root_rng.jump()))
             .collect();
         Cluster {
             map: OsdMap::new(crush),
@@ -257,7 +250,7 @@ impl Cluster {
     }
 
     /// Which server hosts an OSD.
-    pub fn server_of(&self, osd: i32) -> usize {
+    pub(crate) fn server_of(&self, osd: i32) -> usize {
         osd as usize / self.per_server
     }
 
@@ -282,7 +275,7 @@ impl Cluster {
     }
 
     /// Is an OSD currently up?
-    pub fn osd_is_up(&self, osd: i32) -> bool {
+    pub(crate) fn osd_is_up(&self, osd: i32) -> bool {
         self.osds[osd as usize].is_up()
     }
 

@@ -29,9 +29,9 @@ pub mod rbd;
 pub mod recovery;
 
 pub use cluster::{Cluster, IoOutcome};
-pub use object::{ObjectId, ObjectStore, OidHasher, OidMap};
-pub use osd::{Osd, OsdProfile};
+pub use object::{ObjectId, OidHasher, OidMap};
+pub use osd::OsdProfile;
 pub use osdmap::OsdMap;
 pub use pool::{PgId, PoolConfig, PoolKind};
 pub use rbd::RbdImage;
-pub use recovery::{PgHealth, RecoveryPolicy, RecoveryScheduler, RecoveryStats, ScrubTick};
+pub use recovery::{RecoveryPolicy, RecoveryScheduler, RecoveryStats, ScrubTick};

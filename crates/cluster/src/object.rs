@@ -12,7 +12,7 @@
 //! mutation either replaces a page it covers whole or unshares the page
 //! first (`Rc::make_mut`), so a write or a bit flip on one copy never
 //! reaches another.  Pointer-identical pages are therefore equal by
-//! construction, which is what lets [`ObjectStore::same_content`] skip
+//! construction, which is what lets `ObjectStore::same_content` skip
 //! them; every other page is compared byte for byte.
 
 use std::cmp::Ordering;
@@ -44,7 +44,7 @@ impl ObjectId {
 
     /// The 32-bit placement seed CRUSH hashes (Ceph uses the low bits of
     /// the name hash).
-    pub fn placement_seed(&self) -> u32 {
+    pub(crate) fn placement_seed(&self) -> u32 {
         (self.name ^ (self.name >> 32)) as u32
     }
 }
@@ -227,12 +227,6 @@ impl StoredObject {
         self.version += 1;
     }
 
-    fn read_at(&self, offset: usize, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        self.read_into(offset, &mut out);
-        out
-    }
-
     /// Fill `out` (already zeroed, `out.len()` bytes) from `offset`.
     fn read_into(&self, offset: usize, out: &mut [u8]) {
         let len = out.len();
@@ -298,13 +292,13 @@ impl StoredObject {
 /// so the objects sit in a hash map; the walks that need id order go
 /// over the cluster's directories instead.
 #[derive(Debug, Default, Clone)]
-pub struct ObjectStore {
+pub(crate) struct ObjectStore {
     objects: OidMap<StoredObject>,
 }
 
 impl ObjectStore {
     /// Empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -312,7 +306,7 @@ impl ObjectStore {
     /// existing object's page allocations are reused rather than freed
     /// and reallocated — full-object overwrites (EC shards, replication
     /// full writes) are the store's hottest path.
-    pub fn write(&mut self, id: ObjectId, data: &[u8]) -> u64 {
+    pub(crate) fn write(&mut self, id: ObjectId, data: &[u8]) -> u64 {
         let obj = self.objects.entry(id).or_default();
         obj.replace(data);
         obj.version
@@ -320,7 +314,7 @@ impl ObjectStore {
 
     /// Partial overwrite at `offset`, extending the object if needed;
     /// returns the new version.
-    pub fn write_at(&mut self, id: ObjectId, offset: usize, data: &[u8]) -> u64 {
+    pub(crate) fn write_at(&mut self, id: ObjectId, offset: usize, data: &[u8]) -> u64 {
         let obj = self.objects.entry(id).or_default();
         obj.write_at(offset, data, None);
         obj.version
@@ -353,15 +347,15 @@ impl ObjectStore {
         Some(obj.version)
     }
 
-    /// Read the whole object.
-    pub fn read(&self, id: ObjectId) -> Option<Vec<u8>> {
-        let obj = self.objects.get(&id)?;
-        Some(obj.read_at(0, obj.len))
+    /// Read the whole object (the tests' view of a store).
+    #[cfg(test)]
+    pub(crate) fn read(&self, id: ObjectId) -> Option<Vec<u8>> {
+        Some(self.read_at(id, 0, self.peek_len(id)?))
     }
 
     /// Read `len` bytes at `offset` (zero-filled past the end, like a
     /// sparse RBD object).
-    pub fn read_at(&self, id: ObjectId, offset: usize, len: usize) -> Vec<u8> {
+    pub(crate) fn read_at(&self, id: ObjectId, offset: usize, len: usize) -> Vec<u8> {
         let mut out = Vec::new();
         self.read_at_into(id, offset, len, &mut out);
         out
@@ -370,7 +364,7 @@ impl ObjectStore {
     /// [`ObjectStore::read_at`] into a caller-supplied buffer — the
     /// allocation-free form the engine's closed loop uses (`out` is
     /// resized to `len` and fully overwritten).
-    pub fn read_at_into(&self, id: ObjectId, offset: usize, len: usize, out: &mut Vec<u8>) {
+    pub(crate) fn read_at_into(&self, id: ObjectId, offset: usize, len: usize, out: &mut Vec<u8>) {
         out.clear();
         out.resize(len, 0);
         if let Some(obj) = self.objects.get(&id) {
@@ -379,35 +373,32 @@ impl ObjectStore {
     }
 
     /// Current version of an object (None if absent).
-    pub fn version(&self, id: ObjectId) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn version(&self, id: ObjectId) -> Option<u64> {
         self.objects.get(&id).map(|o| o.version)
     }
 
     /// Stored length of an object (None if absent).
-    pub fn peek_len(&self, id: ObjectId) -> Option<usize> {
+    pub(crate) fn peek_len(&self, id: ObjectId) -> Option<usize> {
         self.objects.get(&id).map(|o| o.len)
     }
 
-    /// Remove an object.
-    pub fn remove(&mut self, id: ObjectId) -> bool {
-        self.objects.remove(&id).is_some()
-    }
-
     /// Object count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.objects.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
     }
 
     /// Do object `id` here and object `other_id` in `other` hold the
     /// same bytes?  Compares the stored pages in place (deep scrub's
     /// copy-free check); false when the lengths differ or either
     /// object is absent.
-    pub fn same_content(&self, id: ObjectId, other: &ObjectStore, other_id: ObjectId) -> bool {
+    pub(crate) fn same_content(
+        &self,
+        id: ObjectId,
+        other: &ObjectStore,
+        other_id: ObjectId,
+    ) -> bool {
         match (self.objects.get(&id), other.objects.get(&other_id)) {
             (Some(a), Some(b)) => a.same_content(b),
             _ => false,
@@ -427,8 +418,6 @@ mod tests {
         assert_eq!(s.write(id, b"v2"), 2);
         assert_eq!(&s.read(id).unwrap()[..], b"v2");
         assert_eq!(s.version(id), Some(2));
-        assert!(s.remove(id));
-        assert!(s.read(id).is_none());
     }
 
     #[test]
@@ -671,7 +660,7 @@ mod tests {
         let (mut x, mut y) = (ObjectStore::new(), ObjectStore::new());
         x.write(id, b"abc");
         assert_eq!(y.copy_from(missing, &x), None);
-        assert!(y.is_empty());
+        assert_eq!(y.len(), 0);
         // A copy over an existing object bumps its version and takes
         // the source's length and holes.
         y.write(id, &[1; 3 * PAGE]);

@@ -12,31 +12,31 @@ use deliba_sim::{MultiServer, SimDuration, SimRng, SimTime, Xoshiro256};
 #[derive(Debug, Clone, Copy)]
 pub struct OsdProfile {
     /// Fixed software path per op (PG lock, messenger, journal) in ns.
-    pub op_overhead_ns: u64,
+    pub(crate) op_overhead_ns: u64,
     /// Media read latency in ns.
-    pub read_media_ns: u64,
+    pub(crate) read_media_ns: u64,
     /// Media write latency in ns (flash program + WAL).
-    pub write_media_ns: u64,
+    pub(crate) write_media_ns: u64,
     /// Per-byte read cost in ns (media bandwidth term).
-    pub read_ns_per_kib: u64,
+    pub(crate) read_ns_per_kib: u64,
     /// Per-byte write cost in ns.
-    pub write_ns_per_kib: u64,
+    pub(crate) write_ns_per_kib: u64,
     /// Extra latency for a random (non-contiguous) read (cache miss in
     /// the OSD's read path).
-    pub random_read_penalty_ns: u64,
+    pub(crate) random_read_penalty_ns: u64,
     /// Extra latency for a random write (allocator/WAL locality loss).
-    pub random_write_penalty_ns: u64,
+    pub(crate) random_write_penalty_ns: u64,
     /// Internal parallelism (op threads).
-    pub parallelism: usize,
+    pub(crate) parallelism: usize,
     /// Exponential jitter fraction of the mean (0 disables jitter).
-    pub jitter_frac: f64,
+    pub(crate) jitter_frac: f64,
 }
 
 impl OsdProfile {
     /// The lab's OSDs: datacenter SATA/SAS SSDs behind the Ceph OSD
     /// daemon.  Values produce the per-OSD service times the paper's
     /// cluster-level numbers imply.
-    pub fn lab_ssd() -> Self {
+    pub(crate) fn lab_ssd() -> Self {
         OsdProfile {
             op_overhead_ns: 6_000,
             read_media_ns: 5_000,
@@ -51,7 +51,13 @@ impl OsdProfile {
     }
 
     /// Service time for one op before queueing.
-    pub fn service(&self, write: bool, random: bool, bytes: u64, jitter: f64) -> SimDuration {
+    pub(crate) fn service(
+        &self,
+        write: bool,
+        random: bool,
+        bytes: u64,
+        jitter: f64,
+    ) -> SimDuration {
         let media = if write {
             self.write_media_ns
         } else {
@@ -76,11 +82,7 @@ impl OsdProfile {
 
 /// One OSD.
 #[derive(Debug)]
-pub struct Osd {
-    /// OSD id (matches the CRUSH device id).
-    pub id: i32,
-    /// Which storage server hosts this OSD (network locality).
-    pub server: usize,
+pub(crate) struct Osd {
     store: ObjectStore,
     profile: OsdProfile,
     threads: MultiServer,
@@ -90,10 +92,8 @@ pub struct Osd {
 
 impl Osd {
     /// A fresh OSD.
-    pub fn new(id: i32, server: usize, profile: OsdProfile, rng: Xoshiro256) -> Self {
+    pub(crate) fn new(profile: OsdProfile, rng: Xoshiro256) -> Self {
         Osd {
-            id,
-            server,
             store: ObjectStore::new(),
             threads: MultiServer::new(profile.parallelism),
             profile,
@@ -103,27 +103,22 @@ impl Osd {
     }
 
     /// Is the OSD serving?
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.up
     }
 
-    /// The service-time profile.
-    pub fn profile(&self) -> &OsdProfile {
-        &self.profile
-    }
-
     /// Mark the daemon down (failure injection).
-    pub fn set_up(&mut self, up: bool) {
+    pub(crate) fn set_up(&mut self, up: bool) {
         self.up = up;
     }
 
     /// Direct store access (scrub, recovery).
-    pub fn store(&self) -> &ObjectStore {
+    pub(crate) fn store(&self) -> &ObjectStore {
         &self.store
     }
 
     /// Mutable store access (recovery backfill).
-    pub fn store_mut(&mut self) -> &mut ObjectStore {
+    pub(crate) fn store_mut(&mut self) -> &mut ObjectStore {
         &mut self.store
     }
 
@@ -137,7 +132,7 @@ impl Osd {
 
     /// Write a full object arriving at `arrive`; returns the ack time.
     /// Returns `None` when the OSD is down.
-    pub fn write_object(
+    pub(crate) fn write_object(
         &mut self,
         arrive: SimTime,
         id: ObjectId,
@@ -150,7 +145,7 @@ impl Osd {
     }
 
     /// Partial object write at `offset`.
-    pub fn write_object_at(
+    pub(crate) fn write_object_at(
         &mut self,
         arrive: SimTime,
         id: ObjectId,
@@ -185,7 +180,7 @@ impl Osd {
 
     /// Read `len` bytes at `offset` into `out` (resized to `len`);
     /// returns the completion time, or `None` when down.
-    pub fn read_object_at_into(
+    pub(crate) fn read_object_at_into(
         &mut self,
         arrive: SimTime,
         id: ObjectId,
@@ -204,7 +199,12 @@ impl Osd {
     /// occupancy as [`Osd::read_object_at_into`].  Deep scrub uses it
     /// and then compares the stored copies in place.  Returns `None`
     /// when down.
-    pub fn charge_read(&mut self, arrive: SimTime, len: usize, random: bool) -> Option<SimTime> {
+    pub(crate) fn charge_read(
+        &mut self,
+        arrive: SimTime,
+        len: usize,
+        random: bool,
+    ) -> Option<SimTime> {
         if !self.up {
             return None;
         }
@@ -215,18 +215,18 @@ impl Osd {
     }
 
     /// Ops served so far.
-    pub fn ops_served(&self) -> u64 {
+    pub(crate) fn ops_served(&self) -> u64 {
         self.threads.served()
     }
 
     /// Cumulative busy time across this OSD's service threads.
-    pub fn busy_time(&self) -> SimDuration {
+    pub(crate) fn busy_time(&self) -> SimDuration {
         self.threads.busy_time()
     }
 
     /// Service threads still occupied at `at` — the OSD's instantaneous
     /// queue depth for the telemetry plane.
-    pub fn busy_threads_at(&self, at: SimTime) -> u32 {
+    pub(crate) fn busy_threads_at(&self, at: SimTime) -> u32 {
         self.threads.busy_at(at)
     }
 }
@@ -238,7 +238,7 @@ mod tests {
     fn osd() -> Osd {
         let mut p = OsdProfile::lab_ssd();
         p.jitter_frac = 0.0; // deterministic for unit tests
-        Osd::new(0, 0, p, Xoshiro256::seed_from_u64(1))
+        Osd::new(p, Xoshiro256::seed_from_u64(1))
     }
 
     #[test]
@@ -337,8 +337,8 @@ mod tests {
         p.jitter_frac = 0.1;
         let id = ObjectId::new(0, 5);
         let data = vec![3u8; 10_000];
-        let mut charged = Osd::new(0, 0, p, Xoshiro256::seed_from_u64(8));
-        let mut copied = Osd::new(0, 0, p, Xoshiro256::seed_from_u64(8));
+        let mut charged = Osd::new(p, Xoshiro256::seed_from_u64(8));
+        let mut copied = Osd::new(p, Xoshiro256::seed_from_u64(8));
         let mut buf = Vec::new();
         let mut at = SimTime::ZERO;
         for random in [true, false, true] {
@@ -366,7 +366,7 @@ mod tests {
     fn jitter_varies_but_bounded() {
         let mut p = OsdProfile::lab_ssd();
         p.jitter_frac = 0.1;
-        let mut o = Osd::new(0, 0, p, Xoshiro256::seed_from_u64(3));
+        let mut o = Osd::new(p, Xoshiro256::seed_from_u64(3));
         let mut times: Vec<u64> = Vec::new();
         for i in 0..200 {
             let f = o

@@ -1,7 +1,7 @@
 //! The OSDMap: cluster map epochs, CRUSH, pool table and OSD states.
 
 use crate::pool::{PgId, PoolConfig};
-use deliba_crush::{Bucket, BucketAlg, BucketId, CacheStats, CrushMap, DeviceId, PlacementCache, Rule};
+use deliba_crush::{BucketId, CacheStats, CrushMap, DeviceId, PlacementCache};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -63,11 +63,6 @@ impl OsdMap {
         self.epoch += 1;
     }
 
-    /// Is the OSD out?
-    pub fn is_osd_down(&self, osd: DeviceId) -> bool {
-        self.crush.is_out(osd)
-    }
-
     /// Reweight `item` inside `bucket` (operator rebalance).
     pub fn reweight(&mut self, bucket: BucketId, item: i32, weight: u32) -> Option<u32> {
         let old = self.crush.bucket_mut(bucket)?.reweight_item(item, weight);
@@ -89,25 +84,6 @@ impl OsdMap {
         w
     }
 
-    /// Register or replace a placement rule.
-    pub fn add_rule(&mut self, rule: Rule) {
-        self.crush.add_rule(rule);
-        self.epoch += 1;
-    }
-
-    /// Swap a bucket's selection algorithm (the DFX reconfiguration
-    /// case: a partition's kernel changes under live I/O).
-    pub fn set_bucket_alg(&mut self, bucket: BucketId, alg: BucketAlg) -> Option<()> {
-        self.crush.bucket_mut(bucket)?.set_alg(alg);
-        self.epoch += 1;
-        Some(())
-    }
-
-    /// Immutable view of a bucket.
-    pub fn bucket(&self, id: BucketId) -> Option<&Bucket> {
-        self.crush.bucket(id)
-    }
-
     /// The acting set of a PG: the OSDs serving it, primary first.
     pub fn acting_set(&self, pg: PgId) -> Vec<DeviceId> {
         let mut out = Vec::new();
@@ -117,7 +93,7 @@ impl OsdMap {
 
     /// [`acting_set`](Self::acting_set) into caller scratch: `out` is
     /// cleared and filled, no allocation on a warm cache.
-    pub fn acting_set_into(&self, pg: PgId, out: &mut Vec<DeviceId>) {
+    pub(crate) fn acting_set_into(&self, pg: PgId, out: &mut Vec<DeviceId>) {
         let Some(pool) = self.pools.get(&pg.pool) else {
             out.clear();
             return;
@@ -153,11 +129,6 @@ impl OsdMap {
     /// Primary OSD of a PG.
     pub fn primary(&self, pg: PgId) -> Option<DeviceId> {
         self.acting_set(pg).first().copied()
-    }
-
-    /// Total devices in the map.
-    pub fn num_osds(&self) -> usize {
-        self.crush.num_devices()
     }
 
     /// Fraction of PGs of `pool` whose acting set changed between this
@@ -227,7 +198,7 @@ mod tests {
             let set = m.acting_set(PgId { pool: 1, seq });
             assert!(!set.contains(&victim), "pg {seq}");
         }
-        assert!(m.is_osd_down(victim));
+        assert!(m.crush().is_out(victim));
     }
 
     #[test]
@@ -252,7 +223,7 @@ mod tests {
     fn mutation_api_bumps_epoch() {
         let mut m = map();
         let host = -2; // first host bucket from MapBuilder
-        let osd = m.bucket(host).unwrap().items()[0];
+        let osd = m.crush().bucket(host).unwrap().items()[0];
         let e = m.epoch;
         assert!(m.reweight(host, osd, deliba_crush::WEIGHT_ONE / 2).is_some());
         assert_eq!(m.epoch, e + 1);
@@ -260,8 +231,6 @@ mod tests {
         assert_eq!(m.epoch, e + 2);
         assert!(m.add_item(host, osd, deliba_crush::WEIGHT_ONE).is_some());
         assert_eq!(m.epoch, e + 3);
-        assert!(m.set_bucket_alg(host, deliba_crush::BucketAlg::Straw2).is_some());
-        assert_eq!(m.epoch, e + 4);
     }
 
     #[test]
@@ -280,7 +249,11 @@ mod tests {
         };
         check(&m); // cold
         check(&m); // warm (hits)
-        m.reweight(-2, m.bucket(-2).unwrap().items()[0], deliba_crush::WEIGHT_ONE / 4);
+        m.reweight(
+            -2,
+            m.crush().bucket(-2).unwrap().items()[0],
+            deliba_crush::WEIGHT_ONE / 4,
+        );
         check(&m); // after invalidation
         let s = m.placement_cache_stats();
         assert!(s.hits > 0 && s.misses > 0, "{s:?}");

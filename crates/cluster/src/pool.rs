@@ -38,14 +38,6 @@ impl PoolKind {
             PoolKind::Erasure { k, m } => k + m,
         }
     }
-
-    /// Storage amplification (stored bytes / logical bytes).
-    pub fn amplification(&self) -> f64 {
-        match *self {
-            PoolKind::Replicated { size } => size as f64,
-            PoolKind::Erasure { k, m } => (k + m) as f64 / k as f64,
-        }
-    }
 }
 
 /// Pool configuration.
@@ -58,7 +50,7 @@ pub struct PoolConfig {
     /// Durability scheme.
     pub kind: PoolKind,
     /// Number of placement groups (power of two).
-    pub pg_num: u32,
+    pub(crate) pg_num: u32,
     /// CRUSH rule executed for this pool's PGs.
     pub crush_rule: u32,
     /// Precomputed [`PoolConfig::pg_seed`] per PG sequence number.  The
@@ -136,10 +128,8 @@ mod tests {
     fn widths_and_amplification() {
         let r = PoolKind::Replicated { size: 3 };
         assert_eq!(r.width(), 3);
-        assert_eq!(r.amplification(), 3.0);
         let e = PoolKind::Erasure { k: 4, m: 2 };
         assert_eq!(e.width(), 6);
-        assert_eq!(e.amplification(), 1.5);
     }
 
     #[test]

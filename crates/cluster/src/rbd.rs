@@ -15,7 +15,7 @@ pub const DEFAULT_OBJECT_SIZE: u64 = 4 * 1024 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent {
     /// Backing object.
-    pub oid: ObjectId,
+    pub(crate) oid: ObjectId,
     /// Offset within the object.
     pub offset: u64,
     /// Fragment length.
@@ -28,9 +28,9 @@ pub struct RbdImage {
     /// Pool holding the image's objects.
     pub pool: u32,
     /// Image identifier (hashed into object names).
-    pub image_id: u64,
+    pub(crate) image_id: u64,
     /// Virtual disk size in bytes.
-    pub size: u64,
+    pub(crate) size: u64,
     /// Stripe object size in bytes (power of two).
     pub object_size: u64,
 }
@@ -42,7 +42,7 @@ impl RbdImage {
     }
 
     /// An image with explicit object size.
-    pub fn with_object_size(pool: u32, image_id: u64, size: u64, object_size: u64) -> Self {
+    pub(crate) fn with_object_size(pool: u32, image_id: u64, size: u64, object_size: u64) -> Self {
         assert!(object_size.is_power_of_two(), "object size must be 2^n");
         assert!(size > 0);
         RbdImage {
@@ -51,11 +51,6 @@ impl RbdImage {
             size,
             object_size,
         }
-    }
-
-    /// Number of backing objects.
-    pub fn object_count(&self) -> u64 {
-        self.size.div_ceil(self.object_size)
     }
 
     /// Object name for stripe `index` — a SplitMix-style mix of image id
@@ -113,13 +108,6 @@ mod tests {
 
     fn image() -> RbdImage {
         RbdImage::new(1, 42, 1 << 30) // 1 GiB
-    }
-
-    #[test]
-    fn object_count() {
-        assert_eq!(image().object_count(), 256);
-        let odd = RbdImage::new(1, 1, DEFAULT_OBJECT_SIZE + 1);
-        assert_eq!(odd.object_count(), 2);
     }
 
     #[test]

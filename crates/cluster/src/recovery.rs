@@ -18,8 +18,6 @@
 //!   rescans after every map change, and each recovery event-queue
 //!   token dispatches one *wave* of backfills through the shared OSD
 //!   and network timelines;
-//! * [`PgHealth`] — the coarse healthy → degraded → recovering → clean
-//!   state the scheduler walks;
 //! * `Cluster::{recovery_scan, backfill_wave, scrub_tick,
 //!   inject_bitrot}` — the costed passes themselves.
 //!
@@ -40,10 +38,10 @@ use std::ops::Bound;
 pub struct RecoveryPolicy {
     /// Maximum backfill/rebuild operations in flight per wave (Ceph's
     /// `osd_recovery_max_active` spirit).  Clamped to ≥ 1.
-    pub max_active: u32,
+    pub(crate) max_active: u32,
     /// Maximum concurrent backfill writes landing on one destination
     /// OSD per wave (Ceph's `osd_max_backfills`).  Clamped to ≥ 1.
-    pub per_osd_reservation: u32,
+    pub(crate) per_osd_reservation: u32,
     /// Delay between a map change and the first recovery wave (peering
     /// plus the operator-visible `osd_recovery_sleep` pacing).
     pub kick_delay: SimDuration,
@@ -52,7 +50,7 @@ pub struct RecoveryPolicy {
     pub scrub_interval: SimDuration,
     /// Objects examined per scrub tick.  Clamped to ≥ 1 when scrub is
     /// enabled.
-    pub scrub_chunk: u32,
+    pub(crate) scrub_chunk: u32,
 }
 
 impl Default for RecoveryPolicy {
@@ -83,21 +81,6 @@ impl RecoveryPolicy {
         self.scrub_chunk = chunk;
         self
     }
-}
-
-/// Coarse placement-group health the scheduler walks (per-run, over
-/// the whole cluster: the most degraded PG dominates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PgHealth {
-    /// No copies missing, no recovery pending.
-    #[default]
-    Healthy,
-    /// Copies missing/stale; recovery not yet dispatched.
-    Degraded,
-    /// Recovery waves in flight.
-    Recovering,
-    /// All backfill drained after a degraded episode.
-    Clean,
 }
 
 /// Counters the scheduler accumulates across a run.
@@ -154,7 +137,6 @@ pub struct RecoveryScheduler {
     pending: VecDeque<BackfillItem>,
     queued: BTreeSet<(u8, ObjectId, i32)>,
     unrecoverable: BTreeSet<ObjectId>,
-    state: PgHealth,
     degraded_since: Option<SimTime>,
     scrub_cursor: Option<(u8, ObjectId)>,
     scrub_drain: bool,
@@ -171,7 +153,6 @@ impl RecoveryScheduler {
             pending: VecDeque::new(),
             queued: BTreeSet::new(),
             unrecoverable: BTreeSet::new(),
-            state: PgHealth::Healthy,
             degraded_since: None,
             scrub_cursor: None,
             scrub_drain: false,
@@ -194,11 +175,6 @@ impl RecoveryScheduler {
     /// scan.
     pub fn unrecoverable_objects(&self) -> u64 {
         self.unrecoverable.len() as u64
-    }
-
-    /// Current coarse PG health.
-    pub fn health(&self) -> PgHealth {
-        self.state
     }
 
     /// Has scrub entered its end-of-run drain pass?
@@ -224,9 +200,6 @@ impl RecoveryScheduler {
         if self.degraded_since.is_none() {
             self.degraded_since = Some(now);
         }
-        if self.state != PgHealth::Recovering {
-            self.state = PgHealth::Degraded;
-        }
     }
 
     /// Mark the cluster clean: all backfill drained at `now`.
@@ -234,7 +207,6 @@ impl RecoveryScheduler {
         if let Some(since) = self.degraded_since.take() {
             self.stats.time_to_clean_us += now.saturating_since(since).as_nanos() as f64 / 1e3;
         }
-        self.state = PgHealth::Clean;
     }
 }
 
@@ -330,7 +302,6 @@ impl Cluster {
         let mut osd_load: BTreeMap<i32, usize> = BTreeMap::new();
         let mut deferred: Vec<BackfillItem> = Vec::new();
         let mut finish: Option<SimTime> = None;
-        sched.state = PgHealth::Recovering;
 
         while dispatched < max_active {
             let Some(item) = sched.pending.pop_front() else {
@@ -881,7 +852,6 @@ mod tests {
         let mut sched = RecoveryScheduler::new(RecoveryPolicy::default());
         assert!(c.recovery_scan(&mut sched, t), "crash leaves work to do");
         assert!(sched.pending_items() > 0);
-        assert_eq!(sched.health(), PgHealth::Degraded);
         // Drain all waves.
         let mut now = t;
         let mut guard = 0;
@@ -895,7 +865,6 @@ mod tests {
             assert!(guard < 1000, "waves must make progress");
         }
         sched.mark_clean(now);
-        assert_eq!(sched.health(), PgHealth::Clean);
         assert!(sched.stats.objects_recovered > 0);
         assert!(sched.stats.background_bytes > 0);
         assert!(sched.stats.time_to_clean_us > 0.0);

@@ -1,14 +1,14 @@
 //! Property test: the epoch-keyed placement cache is invisible.
 //!
 //! For any sequence of map mutations — reweights, item removal and
-//! re-addition, DFX bucket-algorithm swaps, OSDs going down and coming
-//! back — a cached `acting_set` must equal a fresh CRUSH walk at every
+//! re-addition, OSDs going down and coming back — a cached
+//! `acting_set` must equal a fresh CRUSH walk at every
 //! step.  This is the output-invariance contract the engine's fast path
 //! relies on: if this holds, enabling the cache cannot change a single
 //! simulated byte.
 
 use deliba_cluster::{OsdMap, PgId, PoolConfig};
-use deliba_crush::{BucketAlg, MapBuilder, WEIGHT_ONE};
+use deliba_crush::{MapBuilder, WEIGHT_ONE};
 use proptest::prelude::*;
 
 const HOSTS: usize = 8;
@@ -22,9 +22,6 @@ enum Churn {
     /// Remove OSD `osd` from its host, then add it back at full weight
     /// (decommission + replacement — two epoch bumps).
     RemoveAdd { osd: i32 },
-    /// Swap the selection algorithm of the host holding `osd` (the DFX
-    /// case).
-    SetAlg { osd: i32, alg: BucketAlg },
     /// Mark an OSD down, or back up.
     DownUp { osd: i32, up: bool },
 }
@@ -35,18 +32,6 @@ fn churn_step() -> impl Strategy<Value = Churn> {
         (osd.clone(), 1u32..=2 * WEIGHT_ONE)
             .prop_map(|(osd, weight)| Churn::Reweight { osd, weight }),
         osd.clone().prop_map(|osd| Churn::RemoveAdd { osd }),
-        // Uniform requires equal weights, which churn breaks — exercise
-        // the unequal-weight-capable algorithms.
-        (
-            osd.clone(),
-            prop_oneof![
-                Just(BucketAlg::List),
-                Just(BucketAlg::Tree),
-                Just(BucketAlg::Straw),
-                Just(BucketAlg::Straw2),
-            ]
-        )
-            .prop_map(|(osd, alg)| Churn::SetAlg { osd, alg }),
         (osd, any::<bool>()).prop_map(|(osd, up)| Churn::DownUp { osd, up }),
     ]
 }
@@ -99,10 +84,6 @@ proptest! {
                     let host = host_of(&m, osd);
                     prop_assert!(m.remove_item(host, osd).is_some());
                     prop_assert!(m.add_item(host, osd, WEIGHT_ONE).is_some());
-                }
-                Churn::SetAlg { osd, alg } => {
-                    let host = host_of(&m, osd);
-                    prop_assert!(m.set_bucket_alg(host, alg).is_some());
                 }
                 Churn::DownUp { osd, up } => {
                     if up {

@@ -16,11 +16,11 @@ use deliba_sim::SimDuration;
 /// One user/kernel crossing (syscall entry/exit or context switch with
 /// cache pollution).  Classic measured range is 1–2 µs on Skylake-E
 /// with KPTI.
-pub const CROSSING: SimDuration = SimDuration(1_500);
+pub(crate) const CROSSING: SimDuration = SimDuration(1_500);
 
 /// Host memcpy bandwidth for payload copies (one core, streaming):
 /// ≈ 13 GB/s → ns per KiB.
-pub const COPY_NS_PER_KIB: u64 = 79;
+pub(crate) const COPY_NS_PER_KIB: u64 = 79;
 
 /// io_uring submission+reap cost per I/O on the pinned core (SQE fill,
 /// poller wakeup share, CQE reap) — what remains after batching removes
@@ -28,11 +28,11 @@ pub const COPY_NS_PER_KIB: u64 = 79;
 /// the `submit` stage): no ring is simulated.  No paper figure measures
 /// it alone; Table II's DeLiBA-K cells are pinned by [`residual`] on top
 /// of it.
-pub const URING_PER_IO: SimDuration = SimDuration(800);
+pub(crate) const URING_PER_IO: SimDuration = SimDuration(800);
 
 /// NBD daemon request handling per I/O (event loop, socket framing)
 /// *excluding* crossings/copies, which are charged separately.
-pub const NBD_PER_IO: SimDuration = SimDuration(5_000);
+pub(crate) const NBD_PER_IO: SimDuration = SimDuration(5_000);
 
 /// Fraction of a *read's* round trip during which the NBD daemon is
 /// actually held.  The daemon can hand a read off to the socket and poll
@@ -46,18 +46,18 @@ pub const NBD_READ_HOLD_FRACTION: f64 = 0.65;
 /// (messenger, header crc, RBD bookkeeping) on the submitting core.
 /// Fitted so DeLiBA-K peaks near the paper's ≈ 59 K IOPS with three
 /// instances (§VI: "our 59K IOPS").
-pub const CLIENT_PROTO_READ: SimDuration = SimDuration(47_000);
+pub(crate) const CLIENT_PROTO_READ: SimDuration = SimDuration(47_000);
 
 /// Same for writes — higher: replication bookkeeping, data crc.
 /// Fitted against DeLiBA-K's 145 MB/s ≈ 35 K IOPS 4 kB random writes.
-pub const CLIENT_PROTO_WRITE: SimDuration = SimDuration(80_000);
+pub(crate) const CLIENT_PROTO_WRITE: SimDuration = SimDuration(80_000);
 
 /// Per-KiB host CPU on the write path (crc32c over payload ≈ 1.8 GB/s).
-pub const WRITE_CRC_NS_PER_KIB: u64 = 750;
+pub(crate) const WRITE_CRC_NS_PER_KIB: u64 = 750;
 
 /// Per-KiB host CPU on the read path (verify crc at half rate of
 /// compute).
-pub const READ_CRC_NS_PER_KIB: u64 = 200;
+pub(crate) const READ_CRC_NS_PER_KIB: u64 = 200;
 
 /// Fraction of the client protocol CPU that sits on the latency-critical
 /// path of a single read.  The rest is pipelined work (batched crc,
@@ -65,12 +65,12 @@ pub const READ_CRC_NS_PER_KIB: u64 = 200;
 /// core but overlaps the wire time of the measured I/O — the standard
 /// distinction between service demand (bounds IOPS) and critical-path
 /// latency.
-pub const PROTO_LATENCY_SHARE_READ: f64 = 0.18;
+pub(crate) const PROTO_LATENCY_SHARE_READ: f64 = 0.18;
 
 /// Same for writes — lower: most write-side bookkeeping (crc
 /// computation, replication accounting) happens after the payload has
 /// left for the wire.
-pub const PROTO_LATENCY_SHARE_WRITE: f64 = 0.10;
+pub(crate) const PROTO_LATENCY_SHARE_WRITE: f64 = 0.10;
 
 // ---------------------------------------------------------------------
 // Block layer
@@ -80,13 +80,13 @@ pub const PROTO_LATENCY_SHARE_WRITE: f64 = 0.10;
 /// the whole `blk_mq` stage of DeLiBA-1/-2.  A calibrated stand-in: no
 /// block layer is simulated.  No paper figure measures it alone; the
 /// Table II D1/D2 cells are pinned by [`residual`] on top of it.
-pub const MQ_SCHED: SimDuration = SimDuration(2_500);
+pub(crate) const MQ_SCHED: SimDuration = SimDuration(2_500);
 
 /// DMQ bypass cost (tag alloc + direct dispatch only), charged to
 /// DeLiBA-K's `uifd` stage so its `blk_mq` stage is exactly zero
 /// (Fig. 2 circle ②).  A calibrated stand-in: no tag set is simulated,
 /// and no paper figure measures it alone.
-pub const MQ_BYPASS: SimDuration = SimDuration(300);
+pub(crate) const MQ_BYPASS: SimDuration = SimDuration(300);
 
 // ---------------------------------------------------------------------
 // Driver + DMA
@@ -97,13 +97,13 @@ pub const MQ_BYPASS: SimDuration = SimDuration(300);
 /// stand-in: no descriptor ring is simulated, and no paper figure
 /// measures it alone; only the payload's PCIe transfer is timed
 /// (`deliba_qdma::PciePipes`).
-pub const QDMA_DESC: SimDuration = SimDuration(500);
+pub(crate) const QDMA_DESC: SimDuration = SimDuration(500);
 
 /// XDMA-style single-queue DMA engine per I/O (DeLiBA-1/-2): one shared
 /// queue, heavier per-transfer setup.  The `uifd` stage of the older
 /// generations; a calibrated stand-in like [`QDMA_DESC`], measured by no
 /// paper figure on its own.
-pub const XDMA_DESC: SimDuration = SimDuration(1_700);
+pub(crate) const XDMA_DESC: SimDuration = SimDuration(1_700);
 
 /// Effective PCIe Gen3 x16 data bandwidth (after TLP overhead).
 pub const PCIE_GBYTES_PER_SEC: f64 = 12.0;
@@ -113,10 +113,10 @@ pub const PCIE_GBYTES_PER_SEC: f64 = 12.0;
 // ---------------------------------------------------------------------
 
 /// MSI-X interrupt + softirq + wakeup of the waiting thread.
-pub const IRQ_COMPLETION: SimDuration = SimDuration(4_000);
+pub(crate) const IRQ_COMPLETION: SimDuration = SimDuration(4_000);
 
 /// Polled CQ completion (cache-hot flag check).
-pub const POLLED_COMPLETION: SimDuration = SimDuration(300);
+pub(crate) const POLLED_COMPLETION: SimDuration = SimDuration(300);
 
 // ---------------------------------------------------------------------
 // Host network processing (software TCP generations only)
@@ -125,21 +125,21 @@ pub const POLLED_COMPLETION: SimDuration = SimDuration(300);
 /// Extra per-I/O latency when the TCP stack runs on the host:
 /// NIC interrupt, softirq scheduling, socket wakeups — over and above
 /// the per-segment CPU charged by `deliba-net`.
-pub const SW_NET_ROUND: SimDuration = SimDuration(14_000);
+pub(crate) const SW_NET_ROUND: SimDuration = SimDuration(14_000);
 
 // ---------------------------------------------------------------------
 // Software placement / coding costs (Table I, column 2)
 // ---------------------------------------------------------------------
 
 /// CRUSH straw2 software execution per I/O (Table I: 48 µs).
-pub const SW_CRUSH: SimDuration = SimDuration(48_000);
+pub(crate) const SW_CRUSH: SimDuration = SimDuration(48_000);
 
 /// Reed-Solomon encode software execution per I/O (Table I: 65 µs,
 /// measured at 4 kB; scales with size via [`SW_RS_NS_PER_KIB`]).
-pub const SW_RS_BASE: SimDuration = SimDuration(65_000);
+pub(crate) const SW_RS_BASE: SimDuration = SimDuration(65_000);
 
 /// Software RS per-KiB term beyond the 4 kB measurement point.
-pub const SW_RS_NS_PER_KIB: u64 = 600;
+pub(crate) const SW_RS_NS_PER_KIB: u64 = 600;
 
 /// Per-class residual, fitted once against Table II after all
 /// structural terms are charged.  Residuals absorb path costs the model
@@ -149,7 +149,7 @@ pub const SW_RS_NS_PER_KIB: u64 = 600;
 /// reads).  Structure — who wins, and by how much across generations and
 /// block sizes — comes from the structural terms; these constants only
 /// pin the Table II anchor cells.
-pub fn residual(generation: crate::Generation, write: bool, random: bool) -> SimDuration {
+pub(crate) fn residual(generation: crate::Generation, write: bool, random: bool) -> SimDuration {
     let us = match (generation, write, random) {
         (crate::Generation::DeLiBA1, false, false) => 0,
         (crate::Generation::DeLiBA1, true, false) => 16,
@@ -168,7 +168,7 @@ pub fn residual(generation: crate::Generation, write: bool, random: bool) -> Sim
 }
 
 /// Payload copy time for `bytes` over `copies` host copies.
-pub fn copy_time(bytes: u64, copies: u32) -> SimDuration {
+pub(crate) fn copy_time(bytes: u64, copies: u32) -> SimDuration {
     SimDuration::from_nanos(bytes.div_ceil(1024) * COPY_NS_PER_KIB * copies as u64)
 }
 

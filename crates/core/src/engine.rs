@@ -75,15 +75,15 @@ pub enum RwMode {
 #[derive(Debug, Clone, Copy)]
 pub struct FioSpec {
     /// Read or write.
-    pub rw: RwMode,
+    pub(crate) rw: RwMode,
     /// Sequential or random.
-    pub pattern: Pattern,
+    pub(crate) pattern: Pattern,
     /// Block size in bytes.
     pub block_size: u32,
     /// Outstanding I/Os per job.
-    pub iodepth: u32,
+    pub(crate) iodepth: u32,
     /// Parallel jobs.
-    pub numjobs: u32,
+    pub(crate) numjobs: u32,
     /// Total operations across all jobs.
     pub ops: u64,
 }
@@ -185,7 +185,7 @@ pub struct ArrivalOp {
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Framework generation.
-    pub generation: Generation,
+    pub(crate) generation: Generation,
     /// Hardware acceleration on (false = software baseline, §III-C).
     pub fpga: bool,
     /// Pool mode.
@@ -210,7 +210,7 @@ pub struct EngineConfig {
     /// instants, and `Full` per-layer events and counter samples.
     /// Recording draws no randomness and advances no timeline, so it
     /// never perturbs results.
-    pub trace_depth: TraceDepth,
+    pub(crate) trace_depth: TraceDepth,
     /// Background recovery/backfill/scrub policy.  `None` (the default)
     /// leaves background work off entirely: no background tokens, no
     /// extra event-queue shard, and `RunReport` carries no recovery
@@ -725,7 +725,7 @@ impl Engine {
     /// Snapshot of the resilience counters, merging the per-layer
     /// injector tallies (frame drops/corruptions, DMA errors/stalls)
     /// into the engine-side ones (retries, timeouts, failovers).
-    pub fn resilience_counters(&self) -> ResilienceCounters {
+    pub(crate) fn resilience_counters(&self) -> ResilienceCounters {
         let mut res = self.res;
         if let Some(plane) = &self.faults {
             res.dropped_frames = plane.link.drops();
@@ -739,7 +739,7 @@ impl Engine {
     /// Background-traffic counters (`None` unless a recovery policy is
     /// armed): what backfill moved, what scrub found and repaired, and
     /// how long the cluster spent degraded.
-    pub fn recovery_counters(&self) -> Option<crate::report::RecoveryCounters> {
+    pub(crate) fn recovery_counters(&self) -> Option<crate::report::RecoveryCounters> {
         let sched = self.recovery.as_ref()?;
         Some(crate::report::RecoveryCounters {
             objects_recovered: sched.stats.objects_recovered,
@@ -773,7 +773,7 @@ impl Engine {
     }
 
     /// Placement-cache counters of the engine's cluster map.
-    pub fn placement_cache_stats(&self) -> deliba_crush::CacheStats {
+    pub(crate) fn placement_cache_stats(&self) -> deliba_crush::CacheStats {
         self.cluster.map().placement_cache_stats()
     }
 

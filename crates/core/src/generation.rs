@@ -46,7 +46,7 @@ pub struct PathFeatures {
     pub contexts: usize,
     /// Which generation's fitted residual anchors this path (see
     /// `calib::residual`).
-    pub residual_of: Generation,
+    pub(crate) residual_of: Generation,
 }
 
 /// A DeLiBA framework generation.

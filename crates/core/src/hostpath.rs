@@ -38,24 +38,24 @@ use deliba_sim::SimDuration;
 /// * `net_tx` — host TCP transmit processing when the stack runs in
 ///   software.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HostStageParts {
+pub(crate) struct HostStageParts {
     /// Kernel-boundary crossings.
-    pub ring_enter: SimDuration,
+    pub(crate) ring_enter: SimDuration,
     /// API + copies + protocol latency share.
-    pub submit: SimDuration,
+    pub(crate) submit: SimDuration,
     /// MQ scheduler (zero under bypass).
-    pub blk_mq: SimDuration,
+    pub(crate) blk_mq: SimDuration,
     /// Driver submission (bypass tag alloc + descriptor).
-    pub uifd: SimDuration,
+    pub(crate) uifd: SimDuration,
     /// Software placement/encode.
-    pub accel: SimDuration,
+    pub(crate) accel: SimDuration,
     /// Software TCP transmit round.
     pub net_tx: SimDuration,
 }
 
 impl HostStageParts {
     /// Total submission-side critical-path latency.
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.ring_enter + self.submit + self.blk_mq + self.uifd + self.accel + self.net_tx
     }
 }
@@ -67,7 +67,7 @@ pub struct HostCosts {
     /// always equals `parts.total()`.
     pub submit_latency: SimDuration,
     /// The same submission latency, attributed per stage.
-    pub parts: HostStageParts,
+    pub(crate) parts: HostStageParts,
     /// Submission-context busy time.
     pub occupancy: SimDuration,
     /// Critical-path latency on the completion side.

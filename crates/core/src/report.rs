@@ -24,7 +24,7 @@ pub struct StageSpanReport {
     /// 99.9th-percentile span, µs (interpolated).
     pub p999_us: f64,
     /// This stage's share of the end-to-end mean, percent.
-    pub share_pct: f64,
+    pub(crate) share_pct: f64,
 }
 
 /// Table-II-style per-stage latency decomposition of a run.
@@ -44,7 +44,7 @@ pub struct StageBreakdown {
 
 impl StageBreakdown {
     /// Snapshot a tracer into serializable rows.
-    pub fn from_tracer(tracer: &StageTracer) -> Self {
+    pub(crate) fn from_tracer(tracer: &StageTracer) -> Self {
         let sum = tracer.stage_sum_us();
         let stages = Stage::ALL
             .iter()
@@ -76,22 +76,6 @@ impl StageBreakdown {
             .iter()
             .find(|r| r.stage == stage.label())
             .expect("breakdown carries every stage")
-    }
-
-    /// Multi-line human-readable table (µs, share).
-    pub fn table(&self) -> String {
-        let mut out = String::new();
-        for row in &self.stages {
-            out.push_str(&format!(
-                "    {:<12} {:>9.2} µs  ({:>5.1} %)  p50 {:>9.2}  p95 {:>9.2}  p99 {:>9.2}  p99.9 {:>9.2} µs\n",
-                row.stage, row.mean_us, row.share_pct, row.p50_us, row.p95_us, row.p99_us, row.p999_us
-            ));
-        }
-        out.push_str(&format!(
-            "    {:<12} {:>9.2} µs  (over {} ops)\n",
-            "total", self.stage_sum_us, self.ops
-        ));
-        out
     }
 }
 
@@ -163,7 +147,7 @@ pub struct ResilienceCounters {
     /// H2C + C2H DMA completion errors.
     pub dma_errors: u64,
     /// Descriptor-exhaustion stalls (latency, not failures).
-    pub dma_stalls: u64,
+    pub(crate) dma_stalls: u64,
     /// Cumulative card-fault → card-recover spans, µs.
     pub recovery_time_us: f64,
 }
@@ -279,7 +263,7 @@ pub struct SloReport {
     /// Telemetry window width, µs.
     pub window_us: f64,
     /// SLO latency target (p99-style threshold), µs.
-    pub target_p99_us: f64,
+    pub(crate) target_p99_us: f64,
     /// Attainment objective (fraction of ops under target), in [0, 1].
     pub objective: f64,
     /// Burn-rate alert threshold (multiple of the error budget).
@@ -300,7 +284,10 @@ pub struct SloReport {
 
 impl SloReport {
     /// Package a recorder's [`deliba_sim::SloSummary`] for the report.
-    pub fn from_summary(s: &deliba_sim::SloSummary, cfg: &deliba_sim::TelemetryConfig) -> Self {
+    pub(crate) fn from_summary(
+        s: &deliba_sim::SloSummary,
+        cfg: &deliba_sim::TelemetryConfig,
+    ) -> Self {
         SloReport {
             window_us: cfg.window.as_nanos() as f64 / 1_000.0,
             target_p99_us: cfg.slo_p99.as_nanos() as f64 / 1_000.0,
@@ -438,7 +425,7 @@ impl Deserialize for RunReport {
 
 impl RunReport {
     /// Assemble from measurement primitives.
-    pub fn new(
+    pub(crate) fn new(
         config: String,
         workload: String,
         hist: &Histogram,

@@ -16,7 +16,7 @@
 //!   movement on any weight change; implemented in the *static* FPGA
 //!   region because every Ceph pool uses them by default.
 
-use crate::fixed::{ln_frac16_q24, ln_table};
+use crate::fixed::ln_table;
 use crate::hash::{hash32_3, hash32_4};
 
 /// Bucket identifiers are negative, device ids non-negative (Ceph
@@ -57,9 +57,9 @@ pub struct Bucket {
     /// Negative id.
     pub id: BucketId,
     /// Selection algorithm.
-    pub alg: BucketAlg,
+    pub(crate) alg: BucketAlg,
     /// Hierarchy type (0 = osd, 1 = host, 2 = rack, …).
-    pub bucket_type: u16,
+    pub(crate) bucket_type: u16,
     items: Vec<i32>,
     weights: Vec<u32>,
     /// Straw lengths (straw alg only), scaled by 0x10000.
@@ -119,23 +119,13 @@ impl Bucket {
     }
 
     /// Per-item weights (16.16 fixed point).
-    pub fn weights(&self) -> &[u32] {
+    pub(crate) fn weights(&self) -> &[u32] {
         &self.weights
     }
 
     /// Sum of item weights (16.16 fixed point).
-    pub fn total_weight(&self) -> u64 {
+    pub(crate) fn total_weight(&self) -> u64 {
         self.total_weight
-    }
-
-    /// Number of child items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the bucket has no items (cannot happen via `new`).
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Change the weight of `item`; derived tables are recomputed.
@@ -182,23 +172,6 @@ impl Bucket {
             self.rebuild();
         }
         Some(w)
-    }
-
-    /// Swap the selection algorithm in place (the DFX reconfiguration
-    /// case: the partition's bucket kernel changes while membership and
-    /// weights stay put).  Rebuilds the per-algorithm derived tables —
-    /// flipping `alg` without a rebuild would leave list suffixes / straw
-    /// lengths / tree nodes stale or missing.
-    pub fn set_alg(&mut self, alg: BucketAlg) {
-        if alg == BucketAlg::Uniform && !self.weights.is_empty() {
-            let w0 = self.weights[0];
-            assert!(
-                self.weights.iter().all(|&w| w == w0),
-                "uniform bucket requires equal weights"
-            );
-        }
-        self.alg = alg;
-        self.rebuild();
     }
 
     fn rebuild(&mut self) {
@@ -396,8 +369,8 @@ impl Bucket {
     /// The pre-batch scalar Straw2 walk, kept verbatim as the reference
     /// the batched SoA walk is property-tested against.  Not part of the
     /// selection path.
-    #[doc(hidden)]
-    pub fn select_straw2_scalar(&self, x: u32, r: u32) -> Option<i32> {
+    #[cfg(test)]
+    fn select_straw2_scalar(&self, x: u32, r: u32) -> Option<i32> {
         let mut best: Option<(i64, i32)> = None;
         for (i, &item) in self.items.iter().enumerate() {
             let w = self.weights[i];
@@ -408,7 +381,7 @@ impl Bucket {
             let key = if u == 0 {
                 i64::MIN / 2
             } else {
-                let ln = ln_frac16_q24(u); // Q24, ≤ 0
+                let ln = crate::fixed::ln_frac16_q24(u); // Q24, ≤ 0
                 (((ln as i128) << 16) / w as i128) as i64
             };
             if best.map(|(b, _)| key > b).unwrap_or(true) {
@@ -423,6 +396,7 @@ impl Bucket {
 mod tests {
     use super::*;
     use crate::WEIGHT_ONE;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn count_selections(b: &Bucket, trials: u32) -> HashMap<i32, u32> {
@@ -613,10 +587,10 @@ mod tests {
     fn add_remove_item_roundtrip() {
         let mut b = equal_weight_bucket(BucketAlg::Straw2, 4);
         b.add_item(99, WEIGHT_ONE);
-        assert_eq!(b.len(), 5);
+        assert_eq!(b.items().len(), 5);
         assert_eq!(b.total_weight(), 5 * WEIGHT_ONE as u64);
         assert_eq!(b.remove_item(99), Some(WEIGHT_ONE));
-        assert_eq!(b.len(), 4);
+        assert_eq!(b.items().len(), 4);
         assert_eq!(b.remove_item(99), None);
     }
 
@@ -686,5 +660,111 @@ mod tests {
         assert_eq!(counts.len(), 5);
         let weights: Vec<(i32, u32)> = (0..5).map(|i| (i, WEIGHT_ONE)).collect();
         assert_proportional(&counts, &weights, 0.02);
+    }
+
+    // Property tests: the batched SoA Straw2 walk is invisible.
+    //
+    // `Bucket::select` (Straw2) streams a packed nonzero-weight SoA batch
+    // with a table-looked-up ln; `Bucket::select_straw2_scalar` is the
+    // original skip-tested scalar walk kept verbatim as the reference.
+    // For any bucket shape, any weight assignment (zeros included), and
+    // any churn sequence — reweights, item removal and re-addition — the
+    // two walks must agree item-for-item on every `(x, r)` draw.  This is
+    // the contract that lets the engine's placement path use the batch
+    // without changing a single simulated byte.
+
+    const MAX_ITEMS: usize = 24;
+
+    /// One step of bucket churn.
+    #[derive(Debug, Clone)]
+    enum Churn {
+        /// Reweight the item in `slot` (zero allowed — the batch must drop
+        /// it, the scalar walk must skip it).
+        Reweight { slot: usize, weight: u32 },
+        /// Remove the item in `slot`, then append it back at `weight`
+        /// (membership churn moves the item to the tail, shifting the
+        /// first-max tie-break order identically for both walks).
+        RemoveAdd { slot: usize, weight: u32 },
+    }
+
+    fn churn_step() -> impl Strategy<Value = Churn> {
+        prop_oneof![
+            (0..MAX_ITEMS, 0u32..=2 * WEIGHT_ONE)
+                .prop_map(|(slot, weight)| Churn::Reweight { slot, weight }),
+            (0..MAX_ITEMS, 1u32..=2 * WEIGHT_ONE)
+                .prop_map(|(slot, weight)| Churn::RemoveAdd { slot, weight }),
+        ]
+    }
+
+    /// Every draw in a deterministic grid of inputs must agree.
+    fn check_walks_agree(b: &Bucket, xs: &[u32]) {
+        for &x in xs {
+            for r in 0..6 {
+                assert_eq!(
+                    b.select(x, r),
+                    b.select_straw2_scalar(x, r),
+                    "x={x} r={r} items={:?} weights={:?}",
+                    b.items(),
+                    b.weights()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn batched_straw2_matches_scalar_through_churn(
+            weights in proptest::collection::vec(0u32..=2 * WEIGHT_ONE, 1..MAX_ITEMS + 1),
+            steps in proptest::collection::vec(churn_step(), 0..10),
+            xs in proptest::collection::vec(any::<u32>(), 4..8),
+        ) {
+            let items: Vec<i32> = (0..weights.len() as i32).collect();
+            let mut b = Bucket::new(-1, BucketAlg::Straw2, 1, items, weights);
+            check_walks_agree(&b, &xs);
+            for step in steps {
+                match step {
+                    Churn::Reweight { slot, weight } => {
+                        let item = b.items()[slot % b.items().len()];
+                        prop_assert!(b.reweight_item(item, weight).is_some());
+                    }
+                    Churn::RemoveAdd { slot, weight } => {
+                        // Never empty the bucket: a one-item bucket keeps
+                        // its member and only the weight changes.
+                        let item = b.items()[slot % b.items().len()];
+                        if b.items().len() > 1 {
+                            prop_assert!(b.remove_item(item).is_some());
+                            b.add_item(item, weight);
+                        } else {
+                            prop_assert!(b.reweight_item(item, weight).is_some());
+                        }
+                    }
+                }
+                check_walks_agree(&b, &xs);
+            }
+        }
+
+        /// All weights zero: `select` bails on zero total weight, and the
+        /// scalar walk skips every item — both must answer `None` for every
+        /// draw, before and after the weights come back.
+        #[test]
+        fn zero_weight_bucket_agrees(
+            n in 1usize..=MAX_ITEMS,
+            x in any::<u32>(),
+            revive in 1u32..=WEIGHT_ONE,
+        ) {
+            let items: Vec<i32> = (0..n as i32).collect();
+            let mut b = Bucket::new(-1, BucketAlg::Straw2, 1, items, vec![0; n]);
+            for r in 0..4 {
+                prop_assert_eq!(b.select(x, r), None);
+                prop_assert_eq!(b.select_straw2_scalar(x, r), None);
+            }
+            prop_assert!(b.reweight_item(0, revive).is_some());
+            for r in 0..4 {
+                prop_assert_eq!(b.select(x, r), Some(0));
+                prop_assert_eq!(b.select(x, r), b.select_straw2_scalar(x, r));
+            }
+        }
     }
 }

@@ -71,11 +71,6 @@ impl PlacementCache {
         }
     }
 
-    /// Whether lookups are served at all.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Force the cache on or off (dropping any stored entries when
     /// disabling, so a later re-enable starts cold).
     pub fn set_enabled(&mut self, enabled: bool) {

@@ -8,10 +8,10 @@
 //! the classic iterated-squaring method, returning Q24 fixed point.
 
 /// ln(2) in Q24 fixed point: round(ln 2 · 2^24).
-pub const LN2_Q24: i64 = 11_629_080;
+pub(crate) const LN2_Q24: i64 = 11_629_080;
 
 /// Number of fractional bits produced by [`log2_q24`].
-pub const FRAC_BITS: u32 = 24;
+pub(crate) const FRAC_BITS: u32 = 24;
 
 /// Fixed-point `log2(x)` for integer `x ≥ 1`, in Q24.
 ///
@@ -19,7 +19,7 @@ pub const FRAC_BITS: u32 = 24;
 /// `x = 2^e · m` with `m ∈ [1, 2)`, each squaring of `m` extracts one
 /// fractional bit of `log2 m`.  Entirely integer, hence
 /// platform-independent.
-pub fn log2_q24(x: u64) -> i64 {
+pub(crate) fn log2_q24(x: u64) -> i64 {
     assert!(x >= 1, "log2 of zero");
     let e = 63 - x.leading_zeros() as i64; // integer part
     // Normalize mantissa to Q32 in [1·2^32, 2·2^32).
@@ -45,7 +45,7 @@ pub fn log2_q24(x: u64) -> i64 {
 
 /// Fixed-point natural logarithm of `x / 2^16`, in Q24 (always ≤ 0 for
 /// `x ≤ 2^16`).  This is the quantity Straw2 divides by the item weight.
-pub fn ln_frac16_q24(x: u64) -> i64 {
+pub(crate) fn ln_frac16_q24(x: u64) -> i64 {
     debug_assert!((1..=1 << 16).contains(&x));
     let log2 = log2_q24(x) - ((16i64) << FRAC_BITS); // log2(x/2^16) ≤ 0
     // ln = log2 · ln2;  Q24 · Q24 → shift back by 24.
@@ -62,7 +62,7 @@ pub fn ln_frac16_q24(x: u64) -> i64 {
 /// batched walk reads this 512 KiB table instead.  Entries are produced
 /// by the function itself, so the amortized path is bit-identical by
 /// construction (pinned by `ln_table_matches_function`).
-pub fn ln_table() -> &'static [i64; 65_537] {
+pub(crate) fn ln_table() -> &'static [i64; 65_537] {
     static TABLE: std::sync::OnceLock<Box<[i64; 65_537]>> = std::sync::OnceLock::new();
     TABLE.get_or_init(|| {
         let mut t = vec![0i64; 65_537].into_boxed_slice();

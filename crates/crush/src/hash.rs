@@ -40,7 +40,7 @@ pub fn hash32_2(a: u32, b: u32) -> u32 {
 }
 
 /// Hash three 32-bit inputs.
-pub fn hash32_3(a: u32, b: u32, c: u32) -> u32 {
+pub(crate) fn hash32_3(a: u32, b: u32, c: u32) -> u32 {
     let mut hash = CRUSH_HASH_SEED ^ a ^ b ^ c;
     let x = 231232u32;
     let y = 1232u32;
@@ -58,7 +58,7 @@ pub fn hash32_3(a: u32, b: u32, c: u32) -> u32 {
 }
 
 /// Hash four 32-bit inputs.
-pub fn hash32_4(a: u32, b: u32, c: u32, d: u32) -> u32 {
+pub(crate) fn hash32_4(a: u32, b: u32, c: u32, d: u32) -> u32 {
     let mut hash = CRUSH_HASH_SEED ^ a ^ b ^ c ^ d;
     let x = 231232u32;
     let y = 1232u32;

@@ -16,7 +16,7 @@ pub type DeviceId = i32;
 
 /// Maximum total descent attempts per replica slot before giving up
 /// (Ceph tunable `choose_total_tries`).
-pub const CHOOSE_TOTAL_TRIES: u32 = 50;
+pub(crate) const CHOOSE_TOTAL_TRIES: u32 = 50;
 
 /// A CRUSH map: the bucket hierarchy plus device health state.
 #[derive(Debug, Clone, Default)]
@@ -29,7 +29,7 @@ pub struct CrushMap {
 
 impl CrushMap {
     /// Empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -54,11 +54,6 @@ impl CrushMap {
         self.rules.insert(rule.id, rule);
     }
 
-    /// Look up a rule.
-    pub fn rule(&self, id: u32) -> Option<&Rule> {
-        self.rules.get(&id)
-    }
-
     /// Mark a device out (failed): it will not be selected.
     pub fn mark_out(&mut self, dev: DeviceId) {
         self.out.insert(dev, true);
@@ -74,26 +69,8 @@ impl CrushMap {
         self.out.get(&dev).copied().unwrap_or(false)
     }
 
-    /// All device ids reachable from any bucket (sorted, deduplicated).
-    pub fn devices(&self) -> Vec<DeviceId> {
-        let mut devs: Vec<DeviceId> = self
-            .buckets
-            .values()
-            .flat_map(|b| b.items().iter().copied())
-            .filter(|&i| i >= 0)
-            .collect();
-        devs.sort_unstable();
-        devs.dedup();
-        devs
-    }
-
-    /// Number of distinct devices in the map.
-    pub fn num_devices(&self) -> usize {
-        self.devices().len()
-    }
-
     /// Devices in the subtree rooted at `id` (a device id returns itself).
-    pub fn subtree_devices(&self, id: i32) -> Vec<DeviceId> {
+    pub(crate) fn subtree_devices(&self, id: i32) -> Vec<DeviceId> {
         if id >= 0 {
             return vec![id];
         }
@@ -339,7 +316,6 @@ impl CrushMap {
 #[derive(Debug)]
 pub struct MapBuilder {
     alg: BucketAlg,
-    device_weight: u32,
 }
 
 impl Default for MapBuilder {
@@ -353,7 +329,6 @@ impl MapBuilder {
     pub fn new() -> Self {
         MapBuilder {
             alg: BucketAlg::Straw2,
-            device_weight: crate::WEIGHT_ONE,
         }
     }
 
@@ -363,63 +338,6 @@ impl MapBuilder {
     pub fn host_alg(mut self, alg: BucketAlg) -> Self {
         self.alg = alg;
         self
-    }
-
-    /// Uniform device weight.
-    pub fn device_weight(mut self, w: u32) -> Self {
-        self.device_weight = w;
-        self
-    }
-
-    /// Build a three-level hierarchy: `racks × hosts_per_rack ×
-    /// per_host` devices under one root (types: 0 = osd, 1 = host,
-    /// 2 = rack, 3 = root).  Rule 0 places replicas in distinct racks
-    /// via an explicit two-step descent (`choose` racks, then
-    /// `chooseleaf` hosts) — the rule shape larger Ceph clusters use.
-    pub fn build_racks(self, racks: usize, hosts_per_rack: usize, per_host: usize) -> CrushMap {
-        assert!(racks > 0 && hosts_per_rack > 0 && per_host > 0);
-        let mut map = CrushMap::new();
-        let mut rack_ids = Vec::with_capacity(racks);
-        let mut rack_weights = Vec::with_capacity(racks);
-        let mut next_bucket = -2i32;
-        for r in 0..racks {
-            let mut host_ids = Vec::with_capacity(hosts_per_rack);
-            let host_weight = self.device_weight * per_host as u32;
-            for h in 0..hosts_per_rack {
-                let host_idx = r * hosts_per_rack + h;
-                let id = next_bucket;
-                next_bucket -= 1;
-                let devs: Vec<i32> = (0..per_host)
-                    .map(|d| (host_idx * per_host + d) as i32)
-                    .collect();
-                map.add_bucket(Bucket::new(
-                    id,
-                    self.alg,
-                    1,
-                    devs,
-                    vec![self.device_weight; per_host],
-                ));
-                host_ids.push(id);
-            }
-            let rack_id = next_bucket;
-            next_bucket -= 1;
-            let weights = vec![host_weight; hosts_per_rack];
-            map.add_bucket(Bucket::new(rack_id, BucketAlg::Straw2, 2, host_ids, weights));
-            rack_ids.push(rack_id);
-            rack_weights.push(host_weight * hosts_per_rack as u32);
-        }
-        map.add_bucket(Bucket::new(-1, BucketAlg::Straw2, 3, rack_ids, rack_weights));
-        map.add_rule(Rule {
-            id: 0,
-            name: "replicated-rack".into(),
-            steps: vec![
-                RuleStep::Take(-1),
-                RuleStep::Choose { num: 0, bucket_type: 2 },
-                RuleStep::ChooseLeaf { num: 1, bucket_type: 1 },
-                RuleStep::Emit,
-            ],
-        });
-        map
     }
 
     /// Build `hosts × per_host` devices under one root.
@@ -438,10 +356,10 @@ impl MapBuilder {
         for h in 0..hosts {
             let id = -(2 + h as i32);
             let devs: Vec<i32> = (0..per_host).map(|d| (h * per_host + d) as i32).collect();
-            let weights = vec![self.device_weight; per_host];
+            let weights = vec![crate::WEIGHT_ONE; per_host];
             map.add_bucket(Bucket::new(id, self.alg, 1, devs, weights));
             host_ids.push(id);
-            host_weights.push(self.device_weight * per_host as u32);
+            host_weights.push(crate::WEIGHT_ONE * per_host as u32);
         }
         map.add_bucket(Bucket::new(-1, BucketAlg::Straw2, 2, host_ids, host_weights));
         map.add_rule(Rule::replicated(0, -1, 1));
@@ -468,11 +386,10 @@ mod tests {
     #[test]
     fn builder_shape() {
         let m = paper_map();
-        assert_eq!(m.num_devices(), 32);
         assert_eq!(m.subtree_devices(-1).len(), 32);
         assert_eq!(m.subtree_devices(-2).len(), 16);
-        assert!(m.rule(0).is_some());
-        assert!(m.rule(1).is_some());
+        assert!(m.rules.contains_key(&0));
+        assert!(m.rules.contains_key(&1));
     }
 
     #[test]
@@ -631,41 +548,6 @@ mod tests {
         assert_eq!(m.domain_of(0, 1), Some(-2));
         assert_eq!(m.domain_of(16, 1), Some(-3));
         assert_eq!(m.domain_of(99, 1), None);
-    }
-
-    #[test]
-    fn rack_hierarchy_places_across_racks() {
-        // 4 racks × 2 hosts × 4 osds = 32 devices.
-        let m = MapBuilder::new().build_racks(4, 2, 4);
-        assert_eq!(m.num_devices(), 32);
-        for x in 0..1_500u32 {
-            let devs = m.do_rule(0, x, 3);
-            assert_eq!(devs.len(), 3, "x={x}: {devs:?}");
-            // Distinct racks: rack of dev = dev / 8.
-            let mut racks: Vec<i32> = devs.iter().map(|d| d / 8).collect();
-            racks.sort_unstable();
-            racks.dedup();
-            assert_eq!(racks.len(), 3, "x={x} racks not disjoint: {devs:?}");
-        }
-    }
-
-    #[test]
-    fn rack_hierarchy_balances() {
-        let m = MapBuilder::new().build_racks(3, 3, 3);
-        let mut counts = std::collections::HashMap::new();
-        for x in 0..6_000u32 {
-            for d in m.do_rule(0, x, 3) {
-                *counts.entry(d).or_insert(0u32) += 1;
-            }
-        }
-        assert_eq!(counts.len(), 27, "all devices used");
-        let expect = 6_000.0 * 3.0 / 27.0;
-        for (&d, &c) in &counts {
-            assert!(
-                (c as f64 - expect).abs() / expect < 0.35,
-                "device {d}: {c} vs {expect}"
-            );
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct Rule {
 impl Rule {
     /// The standard replicated-pool rule: take the root, choose one leaf
     /// per distinct failure-domain bucket of `domain_type`.
-    pub fn replicated(id: u32, root: BucketId, domain_type: u16) -> Self {
+    pub(crate) fn replicated(id: u32, root: BucketId, domain_type: u16) -> Self {
         Rule {
             id,
             name: format!("replicated-{id}"),
@@ -67,7 +67,7 @@ impl Rule {
 
     /// The standard erasure-coded-pool rule — identical shape, but pools
     /// request `k + m` positions instead of `size` replicas.
-    pub fn erasure(id: u32, root: BucketId, domain_type: u16) -> Self {
+    pub(crate) fn erasure(id: u32, root: BucketId, domain_type: u16) -> Self {
         Rule {
             id,
             name: format!("erasure-{id}"),
@@ -84,7 +84,7 @@ impl Rule {
 
     /// Validate basic well-formedness: starts with `Take`, ends with
     /// `Emit`, no `Emit` before any choose step.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.steps.is_empty() {
             return Err(format!("rule {}: empty", self.id));
         }

@@ -4,7 +4,7 @@
 //! Multiplication goes through log/exp tables — the same structure the
 //! paper's RTL encoder implements as BRAM lookups — built once at first
 //! use and shared process-wide.  The slice multiply at the heart of the
-//! codec, `mul_rows` (and its one-row form [`mul_slice_xor`]), has
+//! codec, `mul_rows` (and its one-row form `mul_slice_xor`), has
 //! two SIMD kernels, chosen at run time, fastest first:
 //!
 //! * GFNI, where the CPU has GFNI and AVX2: multiplying by a constant
@@ -20,10 +20,10 @@
 use std::sync::OnceLock;
 
 /// The field polynomial (reduced modulo x^8).
-pub const POLY: u16 = 0x11D;
+pub(crate) const POLY: u16 = 0x11D;
 
 /// Order of the multiplicative group.
-pub const GROUP_ORDER: usize = 255;
+pub(crate) const GROUP_ORDER: usize = 255;
 
 struct Tables {
     exp: [u8; 512], // doubled so exp[log a + log b] needs no modulo
@@ -86,34 +86,26 @@ fn tables() -> &'static Tables {
 
 /// An element of GF(2^8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Gf256(pub u8);
+pub(crate) struct Gf256(pub u8);
 
 #[allow(clippy::should_implement_trait)] // explicit names make the GF(2^8)
 // semantics visible at call sites (add == xor, etc.); operator overloads
 // would hide them.
 impl Gf256 {
     /// Additive identity.
-    pub const ZERO: Gf256 = Gf256(0);
+    pub(crate) const ZERO: Gf256 = Gf256(0);
     /// Multiplicative identity.
-    pub const ONE: Gf256 = Gf256(1);
-    /// The generator α = 2.
-    pub const ALPHA: Gf256 = Gf256(2);
+    pub(crate) const ONE: Gf256 = Gf256(1);
 
     /// Addition = XOR (characteristic 2).
     #[inline]
-    pub fn add(self, other: Gf256) -> Gf256 {
+    pub(crate) fn add(self, other: Gf256) -> Gf256 {
         Gf256(self.0 ^ other.0)
-    }
-
-    /// Subtraction is identical to addition.
-    #[inline]
-    pub fn sub(self, other: Gf256) -> Gf256 {
-        self.add(other)
     }
 
     /// Field multiplication via log/exp tables.
     #[inline]
-    pub fn mul(self, other: Gf256) -> Gf256 {
+    pub(crate) fn mul(self, other: Gf256) -> Gf256 {
         if self.0 == 0 || other.0 == 0 {
             return Gf256::ZERO;
         }
@@ -126,34 +118,14 @@ impl Gf256 {
     /// # Panics
     /// Panics on zero.
     #[inline]
-    pub fn inv(self) -> Gf256 {
+    pub(crate) fn inv(self) -> Gf256 {
         assert_ne!(self.0, 0, "inverse of zero in GF(256)");
         let t = tables();
         Gf256(t.exp[GROUP_ORDER - t.log[self.0 as usize] as usize])
     }
 
-    /// Division: `self / other`.
-    #[inline]
-    pub fn div(self, other: Gf256) -> Gf256 {
-        self.mul(other.inv())
-    }
-
-    /// `self` raised to the `n`-th power.
-    pub fn pow(self, mut n: u32) -> Gf256 {
-        let mut base = self;
-        let mut acc = Gf256::ONE;
-        while n > 0 {
-            if n & 1 == 1 {
-                acc = acc.mul(base);
-            }
-            base = base.mul(base);
-            n >>= 1;
-        }
-        acc
-    }
-
     /// α^n — the `n`-th power of the generator.
-    pub fn alpha_pow(n: u32) -> Gf256 {
+    pub(crate) fn alpha_pow(n: u32) -> Gf256 {
         let t = tables();
         Gf256(t.exp[(n as usize) % GROUP_ORDER])
     }
@@ -165,7 +137,7 @@ impl Gf256 {
 /// The RTL implementation streams 32 bytes/cycle through the equivalent
 /// multiplier array (256-bit datapath, §IV-A); the SIMD kernels do the
 /// same 32 bytes per step.
-pub fn mul_slice_xor(c: Gf256, src: &[u8], dst: &mut [u8]) {
+pub(crate) fn mul_slice_xor(c: Gf256, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "slice length mismatch");
     mul_rows(Kernel::detect(), &[c], &[src], dst, true);
 }
@@ -458,7 +430,6 @@ mod tests {
         let b = Gf256(0xCA);
         assert_eq!(a.add(b).0, 0x53 ^ 0xCA);
         assert_eq!(a.add(a), Gf256::ZERO);
-        assert_eq!(a.sub(b), a.add(b));
     }
 
     #[test]
@@ -475,8 +446,8 @@ mod tests {
         // 2 · 0x80 = 0x100 ≡ 0x100 ⊕ 0x11D = 0x1D in this field —
         // a hand-checkable reduction by the 0x11D polynomial.
         assert_eq!(Gf256(0x02).mul(Gf256(0x80)), Gf256(0x1D));
-        // And multiplication by α matches alpha_pow chaining.
-        assert_eq!(Gf256::ALPHA.pow(8), Gf256(0x1D).mul(Gf256::ONE));
+        // And α^8 reduces the same way.
+        assert_eq!(Gf256::alpha_pow(8), Gf256(0x1D));
     }
 
     #[test]
@@ -507,16 +478,6 @@ mod tests {
     #[should_panic(expected = "inverse of zero")]
     fn zero_inverse_panics() {
         Gf256::ZERO.inv();
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        let a = Gf256(7);
-        let mut acc = Gf256::ONE;
-        for n in 0..20u32 {
-            assert_eq!(a.pow(n), acc);
-            acc = acc.mul(a);
-        }
     }
 
     #[test]

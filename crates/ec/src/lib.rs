@@ -29,6 +29,4 @@ pub mod gf256;
 pub mod matrix;
 pub mod rs;
 
-pub use gf256::Gf256;
-pub use matrix::Matrix;
 pub use rs::{EcError, ReedSolomon};

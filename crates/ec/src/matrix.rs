@@ -5,7 +5,7 @@ use crate::gf256::Gf256;
 
 /// A row-major dense matrix over GF(2^8).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<u8>,
@@ -13,7 +13,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Zero matrix.
-    pub fn zero(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zero(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0);
         Matrix {
             rows,
@@ -23,7 +23,7 @@ impl Matrix {
     }
 
     /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zero(n, n);
         for i in 0..n {
             m.set(i, i, Gf256::ONE);
@@ -32,7 +32,7 @@ impl Matrix {
     }
 
     /// Build from a closure over (row, col).
-    pub fn from_fn(rows: usize, cols: usize, f: impl Fn(usize, usize) -> Gf256) -> Self {
+    pub(crate) fn from_fn(rows: usize, cols: usize, f: impl Fn(usize, usize) -> Gf256) -> Self {
         let mut m = Matrix::zero(rows, cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -44,39 +44,24 @@ impl Matrix {
 
     /// A `(rows × cols)` Vandermonde matrix with element `α^(r·c)` — full
     /// rank for any subset of rows when rows ≤ 255.
-    pub fn vandermonde(rows: usize, cols: usize) -> Self {
+    pub(crate) fn vandermonde(rows: usize, cols: usize) -> Self {
         Matrix::from_fn(rows, cols, |r, c| Gf256::alpha_pow((r as u32) * (c as u32)))
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Element access.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> Gf256 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> Gf256 {
         Gf256(self.data[r * self.cols + c])
     }
 
     /// Element assignment.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: Gf256) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: Gf256) {
         self.data[r * self.cols + c] = v.0;
     }
 
-    /// One row as a byte slice.
-    pub fn row(&self, r: usize) -> &[u8] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Matrix product `self · other`.
-    pub fn mul(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn mul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "dimension mismatch");
         let mut out = Matrix::zero(self.rows, other.cols);
         for r in 0..self.rows {
@@ -95,7 +80,7 @@ impl Matrix {
     }
 
     /// Extract a sub-matrix from the given rows.
-    pub fn select_rows(&self, rows: &[usize]) -> Matrix {
+    pub(crate) fn select_rows(&self, rows: &[usize]) -> Matrix {
         let mut out = Matrix::zero(rows.len(), self.cols);
         for (i, &r) in rows.iter().enumerate() {
             assert!(r < self.rows, "row {r} out of range");
@@ -108,7 +93,7 @@ impl Matrix {
 
     /// Invert a square matrix by Gauss–Jordan elimination.
     /// Returns `None` when singular.
-    pub fn invert(&self) -> Option<Matrix> {
+    pub(crate) fn invert(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols, "inversion needs a square matrix");
         let n = self.rows;
         let mut a = self.clone();
@@ -167,7 +152,7 @@ impl Matrix {
     /// block generates parity.  Built by normalizing a (k+m)×k
     /// Vandermonde matrix so its top block becomes I — this preserves the
     /// MDS property (any k rows invertible).
-    pub fn systematic_encoding(k: usize, m: usize) -> Matrix {
+    pub(crate) fn systematic_encoding(k: usize, m: usize) -> Matrix {
         assert!(k >= 1 && m >= 1 && k + m <= 255, "invalid RS parameters");
         let v = Matrix::vandermonde(k + m, k);
         let top = v.select_rows(&(0..k).collect::<Vec<_>>());
@@ -214,8 +199,8 @@ mod tests {
     fn systematic_top_block_is_identity() {
         for (k, m) in [(2, 1), (4, 2), (6, 3), (10, 4)] {
             let enc = Matrix::systematic_encoding(k, m);
-            assert_eq!(enc.rows(), k + m);
-            assert_eq!(enc.cols(), k);
+            assert_eq!(enc.rows, k + m);
+            assert_eq!(enc.cols, k);
             for r in 0..k {
                 for c in 0..k {
                     let want = if r == c { Gf256::ONE } else { Gf256::ZERO };
@@ -254,7 +239,7 @@ mod tests {
     fn select_rows_extracts() {
         let m = Matrix::vandermonde(4, 3);
         let s = m.select_rows(&[3, 1]);
-        assert_eq!(s.rows(), 2);
+        assert_eq!(s.rows, 2);
         for c in 0..3 {
             assert_eq!(s.get(0, c), m.get(3, c));
             assert_eq!(s.get(1, c), m.get(1, c));

@@ -75,13 +75,8 @@ impl ReedSolomon {
     }
 
     /// Total shards (k + m).
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.k + self.m
-    }
-
-    /// Storage expansion factor (k + m) / k.
-    pub fn overhead(&self) -> f64 {
-        (self.k + self.m) as f64 / self.k as f64
     }
 
     /// Split `data` into `k` equal chunks (zero-padding the tail) and
@@ -252,12 +247,6 @@ impl ReedSolomon {
             out.extend_from_slice(&s[..take]);
         }
     }
-
-    /// Coefficient of the encoding matrix (exposed for the FPGA model's
-    /// verification of its BRAM coefficient store).
-    pub fn coefficient(&self, row: usize, col: usize) -> Gf256 {
-        self.encoding.get(row, col)
-    }
 }
 
 #[cfg(test)]
@@ -280,7 +269,6 @@ mod tests {
         let shards = rs.encode(&sample_data(4096));
         assert_eq!(shards.len(), 6);
         assert!(shards.iter().all(|s| s.len() == 1024));
-        assert_eq!(rs.overhead(), 1.5);
     }
 
     #[test]
@@ -469,7 +457,7 @@ mod tests {
         let mut out = vec![0u8; rs.m() * len];
         for (p, row) in out.chunks_exact_mut(len).enumerate() {
             for (c, shard) in data.iter().enumerate() {
-                let coef = rs.coefficient(rs.k() + p, c);
+                let coef = rs.encoding.get(rs.k() + p, c);
                 for (o, &b) in row.iter_mut().zip(*shard) {
                     *o ^= coef.mul(Gf256(b)).0;
                 }

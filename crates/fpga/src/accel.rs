@@ -4,8 +4,8 @@
 //! number of clock cycles required to complete four key operations: rule
 //! evaluation, hash computation, data mapping, and replication", and
 //! Table I gives, for each kernel, the profiled software time, the RTL
-//! cycle count and latency, the measured wall time on the physical FPGA
-//! (including host↔card transfer), and the source line counts.
+//! cycle count and latency, and the measured wall time on the physical
+//! FPGA (including host↔card transfer).
 //!
 //! The models consume the cycle budgets of Table I.  A CRUSH kernel's
 //! placement is resolved by the caller through the epoch-keyed
@@ -41,86 +41,62 @@ pub struct TableIRow {
     pub kind: AccelKind,
     /// Profiled software execution time (Ceph kernel client), µs.
     pub sw_exec_us: f64,
-    /// Contribution of this kernel to total runtime, percent.
-    pub runtime_share_pct: f64,
     /// RTL cycles (min, max).
     pub rtl_cycles: (u64, u64),
     /// Vivado-reported latency (min, max), µs.
     pub rtl_latency_us: (f64, f64),
     /// Measured wall time on the physical U280 including transfers, µs.
     pub hw_exec_us: f64,
-    /// Source lines of C in the Ceph kernel implementation.
-    pub sloc_c: u32,
-    /// Source lines of Verilog in the RTL implementation.
-    pub sloc_verilog: u32,
 }
 
-/// Table I of the paper, verbatim.
+/// Table I of the paper: the timing columns, verbatim.
 pub const TABLE_I: [TableIRow; 6] = [
     TableIRow {
         kind: AccelKind::Straw,
         sw_exec_us: 55.0,
-        runtime_share_pct: 80.0,
         rtl_cycles: (105, 105),
         rtl_latency_us: (0.345, 0.355),
         hw_exec_us: 49.0,
-        sloc_c: 256,
-        sloc_verilog: 880,
     },
     TableIRow {
         kind: AccelKind::Straw2,
         sw_exec_us: 48.0,
-        runtime_share_pct: 80.0,
         rtl_cycles: (155, 155),
         rtl_latency_us: (0.315, 0.315),
         hw_exec_us: 51.0,
-        sloc_c: 256,
-        sloc_verilog: 806,
     },
     TableIRow {
         kind: AccelKind::List,
         sw_exec_us: 35.0,
-        runtime_share_pct: 80.0,
         rtl_cycles: (40, 40),
         rtl_latency_us: (0.161, 0.161),
         hw_exec_us: 56.0,
-        sloc_c: 197,
-        sloc_verilog: 770,
     },
     TableIRow {
         kind: AccelKind::Tree,
         sw_exec_us: 22.0,
-        runtime_share_pct: 85.0,
         rtl_cycles: (130, 130),
         rtl_latency_us: (0.115, 0.115),
         hw_exec_us: 31.0,
-        sloc_c: 241,
-        sloc_verilog: 780,
     },
     TableIRow {
         kind: AccelKind::Uniform,
         sw_exec_us: 9.0,
-        runtime_share_pct: 72.0,
         rtl_cycles: (40, 50),
         rtl_latency_us: (0.180, 0.180),
         hw_exec_us: 19.0,
-        sloc_c: 237,
-        sloc_verilog: 745,
     },
     TableIRow {
         kind: AccelKind::RsEncoder,
         sw_exec_us: 65.0,
-        runtime_share_pct: 70.0,
         rtl_cycles: (150, 150),
         rtl_latency_us: (0.345, 0.345),
         hw_exec_us: 85.0,
-        sloc_c: 280,
-        sloc_verilog: 960,
     },
 ];
 
 /// Look up a kernel's Table I row.
-pub fn table_i(kind: AccelKind) -> &'static TableIRow {
+pub(crate) fn table_i(kind: AccelKind) -> &'static TableIRow {
     TABLE_I
         .iter()
         .find(|r| r.kind == kind)
@@ -134,73 +110,26 @@ pub fn table_i(kind: AccelKind) -> &'static TableIRow {
 /// up by the latency factor.
 pub const HLS_LATENCY_INFLATION: f64 = 1.0 / (1.0 - 0.4571);
 
-/// The four FSM stages of a CRUSH accelerator (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsmStage {
-    /// Evaluate the CRUSH rule program.
-    RuleEval,
-    /// rjenkins hash computation.
-    HashCompute,
-    /// Map the draw onto a bucket item.
-    DataMap,
-    /// Iterate replicas / emit result.
-    Replicate,
-}
-
-/// Per-stage cycle budget for a kernel, summing to Table I's RTL cycles.
-/// The split reflects the structure: hashing dominates straw-family
-/// kernels, tree descent dominates the tree kernel.
-pub fn stage_cycles(kind: AccelKind) -> [(FsmStage, u64); 4] {
-    let total = table_i(kind).rtl_cycles.1;
-    // Fractions per stage (rule, hash, map, replicate).
-    let (r, h, m) = match kind {
-        AccelKind::Straw | AccelKind::Straw2 => (10, 60, 20),
-        AccelKind::List => (8, 50, 30),
-        AccelKind::Tree => (8, 40, 40),
-        AccelKind::Uniform => (15, 45, 25),
-        AccelKind::RsEncoder => (10, 20, 50), // "hash" = GF coefficient fetch
-    };
-    let rule = total * r / 100;
-    let hash = total * h / 100;
-    let map = total * m / 100;
-    let rep = total - rule - hash - map;
-    [
-        (FsmStage::RuleEval, rule),
-        (FsmStage::HashCompute, hash),
-        (FsmStage::DataMap, map),
-        (FsmStage::Replicate, rep),
-    ]
-}
-
 /// A CRUSH placement accelerator (any of the five bucket kernels).
 #[derive(Debug, Clone)]
-pub struct CrushAccelerator {
+pub(crate) struct CrushAccelerator {
     /// Which kernel this instance implements.
     pub kind: AccelKind,
     clock: ClockDomain,
-    ops: u64,
-    cycles_consumed: u64,
 }
 
 impl CrushAccelerator {
     /// Instance clocked at the DeLiBA-K accelerator clock.
-    pub fn new(kind: AccelKind) -> Self {
+    pub(crate) fn new(kind: AccelKind) -> Self {
         assert!(kind != AccelKind::RsEncoder, "use RsEncoderAccel");
         CrushAccelerator {
             kind,
             clock: ACCEL_CLOCK,
-            ops: 0,
-            cycles_consumed: 0,
         }
     }
 
-    /// Pure pipeline latency of one placement (RTL generation).
-    pub fn rtl_latency(&self) -> SimDuration {
-        SimDuration::from_micros_f64(table_i(self.kind).rtl_latency_us.1)
-    }
-
     /// Cycle count of one placement.
-    pub fn rtl_cycles(&self) -> u64 {
+    pub(crate) fn rtl_cycles(&self) -> u64 {
         table_i(self.kind).rtl_cycles.1
     }
 
@@ -209,16 +138,8 @@ impl CrushAccelerator {
     /// cache): the RTL pipeline consumes its fixed Table I cycle budget
     /// per operation regardless of the inputs, so the charge is
     /// input-independent by construction.
-    pub fn charge_place(&mut self) -> SimDuration {
-        let cycles = self.rtl_cycles();
-        self.ops += 1;
-        self.cycles_consumed += cycles;
-        self.clock.cycles(cycles)
-    }
-
-    /// (placements performed, cycles consumed).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.ops, self.cycles_consumed)
+    pub(crate) fn charge_place(&mut self) -> SimDuration {
+        self.clock.cycles(self.rtl_cycles())
     }
 }
 
@@ -228,30 +149,26 @@ impl CrushAccelerator {
 /// block of `n` bytes streams in ⌈n/32⌉ cycles after the 150-cycle
 /// pipeline fill of Table I.
 #[derive(Debug)]
-pub struct RsEncoderAccel {
+pub(crate) struct RsEncoderAccel {
     rs: ReedSolomon,
     clock: ClockDomain,
-    ops: u64,
-    bytes: u64,
 }
 
 /// Datapath width in bytes (256-bit bus, §IV-A).
-pub const DATAPATH_BYTES: u64 = 32;
+pub(crate) const DATAPATH_BYTES: u64 = 32;
 
 impl RsEncoderAccel {
     /// Encoder for an RS(k, m) profile.
-    pub fn new(k: usize, m: usize) -> Self {
+    pub(crate) fn new(k: usize, m: usize) -> Self {
         RsEncoderAccel {
             rs: ReedSolomon::new(k, m),
             clock: ACCEL_CLOCK,
-            ops: 0,
-            bytes: 0,
         }
     }
 
     /// Encode `data`, returning the shards and the time consumed:
     /// pipeline fill + streaming beats.
-    pub fn encode(&mut self, data: &[u8]) -> (Vec<Vec<u8>>, SimDuration) {
+    pub(crate) fn encode(&mut self, data: &[u8]) -> (Vec<Vec<u8>>, SimDuration) {
         let mut out = Vec::new();
         let d = self.encode_into(data, &mut out);
         (
@@ -262,18 +179,11 @@ impl RsEncoderAccel {
 
     /// [`RsEncoderAccel::encode`] into a recycled buffer, as
     /// [`ReedSolomon::encode_into`] fills it; returns the time consumed.
-    pub fn encode_into(&mut self, data: &[u8], out: &mut Vec<u8>) -> SimDuration {
+    pub(crate) fn encode_into(&mut self, data: &[u8], out: &mut Vec<u8>) -> SimDuration {
         self.rs.encode_into(data, out);
         let beats = (data.len() as u64).div_ceil(DATAPATH_BYTES);
         let cycles = table_i(AccelKind::RsEncoder).rtl_cycles.1 + beats;
-        self.ops += 1;
-        self.bytes += data.len() as u64;
         self.clock.cycles(cycles)
-    }
-
-    /// (encode operations, payload bytes encoded).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.ops, self.bytes)
     }
 }
 
@@ -285,17 +195,6 @@ mod tests {
     fn table_i_lookup() {
         assert_eq!(table_i(AccelKind::Straw2).rtl_cycles, (155, 155));
         assert_eq!(table_i(AccelKind::Uniform).sw_exec_us, 9.0);
-        assert_eq!(table_i(AccelKind::RsEncoder).sloc_verilog, 960);
-    }
-
-    #[test]
-    fn stage_cycles_sum_to_total() {
-        for row in TABLE_I {
-            let stages = stage_cycles(row.kind);
-            let sum: u64 = stages.iter().map(|(_, c)| c).sum();
-            assert_eq!(sum, row.rtl_cycles.1, "{:?}", row.kind);
-            assert!(stages.iter().all(|&(_, c)| c > 0), "{:?}", row.kind);
-        }
     }
 
     #[test]
@@ -304,7 +203,6 @@ mod tests {
         let d = accel.charge_place();
         // 130 cycles at 235 MHz ≈ 553 ns.
         assert!((500..620).contains(&d.as_nanos()), "{d}");
-        assert_eq!(accel.counters(), (1, 130));
     }
 
     #[test]
@@ -330,7 +228,6 @@ mod tests {
         assert_eq!(accel.encode_into(&data, &mut out), d);
         let rs = ReedSolomon::new(4, 2);
         assert!(rs.shards_of(&data, &out).eq(sw_shards.iter().map(Vec::as_slice)));
-        assert_eq!(accel.counters(), (2, 2 * 4096));
         // 150 + 128 beats = 278 cycles ≈ 1.18 µs.
         assert!((1_000..1_400).contains(&d.as_nanos()), "{d}");
     }

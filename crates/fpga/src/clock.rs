@@ -6,31 +6,22 @@ use deliba_sim::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockDomain {
     /// Frequency in MHz.
-    pub freq_mhz: f64,
+    pub(crate) freq_mhz: f64,
 }
 
 /// "Both the replication and erasure coding RTL accelerators operate at
 /// approximately 235 MHz" (§IV-B).
 pub const ACCEL_CLOCK: ClockDomain = ClockDomain { freq_mhz: 235.0 };
 
-/// "The CMAC in DeLiBA-K operates at a frequency of 260 MHz" (§IV-D).
-pub const CMAC_CLOCK: ClockDomain = ClockDomain { freq_mhz: 260.0 };
-
 impl ClockDomain {
     /// Period of one cycle in nanoseconds.
-    pub fn period_ns(&self) -> f64 {
+    pub(crate) fn period_ns(&self) -> f64 {
         1_000.0 / self.freq_mhz
     }
 
     /// Duration of `cycles` clock cycles.
     pub fn cycles(&self, cycles: u64) -> SimDuration {
         SimDuration::from_nanos(deliba_sim::round_nonneg(cycles as f64 * self.period_ns()))
-    }
-
-    /// How many whole cycles fit in `d` (rounded up — hardware cannot
-    /// finish mid-cycle).
-    pub fn cycles_in(&self, d: SimDuration) -> u64 {
-        (d.as_nanos() as f64 / self.period_ns()).ceil() as u64
     }
 }
 
@@ -54,19 +45,5 @@ mod tests {
         // regime.
         let d = ACCEL_CLOCK.cycles(105);
         assert!((400..500).contains(&d.as_nanos()), "{d}");
-    }
-
-    #[test]
-    fn cycles_round_trip() {
-        for c in [1u64, 10, 105, 155, 1000] {
-            let d = ACCEL_CLOCK.cycles(c);
-            let back = ACCEL_CLOCK.cycles_in(d);
-            assert!(back >= c && back <= c + 1, "c={c} back={back}");
-        }
-    }
-
-    #[test]
-    fn cmac_is_faster_clock() {
-        assert!(CMAC_CLOCK.period_ns() < ACCEL_CLOCK.period_ns());
     }
 }

@@ -3,15 +3,13 @@
 //! [`AlveoU280`] is the card the engine in `deliba-core` drives on the
 //! accelerated path: the static accelerators (Straw, Straw2, RS
 //! encoder — §IV-C puts them "in the static region, spanning across two
-//! SLRs"), the DFX partition with its three swappable bucket
-//! accelerators, and the resource/power books.  Placement requests
+//! SLRs") and the DFX partition with its three swappable bucket
+//! accelerators.  Placement requests
 //! route to the RM matching the requested bucket algorithm when it is
 //! resident, falling back to the static Straw2 kernel during a swap.
 
 use crate::accel::{AccelKind, CrushAccelerator, RsEncoderAccel};
 use crate::dfx::{configuration_analysis, DfxController, DfxError, RmId};
-use crate::power::PowerModel;
-use crate::resources::{ResourceVec, RS_ENCODER_STATIC, STRAW2_STATIC, STRAW_STATIC};
 use deliba_sim::{InstantKind, Observer, SimDuration, SimTime, TraceLayer};
 
 /// The modeled U280 card.
@@ -20,17 +18,13 @@ pub struct AlveoU280 {
     rs: RsEncoderAccel,
     rm_accels: [CrushAccelerator; 3],
     /// DFX controller for the SLR0 partition.
-    pub dfx: DfxController,
-    /// Power model.
-    pub power: PowerModel,
+    pub(crate) dfx: DfxController,
     dfx_fallbacks: u64,
-    accel_busy: SimDuration,
     /// Card health: false while a card-level fault (XRT reset, AXI
     /// firewall trip, thermal shutdown) is in effect.  The datapath
     /// checks this before routing I/O through the card and degrades to
     /// the software host path while it is down.
     healthy: bool,
-    faults_injected: u64,
     /// Flight recorder (full-depth recording marks placements; DFX
     /// swaps are marked at any depth — they are fault-class events).
     trace: Observer,
@@ -40,7 +34,7 @@ impl AlveoU280 {
     /// A card programmed with the DeLiBA-K full bitstream: static
     /// Straw/Straw2/RS plus `initial_rm` resident in the partition,
     /// RS(k, m) erasure profile.
-    pub fn new(initial_rm: RmId, k: usize, m: usize) -> Self {
+    pub(crate) fn new(initial_rm: RmId, k: usize, m: usize) -> Self {
         // pr_verify gate: refuse to "program" a configuration whose RMs
         // do not fit the partition.
         assert!(
@@ -56,11 +50,8 @@ impl AlveoU280 {
                 CrushAccelerator::new(AccelKind::Uniform),
             ],
             dfx: DfxController::new(initial_rm),
-            power: PowerModel::default(),
             dfx_fallbacks: 0,
-            accel_busy: SimDuration::ZERO,
             healthy: true,
-            faults_injected: 0,
             trace: Observer::off(),
         }
     }
@@ -111,7 +102,6 @@ impl AlveoU280 {
             },
             None => (self.straw2.charge_place(), AccelKind::Straw2, false),
         };
-        self.accel_busy += d;
         if self.trace.full() {
             self.trace
                 .instant(now, TraceLayer::Accel, InstantKind::AccelPlace, on_rm as u64);
@@ -121,18 +111,14 @@ impl AlveoU280 {
 
     /// Encode a block through the RS accelerator.
     pub fn encode(&mut self, data: &[u8]) -> (Vec<Vec<u8>>, SimDuration) {
-        let (shards, d) = self.rs.encode(data);
-        self.accel_busy += d;
-        (shards, d)
+        self.rs.encode(data)
     }
 
     /// [`AlveoU280::encode`] into a recycled buffer, as
     /// [`deliba_ec::ReedSolomon::encode_into`] fills it; returns the
     /// time consumed.
     pub fn encode_into(&mut self, data: &[u8], out: &mut Vec<u8>) -> SimDuration {
-        let d = self.rs.encode_into(data, out);
-        self.accel_busy += d;
-        d
+        self.rs.encode_into(data, out)
     }
 
     /// Begin a DFX swap.
@@ -153,10 +139,7 @@ impl AlveoU280 {
     /// [`clear_fault`](AlveoU280::clear_fault) — an `xbutil reset` in the
     /// real system.
     pub fn inject_fault(&mut self) {
-        if self.healthy {
-            self.healthy = false;
-            self.faults_injected += 1;
-        }
+        self.healthy = false;
     }
 
     /// Recover the card after a fault.
@@ -169,34 +152,17 @@ impl AlveoU280 {
         self.healthy
     }
 
-    /// Card-level faults injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected
-    }
-
     /// Placements that fell back to Straw2 because the partition was
     /// unavailable.
     pub fn dfx_fallbacks(&self) -> u64 {
         self.dfx_fallbacks
-    }
-
-    /// Cumulative kernel compute time across all accelerators (the
-    /// card-side contribution to the `Accel` stage of the latency
-    /// breakdown).
-    pub fn accel_busy(&self) -> SimDuration {
-        self.accel_busy
-    }
-
-    /// Static-region resource usage (Table III upper half).
-    pub fn static_resources(&self) -> ResourceVec {
-        STRAW_STATIC + STRAW2_STATIC + RS_ENCODER_STATIC
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::U280_TOTAL;
+    use crate::resources::{RS_ENCODER_STATIC, STRAW2_STATIC, STRAW_STATIC, U280_TOTAL};
 
     #[test]
     fn default_card_places_correctly() {
@@ -247,20 +213,10 @@ mod tests {
     }
 
     #[test]
-    fn accel_busy_accumulates_kernel_time() {
-        let mut card = AlveoU280::deliba_k_default();
-        assert_eq!(card.accel_busy(), SimDuration::ZERO);
-        let (p, _) = card.place_prefetched(SimTime::ZERO, None);
-        let (_, e) = card.encode(&[0u8; 4096]);
-        let (u, _) = card.place_prefetched(SimTime::ZERO, Some(RmId::Uniform));
-        assert_eq!(card.accel_busy(), p + e + u);
-    }
-
-    #[test]
     fn utilization_accounting() {
-        let card = AlveoU280::deliba_k_default();
-        let (without, ..) = card.static_resources().percent_of(&U280_TOTAL);
-        let with_rm = card.static_resources() + RmId::Uniform.resources();
+        let static_region = STRAW_STATIC + STRAW2_STATIC + RS_ENCODER_STATIC;
+        let (without, ..) = static_region.percent_of(&U280_TOTAL);
+        let with_rm = static_region + RmId::Uniform.resources();
         let (with, ..) = with_rm.percent_of(&U280_TOTAL);
         assert!(with > without);
         // Static region ≈ (78.5 + 82.3 + 92.4)K / 1304K ≈ 19.4 %.
@@ -273,12 +229,7 @@ mod tests {
         assert!(card.is_healthy());
         card.inject_fault();
         assert!(!card.is_healthy());
-        // Re-injecting while down is not a second fault.
-        card.inject_fault();
-        assert_eq!(card.faults_injected(), 1);
         card.clear_fault();
         assert!(card.is_healthy());
-        card.inject_fault();
-        assert_eq!(card.faults_injected(), 2);
     }
 }

@@ -32,7 +32,7 @@ pub enum RmId {
 
 impl RmId {
     /// The accelerator kernel this RM implements.
-    pub fn accel_kind(self) -> AccelKind {
+    pub(crate) fn accel_kind(self) -> AccelKind {
         match self {
             RmId::List => AccelKind::List,
             RmId::Tree => AccelKind::Tree,
@@ -64,15 +64,15 @@ impl RmId {
 }
 
 /// All three RMs.
-pub const ALL_RMS: [RmId; 3] = [RmId::List, RmId::Tree, RmId::Uniform];
+pub(crate) const ALL_RMS: [RmId; 3] = [RmId::List, RmId::Tree, RmId::Uniform];
 
 /// MCAP effective programming bandwidth (xapp1338-class PCIe MCAP
 /// streaming).
-pub const MCAP_BYTES_PER_SEC: f64 = 400e6;
+pub(crate) const MCAP_BYTES_PER_SEC: f64 = 400e6;
 
 /// State of the reconfigurable partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DfxState {
+pub(crate) enum DfxState {
     /// An RM is active and serving.
     Active(RmId),
     /// A partial bitstream is streaming in until the given instant;
@@ -96,25 +96,21 @@ pub enum DfxError {
 
 /// The DFX controller for the single RP in SLR0.
 #[derive(Debug)]
-pub struct DfxController {
+pub(crate) struct DfxController {
     state: DfxState,
-    swaps: u64,
-    swap_time_total: SimDuration,
 }
 
 impl DfxController {
     /// Controller with `initial` RM loaded (part of the full bitstream).
-    pub fn new(initial: RmId) -> Self {
+    pub(crate) fn new(initial: RmId) -> Self {
         DfxController {
             state: DfxState::Active(initial),
-            swaps: 0,
-            swap_time_total: SimDuration::ZERO,
         }
     }
 
     /// Current state, folding in the clock: a reconfiguration whose
     /// deadline passed becomes Active.
-    pub fn state(&mut self, now: SimTime) -> DfxState {
+    pub(crate) fn state(&mut self, now: SimTime) -> DfxState {
         if let DfxState::Reconfiguring { target, until } = self.state {
             if now >= until {
                 self.state = DfxState::Active(target);
@@ -125,7 +121,7 @@ impl DfxController {
 
     /// The active RM at `now`, or `None` mid-reconfiguration (callers
     /// fall back to the static Straw2 accelerator).
-    pub fn active_rm(&mut self, now: SimTime) -> Option<RmId> {
+    pub(crate) fn active_rm(&mut self, now: SimTime) -> Option<RmId> {
         match self.state(now) {
             DfxState::Active(rm) => Some(rm),
             DfxState::Reconfiguring { .. } => None,
@@ -133,7 +129,7 @@ impl DfxController {
     }
 
     /// Begin swapping in `target` at `now`.  Returns the completion time.
-    pub fn reconfigure(&mut self, now: SimTime, target: RmId) -> Result<SimTime, DfxError> {
+    pub(crate) fn reconfigure(&mut self, now: SimTime, target: RmId) -> Result<SimTime, DfxError> {
         match self.state(now) {
             DfxState::Reconfiguring { .. } => return Err(DfxError::Busy),
             DfxState::Active(cur) if cur == target => return Err(DfxError::AlreadyActive),
@@ -142,14 +138,7 @@ impl DfxController {
         let dur = SimDuration::from_secs_f64(target.bitstream_bytes() as f64 / MCAP_BYTES_PER_SEC);
         let until = now + dur;
         self.state = DfxState::Reconfiguring { target, until };
-        self.swaps += 1;
-        self.swap_time_total += dur;
         Ok(until)
-    }
-
-    /// (completed or in-flight swaps, cumulative reconfiguration time).
-    pub fn counters(&self) -> (u64, SimDuration) {
-        (self.swaps, self.swap_time_total)
     }
 }
 
@@ -158,8 +147,6 @@ impl DfxController {
 /// report lists per-RM resource usage for floorplanning review.
 #[derive(Debug, Clone)]
 pub struct ConfigurationReport {
-    /// Pblock budget the RP reserves inside SLR0.
-    pub pblock: ResourceVec,
     /// (RM, footprint, fits) triples.
     pub rows: Vec<(RmId, ResourceVec, bool)>,
 }
@@ -180,7 +167,7 @@ pub fn configuration_analysis() -> ConfigurationReport {
         .iter()
         .map(|&rm| (rm, rm.resources(), rm.resources().fits_in(&pblock)))
         .collect();
-    ConfigurationReport { pblock, rows }
+    ConfigurationReport { rows }
 }
 
 impl ConfigurationReport {
@@ -200,7 +187,6 @@ mod tests {
     fn initial_state_active() {
         let mut c = DfxController::new(RmId::Uniform);
         assert_eq!(c.active_rm(SimTime::ZERO), Some(RmId::Uniform));
-        assert_eq!(c.counters().0, 0);
     }
 
     #[test]
@@ -229,7 +215,6 @@ mod tests {
         );
         // After completion a new swap is allowed.
         assert!(c.reconfigure(done, RmId::Uniform).is_ok());
-        assert_eq!(c.counters().0, 2);
     }
 
     #[test]

@@ -9,16 +9,13 @@
 //! DFX.  Without the physical card, this crate models the device at the
 //! level the evaluation depends on:
 //!
-//! * [`clock`] — clock domains: accelerators at 235 MHz, CMAC at
-//!   260 MHz (§IV-B, §IV-D);
+//! * [`clock`] — the accelerator clock domain, 235 MHz (§IV-B);
 //! * [`resources`] — LUT/FF/BRAM/URAM/DSP accounting for the whole chip,
 //!   its three SLRs, and every accelerator from Table III;
-//! * [`accel`] — cycle-accurate accelerator models: each kernel is a
-//!   four-stage FSM (rule evaluation → hash computation → data mapping →
-//!   replication, §IV-B) whose per-stage cycle budgets sum to the RTL
-//!   cycle counts of Table I; placements come from the real CRUSH
-//!   rule through the cluster's placement cache, and the RS encoder
-//!   runs the real codec;
+//! * [`accel`] — cycle-accurate accelerator models: each kernel is
+//!   charged the RTL cycle count of Table I; placements come from the
+//!   real CRUSH rule through the cluster's placement cache, and the RS
+//!   encoder runs the real codec;
 //! * [`dfx`] — Dynamic Function eXchange: one reconfigurable partition
 //!   in SLR0 hosting the List/Tree/Uniform reconfigurable modules,
 //!   MCAP-based partial bitstream loading with realistic timing, and a
@@ -35,9 +32,9 @@ pub mod dfx;
 pub mod power;
 pub mod resources;
 
-pub use accel::{AccelKind, CrushAccelerator, RsEncoderAccel, TableIRow, TABLE_I};
-pub use clock::{ClockDomain, ACCEL_CLOCK, CMAC_CLOCK};
+pub use accel::{AccelKind, TableIRow, TABLE_I};
+pub use clock::{ClockDomain, ACCEL_CLOCK};
 pub use device::AlveoU280;
-pub use dfx::{DfxController, DfxError, DfxState, RmId};
+pub use dfx::{DfxError, RmId};
 pub use power::PowerModel;
 pub use resources::{ResourceVec, SLR0, U280_TOTAL};

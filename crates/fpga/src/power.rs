@@ -12,20 +12,20 @@
 #[derive(Debug, Clone, Copy)]
 pub struct PowerModel {
     /// Static power: chip leakage + HBM + board (fans, regulators).
-    pub base_w: f64,
+    pub(crate) base_w: f64,
     /// QDMA + PCIe hard block activity.
-    pub qdma_w: f64,
+    pub(crate) qdma_w: f64,
     /// RTL TCP/IP + CMAC at 260 MHz.
-    pub network_w: f64,
+    pub(crate) network_w: f64,
     /// Straw static accelerator.
-    pub straw_w: f64,
+    pub(crate) straw_w: f64,
     /// Straw2 static accelerator.
-    pub straw2_w: f64,
+    pub(crate) straw2_w: f64,
     /// Reed-Solomon encoder.
-    pub rs_w: f64,
+    pub(crate) rs_w: f64,
     /// One resident bucket RM (List/Tree/Uniform are within a watt of
     /// each other).
-    pub rm_w: f64,
+    pub(crate) rm_w: f64,
 }
 
 impl Default for PowerModel {
@@ -74,13 +74,6 @@ impl PowerModel {
     pub fn idle_w(&self) -> f64 {
         self.base_w + 0.35 * (self.qdma_w + self.network_w)
     }
-
-    /// Power at a given utilization (0..1) of the datapath blocks with
-    /// the DFX configuration.
-    pub fn at_utilization_dfx(&self, u: f64) -> f64 {
-        let u = u.clamp(0.0, 1.0);
-        self.idle_w() + u * (self.full_load_dfx_w() - self.idle_w())
-    }
 }
 
 #[cfg(test)]
@@ -107,18 +100,5 @@ mod tests {
         let p = PowerModel::default();
         let saving = p.full_load_static_w() - p.full_load_dfx_w();
         assert!((24.0..26.0).contains(&saving), "saving {saving} W");
-    }
-
-    #[test]
-    fn utilization_curve_monotone() {
-        let p = PowerModel::default();
-        let mut last = 0.0;
-        for i in 0..=10 {
-            let w = p.at_utilization_dfx(i as f64 / 10.0);
-            assert!(w >= last);
-            last = w;
-        }
-        assert!((p.at_utilization_dfx(1.0) - p.full_load_dfx_w()).abs() < 1e-9);
-        assert!(p.idle_w() < p.full_load_dfx_w());
     }
 }

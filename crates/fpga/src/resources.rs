@@ -14,13 +14,13 @@ pub struct ResourceVec {
     /// CLB look-up tables.
     pub luts: u64,
     /// CLB registers (flip-flops).
-    pub regs: u64,
+    pub(crate) regs: u64,
     /// Block RAM tiles.
     pub bram: u64,
     /// UltraRAM blocks.
     pub uram: u64,
     /// DSP slices.
-    pub dsp: u64,
+    pub(crate) dsp: u64,
 }
 
 /// Whole-chip resources of the XCU280 (§V-c).
@@ -42,17 +42,8 @@ pub const SLR0: ResourceVec = ResourceVec {
 };
 
 impl ResourceVec {
-    /// Zero resources.
-    pub const ZERO: ResourceVec = ResourceVec {
-        luts: 0,
-        regs: 0,
-        bram: 0,
-        uram: 0,
-        dsp: 0,
-    };
-
     /// Does `self` fit inside `budget`?
-    pub fn fits_in(&self, budget: &ResourceVec) -> bool {
+    pub(crate) fn fits_in(&self, budget: &ResourceVec) -> bool {
         self.luts <= budget.luts
             && self.regs <= budget.regs
             && self.bram <= budget.bram
@@ -142,7 +133,7 @@ pub const RS_ENCODER_STATIC: ResourceVec = ResourceVec {
 
 /// Table III, lower half: reconfigurable modules in SLR0 (utilization
 /// relative to SLR0).  RM 1 = List bucket.
-pub const RM_LIST: ResourceVec = ResourceVec {
+pub(crate) const RM_LIST: ResourceVec = ResourceVec {
     luts: 52_335,
     regs: 92_456,
     bram: 85,
@@ -151,7 +142,7 @@ pub const RM_LIST: ResourceVec = ResourceVec {
 };
 
 /// RM 2 = Tree bucket (LUT count reconstructed from the 15.93 % figure).
-pub const RM_TREE: ResourceVec = ResourceVec {
+pub(crate) const RM_TREE: ResourceVec = ResourceVec {
     luts: 56_551,
     regs: 97_523,
     bram: 82,
@@ -160,7 +151,7 @@ pub const RM_TREE: ResourceVec = ResourceVec {
 };
 
 /// RM 3 = Uniform bucket.
-pub const RM_UNIFORM: ResourceVec = ResourceVec {
+pub(crate) const RM_UNIFORM: ResourceVec = ResourceVec {
     luts: 62_456,
     regs: 112_000,
     bram: 78,
@@ -216,7 +207,7 @@ mod tests {
         assert_eq!(a.luts, 78_555 + 82_334);
         let d = a - STRAW_STATIC;
         assert_eq!(d, STRAW2_STATIC);
-        let mut acc = ResourceVec::ZERO;
+        let mut acc = ResourceVec::default();
         acc += RM_LIST;
         assert_eq!(acc, RM_LIST);
     }
@@ -225,7 +216,7 @@ mod tests {
     fn fits_is_per_class() {
         let too_much_bram = ResourceVec {
             bram: SLR0.bram + 1,
-            ..ResourceVec::ZERO
+            ..ResourceVec::default()
         };
         assert!(!too_much_bram.fits_in(&SLR0));
     }

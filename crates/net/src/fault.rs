@@ -78,11 +78,6 @@ impl LinkFaultInjector {
         self.profile = profile;
     }
 
-    /// The active probabilities.
-    pub fn profile(&self) -> LinkFaultProfile {
-        self.profile
-    }
-
     /// Judge the request frame: lost in flight?
     pub fn assess_request(&mut self) -> LinkVerdict {
         if self.profile.drop_p > 0.0 && self.rng.gen_bool(self.profile.drop_p) {
@@ -162,7 +157,7 @@ mod tests {
         assert_eq!(inj.assess_request(), LinkVerdict::Drop);
         assert_eq!(inj.assess_response(), LinkVerdict::Corrupt);
         inj.set_profile(LinkFaultProfile::HEALTHY);
-        assert!(inj.profile().is_healthy());
+        assert!(inj.profile.is_healthy());
         assert_eq!(inj.assess_request(), LinkVerdict::Deliver);
     }
 }

@@ -6,29 +6,29 @@
 //! Ethernet to 9018 bytes for Jumbo frames."
 
 /// Standard Ethernet maximum frame (1500 B MTU + 18 B L2 overhead).
-pub const STANDARD_MTU_FRAME: usize = 1518;
+pub(crate) const STANDARD_MTU_FRAME: usize = 1518;
 
 /// Jumbo maximum frame (9000 B MTU + 18 B L2 overhead).
-pub const JUMBO_MTU_FRAME: usize = 9018;
+pub(crate) const JUMBO_MTU_FRAME: usize = 9018;
 
 /// Minimum frame size.
-pub const MIN_FRAME: usize = 64;
+pub(crate) const MIN_FRAME: usize = 64;
 
 /// Bytes on the wire that are not part of the L2 frame itself:
 /// preamble (7) + SFD (1) + inter-frame gap (12).
-pub const WIRE_EXTRA: usize = 20;
+pub(crate) const WIRE_EXTRA: usize = 20;
 
 /// L2 header + FCS inside the frame: 14 (Ethernet) + 4 (FCS).
-pub const L2_OVERHEAD: usize = 18;
+pub(crate) const L2_OVERHEAD: usize = 18;
 
 /// IP (20) + TCP (20) headers consumed from the frame payload.
-pub const L3L4_OVERHEAD: usize = 40;
+pub(crate) const L3L4_OVERHEAD: usize = 40;
 
 /// Framing configuration (standard vs jumbo).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameConfig {
     /// Maximum frame size on the link (1518 or 9018).
-    pub max_frame: usize,
+    pub(crate) max_frame: usize,
 }
 
 impl FrameConfig {
@@ -48,12 +48,12 @@ impl FrameConfig {
 
     /// TCP maximum segment size: payload left after L2 + IP + TCP
     /// headers.
-    pub fn mss(&self) -> usize {
+    pub(crate) fn mss(&self) -> usize {
         self.max_frame - L2_OVERHEAD - L3L4_OVERHEAD
     }
 
     /// Number of TCP segments needed for `payload` bytes.
-    pub fn segments(&self, payload: u64) -> u64 {
+    pub(crate) fn segments(&self, payload: u64) -> u64 {
         if payload == 0 {
             return 1; // even a zero-length op carries one control segment
         }
@@ -62,20 +62,12 @@ impl FrameConfig {
 
     /// Total bytes on the wire for `payload` bytes of application data,
     /// including all framing layers and the inter-frame gap.
-    pub fn wire_bytes(&self, payload: u64) -> u64 {
+    pub(crate) fn wire_bytes(&self, payload: u64) -> u64 {
         let segs = self.segments(payload);
         let per_frame = (L2_OVERHEAD + L3L4_OVERHEAD + WIRE_EXTRA) as u64;
         let total = payload + segs * per_frame;
         // Runt padding for tiny payloads.
         total.max(segs * (MIN_FRAME + WIRE_EXTRA) as u64)
-    }
-
-    /// Wire efficiency: payload / wire_bytes.
-    pub fn efficiency(&self, payload: u64) -> f64 {
-        if payload == 0 {
-            return 0.0;
-        }
-        payload as f64 / self.wire_bytes(payload) as f64
     }
 }
 
@@ -123,8 +115,9 @@ mod tests {
         let std = FrameConfig::standard();
         let jumbo = FrameConfig::jumbo();
         let payload = 128 * 1024;
-        assert!(jumbo.efficiency(payload) > std.efficiency(payload));
-        assert!(std.efficiency(payload) > 0.9);
-        assert!(jumbo.efficiency(payload) > 0.98);
+        let efficiency = |cfg: FrameConfig| payload as f64 / cfg.wire_bytes(payload) as f64;
+        assert!(efficiency(jumbo) > efficiency(std));
+        assert!(efficiency(std) > 0.9);
+        assert!(efficiency(jumbo) > 0.98);
     }
 }

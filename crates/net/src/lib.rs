@@ -34,7 +34,6 @@ pub mod tcp;
 pub mod topology;
 
 pub use fault::{LinkFaultInjector, LinkFaultProfile, LinkVerdict};
-pub use frame::{FrameConfig, JUMBO_MTU_FRAME, STANDARD_MTU_FRAME};
-pub use link::EthLink;
+pub use frame::FrameConfig;
 pub use tcp::{TcpStack, TcpStackKind};
 pub use topology::Topology;

@@ -11,52 +11,31 @@ pub const PROPAGATION: SimDuration = SimDuration(500); // switch + serialization
 
 /// A serializing Ethernet link.
 #[derive(Debug, Clone)]
-pub struct EthLink {
+pub(crate) struct EthLink {
     bw: Bandwidth,
     frames: FrameConfig,
 }
 
 impl EthLink {
     /// A link with explicit rate and framing.
-    pub fn new(gbps: f64, propagation: SimDuration, frames: FrameConfig) -> Self {
+    pub(crate) fn new(gbps: f64, propagation: SimDuration, frames: FrameConfig) -> Self {
         EthLink {
             bw: Bandwidth::from_gbps(gbps, propagation),
             frames,
         }
     }
 
-    /// The paper's lab link: 9.8 Gb/s, 2 µs propagation, standard MTU.
-    pub fn lab_10g() -> Self {
-        Self::new(MEASURED_GBPS, PROPAGATION, FrameConfig::standard())
-    }
-
-    /// Framing configuration.
-    pub fn frames(&self) -> FrameConfig {
-        self.frames
-    }
-
     /// Send `payload` application bytes starting no earlier than `now`;
     /// returns when the last bit arrives.  Wire overhead (headers, IFG,
     /// runt padding) is charged on top of the payload.
-    pub fn send(&mut self, now: SimTime, payload: u64) -> SimTime {
+    pub(crate) fn send(&mut self, now: SimTime, payload: u64) -> SimTime {
         let wire = self.frames.wire_bytes(payload);
         self.bw.transfer(now, wire)
     }
 
-    /// Serialization time for `payload` bytes without queueing or
-    /// propagation (used for back-of-envelope assertions).
-    pub fn serialization(&self, payload: u64) -> SimDuration {
-        self.bw.serialization(self.frames.wire_bytes(payload))
-    }
-
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        self.bw.utilization(horizon)
-    }
-
     /// Cumulative serialization (busy) time — the telemetry plane
     /// differences samples of this for per-window link utilization.
-    pub fn busy_time(&self) -> SimDuration {
+    pub(crate) fn busy_time(&self) -> SimDuration {
         self.bw.busy_time()
     }
 }
@@ -65,23 +44,34 @@ impl EthLink {
 mod tests {
     use super::*;
 
+    /// The paper's lab link: 9.8 Gb/s, 2 µs propagation, standard MTU.
+    fn lab_10g() -> EthLink {
+        EthLink::new(MEASURED_GBPS, PROPAGATION, FrameConfig::standard())
+    }
+
+    /// Serialization time for `payload` bytes without queueing or
+    /// propagation.
+    fn serialization(link: &EthLink, payload: u64) -> SimDuration {
+        link.bw.serialization(link.frames.wire_bytes(payload))
+    }
+
     #[test]
     fn four_k_serialization_near_theory() {
-        let link = EthLink::lab_10g();
+        let link = lab_10g();
         // 4 KiB = 3 frames: 4096 + 3*78 = 4330 wire bytes at 9.8 Gb/s
         // ≈ 3.53 µs.
-        let t = link.serialization(4096).as_nanos();
+        let t = serialization(&link, 4096).as_nanos();
         assert!((3_400..3_700).contains(&t), "{t} ns");
     }
 
     #[test]
     fn back_to_back_transfers_queue() {
-        let mut link = EthLink::lab_10g();
+        let mut link = lab_10g();
         let a = link.send(SimTime::ZERO, 128 * 1024);
         let b = link.send(SimTime::ZERO, 128 * 1024);
         assert!(b > a, "second transfer serializes behind the first");
         let gap = (b - a).as_nanos();
-        let ser = link.serialization(128 * 1024).as_nanos();
+        let ser = serialization(&link, 128 * 1024).as_nanos();
         assert_eq!(gap, ser);
     }
 
@@ -97,7 +87,7 @@ mod tests {
     fn sustained_goodput_below_line_rate() {
         // Pushing 100 MB of 4 KiB messages: goodput must be below
         // 9.8 Gb/s × efficiency but above 85 % of it.
-        let mut link = EthLink::lab_10g();
+        let mut link = lab_10g();
         let mut t = SimTime::ZERO;
         let n = 25_600; // 100 MiB offered at t = 0, draining at line rate
         for _ in 0..n {

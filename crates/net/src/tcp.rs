@@ -47,7 +47,7 @@ pub struct TcpStack {
     /// Implementation flavour.
     pub kind: TcpStackKind,
     /// Framing in use on the link.
-    pub frames: FrameConfig,
+    pub(crate) frames: FrameConfig,
 }
 
 impl TcpStack {
@@ -57,12 +57,6 @@ impl TcpStack {
             kind,
             frames: FrameConfig::standard(),
         }
-    }
-
-    /// Override framing (jumbo frames).
-    pub fn with_frames(mut self, frames: FrameConfig) -> Self {
-        self.frames = frames;
-        self
     }
 
     /// True when segment processing runs on the FPGA — the stack's

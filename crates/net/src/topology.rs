@@ -9,10 +9,6 @@ use crate::frame::FrameConfig;
 use crate::link::EthLink;
 use deliba_sim::{InstantKind, Observer, SimDuration, SimTime, TraceLayer};
 
-/// Node identifier within the topology (0 = client, 1.. = servers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeId(pub usize);
-
 /// The star topology.
 ///
 /// Each storage server has *two* ports, following standard Ceph
@@ -53,18 +49,8 @@ impl Topology {
         self.trace = trace;
     }
 
-    /// The paper's lab: 2 servers on 9.8 Gb/s effective 10 GbE.
-    pub fn lab_default() -> Self {
-        Self::new(
-            2,
-            crate::link::MEASURED_GBPS,
-            crate::link::PROPAGATION,
-            FrameConfig::standard(),
-        )
-    }
-
     /// Number of storage servers.
-    pub fn servers(&self) -> usize {
+    pub(crate) fn servers(&self) -> usize {
         self.server_tx.len()
     }
 
@@ -97,11 +83,6 @@ impl Topology {
         self.cluster_rx[to].send(on_wire, payload)
     }
 
-    /// Framing in use.
-    pub fn frames(&self) -> FrameConfig {
-        self.client_tx.frames()
-    }
-
     /// Cumulative busy time per link class, with the pipe count of each
     /// class: `(client_tx, client_rx, server public tx+rx, cluster
     /// tx+rx)`.  The telemetry plane differences consecutive samples
@@ -126,15 +107,19 @@ impl Topology {
 mod tests {
     use super::*;
 
-    #[test]
-    fn lab_default_shape() {
-        let t = Topology::lab_default();
-        assert_eq!(t.servers(), 2);
+    /// The paper's lab: 2 servers on 9.8 Gb/s effective 10 GbE.
+    fn lab() -> Topology {
+        Topology::new(
+            2,
+            crate::link::MEASURED_GBPS,
+            crate::link::PROPAGATION,
+            FrameConfig::standard(),
+        )
     }
 
     #[test]
     fn client_port_is_shared_bottleneck() {
-        let mut t = Topology::lab_default();
+        let mut t = lab();
         // Two sends to *different* servers still serialize on the client
         // TX port.
         let a = t.client_to_server(SimTime::ZERO, 0, 128 * 1024);
@@ -144,7 +129,7 @@ mod tests {
 
     #[test]
     fn server_ports_are_independent() {
-        let mut t = Topology::lab_default();
+        let mut t = lab();
         // Replies from different servers do not serialize against each
         // other on the server side (only on client RX).
         let a = t.server_to_client(SimTime::ZERO, 0, 4096);
@@ -156,7 +141,7 @@ mod tests {
 
     #[test]
     fn server_to_server_bypasses_client() {
-        let mut t = Topology::lab_default();
+        let mut t = lab();
         // Saturate the client port.
         for _ in 0..100 {
             t.client_to_server(SimTime::ZERO, 0, 128 * 1024);
@@ -168,7 +153,7 @@ mod tests {
 
     #[test]
     fn round_trip_latency_sane() {
-        let mut t = Topology::lab_default();
+        let mut t = lab();
         let req = t.client_to_server(SimTime::ZERO, 0, 4096);
         let resp = t.server_to_client(req, 0, 4096);
         // Two store-and-forward hops each way with 2 µs propagation:

@@ -22,7 +22,7 @@ pub struct DmaFaultProfile {
     /// Probability a C2H (card→host) transfer completes in error.
     pub c2h_error_p: f64,
     /// Probability the descriptor fetch finds the ring momentarily out
-    /// of credits and stalls for [`DESCRIPTOR_STALL`].
+    /// of credits and stalls for `DESCRIPTOR_STALL`.
     pub exhaust_p: f64,
 }
 
@@ -46,7 +46,7 @@ impl Default for DmaFaultProfile {
 /// Stall charged when the descriptor budget is exhausted: the fetch
 /// engine waits one credit-replenish round trip over PCIe (~5 µs at
 /// Gen3 ×16 latencies) before re-issuing the fetch.
-pub const DESCRIPTOR_STALL: SimDuration = SimDuration::from_micros(5);
+pub(crate) const DESCRIPTOR_STALL: SimDuration = SimDuration::from_micros(5);
 
 /// Deterministic DMA fault source with per-direction error counters.
 ///
@@ -76,11 +76,6 @@ impl DmaFaultInjector {
     /// Swap the active probabilities (a timed `DmaDegrade` event).
     pub fn set_profile(&mut self, profile: DmaFaultProfile) {
         self.profile = profile;
-    }
-
-    /// The active probabilities.
-    pub fn profile(&self) -> DmaFaultProfile {
-        self.profile
     }
 
     /// Does this H2C transfer complete in error?

@@ -19,5 +19,5 @@
 pub mod fault;
 pub mod pcie;
 
-pub use fault::{DmaFaultInjector, DmaFaultProfile, DESCRIPTOR_STALL};
+pub use fault::{DmaFaultInjector, DmaFaultProfile};
 pub use pcie::PciePipes;

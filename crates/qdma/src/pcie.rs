@@ -61,11 +61,6 @@ impl PciePipes {
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         self.h2c.utilization(horizon).max(self.c2h.utilization(horizon))
     }
-
-    /// Payload bytes moved (h2c, c2h).
-    pub fn bytes_moved(&self) -> (u64, u64) {
-        (self.h2c.bytes_moved(), self.c2h.bytes_moved())
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +77,6 @@ mod tests {
         // Same direction does queue.
         let h2 = p.h2c_transfer(SimTime::ZERO, 1000);
         assert_eq!(h2.as_nanos(), 2000);
-        assert_eq!(p.bytes_moved(), (2000, 1000));
     }
 
     #[test]

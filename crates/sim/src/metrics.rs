@@ -94,20 +94,6 @@ impl Histogram {
         self.mean_ns() / 1_000.0
     }
 
-    /// Smallest recorded value in ns (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min_ns
-        }
-    }
-
-    /// Largest recorded value in ns.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
     /// Approximate quantile (`q` in `[0, 1]`) in nanoseconds.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.total == 0 {
@@ -173,7 +159,7 @@ impl Histogram {
     /// whose target latency is `d`.  Counted on bucket granularity:
     /// every sample in the bucket holding `d` counts as good, matching
     /// the resolution [`Histogram::record`] stored it at.
-    pub fn count_le(&self, d: SimDuration) -> u64 {
+    pub(crate) fn count_le(&self, d: SimDuration) -> u64 {
         if self.total == 0 {
             return 0;
         }
@@ -217,11 +203,6 @@ impl Counter {
         self.ops
     }
 
-    /// Payload bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Operations per second over a window.
     pub fn iops(&self, window: SimDuration) -> f64 {
         let s = window.as_secs_f64();
@@ -256,8 +237,8 @@ mod tests {
         }
         assert_eq!(h.count(), 3);
         assert!((h.mean_us() - 20.0).abs() < 1e-9);
-        assert_eq!(h.min_ns(), 10_000);
-        assert_eq!(h.max_ns(), 30_000);
+        assert_eq!(h.min_ns, 10_000);
+        assert_eq!(h.max_ns, 30_000);
     }
 
     #[test]
@@ -277,7 +258,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.mean_ns(), 0.0);
         assert_eq!(h.quantile_ns(0.5), 0);
-        assert_eq!(h.min_ns(), 0);
     }
 
     #[test]
@@ -297,7 +277,7 @@ mod tests {
         h.record(SimDuration::from_nanos(1));
         h.record(SimDuration::from_secs(100));
         assert_eq!(h.count(), 2);
-        assert_eq!(h.max_ns(), 100_000_000_000);
+        assert_eq!(h.max_ns, 100_000_000_000);
     }
 
     #[test]

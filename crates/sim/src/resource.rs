@@ -18,7 +18,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct Server {
     next_free: SimTime,
     busy: SimDuration,
-    served: u64,
 }
 
 impl Server {
@@ -34,7 +33,6 @@ impl Server {
         let finish = start + service;
         self.next_free = finish;
         self.busy += service;
-        self.served += 1;
         (start, finish)
     }
 
@@ -52,13 +50,8 @@ impl Server {
         self.busy
     }
 
-    /// Requests served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
     /// Utilization over the window `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
+    pub(crate) fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon.as_nanos() == 0 {
             return 0.0;
         }
@@ -84,11 +77,6 @@ impl MultiServer {
             busy: SimDuration::ZERO,
             served: 0,
         }
-    }
-
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.next_free.len()
     }
 
     /// Serve a request arriving at `now` on the earliest-free server;
@@ -194,12 +182,6 @@ impl Bandwidth {
         fin + self.propagation
     }
 
-    /// Earliest time a transfer submitted at `now` would begin
-    /// serializing.
-    pub fn earliest_start(&self, now: SimTime) -> SimTime {
-        self.pipe.earliest_start(now)
-    }
-
     /// Total payload bytes moved.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
@@ -215,11 +197,6 @@ impl Bandwidth {
     /// per-window link utilization.
     pub fn busy_time(&self) -> SimDuration {
         self.pipe.busy_time()
-    }
-
-    /// Configured rate in bytes/second.
-    pub fn rate(&self) -> f64 {
-        self.bytes_per_sec
     }
 }
 
@@ -241,7 +218,6 @@ mod tests {
         // Third arrives after the queue drained.
         let (c0, _) = s.begin(SimTime(50 * US), SimDuration(US));
         assert_eq!(c0, SimTime(50 * US));
-        assert_eq!(s.served(), 3);
         assert_eq!(s.busy_time(), SimDuration(21 * US));
     }
 

@@ -55,7 +55,7 @@ impl SimTime {
 
     /// Microseconds since the epoch, as a float (for reporting).
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -102,16 +102,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional microseconds (rounds to nearest ns).
-    ///
-    /// Table I of the paper quotes accelerator latencies like 0.345 µs;
-    /// this keeps calibration constants readable.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        debug_assert!(us >= 0.0, "negative duration");
-        SimDuration(round_nonneg(us * 1_000.0))
-    }
-
     /// Construct from fractional seconds (rounds to nearest ns).
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
@@ -137,36 +127,10 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
     /// Scale by an integer factor.
     #[inline]
     pub const fn times(self, n: u64) -> SimDuration {
         SimDuration(self.0 * n)
-    }
-
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -286,7 +250,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimDuration::from_micros_f64(0.345).as_nanos(), 345);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
     }
 

@@ -43,11 +43,7 @@ use std::fmt::Write as _;
 
 /// Link classes the per-window utilization gauge aggregates over (the
 /// topology's pipes grouped by role).
-pub const LINK_CLASSES: usize = 4;
-
-/// Stable labels for [`LINK_CLASSES`], in index order.
-pub const LINK_CLASS_LABELS: [&str; LINK_CLASSES] =
-    ["client_tx", "client_rx", "server", "cluster"];
+pub(crate) const LINK_CLASSES: usize = 4;
 
 /// Telemetry-plane configuration: window width plus the SLO model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,7 +62,7 @@ pub struct TelemetryConfig {
     pub short_windows: u32,
     /// Long rolling-mean span, in windows (suppresses one-window
     /// blips).
-    pub long_windows: u32,
+    pub(crate) long_windows: u32,
 }
 
 impl Default for TelemetryConfig {
@@ -110,7 +106,7 @@ pub struct GaugeSnapshot {
     pub osd_busy: Vec<SimDuration>,
     /// Instantaneous busy service threads per OSD (its queue depth).
     pub osd_qd: Vec<u32>,
-    /// Cumulative busy time per link class (see [`LINK_CLASS_LABELS`]).
+    /// Cumulative busy time per link class: client TX, client RX, server, cluster.
     pub link_busy: [SimDuration; LINK_CLASSES],
     /// Pipes aggregated into each link class (utilization divisor).
     pub link_pipes: [u32; LINK_CLASSES],
@@ -145,9 +141,9 @@ pub struct Window {
     /// Arrivals dropped at admission in this window.
     pub drops: u64,
     /// Payload bytes completed in this window.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Latency histogram of the window's completions.
-    pub hist: Histogram,
+    pub(crate) hist: Histogram,
     /// In-flight ops when the window closed.
     pub inflight: u32,
     /// Event-queue depth when the window closed.
@@ -157,13 +153,13 @@ pub struct Window {
     /// Per-OSD busy service threads when the window closed.
     pub osd_qd: Vec<u32>,
     /// Per-link-class utilization over the sample span.
-    pub link_util: [f64; LINK_CLASSES],
+    pub(crate) link_util: [f64; LINK_CLASSES],
     /// Recovery backlog when the window closed.
     pub recovery_backlog: u64,
     /// Cumulative scrubbed objects when the window closed.
     pub scrub_objects: u64,
     /// Placement-cache hit rate over the sample span.
-    pub cache_hit_rate: f64,
+    pub(crate) cache_hit_rate: f64,
     /// Retries attributed to this window (delta at close).
     pub retries: u64,
     /// Fault-plane firings inside this window.
@@ -191,7 +187,7 @@ impl Window {
     }
 
     /// Window total events for the SLO (completions + drops).
-    pub fn slo_total(&self) -> u64 {
+    pub(crate) fn slo_total(&self) -> u64 {
         self.ops + self.drops
     }
 
@@ -317,13 +313,13 @@ impl MetricsRecorder {
     /// Has the clock crossed into a window past the last closed one?
     /// (The engine's cheap per-pop check; a `true` answer is followed
     /// by [`MetricsRecorder::sample`] with a fresh snapshot.)
-    pub fn needs_sample(&self, now: SimTime) -> bool {
+    pub(crate) fn needs_sample(&self, now: SimTime) -> bool {
         now.as_nanos() >= self.next_boundary_ns
     }
 
     /// Close every window strictly before `now`'s, assigning gauges
     /// from the counter deltas since the previous sample.
-    pub fn sample(&mut self, now: SimTime, snap: GaugeSnapshot) {
+    pub(crate) fn sample(&mut self, now: SimTime, snap: GaugeSnapshot) {
         let now_idx = self.idx(now);
         self.close_through(now_idx.saturating_sub(1), now, snap);
         self.next_boundary_ns = (now_idx as u64 + 1).saturating_mul(self.width_ns);
@@ -632,7 +628,7 @@ mod tests {
         assert_eq!(r.total_drops(), 1);
         let merged = r.merged_histogram();
         assert_eq!(merged.count(), 4);
-        assert_eq!(merged.max_ns(), 500_000);
+        assert_eq!(merged.quantile(1.0), 500_000.0);
     }
 
     #[test]

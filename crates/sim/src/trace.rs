@@ -15,7 +15,7 @@
 //!    [`Observer`](crate::Observer), which is `None` when nothing is
 //!    observed: one branch per emit site.
 //! 2. **Bounded.**  The sink is a drop-oldest ring of at most
-//!    [`RING_CAPACITY`] events; a `dropped` counter keeps the loss
+//!    `RING_CAPACITY` events; a `dropped` counter keeps the loss
 //!    visible instead of silent.
 //! 3. **Deterministic.**  Events carry virtual [`SimTime`] only; the
 //!    exporters below are pure functions of the event sequence.
@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// Default ring bound: events beyond this drop the oldest entry.
 /// (~48 B/event, so a full ring is ~50 MB — only ever allocated when
 /// recording is on.)
-pub const RING_CAPACITY: usize = 1 << 20;
+pub(crate) const RING_CAPACITY: usize = 1 << 20;
 
 /// How much a run observes, in increasing order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -53,7 +53,7 @@ pub enum TraceDepth {
 
 impl TraceDepth {
     /// Is anything observed?
-    pub fn is_on(self) -> bool {
+    pub(crate) fn is_on(self) -> bool {
         self != TraceDepth::Off
     }
 
@@ -91,7 +91,7 @@ pub enum TraceLayer {
     Engine,
     /// Host path (submission API, blk-mq, UIFD driver).  Its stages are
     /// calibrated constants, so no event is recorded here; the layer
-    /// stays in [`TraceLayer::ALL`] to keep every pid after it stable.
+    /// stays in `TraceLayer::ALL` to keep every pid after it stable.
     BlkMq,
     /// QDMA: the PCIe pipes and DMA fault events.
     Qdma,
@@ -107,7 +107,7 @@ pub enum TraceLayer {
 
 impl TraceLayer {
     /// Every layer, in pid order.
-    pub const ALL: [TraceLayer; 7] = [
+    pub(crate) const ALL: [TraceLayer; 7] = [
         TraceLayer::Engine,
         TraceLayer::BlkMq,
         TraceLayer::Qdma,
@@ -118,12 +118,12 @@ impl TraceLayer {
     ];
 
     /// Chrome-trace process id (1-based, stable).
-    pub fn pid(self) -> u32 {
+    pub(crate) fn pid(self) -> u32 {
         Self::ALL.iter().position(|&l| l == self).expect("layer in ALL") as u32 + 1
     }
 
     /// Stable snake_case label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TraceLayer::Engine => "engine",
             TraceLayer::BlkMq => "blk_mq",
@@ -206,7 +206,7 @@ pub enum InstantKind {
 
 impl InstantKind {
     /// Stable snake_case label (the Chrome-trace event name).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             InstantKind::OsdCrash => "osd_crash",
             InstantKind::OsdRevive => "osd_revive",
@@ -240,7 +240,7 @@ impl InstantKind {
 
     /// Is this one of the fault plane's scheduled events (rendered with
     /// the `fault` category so the timeline filter can isolate them)?
-    pub fn is_fault(self) -> bool {
+    pub(crate) fn is_fault(self) -> bool {
         matches!(
             self,
             InstantKind::OsdCrash
@@ -337,7 +337,7 @@ impl IoChain {
     }
 
     /// Last span close (the op's completion), ns.
-    pub fn end_ns(&self) -> u64 {
+    pub(crate) fn end_ns(&self) -> u64 {
         self.spans.iter().map(|s| s.end_ns).max().unwrap_or(0)
     }
 
@@ -367,7 +367,7 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// A sink recording at `depth`, holding at most `cap` events.
-    pub fn new(depth: TraceDepth, cap: usize) -> Self {
+    pub(crate) fn new(depth: TraceDepth, cap: usize) -> Self {
         let cap = cap.max(1);
         TraceSink {
             depth,
@@ -378,7 +378,7 @@ impl TraceSink {
     }
 
     /// Append one event, evicting the oldest when the ring is full.
-    pub fn push(&mut self, ev: TraceEvent) {
+    pub(crate) fn push(&mut self, ev: TraceEvent) {
         if self.events.len() == self.cap {
             self.events.pop_front();
             self.dropped += 1;

@@ -146,7 +146,7 @@ impl Zipf {
     }
 
     /// Number of items.
-    pub fn n(&self) -> u64 {
+    pub(crate) fn n(&self) -> u64 {
         self.cdf.len() as u64
     }
 
@@ -197,14 +197,6 @@ impl Default for OpenLoopSpec {
 }
 
 impl OpenLoopSpec {
-    /// The same spec at a different offered rate (sweep helper).  The
-    /// arrival clock, block choices and read/write coin all come from
-    /// independent seeded streams, so two rates differ only in pacing.
-    pub fn with_rate(mut self, rate_kiops: f64) -> Self {
-        self.rate_kiops = rate_kiops;
-        self
-    }
-
     /// Generate the time-sorted intended-arrival stream.
     pub fn generate(&self) -> Vec<ArrivalOp> {
         assert!(self.rate_kiops > 0.0, "rate must be positive");
@@ -336,8 +328,14 @@ mod tests {
         let b = spec.generate();
         assert_eq!(a.len(), b.len());
         assert!(a.iter().zip(&b).all(|(x, y)| x.at == y.at && x.op.offset == y.op.offset));
-        // Doubling the rate keeps the op sequence, only the clock moves.
-        let fast = spec.with_rate(2.0 * spec.rate_kiops).generate();
+        // Doubling the rate keeps the op sequence, only the clock moves:
+        // the arrival clock, block choices and read/write coin all come
+        // from independent seeded streams.
+        let fast = OpenLoopSpec {
+            rate_kiops: 2.0 * spec.rate_kiops,
+            ..spec
+        }
+        .generate();
         assert!(a.iter().zip(&fast).all(|(x, y)| x.op.offset == y.op.offset));
         assert!(fast.last().unwrap().at < a.last().unwrap().at);
     }

@@ -8,11 +8,11 @@ use deliba_sim::{SimRng, Xoshiro256};
 #[derive(Debug, Clone, Copy)]
 pub struct MixedSpec {
     /// Fraction of reads (0.0–1.0); fio `rwmixread`.
-    pub read_fraction: f64,
+    pub(crate) read_fraction: f64,
     /// Block size in bytes.
     pub block_size: u32,
     /// Parallel jobs.
-    pub numjobs: u32,
+    pub(crate) numjobs: u32,
     /// Total operations.
     pub ops: u64,
     /// RNG seed.

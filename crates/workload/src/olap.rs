@@ -19,21 +19,21 @@ use deliba_core::IMAGE_BYTES;
 use deliba_sim::{SimRng, Xoshiro256};
 
 /// Scan block size: 512 kB (§III-C1 methodology).
-pub const SCAN_BLOCK: u32 = 512 * 1024;
+pub(crate) const SCAN_BLOCK: u32 = 512 * 1024;
 
 /// OLAP workload specification.
 #[derive(Debug, Clone, Copy)]
 pub struct OlapSpec {
     /// Queries per job.
-    pub queries: u32,
+    pub(crate) queries: u32,
     /// Scan blocks per query (table segment size).
-    pub blocks_per_query: u32,
+    pub(crate) blocks_per_query: u32,
     /// Fraction of queries that materialize (bulk write) results.
-    pub materialize_fraction: f64,
+    pub(crate) materialize_fraction: f64,
     /// Compute time per scanned block, ns (aggregation work).
-    pub compute_per_block_ns: u64,
+    pub(crate) compute_per_block_ns: u64,
     /// Parallel query streams.
-    pub numjobs: u32,
+    pub(crate) numjobs: u32,
     /// RNG seed.
     pub seed: u64,
 }

@@ -18,17 +18,17 @@ use deliba_sim::{SimRng, Xoshiro256};
 #[derive(Debug, Clone, Copy)]
 pub struct OltpSpec {
     /// Transactions per job.
-    pub transactions: u32,
+    pub(crate) transactions: u32,
     /// Page reads per transaction.
-    pub reads_per_txn: u32,
+    pub(crate) reads_per_txn: u32,
     /// Page size (4 or 8 kB).
-    pub page_size: u32,
+    pub(crate) page_size: u32,
     /// Fraction of accesses hitting the hot 20 % of pages.
-    pub skew: f64,
+    pub(crate) skew: f64,
     /// CPU time per transaction, ns.
-    pub compute_per_txn_ns: u64,
+    pub(crate) compute_per_txn_ns: u64,
     /// Concurrent clients (jobs).
-    pub numjobs: u32,
+    pub(crate) numjobs: u32,
     /// RNG seed.
     pub seed: u64,
 }
