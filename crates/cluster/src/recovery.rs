@@ -115,6 +115,14 @@ enum BackfillItem {
     Ec { oid: ObjectId },
 }
 
+/// An EC rebuild's shard plan, shared by the per-OSD reservation and
+/// the writes: the sound placed shards it keeps, in placement order,
+/// and the `(dst, idx)` shards it writes.
+struct EcRebuild {
+    kept: Vec<(i32, usize)>,
+    writes: Vec<(i32, usize)>,
+}
+
 impl BackfillItem {
     /// Dedup key: kind tag, object, destination (−1 for whole-object
     /// EC rebuilds).
@@ -343,27 +351,36 @@ impl Cluster {
     fn backfill_dsts(&self, item: &BackfillItem) -> Vec<i32> {
         match *item {
             BackfillItem::Replica { dst, .. } => vec![dst],
-            BackfillItem::Ec { oid } => {
-                let Some((_, placed)) = self.shard_dir.get(&oid) else {
-                    return Vec::new();
-                };
-                let pool = self.pool(oid.pool);
-                let pg = pool.pg_of(oid);
-                let held: Vec<i32> = placed
-                    .iter()
-                    .filter(|&&(osd, _)| self.copy_state(osd, oid).stored_len().is_some())
-                    .map(|&(osd, _)| osd)
-                    .collect();
-                let missing = placed.len().saturating_sub(held.len())
-                    + (pool.kind.width().saturating_sub(placed.len()));
-                self.map
-                    .acting_set(pg)
-                    .into_iter()
-                    .filter(|&o| self.osd_is_up(o) && !held.contains(&o))
-                    .take(missing)
-                    .collect()
+            BackfillItem::Ec { oid } => self
+                .ec_rebuild_plan(oid)
+                .map_or_else(Vec::new, |plan| plan.writes.iter().map(|&(dst, _)| dst).collect()),
+        }
+    }
+
+    /// An EC object's rebuild: every sound placed shard stays where it
+    /// is, and each other shard index is rewritten onto the next up
+    /// acting member that holds no sound shard (a registered-corrupt
+    /// holder included).  `None` for an object with no placement.
+    fn ec_rebuild_plan(&self, oid: ObjectId) -> Option<EcRebuild> {
+        let (_, placed) = self.shard_dir.get(&oid)?;
+        let pool = self.pool(oid.pool);
+        let mut kept: Vec<(i32, usize)> = Vec::new();
+        for &(osd, idx) in placed {
+            if matches!(self.copy_state(osd, oid), CopyState::Sound(_))
+                && !kept.iter().any(|&(_, i)| i == idx)
+            {
+                kept.push((osd, idx));
             }
         }
+        let width = pool.kind.width();
+        let missing_idx = (0..width).filter(|i| !kept.iter().any(|&(_, idx)| idx == *i));
+        let targets = self
+            .map
+            .acting_set(pool.pg_of(oid))
+            .into_iter()
+            .filter(|&o| self.osd_is_up(o) && !kept.iter().any(|&(held, _)| held == o));
+        let writes = targets.zip(missing_idx).collect();
+        Some(EcRebuild { kept, writes })
     }
 
     /// Execute one backfill item with real costs.  Returns the commit
@@ -394,26 +411,20 @@ impl Cluster {
                 Some((fin, len as u64))
             }
             BackfillItem::Ec { oid } => {
-                let (orig_len, placed) = self.shard_dir.get(&oid)?.clone();
-                let pool = self.pool(oid.pool);
-                let PoolKind::Erasure { k, m } = pool.kind else {
+                let EcRebuild { kept, writes } = self.ec_rebuild_plan(oid)?;
+                let PoolKind::Erasure { k, m } = self.pool(oid.pool).kind else {
                     return None;
                 };
-                let pg = pool.pg_of(oid);
-                // Gather k readable shards with costed reads, streamed
-                // back to the client for reconstruction.
+                if kept.len() < k {
+                    return None;
+                }
+                // Gather the first k sound shards with costed reads,
+                // streamed back to the client for reconstruction.
                 let mut slots: Vec<Option<Vec<u8>>> = vec![None; k + m];
-                let mut survivors: Vec<(i32, usize)> = Vec::new();
                 let mut gather = now;
-                let mut fetched = 0usize;
-                for &(osd, idx) in &placed {
-                    if fetched >= k {
-                        break;
-                    }
-                    let CopyState::Sound(len) = self.copy_state(osd, oid) else {
-                        continue;
-                    };
+                for &(osd, idx) in &kept[..k] {
                     let mut buf = Vec::new();
+                    let len = self.copy_state(osd, oid).stored_len().expect("kept is sound");
                     let fin = self.osds[osd as usize]
                         .read_object_at_into(now, oid, 0, len, false, &mut buf)
                         .expect("checked up");
@@ -422,46 +433,16 @@ impl Cluster {
                             .server_to_client(fin, self.server_of(osd), len as u64);
                     gather = gather.max(at_client);
                     slots[idx] = Some(buf);
-                    survivors.push((osd, idx));
-                    fetched += 1;
-                }
-                if fetched < k {
-                    return None;
                 }
                 let rs = self.ec_codec(oid.pool);
                 rs.reconstruct(&mut slots).ok()?;
                 let mut parity = std::mem::take(&mut self.parity_scratch);
                 rs.encode_parity_into(&data_shards(&slots, k), &mut parity);
                 let parity_len = parity.len() / m;
-                // Survivors plus every other up placed holder keep their
-                // shards; rebuild the rest onto fresh acting members.
-                let mut held: Vec<i32> = survivors.iter().map(|&(o, _)| o).collect();
-                let mut new_placed = survivors.clone();
-                for &(osd, idx) in &placed {
-                    if held.contains(&osd) {
-                        continue;
-                    }
-                    if matches!(self.copy_state(osd, oid), CopyState::Sound(_))
-                        && !new_placed.iter().any(|&(_, i)| i == idx)
-                    {
-                        held.push(osd);
-                        new_placed.push((osd, idx));
-                    }
-                }
-                let missing_idx: Vec<usize> = (0..k + m)
-                    .filter(|i| !new_placed.iter().any(|&(_, idx)| idx == *i))
-                    .collect();
-                let targets: Vec<i32> = self
-                    .map
-                    .acting_set(pg)
-                    .into_iter()
-                    .filter(|&o| self.osd_is_up(o) && !held.contains(&o))
-                    .collect();
-                let mut targets = targets.into_iter();
                 let mut fin = gather;
                 let mut moved = 0u64;
-                for idx in missing_idx {
-                    let Some(dst) = targets.next() else { break };
+                let mut new_placed = kept;
+                for (dst, idx) in writes {
                     let shard = match idx.checked_sub(k) {
                         None => slots[idx].as_deref().expect("reconstructed"),
                         Some(pi) => &parity[pi * parity_len..][..parity_len],
@@ -471,7 +452,7 @@ impl Cluster {
                     new_placed.push((dst, idx));
                 }
                 self.parity_scratch = parity;
-                self.shard_dir.insert(oid, (orig_len, new_placed));
+                self.shard_dir.get_mut(&oid).expect("planned above").1 = new_placed;
                 Some((fin, moved))
             }
         }
@@ -940,6 +921,44 @@ mod tests {
         assert_eq!(data, read);
         c.recovery_scan(&mut sched, fin);
         assert_eq!(sched.pending_items(), 0, "nothing left to rebuild");
+    }
+
+    /// An EC rebuild reserves exactly the OSDs it writes, the
+    /// replacement of a registered-corrupt shard included.
+    #[test]
+    fn ec_rebuild_reserves_the_osds_it_writes() {
+        let mut c = Cluster::paper_testbed(37);
+        let (oid, data) = (oid_ec(4), payload(16 * 1024, 9));
+        let shards = ReedSolomon::new(4, 2).encode(&data);
+        let w = c
+            .write_ec_shards(SimTime::ZERO, oid, data.len(), shards, true)
+            .unwrap();
+        let placed = c.shard_dir[&oid].1.clone();
+        assert!(c.corrupt_object(placed[4].0, oid));
+        c.corrupted.insert((placed[4].0, oid));
+        let sound: Vec<(i32, usize)> = placed
+            .iter()
+            .copied()
+            .filter(|&(o, _)| matches!(c.copy_state(o, oid), CopyState::Sound(_)))
+            .collect();
+        let mut sched = RecoveryScheduler::new(RecoveryPolicy::default());
+        assert!(c.recovery_scan(&mut sched, w.complete));
+        let mut reserved = c.backfill_dsts(&BackfillItem::Ec { oid });
+        let fin = c.backfill_wave(&mut sched, w.complete).expect("dispatched");
+        let mut written: Vec<i32> = c.shard_dir[&oid]
+            .1
+            .iter()
+            .filter(|p| !sound.contains(p))
+            .map(|&(o, _)| o)
+            .collect();
+        assert_eq!(written.len(), 1, "one shard rebuilt");
+        reserved.sort_unstable();
+        written.sort_unstable();
+        assert_eq!(reserved, written);
+        assert_eq!(c.corrupted_copies(), 0);
+        let mut read = Vec::new();
+        let r = c.read_ec_into(fin, oid, true, &mut read).unwrap();
+        assert_eq!((data, false), (read, r.degraded));
     }
 
     #[test]

@@ -212,9 +212,9 @@ pub struct EngineConfig {
     /// never perturbs results.
     pub(crate) trace_depth: TraceDepth,
     /// Background recovery/backfill/scrub policy.  `None` (the default)
-    /// leaves background work off entirely: no background tokens, no
-    /// extra event-queue shard, and `RunReport` carries no recovery
-    /// block — pre-existing runs stay byte-identical.
+    /// leaves background work off entirely: no background tokens, and
+    /// `RunReport` carries no recovery block — pre-existing runs stay
+    /// byte-identical.
     pub recovery: Option<RecoveryPolicy>,
     /// Time-resolved telemetry plane (windowed metric series + SLO
     /// burn-rate alerts).  `None` (the default) allocates nothing and
@@ -320,9 +320,10 @@ enum IoDisposition {
     Retry { at: SimTime, attempt: u32, first_start: SimTime },
 }
 
-/// Event-queue token.  `lane` is the shard an op's tokens live on and
-/// the flight recorder's tid, `io` the recorder's I/O id; both ride a
-/// retry so it resumes the identity it was issued under.
+/// Event-queue token.  `lane` is the op's admission slot (closed loop)
+/// or submission context (open loop) and the flight recorder's tid,
+/// `io` the recorder's I/O id; both ride a retry so it resumes the
+/// identity it was issued under.
 #[derive(Clone, Copy)]
 enum Token {
     /// A free closed-loop slot pulling its job's next op, or the
@@ -334,8 +335,7 @@ enum Token {
     /// records latency from intended arrival.
     Settle { intended: SimTime, len: u32 },
     /// Dispatch one backfill wave (or rescan when the queue drained).
-    /// Lives on the dedicated background shard; present only when a
-    /// recovery policy is armed.
+    /// Present only when a recovery policy is armed.
     Recovery,
     /// Run one deep-scrub tick (periodic during foreground, then the
     /// end-of-run drain passes).
@@ -360,10 +360,9 @@ trait Admission {
     /// Completions settle in place and re-arm their slot (closed loop)
     /// instead of through a `Settle` token (open loop).
     const REARM: bool;
-    /// Build and seed the queue, appending a background shard when
-    /// `background`; returns the queue, that shard, and the foreground
-    /// start (`None` when there is nothing to run).
-    fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>);
+    /// Build and seed the queue; returns it and the foreground start
+    /// (`None` when there is nothing to run).
+    fn seed(&mut self) -> (LaneQueue<Token>, Option<SimTime>);
     /// Handle an `Admit` token popped at `now` on `lane`.
     fn admit(&mut self, now: SimTime, lane: u32, queue: &mut LaneQueue<Token>) -> Admitted;
     /// Submission context of the ops on `lane`.
@@ -384,8 +383,8 @@ trait Admission {
 
 /// Closed-loop admission (fio semantics): each job keeps `iodepth`
 /// slots; a slot pulls its job's next op when it frees and re-arms on
-/// completion.  Lane `job * iodepth + k` is slot `k` of `job`, one
-/// shard each, seeded 100 ns apart.
+/// completion.  Lane `job * iodepth + k` is slot `k` of `job`, seeded
+/// 100 ns apart.
 #[derive(Default)]
 struct ClosedLoop<'a> {
     jobs: &'a [Vec<TraceOp>],
@@ -400,20 +399,18 @@ impl Admission for ClosedLoop<'_> {
     const WORKLOAD: &'static str = "trace";
     const REARM: bool = true;
 
-    fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>) {
-        let lanes = (self.jobs.len() * self.iodepth as usize).max(1);
-        let shards = lanes + background as usize;
-        let mut queue = LaneQueue::new(shards, 0);
+    fn seed(&mut self) -> (LaneQueue<Token>, Option<SimTime>) {
+        let mut queue = LaneQueue::new(0, 0);
         for (j, ops) in self.jobs.iter().enumerate() {
             let slots = (self.iodepth as usize).min(ops.len());
             self.live_slots += slots;
             for k in 0..slots {
                 let lane = (j * self.iodepth as usize + k) as u32;
                 let at = SimTime::from_nanos(100 * lane as u64);
-                queue.schedule_at(lane as usize, at, Token::Admit { lane });
+                queue.schedule_at(0, at, Token::Admit { lane });
             }
         }
-        (queue, lanes, (self.live_slots > 0).then_some(SimTime::ZERO))
+        (queue, (self.live_slots > 0).then_some(SimTime::ZERO))
     }
 
     fn admit(&mut self, now: SimTime, lane: u32, _: &mut LaneQueue<Token>) -> Admitted {
@@ -451,7 +448,7 @@ impl Admission for ClosedLoop<'_> {
 /// stream cursor whatever the completions, bounded by an admission cap
 /// (arrivals past it are dropped and counted).  Admitted ops
 /// round-robin across one lane per submission context; the arrival
-/// chain has its own shard after them.
+/// chain's lane follows them.
 #[derive(Default)]
 struct OpenLoop<'a> {
     stream: &'a [ArrivalOp],
@@ -491,22 +488,20 @@ impl Admission for OpenLoop<'_> {
     const WORKLOAD: &'static str = "open-loop";
     const REARM: bool = false;
 
-    fn seed(&mut self, background: bool) -> (LaneQueue<Token>, usize, Option<SimTime>) {
-        let lane = self.contexts;
-        let shards = lane as usize + 1 + background as usize;
-        let mut queue = LaneQueue::new(shards, 0);
+    fn seed(&mut self) -> (LaneQueue<Token>, Option<SimTime>) {
+        let mut queue = LaneQueue::new(0, 0);
         let start = self.stream.first().map(|a| a.at);
         if let Some(at) = start {
-            queue.schedule_at(lane as usize, at, Token::Admit { lane });
+            queue.schedule_at(0, at, Token::Admit { lane: self.contexts });
         }
-        (queue, lane as usize + 1, start)
+        (queue, start)
     }
 
     fn admit(&mut self, now: SimTime, lane: u32, queue: &mut LaneQueue<Token>) -> Admitted {
         let op = self.stream[self.cursor].op;
         self.cursor += 1;
         if let Some(next) = self.stream.get(self.cursor) {
-            queue.schedule_at(lane as usize, next.at.max(now), Token::Admit { lane });
+            queue.schedule_at(0, next.at.max(now), Token::Admit { lane });
         }
         if self.inflight >= self.cap {
             // Admission queue full: the op is refused at its arrival
@@ -1400,14 +1395,11 @@ impl Engine {
         let mut hist = Histogram::new();
         let mut counter = Counter::new();
         let mut last_complete = SimTime::ZERO;
-        // The background recovery/scrub tokens get a shard of their own
-        // only when a scheduler is armed, so unarmed runs keep their
-        // exact shard count (and byte-identical reports).
-        let (mut queue, bg_shard, start) = src.seed(self.recovery.is_some());
+        let (mut queue, start) = src.seed();
         if let (Some(start), Some(sched)) = (start, &self.recovery) {
             let interval = sched.policy().scrub_interval;
             if interval > SimDuration::ZERO {
-                queue.schedule_at(bg_shard, start + interval, Token::Scrub);
+                queue.schedule_at(0, start + interval, Token::Scrub);
             }
         }
         // Both completion sites — an open-loop `Settle` and a closed-loop
@@ -1438,7 +1430,7 @@ impl Engine {
             }
             if self.faults.is_some() && self.apply_due_faults(now) {
                 if let Some(at) = self.recovery_kick(now) {
-                    queue.schedule_at(bg_shard, at, Token::Recovery);
+                    queue.schedule_at(0, at, Token::Recovery);
                 }
             }
             let (ready, lane, io, op, attempt, first_start, intended) = match token {
@@ -1449,7 +1441,7 @@ impl Engine {
                         _ => self.recovery_step(now),
                     };
                     if let Some(at) = next {
-                        queue.schedule_at(bg_shard, at, token);
+                        queue.schedule_at(0, at, token);
                     }
                     continue;
                 }
@@ -1483,23 +1475,23 @@ impl Engine {
                     // its slot stays held, but no shared resource
                     // timeline advances on its behalf.
                     let retry = Token::Retry { lane, io, op, attempt, first_start, intended };
-                    queue.schedule_at(lane as usize, at, retry);
+                    queue.schedule_at(0, at, retry);
                     continue;
                 }
             };
             if !S::REARM {
-                queue.schedule_at(lane as usize, complete, Token::Settle { intended, len: op.len });
+                queue.schedule_at(0, complete, Token::Settle { intended, len: op.len });
                 continue;
             }
             complete_op(src, complete, complete.saturating_since(start), op.len, queue.len());
             // Re-arm the slot and pop the next event in one queue call.
             // A completion strictly earlier than everything pending comes
-            // straight back without touching the shards (ties round-trip
+            // straight back without touching the heap (ties round-trip
             // so the sequence-number FIFO tiebreak holds); those are the
             // fused events.
             self.fused += queue.peek_time().is_none_or(|head| head > complete) as u64;
             let rearm = Token::Admit { lane };
-            fused = Some(queue.schedule_at_then_pop(lane as usize, complete, rearm));
+            fused = Some(queue.schedule_at_then_pop(0, complete, rearm));
         }
         let window = last_complete.saturating_since(SimTime::ZERO);
         let mut report = RunReport::new(

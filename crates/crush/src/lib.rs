@@ -22,7 +22,7 @@
 //!
 //! The implementation follows the published CRUSH algorithm: rjenkins1
 //! hashing, 16.16 fixed-point weights, negative bucket ids, and rule
-//! programs of `take` / `choose` / `chooseleaf` / `emit` steps.
+//! programs of `take` / `chooseleaf` / `emit` steps.
 
 pub mod bucket;
 pub mod cache;

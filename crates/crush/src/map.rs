@@ -83,17 +83,10 @@ impl CrushMap {
         out
     }
 
-    /// Descend from `start` choosing children of `target_type`; if
-    /// `to_leaf`, continue from the chosen subtree down to a device.
-    /// `x` is the input, `r` the (retry-adjusted) replica rank.
-    fn descend(
-        &self,
-        start: i32,
-        x: u32,
-        r: u32,
-        target_type: u16,
-        to_leaf: bool,
-    ) -> Option<i32> {
+    /// Descend from `start` to a child of `target_type`, then on from
+    /// that subtree down to a device.  `x` is the input, `r` the
+    /// (retry-adjusted) replica rank.
+    fn descend(&self, start: i32, x: u32, r: u32, target_type: u16) -> Option<i32> {
         let mut cur = start;
         let mut depth = 0;
         loop {
@@ -106,36 +99,28 @@ impl CrushMap {
                 return if self.is_out(cur) { None } else { Some(cur) };
             }
             let bucket = self.buckets.get(&cur)?;
-            if bucket.bucket_type == target_type && !to_leaf {
-                return Some(cur);
-            }
             let next = bucket.select(x, r)?;
             if next >= 0 {
                 return if self.is_out(next) { None } else { Some(next) };
             }
             let nb = self.buckets.get(&next)?;
             if nb.bucket_type == target_type {
-                if to_leaf {
-                    // Continue to a device inside this failure domain,
-                    // re-keyed on the rank so different replicas pick
-                    // different leaves of identical domains.
-                    cur = next;
-                    let mut leaf_r = r;
-                    let mut tries = 0;
-                    loop {
-                        match self.descend_to_device(cur, x, leaf_r) {
-                            Some(dev) => return Some(dev),
-                            None => {
-                                tries += 1;
-                                if tries >= CHOOSE_TOTAL_TRIES {
-                                    return None;
-                                }
-                                leaf_r += 97; // decorrelate retry draws
+                // Continue to a device inside this failure domain,
+                // re-keyed on the rank so different replicas pick
+                // different leaves of identical domains.
+                let mut leaf_r = r;
+                let mut tries = 0;
+                loop {
+                    match self.descend_to_device(next, x, leaf_r) {
+                        Some(dev) => return Some(dev),
+                        None => {
+                            tries += 1;
+                            if tries >= CHOOSE_TOTAL_TRIES {
+                                return None;
                             }
+                            leaf_r += 97; // decorrelate retry draws
                         }
                     }
-                } else {
-                    return Some(next);
                 }
             }
             cur = next;
@@ -175,13 +160,9 @@ impl CrushMap {
                 RuleStep::Take(id) => {
                     working = vec![id];
                 }
-                RuleStep::Choose { num: n, bucket_type } => {
-                    let want = if n == 0 { num } else { n as usize };
-                    working = self.choose_from(&working, x, want, bucket_type, false, &result);
-                }
                 RuleStep::ChooseLeaf { num: n, bucket_type } => {
                     let want = if n == 0 { num } else { n as usize };
-                    working = self.choose_from(&working, x, want, bucket_type, true, &result);
+                    working = self.choose_from(&working, x, want, bucket_type, &result);
                 }
                 RuleStep::Emit => {
                     result.extend(working.iter().copied().filter(|&i| i >= 0));
@@ -198,13 +179,10 @@ impl CrushMap {
         x: u32,
         want: usize,
         bucket_type: u16,
-        to_leaf: bool,
         already: &[DeviceId],
     ) -> Vec<i32> {
-        // CRUSH semantics: `choose n type t` selects n children *per
-        // item* of the working vector (a single Take(root) parent is the
-        // common case; multi-parent working sets arise in multi-step
-        // rules like choose-racks → chooseleaf-hosts).
+        // CRUSH semantics: `chooseleaf n type t` selects n leaves *per
+        // item* of the working vector.
         let mut chosen: Vec<i32> = Vec::with_capacity(want * parents.len());
         let mut chosen_domains: Vec<i32> = Vec::new();
         for &parent in parents {
@@ -216,16 +194,14 @@ impl CrushMap {
                     // requested width so draws stay decorrelated across
                     // slots (Ceph's firstn r' = r + attempt).
                     let r = rank + attempt * (want as u32).max(1);
-                    if let Some(item) = self.descend(parent, x, r, bucket_type, to_leaf) {
-                        let collides = chosen.contains(&item)
-                            || (to_leaf && already.contains(&item));
-                        // For chooseleaf, also reject two devices from the
-                        // same failure domain.
-                        let domain_collision = to_leaf
-                            && self
-                                .domain_of(item, bucket_type)
-                                .map(|d| chosen_domains.contains(&d))
-                                .unwrap_or(false);
+                    if let Some(item) = self.descend(parent, x, r, bucket_type) {
+                        let collides = chosen.contains(&item) || already.contains(&item);
+                        // Also reject two devices from the same failure
+                        // domain.
+                        let domain_collision = self
+                            .domain_of(item, bucket_type)
+                            .map(|d| chosen_domains.contains(&d))
+                            .unwrap_or(false);
                         if !collides && !domain_collision {
                             picked = Some(item);
                             break;
@@ -233,10 +209,8 @@ impl CrushMap {
                     }
                 }
                 if let Some(item) = picked {
-                    if to_leaf {
-                        if let Some(d) = self.domain_of(item, bucket_type) {
-                            chosen_domains.push(d);
-                        }
+                    if let Some(d) = self.domain_of(item, bucket_type) {
+                        chosen_domains.push(d);
                     }
                     chosen.push(item);
                 }

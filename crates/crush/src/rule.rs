@@ -1,8 +1,8 @@
 //! CRUSH rules — small placement programs.
 //!
 //! A rule is the sequence of steps Ceph's CRUSH map attaches to a pool:
-//! start at some subtree (`take`), descend through the hierarchy choosing
-//! `n` distinct children of a given type (`choose` / `chooseleaf`), and
+//! start at some subtree (`take`), choose `n` distinct subtrees of a
+//! given type and descend each to a leaf device (`chooseleaf`), and
 //! return the accumulated devices (`emit`).  The paper's QDMA queues are
 //! "customized to incorporate rules … defined in the CRUSH map" (§IV-A):
 //! replication queues run a replicated rule, erasure-coding queues an EC
@@ -15,17 +15,10 @@ use crate::bucket::BucketId;
 pub enum RuleStep {
     /// Start (or restart) descent at the given bucket.
     Take(BucketId),
-    /// Choose `num` distinct children of type `bucket_type` from the
-    /// current working set.  `num == 0` means "as many as the caller
-    /// requested" (Ceph convention).
-    Choose {
-        /// How many children (0 = caller's request width).
-        num: u32,
-        /// Hierarchy type to stop at.
-        bucket_type: u16,
-    },
-    /// Like [`RuleStep::Choose`] but then descend each chosen subtree all
-    /// the way to a leaf device.
+    /// Choose `num` distinct subtrees of type `bucket_type` from the
+    /// current working set and descend each all the way to a leaf
+    /// device.  `num == 0` means "as many as the caller requested"
+    /// (Ceph convention).
     ChooseLeaf {
         /// How many leaves (0 = caller's request width).
         num: u32,
@@ -36,7 +29,7 @@ pub enum RuleStep {
     Emit,
 }
 
-/// A named rule: `take → choose* → emit`.
+/// A named rule: `take → chooseleaf* → emit`.
 #[derive(Debug, Clone)]
 pub struct Rule {
     /// Rule id (referenced by pools).

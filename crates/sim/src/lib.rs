@@ -11,7 +11,7 @@
 //! The crate provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time;
-//! * [`LaneQueue`] — the engine's per-lane sharded event queue, with
+//! * [`LaneQueue`] — the engine's event queue, one 4-ary heap with
 //!   stable FIFO ordering for simultaneous events;
 //! * [`rng`] — small, fast, seedable PRNGs (`SplitMix64`, `Xoshiro256`)
 //!   used wherever the simulation needs randomness that must not depend on
@@ -36,15 +36,15 @@
 
 pub mod metrics;
 pub mod observe;
+pub mod queue;
 pub mod resource;
 pub mod rng;
-pub mod sharded;
 pub mod stage;
 pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use sharded::LaneQueue;
+pub use queue::LaneQueue;
 pub use metrics::{Counter, Histogram};
 pub use observe::Observer;
 pub use stage::{Stage, StageTracer};

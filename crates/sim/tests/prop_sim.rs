@@ -1,19 +1,16 @@
 //! Property tests for the simulation substrate: clock monotonicity,
 //! queueing-resource conservation, histogram accuracy bounds, and the
-//! sharded queue's pop-order equivalence with a single reference heap.
+//! event queue's pop-order equivalence with a reference heap.
 
 use deliba_sim::{Bandwidth, Histogram, LaneQueue, Server, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Largest shard count drawn: the engine runs one shard per lane plus
-/// one background shard.
-const MAX_SHARDS: usize = 128;
 /// Largest scheduling delta, ns.
 const MAX_DELTA: u64 = 5_000;
 
-/// The reference queue the sharded queue must pop identically to: one
+/// The reference queue `LaneQueue` must pop identically to: one
 /// `BinaryHeap` ordered by `(at, seq)`, where `seq` counts schedules, so
 /// simultaneous events pop in scheduling order.  It offers the calls the
 /// differential property test makes and is correct rather than fast.
@@ -54,50 +51,47 @@ impl RefQueue {
     }
 }
 
-/// One step of a mixed queue history thrown at both the sharded queue
-/// and the reference heap.
+/// One step of a mixed queue history thrown at both `LaneQueue` and
+/// the reference heap.
 #[derive(Debug, Clone)]
 enum QOp {
-    /// Schedule `now + delta` on shard `lane % shards`.
-    Schedule { lane: usize, delta: u64 },
-    /// Schedule `now + delta` on the last shard — the engine's deep
-    /// background (recovery/scrub) shard.
-    Background { delta: u64 },
-    /// Pop the global minimum from both queues.
+    /// Schedule `now + delta`.
+    Schedule { delta: u64 },
+    /// Pop the minimum from both queues.
     Pop,
     /// Fused schedule + pop (the closed loop's hot call).
-    Fused { lane: usize, delta: u64 },
+    Fused { delta: u64 },
 }
 
 /// Half the draws land on a few instants (FIFO ties); the rest spread
-/// up to [`MAX_DELTA`], so later schedules often land before a shard's
-/// current head.
+/// up to [`MAX_DELTA`], so later schedules often land before earlier
+/// ones.
 fn delta() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..4, 0u64..=MAX_DELTA]
 }
 
+/// Schedules are listed twice, so they outweigh pops two to one and
+/// the queue grows deep.
 fn qop() -> impl Strategy<Value = QOp> {
     prop_oneof![
-        (0..MAX_SHARDS, delta()).prop_map(|(lane, delta)| QOp::Schedule { lane, delta }),
-        delta().prop_map(|delta| QOp::Background { delta }),
+        delta().prop_map(|delta| QOp::Schedule { delta }),
+        delta().prop_map(|delta| QOp::Schedule { delta }),
         Just(QOp::Pop),
-        (0..MAX_SHARDS, delta()).prop_map(|(lane, delta)| QOp::Fused { lane, delta }),
+        delta().prop_map(|delta| QOp::Fused { delta }),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Events always pop in nondecreasing time order, FIFO on ties,
-    /// whichever shards they were scheduled on.
+    /// Events always pop in nondecreasing time order, FIFO on ties.
     #[test]
     fn event_queue_monotone(
-        shards in 1usize..=8,
         times in proptest::collection::vec(0u64..1_000, 1..200),
     ) {
-        let mut q: LaneQueue<usize> = LaneQueue::new(shards, 0);
+        let mut q: LaneQueue<usize> = LaneQueue::new(0, 0);
         for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(i % shards, SimTime::from_nanos(t), i);
+            q.schedule_at(0, SimTime::from_nanos(t), i);
         }
         let mut last_t = 0;
         let mut last_seq_at_t = 0;
@@ -219,48 +213,40 @@ proptest! {
         }
     }
 
-    /// For any mixed history — schedules, pops and fused calls over 1 to
-    /// 128 shards — the sharded queue pops exactly the reference heap's
-    /// `(at, seq)` order.
+    /// For any mixed history — schedules, pops and fused calls —
+    /// `LaneQueue` pops exactly the reference heap's `(at, seq)` order.
     #[test]
-    fn sharded_pop_order_matches_single_heap(
-        shards in 1usize..=MAX_SHARDS,
+    fn pop_order_matches_reference_heap(
         ops in proptest::collection::vec(qop(), 1..1_001),
     ) {
-        let mut sharded: LaneQueue<u64> = LaneQueue::new(shards, 0);
-        let mut single = RefQueue::new();
+        let mut q: LaneQueue<u64> = LaneQueue::new(0, 0);
+        let mut reference = RefQueue::new();
         let mut id = 0u64;
         for op in ops {
             match op {
-                QOp::Schedule { lane, delta } => {
-                    let at = sharded.now() + SimDuration::from_nanos(delta);
-                    sharded.schedule_at(lane % shards, at, id);
-                    single.schedule_at(at, id);
+                QOp::Schedule { delta } => {
+                    let at = q.now() + SimDuration::from_nanos(delta);
+                    q.schedule_at(0, at, id);
+                    reference.schedule_at(at, id);
                     id += 1;
                 }
-                QOp::Background { delta } => {
-                    let at = sharded.now() + SimDuration::from_nanos(delta);
-                    sharded.schedule_at(shards - 1, at, id);
-                    single.schedule_at(at, id);
-                    id += 1;
-                }
-                QOp::Pop => prop_assert_eq!(sharded.pop(), single.pop()),
-                QOp::Fused { lane, delta } => {
-                    let at = sharded.now() + SimDuration::from_nanos(delta);
+                QOp::Pop => prop_assert_eq!(q.pop(), reference.pop()),
+                QOp::Fused { delta } => {
+                    let at = q.now() + SimDuration::from_nanos(delta);
                     prop_assert_eq!(
-                        sharded.schedule_at_then_pop(lane % shards, at, id),
-                        single.schedule_at_then_pop(at, id)
+                        q.schedule_at_then_pop(0, at, id),
+                        reference.schedule_at_then_pop(at, id)
                     );
                     id += 1;
                 }
             }
-            prop_assert_eq!(sharded.len(), single.heap.len());
-            prop_assert_eq!(sharded.peek_time(), single.peek_time());
-            prop_assert_eq!(sharded.now(), single.now);
+            prop_assert_eq!(q.len(), reference.heap.len());
+            prop_assert_eq!(q.peek_time(), reference.peek_time());
+            prop_assert_eq!(q.now(), reference.now);
         }
-        while let Some(e) = single.pop() {
-            prop_assert_eq!(sharded.pop(), Some(e));
+        while let Some(e) = reference.pop() {
+            prop_assert_eq!(q.pop(), Some(e));
         }
-        prop_assert!(sharded.is_empty());
+        prop_assert!(q.is_empty());
     }
 }
